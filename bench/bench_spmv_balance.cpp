@@ -1,14 +1,15 @@
-// Micro bench: row-chunked vs merge-path (nnz-balanced) CSR SpMV on a
+// Micro bench: row-chunked vs whole-row merge-path CSR SpMV split on a
 // power-law graph.
 //
-// device::launch splits kernels into equal ROW chunks; on a Zipf-degree
-// matrix one chunk inherits the hubs and the whole wave waits on it.  The
-// merge-path partition (sparse/balance.h) bounds every worker's share of
-// rows + nnz instead.  This bench reports the modeled worst-wave work for
-// both splits — the quantity that caps achievable SpMV parallelism — plus
-// wall time for the two kernels, and publishes the model as metrics gauges
-// (spmv.rowchunk_wave_max_nnz / spmv.wave_max_nnz) so the perf_smoke CI
-// check can assert the >= 2x balance win from the artifacts alone.
+// Splitting a wave into equal ROW chunks hands one chunk the hubs of a
+// Zipf-degree matrix and the whole wave waits on it.  device_csrmv instead
+// gives every worker whole rows of the merge-path cut (sparse/balance.h),
+// bounding its share at ceil((rows + nnz) / workers) + max row nnz.  This
+// bench reports the worst-wave work of both splits — the quantity that caps
+// achievable SpMV parallelism — plus the kernel's wall time, and publishes
+// them as metrics gauges (spmv.rowchunk_wave_max_nnz from the model,
+// spmv.wave_max_nnz from the kernel) so the perf_smoke CI check can assert
+// the >= 2x balance win from the artifacts alone.
 #include <cstdio>
 #include <string>
 
@@ -21,7 +22,8 @@
 int main(int argc, char** argv) {
   using namespace fastsc;
   CliParser cli(
-      "bench_spmv_balance: merge-path vs row-chunked SpMV balance on a "
+      "bench_spmv_balance: whole-row merge-path vs row-chunked SpMV balance "
+      "on a "
       "power-law (Zipf-degree) graph");
   const bool run = cli.parse(argc, argv);
   bench::CommonFlags flags = bench::CommonFlags::parse(cli, /*default_k=*/8);
@@ -52,42 +54,38 @@ int main(int argc, char** argv) {
   device::DeviceBuffer<real> dx(ctx, std::span<const real>(x));
   device::DeviceBuffer<real> dy(ctx, static_cast<usize>(n));
 
-  // Modeled worst-wave work (entries handled by the busiest worker).
+  // Modeled worst-wave work of the row-chunked split (entries handled by
+  // the busiest worker).
   const index_t chunked =
       sparse::rowchunk_max_span_nnz(csr.row_ptr.data(), 0, csr.rows, workers);
-  const sparse::MergePathPartition part =
-      sparse::merge_path_partition(csr.row_ptr.data(), 0, csr.rows, workers);
   obs::metrics().set_gauge("spmv.rowchunk_wave_max_nnz",
                            static_cast<double>(chunked));
 
-  // Timed loops; the balanced call also publishes spmv.wave_max_nnz.
-  WallTimer t_row;
+  // Timed loop; every call publishes its split's spmv.wave_max_nnz /
+  // spmv.wave_mean_nnz gauges.
+  WallTimer t_bal;
   for (index_t r = 0; r < reps; ++r) {
     sparse::device_csrmv(ctx, dev, dx.data(), dy.data());
   }
-  const double row_seconds = t_row.seconds();
-  WallTimer t_bal;
-  for (index_t r = 0; r < reps; ++r) {
-    sparse::device_csrmv_balanced(ctx, dev, dx.data(), dy.data());
-  }
   const double bal_seconds = t_bal.seconds();
+  const double whole_max = obs::metrics().gauge("spmv.wave_max_nnz").value();
+  const double whole_mean = obs::metrics().gauge("spmv.wave_mean_nnz").value();
 
-  const double ratio = part.max_span_nnz > 0
-                           ? static_cast<double>(chunked) /
-                                 static_cast<double>(part.max_span_nnz)
-                           : 0.0;
+  const double ratio =
+      whole_max > 0 ? static_cast<double>(chunked) / whole_max : 0.0;
   TextTable table("SpMV balance on power-law graph (n=" + std::to_string(n) +
                   ", nnz=" + std::to_string(csr.nnz()) +
                   ", workers=" + std::to_string(workers) + ")");
   table.header({"Split", "max wave nnz", "mean wave nnz", "time/s",
                 "balance win"});
-  table.row({"row-chunked (owner-computes)", TextTable::fmt(chunked),
+  table.row({"row-chunked (modeled)", TextTable::fmt(chunked),
              TextTable::fmt(static_cast<double>(csr.nnz()) /
                                 static_cast<double>(workers),
                             1),
-             TextTable::fmt_seconds(row_seconds), "1.0x (baseline)"});
-  table.row({"merge-path balanced", TextTable::fmt(part.max_span_nnz),
-             TextTable::fmt(part.mean_span_nnz, 1),
+             "-", "1.0x (baseline)"});
+  table.row({"whole-row merge-path (device_csrmv)",
+             TextTable::fmt(static_cast<index_t>(whole_max)),
+             TextTable::fmt(whole_mean, 1),
              TextTable::fmt_seconds(bal_seconds),
              TextTable::fmt(ratio, 2) + "x"});
   table.print();

@@ -49,8 +49,9 @@ struct Job {
   /// Warm-start hint: the graph fingerprint of a previously solved nearby
   /// graph (e.g. this graph before a delta-edge update).  When the cache
   /// still holds that entry's eigensolver checkpoint, the solve restores
-  /// its Krylov basis instead of cold-starting.  0 = no hint; the service
-  /// may still find a donor by config + dimension match.
+  /// its Krylov basis instead of cold-starting.  0 = no hint, or a missing
+  /// or corrupt hinted entry: the job cold-starts (the service never picks
+  /// a donor by config + dimension alone).
   std::uint64_t warm_hint = 0;
 
   /// Free-form tag echoed into logs and trace spans.

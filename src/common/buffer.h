@@ -22,8 +22,11 @@ namespace fastsc {
 inline constexpr usize kBufferAlignment = 64;
 
 namespace detail {
+/// Allocate `bytes` aligned to `alignment` (<= the page size); requests of
+/// 128 KiB and up are page-rounded anonymous mappings.  Free with the same
+/// byte count.
 void* aligned_alloc_bytes(usize bytes, usize alignment);
-void aligned_free_bytes(void* p) noexcept;
+void aligned_free_bytes(void* p, usize bytes) noexcept;
 }  // namespace detail
 
 /// Owning, aligned, non-resizable array of trivially-copyable T.
@@ -86,7 +89,7 @@ class AlignedBuffer {
   }
 
   void reset() noexcept {
-    if (data_ != nullptr) detail::aligned_free_bytes(data_);
+    if (data_ != nullptr) detail::aligned_free_bytes(data_, size_bytes());
     data_ = nullptr;
     size_ = 0;
   }

@@ -78,18 +78,11 @@ bool known_stage(std::string_view s) {
   return s == "similarity" || s == "eigensolver" || s == "kmeans";
 }
 
-/// Bumps each counter by one and mirrors the cumulative value onto the trace
-/// (same pattern as fault.cpp's injection accounting); called outside locks.
+/// Bumps each counter by one, mirrored onto the trace (obs::bump); called
+/// outside locks.
 void emit_counters(const std::vector<std::string>& names,
                    const std::string& warn) {
-  for (const std::string& n : names) {
-    obs::Counter& c = obs::metrics().counter(n);
-    c.add();
-    if (obs::trace_enabled()) {
-      obs::trace().counter(n, static_cast<double>(c.value()),
-                           obs::wall_now_us());
-    }
-  }
+  for (const std::string& n : names) obs::bump(n);
   if (!warn.empty()) {
     FASTSC_LOG_WARN(warn);
   }

@@ -2,10 +2,9 @@
 //
 // Used by the SDC defense layer to seal byte payloads whose corruption the
 // numeric ABFT checks cannot see: serialized LanczosCheckpoint blobs,
-// ResultCache entries, and staged host<->device transfer buffers.  Software
-// table-driven implementation (slice-by-1); throughput is irrelevant next to
-// the O(nnz) kernels these frames protect, and the container bakes in no
-// hardware CRC intrinsics we could rely on portably.
+// ResultCache entries, and staged host<->device transfer buffers (every
+// eigensolver wave CRCs its staged x twice).  Portable table-driven
+// slice-by-8 software implementation; no hardware CRC intrinsics.
 #pragma once
 
 #include <cstdint>

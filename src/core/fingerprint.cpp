@@ -53,12 +53,7 @@ std::uint64_t config_fingerprint(const SpectralConfig& cfg) {
   h = mix(h, cfg.eig_tol);
   h = mix(h, cfg.max_restarts);
   h = mix(h, static_cast<int>(cfg.which));
-  h = mix(h, static_cast<int>(cfg.spmv_format));
-  h = mix(h, cfg.bsr_block_size);
-  h = mix(h, cfg.balanced_spmv);
   h = mix(h, cfg.async_pipeline);
-  h = mix(h, cfg.overlap_col_blocks);
-  h = mix(h, cfg.overlap_row_tiles);
   h = mix(h, cfg.similarity_chunk_edges);
   h = mix(h, cfg.kmeans_max_iters);
   h = mix(h, static_cast<int>(cfg.seeding));

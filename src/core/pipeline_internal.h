@@ -3,45 +3,64 @@
 // Not part of the public API.
 #pragma once
 
+#include <functional>
 #include <string>
 #include <vector>
 
 #include "core/spectral.h"
+#include "obs/attribution.h"
 
 namespace fastsc::core::detail {
-
-/// Build the (n x k) spectral embedding from the eigenvectors of the
-/// symmetric operator S = D^-1/2 W D^-1/2 (row-major k x n input).
-///
-/// The paper's Step 3 asks for eigenvectors of D^-1 W; those are
-/// v_rw = D^-1/2 u_sym, so each vertex row is scaled by 1/sqrt(d_j) and the
-/// resulting eigenvectors are renormalized to unit length before k-means
-/// (paper Step 4 clusters the rows of this matrix).
-[[nodiscard]] std::vector<real> to_embedding(
-    const std::vector<real>& vectors,
-    const std::vector<real>& inv_sqrt_degree, index_t k, index_t n);
 
 /// Record one degradation decision: result report + degrade.* counters +
 /// trace counter + a WARN so unattended runs leave an audit trail.
 void note_degradation(SpectralResult& result, const char* stage,
                       const char* action, const std::string& reason);
 
-/// Lanczos configuration derived from the pipeline configuration.
-[[nodiscard]] lanczos::LanczosConfig eig_config(const SpectralConfig& cfg,
-                                                index_t n);
+/// Clear the eigensolver outputs of an abandoned attempt before the next
+/// ladder rung re-runs the stage (degradation events are kept).
+void reset_eig_result(SpectralResult& result);
 
-/// fp64 Rayleigh-Ritz refinement of a narrow-precision solve (DESIGN.md
-/// §13): orthonormalize the Ritz vectors (CGS2 in fp64), project the exact
-/// operator S = D^-1/2 W D^-1/2 onto their span (W applied host-side in COO
-/// entry order, so single-device and sharded runs refine bit-for-bit
-/// identically), rediagonalize the small projection, and rotate.  `vectors`
-/// holds the eigenvectors row-major (one per eigenvalue, each of length
-/// inv_sqrt_degree.size()); both it and `eigenvalues` are updated in place,
-/// refined pairs reordered to match the incoming eigenvalue ordering.
-/// Returns the post-refinement residual max_i ||S v_i - lambda_i v_i||_2.
-[[nodiscard]] real refine_eigenpairs_fp64(
-    const sparse::Coo& w, const std::vector<real>& inv_sqrt_degree,
-    index_t rounds, std::vector<real>& eigenvalues,
-    std::vector<real>& vectors);
+/// One reverse-communication wave (paper Algorithm 3): y = S x for the
+/// solver's host vector x, written to host y (both length n).  `basis` is
+/// the Lanczos basis size at this wave.  A wave reports detected corruption
+/// by throwing device::DataIntegrityError.
+using EigWave = std::function<void(const real* x, real* y, index_t basis)>;
+
+/// The one RCI driver behind every device eigensolve, single-device and
+/// sharded.  It owns the steps the waves share: the narrow-rung tolerance
+/// clamp and warm start, checkpoint resume and anytime abandon, the
+/// per-wave and Ritz-range sentinels, checkpoint export, Ritz extraction,
+/// the fp64 refinement against `refine_w` (read only when an eigensolver
+/// stage runs below fp64 or the fused epilogue is on) and the embedding
+/// through `inv_sqrt_degree`.
+void run_rci(const SpectralConfig& cfg, index_t n, const EigWave& wave,
+             const sparse::Coo& refine_w,
+             const std::vector<real>& inv_sqrt_degree, SpectralResult& result);
+
+/// Auto-precision rung (DESIGN.md §13) around any eigensolve: run
+/// `solve(cfg)`; when the fp64 refinement residual of a narrow solve exceeds
+/// the policy's limit, drop its outputs and re-run `solve` with every stage
+/// forced to fp64 (degradation action "precision-fallback").
+template <class Solve>
+void solve_with_precision_fallback(const SpectralConfig& cfg,
+                                   SpectralResult& result, Solve&& solve) {
+  solve(cfg);
+  const PrecisionPolicy& pp = cfg.precision;
+  if (!pp.auto_ladder || result.refine_residual <= pp.refine_residual_limit) {
+    return;
+  }
+  note_degradation(result, kStageEigensolver, "precision-fallback",
+                   "fp64 refinement residual " +
+                       std::to_string(result.refine_residual) +
+                       " above limit " +
+                       std::to_string(pp.refine_residual_limit) +
+                       "; re-running the eigensolve at fp64");
+  SpectralConfig fb_cfg = cfg;
+  fb_cfg.precision = pp.fp64_fallback();
+  reset_eig_result(result);
+  obs::AttrSiteScope rung_site("fallback.precision_fp64");
+  solve(fb_cfg);
+}
 
 }  // namespace fastsc::core::detail

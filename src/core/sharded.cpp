@@ -6,14 +6,11 @@
 
 #include "common/cancel.h"
 #include "common/error.h"
-#include "common/log.h"
 #include "common/rng.h"
-#include "common/timer.h"
 #include "common/validation.h"
 #include "core/pipeline_internal.h"
 #include "graph/laplacian.h"
 #include "kmeans/seeding.h"
-#include "lanczos/rci.h"
 #include "obs/attribution.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
@@ -71,9 +68,9 @@ void meter_cgs2_wave(device::DeviceGroup& group,
 
 /// Sharded eigensolver stage: cut the row partition from the COO histogram,
 /// normalize every row block on its own device (distributed Algorithm 2),
-/// and drive the reverse-communication loop with sharded SpMV waves.  Fills
-/// `part_out` with the (block-aligned) row partition so the k-means stage
-/// shards its points identically.
+/// and drive the shared RCI loop with sharded SpMV waves.  Fills `part_out`
+/// with the (block-aligned) row partition so the k-means stage shards its
+/// points identically.
 void eigensolve_sharded(device::DeviceGroup& group, const sparse::Coo& w,
                         const SpectralConfig& cfg, SpectralResult& result,
                         sparse::RowPartition& part_out) {
@@ -82,18 +79,6 @@ void eigensolve_sharded(device::DeviceGroup& group, const sparse::Coo& w,
   const Precision spmv_p = pp.resolve(PrecisionStage::kSpmv);
   const Precision basis_p = pp.resolve(PrecisionStage::kBasis);
   const bool fused = pp.fused();
-  const bool eig_narrow =
-      fused || spmv_p != Precision::kFp64 || basis_p != Precision::kFp64;
-  const bool do_refine = eig_narrow && pp.refine_rounds > 0;
-
-  lanczos::LanczosConfig ec = detail::eig_config(cfg, n);
-  if (spmv_p != Precision::kFp64 || basis_p != Precision::kFp64) {
-    // Same clamp as the single-device path: don't chase residuals below the
-    // narrow rung's unit roundoff; the fp64 refinement recovers the digits.
-    const bool any_bf16 =
-        spmv_p == Precision::kBf16 || basis_p == Precision::kBf16;
-    ec.tol = std::max(ec.tol, any_bf16 ? real{1e-3} : real{1e-6});
-  }
 
   sparse::RowPartition part;
   {
@@ -111,8 +96,9 @@ void eigensolve_sharded(device::DeviceGroup& group, const sparse::Coo& w,
     // balances rows and entries together instead of entries alone — an
     // nnz-only cut hands the sparsest shard the most dense-stage work.
     const index_t ncv_eff =
-        ec.ncv > 0 ? ec.ncv
-                   : std::min(n, std::max<index_t>(2 * ec.nev + 1, 20));
+        cfg.ncv > 0
+            ? cfg.ncv
+            : std::min(n, std::max<index_t>(2 * cfg.num_clusters + 1, 20));
     part = sparse::make_row_partition(
         row_ptr.data(), n, static_cast<index_t>(group.size()), kKmeansBlock,
         ncv_eff);
@@ -122,7 +108,7 @@ void eigensolve_sharded(device::DeviceGroup& group, const sparse::Coo& w,
   nopts.fuse_scale = fused;
   graph::ShardedNormalized norm =
       graph::sym_normalized_sharded(group, w, part, nopts);
-  std::vector<real> isd = std::move(norm.inv_sqrt_degree);
+  const std::vector<real> isd = std::move(norm.inv_sqrt_degree);
   sparse::ShardedCsr sp = sparse::shard_device_locals(
       group, part, std::move(norm.locals), norm.structure);
   if (fused) {
@@ -133,82 +119,18 @@ void eigensolve_sharded(device::DeviceGroup& group, const sparse::Coo& w,
     sparse::set_sharded_stage_precision(sp, basis_p);
   }
   part_out = sp.part;
-  const DegradationPolicy& pol = cfg.degradation;
-  ec.capture_checkpoints =
-      (pol.enabled && pol.resume_failed_solve) || cfg.capture_checkpoint;
-  lanczos::SymEigProb prob(ec);
-  if (cfg.warm_start != nullptr) {
-    const lanczos::LanczosCheckpoint& cp = *cfg.warm_start;
-    const lanczos::LanczosConfig& sc = prob.Solver().config();
-    if (cp.valid() && cp.n == sc.n && cp.nev == sc.nev && cp.ncv == sc.ncv &&
-        cp.which == static_cast<int>(sc.which) && cp.j == cp.nkept &&
-        cp.nkept >= 1) {
-      prob.RestoreWarm(cp);
-      result.warm_started = true;
-    } else {
-      FASTSC_LOG_WARN("warm-start checkpoint incompatible with this solve "
-                      "(shape or phase mismatch); cold-starting");
-    }
-  }
-  std::vector<real> host_y(static_cast<usize>(n));
 
-  index_t resumes = 0;
-  bool abandoned = false;
-  for (;;) {
-    try {
-      while (!prob.converge()) {
-        cancel::poll("lanczos.matvec");
-        WallTimer t;
-        {
-          obs::ScopedSpan span("spmv", "wave");
-          sparse::sharded_csrmv(sp, prob.GetVector(), host_y.data());
-        }
-        std::copy(host_y.begin(), host_y.end(), prob.PutVector());
-        result.spmv_seconds += t.seconds();
-        meter_cgs2_wave(group, sp.part, prob.Solver().basis_size());
-        prob.TakeStep();
-      }
-    } catch (const cancel::CancelledError& e) {
-      cancel::Governor& gov = cancel::current_governor();
-      if (!gov.anytime_allowed() || !prob.CanAbandon()) throw;
-      // Anytime cut: freeze the iteration, keep the best partial Ritz pairs,
-      // and stop enforcement so the rest of the pipeline completes.
-      prob.Abandon();
-      gov.begin_wrapup(e.site().empty() ? e.what() : e.site());
-      abandoned = true;
+  const detail::EigWave wave = [&](const real* x, real* y, index_t basis) {
+    {
+      obs::ScopedSpan span("spmv", "wave");
+      sparse::sharded_csrmv(sp, x, y);
     }
-    if (abandoned || !prob.Failed() || !ec.capture_checkpoints ||
-        resumes >= pol.max_solver_resumes ||
-        !prob.Solver().has_checkpoint()) {
-      break;
-    }
-    ++resumes;
-    detail::note_degradation(
-        result, kStageEigensolver, "solver-resume",
-        "restart budget exhausted; resuming from checkpoint at restart " +
-            std::to_string(prob.Solver().last_checkpoint().restart_count));
-    const index_t extended =
-        prob.Solver().config().max_restarts + ec.max_restarts;
-    prob.Restore(prob.Solver().last_checkpoint());
-    prob.Solver().set_max_restarts(extended);
-  }
-  result.eigenvalues = prob.Eigenvalues();
-  result.eig_converged = !prob.Failed();
-  result.eig_stats = prob.Stats();
-  if (cfg.capture_checkpoint && prob.Solver().has_checkpoint()) {
-    result.checkpoint = std::make_shared<lanczos::LanczosCheckpoint>(
-        prob.Solver().last_checkpoint());
-  }
-  std::vector<real> vectors = prob.FindEigenvectors();
-  if (do_refine && !vectors.empty()) {
-    // Same host-side fp64 Rayleigh-Ritz pass as the single-device path —
-    // both refine against `w` in its original COO entry order, so labels
-    // stay byte-identical across device counts at every rung.
-    result.refine_residual = detail::refine_eigenpairs_fp64(
-        w, isd, pp.refine_rounds, result.eigenvalues, vectors);
-  }
-  result.embedding = detail::to_embedding(vectors, isd, cfg.num_clusters, n);
-  result.precision_used = pp;
+    meter_cgs2_wave(group, sp.part, basis);
+  };
+  // The refinement runs against `w` in its original COO entry order, like
+  // the single-device path, so labels stay byte-identical across device
+  // counts at every rung.
+  detail::run_rci(cfg, n, wave, w, isd, result);
 }
 
 /// Empty-cluster repair (identical rule to kmeans.cpp): re-seed each empty
@@ -596,32 +518,10 @@ SpectralResult spectral_cluster_graph_sharded(const sparse::Coo& w,
     obs::ScopedSpan span(kStageEigensolver, "stage");
     cancel::StageScope budget_scope(kStageEigensolver);
     obs::AttrSiteScope stage_site("stage.eigensolver");
-    eigensolve_sharded(group, w, config, result, part);
-    if (config.precision.auto_ladder &&
-        result.refine_residual > config.precision.refine_residual_limit) {
-      // Auto-precision rung (mirrors core/spectral.cpp): the narrow solve's
-      // fp64 refinement residual stalled above the limit, so abandon its
-      // outputs and re-run the stage with every rung forced to fp64.
-      detail::note_degradation(
-          result, kStageEigensolver, "precision-fallback",
-          "fp64 refinement residual " +
-              std::to_string(result.refine_residual) + " above limit " +
-              std::to_string(config.precision.refine_residual_limit) +
-              "; re-running the eigensolve at fp64");
-      result.eigenvalues.clear();
-      result.embedding.clear();
-      result.eig_converged = false;
-      result.eig_stats = {};
-      result.spmv_seconds = 0;
-      result.checkpoint.reset();
-      result.warm_started = false;
-      result.precision_used = {};
-      result.refine_residual = 0;
-      SpectralConfig fb_cfg = config;
-      fb_cfg.precision = config.precision.fp64_fallback();
-      obs::AttrSiteScope rung_site("fallback.precision_fp64");
-      eigensolve_sharded(group, w, fb_cfg, result, part);
-    }
+    detail::solve_with_precision_fallback(
+        config, result, [&](const SpectralConfig& c) {
+          eigensolve_sharded(group, w, c, result, part);
+        });
   }
   result.clock.stop();
 

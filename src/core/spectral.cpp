@@ -17,7 +17,7 @@
 #include "core/pipeline_internal.h"
 #include "core/sharded.h"
 #include "device/device_group.h"
-#include "device/executor.h"
+#include "device/stream.h"
 #include "fault/fault.h"
 #include "graph/build.h"
 #include "graph/components.h"
@@ -29,7 +29,6 @@
 #include "obs/metrics.h"
 #include "obs/sdc.h"
 #include "obs/trace.h"
-#include "sparse/convert.h"
 #include "sparse/spmv.h"
 
 namespace fastsc::core {
@@ -43,8 +42,15 @@ std::string backend_name(Backend b) {
   return "?";
 }
 
-namespace detail {
+namespace {
 
+/// Build the (n x k) spectral embedding from the eigenvectors of the
+/// symmetric operator S = D^-1/2 W D^-1/2 (row-major k x n input).
+///
+/// The paper's Step 3 asks for eigenvectors of D^-1 W; those are
+/// v_rw = D^-1/2 u_sym, so each vertex row is scaled by 1/sqrt(d_j) and the
+/// resulting eigenvectors are renormalized to unit length before k-means
+/// (paper Step 4 clusters the rows of this matrix).
 std::vector<real> to_embedding(const std::vector<real>& vectors,
                                const std::vector<real>& inv_sqrt_degree,
                                index_t k, index_t n) {
@@ -67,22 +73,7 @@ std::vector<real> to_embedding(const std::vector<real>& vectors,
   return emb;
 }
 
-void note_degradation(SpectralResult& result, const char* stage,
-                      const char* action, const std::string& reason) {
-  result.degradation.degraded = true;
-  result.degradation.events.push_back(DegradationEvent{stage, action, reason});
-  obs::Counter& total = obs::metrics().counter("degrade.fallback");
-  total.add();
-  obs::metrics().counter(std::string("degrade.") + action).add();
-  if (obs::trace_enabled()) {
-    obs::trace().counter("degrade.fallback",
-                         static_cast<double>(total.value()),
-                         obs::wall_now_us());
-  }
-  FASTSC_LOG_WARN("degradation: stage '" << stage << "' -> " << action << " ("
-                                         << reason << ")");
-}
-
+/// Lanczos configuration derived from the pipeline configuration.
 lanczos::LanczosConfig eig_config(const SpectralConfig& cfg, index_t n) {
   lanczos::LanczosConfig ec;
   ec.n = n;
@@ -98,6 +89,15 @@ lanczos::LanczosConfig eig_config(const SpectralConfig& cfg, index_t n) {
   return ec;
 }
 
+/// fp64 Rayleigh-Ritz refinement of a narrow-precision solve (DESIGN.md
+/// §13): orthonormalize the Ritz vectors (CGS2 in fp64), project the exact
+/// operator S = D^-1/2 W D^-1/2 onto their span (W applied host-side in COO
+/// entry order, so single-device and sharded runs refine bit-for-bit
+/// identically), rediagonalize the small projection, and rotate.  `vectors`
+/// holds the eigenvectors row-major (one per eigenvalue, each of length
+/// inv_sqrt_degree.size()); both it and `eigenvalues` are updated in place,
+/// refined pairs reordered to match the incoming eigenvalue ordering.
+/// Returns the post-refinement residual max_i ||S v_i - lambda_i v_i||_2.
 real refine_eigenpairs_fp64(const sparse::Coo& w,
                             const std::vector<real>& inv_sqrt_degree,
                             index_t rounds, std::vector<real>& eigenvalues,
@@ -209,17 +209,34 @@ real refine_eigenpairs_fp64(const sparse::Coo& w,
   return residual;
 }
 
-}  // namespace detail
+/// Unit roundoff of a precision rung's storage (0 for fp64): the slack the
+/// SDC tolerances add per quantized operand (DESIGN.md §14).
+double rung_eps(Precision p) noexcept {
+  return p == Precision::kFp64 ? 0.0 : p == Precision::kFp32 ? 0x1p-24 : 0x1p-8;
+}
 
-namespace {
+/// Whether a solve under `pp` ends with the fp64 Rayleigh-Ritz refinement
+/// (some eigensolver stage runs below fp64 or the fused epilogue is on).
+bool refines(const PrecisionPolicy& pp) noexcept {
+  return pp.refine_rounds > 0 &&
+         (pp.fused() || pp.resolve(PrecisionStage::kSpmv) != Precision::kFp64 ||
+          pp.resolve(PrecisionStage::kBasis) != Precision::kFp64);
+}
 
-using detail::eig_config;
-using detail::note_degradation;
-using detail::refine_eigenpairs_fp64;
-using detail::to_embedding;
+}  // namespace
 
-/// Clear the eigensolver outputs of an abandoned attempt before the next
-/// ladder rung re-runs the stage (degradation events are kept).
+namespace detail {
+
+void note_degradation(SpectralResult& result, const char* stage,
+                      const char* action, const std::string& reason) {
+  result.degradation.degraded = true;
+  result.degradation.events.push_back(DegradationEvent{stage, action, reason});
+  obs::bump("degrade.fallback");
+  obs::metrics().counter(std::string("degrade.") + action).add();
+  FASTSC_LOG_WARN("degradation: stage '" << stage << "' -> " << action << " ("
+                                         << reason << ")");
+}
+
 void reset_eig_result(SpectralResult& result) {
   result.eigenvalues.clear();
   result.embedding.clear();
@@ -232,95 +249,174 @@ void reset_eig_result(SpectralResult& result) {
   result.refine_residual = 0;
 }
 
-/// One overlapped SpMV wave on a {transfer, compute} stream pair.
-///
-/// The matrix is pre-split into column blocks; block b's kernel reads only
-/// x[col_start[b], col_start[b+1]), so the transfer stream stages tile b+1
-/// H2D while the compute stream multiplies block b (partial products
-/// accumulate into y with beta = 1).  The final block is row-tiled: tile
-/// t's rows are final after its partial product, so its D2H starts on the
-/// transfer stream while later tiles still multiply.  Events order each
-/// compute node after its x tile and each D2H after its y tile; everything
-/// else rides the streams' FIFO order.
-void pipelined_matvec(device::DeviceContext& ctx,
-                      device::PipelineExecutor& exec,
-                      const sparse::DeviceCsrColBlocks& a, const real* x,
-                      device::DeviceBuffer<real>& dev_x,
-                      device::DeviceBuffer<real>& dev_y,
-                      std::vector<real>& host_y, index_t row_tiles,
-                      bool balanced) {
-  using Exec = device::PipelineExecutor;
-  exec.reset();
-  const index_t n = a.rows;
-  const usize nb = a.block_count();
-  real* xp = dev_x.data();
-  real* yp = dev_y.data();
+void run_rci(const SpectralConfig& cfg, index_t n, const EigWave& wave,
+             const sparse::Coo& refine_w,
+             const std::vector<real>& inv_sqrt_degree, SpectralResult& result) {
+  const PrecisionPolicy& pp = cfg.precision;
+  const Precision spmv_p = pp.resolve(PrecisionStage::kSpmv);
+  const Precision basis_p = pp.resolve(PrecisionStage::kBasis);
 
-  std::vector<Exec::NodeId> h2d(nb);
-  for (usize b = 0; b < nb; ++b) {
-    const index_t c0 = a.col_start[b];
-    const index_t c1 = a.col_start[b + 1];
-    h2d[b] = exec.add(Exec::kTransferStream, "h2d-x" + std::to_string(b),
-                      [&ctx, xp, x, c0, c1] {
-                        // Basis staging lands in its own attribution bucket
-                        // so the precision bench can ratio link bytes across
-                        // rungs (fp64 supplies the denominator).
-                        obs::AttrSiteScope stage_site("spmv.stage");
-                        device::copy_h2d(ctx, xp + c0, x + c0,
-                                         static_cast<usize>(c1 - c0));
-                      });
+  lanczos::LanczosConfig ec = eig_config(cfg, n);
+  if (spmv_p != Precision::kFp64 || basis_p != Precision::kFp64) {
+    // A narrow rung perturbs the operator at its unit roundoff; asking the
+    // solver for residuals below that only burns restarts.  The fp64
+    // refinement at solve end recovers the extra digits.
+    const bool any_bf16 =
+        spmv_p == Precision::kBf16 || basis_p == Precision::kBf16;
+    ec.tol = std::max(ec.tol, any_bf16 ? real{1e-3} : real{1e-6});
   }
-  for (usize b = 0; b + 1 < nb; ++b) {
-    const sparse::DeviceCsr& blk = a.blocks[b];
-    const real beta = b == 0 ? 0.0 : 1.0;
-    exec.add(
-        Exec::kComputeStream, "csrmv-b" + std::to_string(b),
-        [&ctx, &blk, xp, yp, n, beta, balanced] {
-          if (balanced) {
-            sparse::device_csrmv_range_balanced(ctx, blk, xp, yp, 0, n, 1.0,
-                                                beta);
-          } else {
-            sparse::device_csrmv_range(ctx, blk, xp, yp, 0, n, 1.0, beta);
+  const DegradationPolicy& pol = cfg.degradation;
+  ec.capture_checkpoints =
+      (pol.enabled && pol.resume_failed_solve) || cfg.capture_checkpoint;
+  lanczos::SymEigProb prob(ec);
+  if (cfg.warm_start != nullptr) {
+    // Warm-start re-solve (service delta-edge path): reuse the donor's kept
+    // Ritz basis when it matches this run's solver shape; otherwise fall
+    // back to a cold start rather than failing the run.
+    const lanczos::LanczosCheckpoint& cp = *cfg.warm_start;
+    const lanczos::LanczosConfig& sc = prob.Solver().config();
+    if (cp.valid() && cp.n == sc.n && cp.nev == sc.nev && cp.ncv == sc.ncv &&
+        cp.which == static_cast<int>(sc.which) && cp.j == cp.nkept &&
+        cp.nkept >= 1) {
+      prob.RestoreWarm(cp);
+      result.warm_started = true;
+    } else {
+      FASTSC_LOG_WARN("warm-start checkpoint incompatible with this solve "
+                      "(shape or phase mismatch); cold-starting");
+    }
+  }
+
+  // Invariant sentinels (DESIGN.md §14): ||S||_2 <= 1 for the normalized
+  // operator, so ||y|| <= ||x|| and |x^T y| <= ||x||^2 up to the rungs'
+  // roundoff.  No checksum storage — these catch corruption classes a
+  // wave's own checks can miss (a flipped structure index, a torn
+  // recurrence), on every device count.
+  const bool sentinels_on = cfg.sdc.enabled && cfg.sdc.sentinels;
+  const double tol_scale = static_cast<double>(cfg.sdc.tolerance_scale);
+  const double eps_q = rung_eps(basis_p);  // basis staging quantization
+  const double eps_m = rung_eps(spmv_p);   // matrix storage quantization
+  const auto trip = [&](const std::string& why) {
+    obs::sdc_note_detected("lanczos.sentinel", why);
+    ++result.integrity.detected;
+    result.integrity.events.push_back("lanczos.sentinel: " + why);
+    throw device::DataIntegrityError("RCI sentinel tripped: " + why);
+  };
+  const auto un = static_cast<usize>(n);
+
+  index_t resumes = 0;
+  bool abandoned = false;
+  for (;;) {
+    try {
+      while (!prob.converge()) {
+        // One poll per reverse-communication wave; a deadline or cancellation
+        // fired anywhere (including as a sticky stream error inside the wave)
+        // unwinds to the anytime handler below.
+        cancel::poll("lanczos.matvec");
+        WallTimer t;
+        const real* x = prob.GetVector();
+        real* y = prob.PutVector();
+        wave(x, y, prob.Solver().basis_size());
+        if (sentinels_on) {
+          obs::sdc_note_check();
+          ++result.integrity.checks;
+          double x2 = 0;
+          double y2 = 0;
+          double xy = 0;
+          for (usize i = 0; i < un; ++i) {
+            x2 += x[i] * x[i];
+            y2 += y[i] * y[i];
+            xy += x[i] * y[i];
           }
-        },
-        {h2d[b]});
-  }
-  const sparse::DeviceCsr& last = a.blocks[nb - 1];
-  const real last_beta = nb == 1 ? 0.0 : 1.0;
-  index_t tiles = row_tiles < 1 ? 1 : row_tiles;
-  if (tiles > n) tiles = n;
-  real* hy = host_y.data();
-  for (index_t t = 0; t < tiles; ++t) {
-    const index_t r0 = (n * t) / tiles;
-    const index_t r1 = (n * (t + 1)) / tiles;
-    const Exec::NodeId compute = exec.add(
-        Exec::kComputeStream, "csrmv-tail" + std::to_string(t),
-        [&ctx, &last, xp, yp, r0, r1, last_beta, balanced] {
-          if (balanced) {
-            sparse::device_csrmv_range_balanced(ctx, last, xp, yp, r0, r1, 1.0,
-                                                last_beta);
-          } else {
-            sparse::device_csrmv_range(ctx, last, xp, yp, r0, r1, 1.0,
-                                       last_beta);
+          const double one = (1 + tol_scale * (1e-6 + 8 * (eps_q + eps_m)));
+          if (!(y2 <= one * one * x2)) {
+            trip("||y|| exceeds the operator norm bound");
+          } else if (!(std::abs(xy) <= one * x2)) {
+            trip("Rayleigh quotient outside the operator's numerical range");
           }
-        },
-        {h2d[nb - 1]});
-    exec.add(Exec::kTransferStream, "d2h-y" + std::to_string(t),
-             [&ctx, hy, yp, r0, r1] {
-               obs::AttrSiteScope stage_site("spmv.stage");
-               device::copy_d2h(ctx, hy + r0, yp + r0,
-                                static_cast<usize>(r1 - r0));
-             },
-             {compute});
+          const real drift = prob.Solver().orthogonality_drift();
+          if (!(drift <= tol_scale * (1e-8 + 64 * eps_q))) {
+            trip("CGS2 basis orthogonality drift " + std::to_string(drift));
+          }
+        }
+        result.spmv_seconds += t.seconds();
+        prob.TakeStep();
+      }
+    } catch (const cancel::CancelledError& e) {
+      cancel::Governor& gov = cancel::current_governor();
+      if (!gov.anytime_allowed() || !prob.CanAbandon()) throw;
+      // Anytime cut: freeze the iteration, keep the best partial Ritz pairs,
+      // and stop enforcement so the rest of the pipeline (k-means on the
+      // partial embedding) completes unimpeded.
+      prob.Abandon();
+      gov.begin_wrapup(e.site().empty() ? e.what() : e.site());
+      abandoned = true;
+    }
+    if (abandoned || !prob.Failed() || !ec.capture_checkpoints ||
+        resumes >= pol.max_solver_resumes ||
+        !prob.Solver().has_checkpoint()) {
+      break;
+    }
+    // Rewind to the last restart boundary and continue with an extended
+    // budget instead of restarting the whole Krylov buildup from scratch.
+    ++resumes;
+    note_degradation(result, kStageEigensolver, "solver-resume",
+                     "restart budget exhausted; resuming from checkpoint at "
+                     "restart " +
+                         std::to_string(
+                             prob.Solver().last_checkpoint().restart_count));
+    const index_t extended =
+        prob.Solver().config().max_restarts + ec.max_restarts;
+    prob.Restore(prob.Solver().last_checkpoint());
+    prob.Solver().set_max_restarts(extended);
   }
-  exec.run();
+  result.eigenvalues = prob.Eigenvalues();
+  result.eig_converged = !prob.Failed();
+  result.eig_stats = prob.Stats();
+  if (sentinels_on && result.eig_converged) {
+    // Spectral-range sanity: every Ritz value of D^-1/2 W D^-1/2 lies in
+    // [-1, 1] up to the rungs' operator perturbation; anything outside (or
+    // non-finite) means the tridiagonal recurrence itself was corrupted.
+    obs::sdc_note_check();
+    ++result.integrity.checks;
+    const double slack = tol_scale * (1e-6 + 64 * (eps_q + eps_m));
+    for (const real ev : result.eigenvalues) {
+      if (!(std::abs(ev) <= 1 + slack)) {
+        trip("Ritz value " + std::to_string(ev) + " outside [-1, 1]");
+      }
+    }
+  }
+  if (cfg.capture_checkpoint && prob.Solver().has_checkpoint()) {
+    result.checkpoint = std::make_shared<lanczos::LanczosCheckpoint>(
+        prob.Solver().last_checkpoint());
+  }
+  std::vector<real> vectors = prob.FindEigenvectors();
+  if (refines(pp) && !vectors.empty()) {
+    // fp64 rung of the ladder: Rayleigh-Ritz against the exact operator
+    // recovers the digits the narrow solve left on the table and yields the
+    // residual the auto ladder gates on.  Both drivers refine against W in
+    // its original COO entry order, so the result is the same for every
+    // device count.
+    result.refine_residual = refine_eigenpairs_fp64(
+        refine_w, inv_sqrt_degree, pp.refine_rounds, result.eigenvalues,
+        vectors);
+  }
+  result.embedding =
+      to_embedding(vectors, inv_sqrt_degree, cfg.num_clusters, n);
+  result.precision_used = pp;
 }
 
+}  // namespace detail
+
+namespace {
+
+using detail::note_degradation;
+using detail::reset_eig_result;
+
 /// Device eigensolver stage: Algorithm 3.  The COO similarity matrix is
-/// already device-resident; normalize (Algorithm 2), then run the reverse
-/// communication loop with device csrmv, staging the iteration vectors over
-/// the link each step — double-buffered through the pipeline executor when
-/// cfg.async_pipeline is set.
+/// already device-resident; normalize (Algorithm 2), then drive the RCI loop
+/// with one synchronous wave per step: stage x over the link (sealed by the
+/// transfer CRC), run the row-serial csrmv (with the optional fused D^-1/2
+/// epilogue), download y, and verify the wave's ABFT checksum.
 void eigensolve_device(device::DeviceContext& ctx, sparse::DeviceCoo& w,
                        const SpectralConfig& cfg, SpectralResult& result,
                        const std::vector<real>* degrees = nullptr) {
@@ -329,15 +425,12 @@ void eigensolve_device(device::DeviceContext& ctx, sparse::DeviceCoo& w,
   const Precision spmv_p = pp.resolve(PrecisionStage::kSpmv);
   const Precision basis_p = pp.resolve(PrecisionStage::kBasis);
   const bool fused = pp.fused();
-  const bool eig_narrow =
-      fused || spmv_p != Precision::kFp64 || basis_p != Precision::kFp64;
-  const bool do_refine = eig_narrow && pp.refine_rounds > 0;
 
   // The refinement operator must be the exact fp64 similarity matrix in its
   // original entry order (refine_eigenpairs_fp64's cross-device-count
   // contract); snapshot before Algorithm 2 sorts the device COO.
   sparse::Coo refine_w;
-  if (do_refine) refine_w = w.to_host();  // D2H, metered
+  if (refines(pp)) refine_w = w.to_host();  // D2H, metered
 
   device::DeviceBuffer<real> dev_isd;
   graph::NormalizeOptions nopts;
@@ -402,423 +495,158 @@ void eigensolve_device(device::DeviceContext& ctx, sparse::DeviceCoo& w,
       break;
   }
 
-  // Optional format conversion for the SpMV loop (paper §IV.A: CSC/BSR are
-  // also supported).  The conversion round-trips through the host, which is
-  // metered like any other staging.  BSR is an fp64-only path.
-  const bool use_bsr =
-      cfg.spmv_format == DeviceSpmvFormat::kBsr && !eig_narrow;
-  if (cfg.spmv_format == DeviceSpmvFormat::kBsr && eig_narrow) {
-    FASTSC_LOG_WARN("BSR SpMV is fp64-only; the mixed-precision run takes "
-                    "the CSR path");
-  }
-  sparse::DeviceBsr p_bsr;
-  if (use_bsr) {
-    const sparse::Csr host_csr = p.to_host();
-    p_bsr = sparse::DeviceBsr(
-        ctx, sparse::csr_to_bsr(host_csr, cfg.bsr_block_size));
-  }
-  auto spmv = [&](const real* x, real* y) {
-    if (use_bsr) {
-      sparse::device_bsrmv(ctx, p_bsr, x, y);
-    } else if (cfg.balanced_spmv) {
-      sparse::device_csrmv_balanced(ctx, p, x, y);
-    } else {
-      sparse::device_csrmv(ctx, p, x, y);
-    }
-  };
-
-  // Overlapped path: repartition the device-resident normalized matrix into
-  // column blocks with device kernels (no matrix PCIe traffic) and keep a
-  // {transfer, compute} stream pair alive across iterations.  Narrow rungs
-  // and the fused epilogue run the synchronous staged wave instead (the
-  // column-block splitter is fp64-only).
-  const bool pipelined = cfg.async_pipeline &&
-                         cfg.spmv_format == DeviceSpmvFormat::kCsr &&
-                         !eig_narrow;
-  sparse::DeviceCsrColBlocks p_blocks;
-  std::unique_ptr<device::PipelineExecutor> exec;
-  if (pipelined) {
-    p_blocks = sparse::split_device_csr_col_blocks(ctx, p,
-                                                   cfg.overlap_col_blocks);
-    exec = std::make_unique<device::PipelineExecutor>(ctx);
-  }
-
-  lanczos::LanczosConfig ec = eig_config(cfg, n);
-  if (spmv_p != Precision::kFp64 || basis_p != Precision::kFp64) {
-    // A narrow rung perturbs the operator at its unit roundoff; asking the
-    // solver for residuals below that only burns restarts.  The fp64
-    // refinement at solve end recovers the extra digits.
-    const bool any_bf16 =
-        spmv_p == Precision::kBf16 || basis_p == Precision::kBf16;
-    ec.tol = std::max(ec.tol, any_bf16 ? real{1e-3} : real{1e-6});
-  }
-  const DegradationPolicy& pol = cfg.degradation;
-  ec.capture_checkpoints =
-      (pol.enabled && pol.resume_failed_solve) || cfg.capture_checkpoint;
-  lanczos::SymEigProb prob(ec);
-  if (cfg.warm_start != nullptr) {
-    // Warm-start re-solve (service delta-edge path): reuse the donor's kept
-    // Ritz basis when it matches this run's solver shape; otherwise fall
-    // back to a cold start rather than failing the run.
-    const lanczos::LanczosCheckpoint& cp = *cfg.warm_start;
-    const lanczos::LanczosConfig& sc = prob.Solver().config();
-    if (cp.valid() && cp.n == sc.n && cp.nev == sc.nev && cp.ncv == sc.ncv &&
-        cp.which == static_cast<int>(sc.which) && cp.j == cp.nkept &&
-        cp.nkept >= 1) {
-      prob.RestoreWarm(cp);
-      result.warm_started = true;
-    } else {
-      FASTSC_LOG_WARN("warm-start checkpoint incompatible with this solve "
-                      "(shape or phase mismatch); cold-starting");
-    }
-  }
-  // Iteration-vector staging: fp64 buffers for the classic wave, or byte
-  // buffers at the basis rung's width — the link then moves packed scalars
-  // and the quantization point matches the sharded x replica exactly.
+  // Iteration-vector staging: fp64 buffers, or byte buffers at the basis
+  // rung's width — the link then moves packed scalars and the quantization
+  // point matches the sharded x replica exactly.
   const bool basis_narrow = basis_p != Precision::kFp64;
+  const usize un = static_cast<usize>(n);
   const usize bw = bytes_per_scalar(basis_p);
-  device::DeviceBuffer<real> dev_x;
-  device::DeviceBuffer<real> dev_y;
-  device::DeviceBuffer<unsigned char> x_stage;
-  device::DeviceBuffer<unsigned char> y_stage;
-  std::vector<unsigned char> stage_host;
-  if (basis_narrow) {
-    x_stage = device::DeviceBuffer<unsigned char>(ctx,
-                                                  static_cast<usize>(n) * bw);
-    y_stage = device::DeviceBuffer<unsigned char>(ctx,
-                                                  static_cast<usize>(n) * bw);
-    stage_host.resize(static_cast<usize>(n) * bw);
-  } else {
-    dev_x = device::DeviceBuffer<real>(ctx, static_cast<usize>(n));
-    dev_y = device::DeviceBuffer<real>(ctx, static_cast<usize>(n));
-  }
-  std::vector<real> host_y(static_cast<usize>(n));
+  device::DeviceBuffer<unsigned char> x_stage(ctx, un * bw);
+  device::DeviceBuffer<unsigned char> y_stage(ctx, un * bw);
+  std::vector<unsigned char> stage_host(basis_narrow ? un * bw : 0);
+  const ConstVecView xv(x_stage.data(), basis_p);
+  const VecView yv(y_stage.data(), basis_p);
+  const real* sc = fused ? dev_isd.data() : nullptr;
 
-  // Per-wave SDC detectors (DESIGN.md §14).  The checksum is computed from
-  // the quantized stored values, so the matrix side needs no rung term; only
-  // the basis rung's quantization of the staged x/y adds eps_q * ||y||_1
-  // slack.  The transfer CRC is an exact byte compare at every rung; the
-  // pipelined path skips it (tile uploads interleave with compute), relying
-  // on the per-wave checksum instead.
-  const bool sentinels_on = cfg.sdc.enabled && cfg.sdc.sentinels;
-  const bool transfer_crc =
-      cfg.sdc.enabled && cfg.sdc.transfer_crc && !pipelined;
+  // The transfer CRC is an exact byte compare of the staged x at every
+  // rung; the ABFT checksum's only rung term is the basis quantization of
+  // the staged x/y (the colsums already hold the quantized matrix values).
+  const bool transfer_crc = cfg.sdc.enabled && cfg.sdc.transfer_crc;
   const double tol_scale = static_cast<double>(cfg.sdc.tolerance_scale);
   const double eps64 = std::numeric_limits<double>::epsilon() / 2;
-  const auto rung_eps = [](Precision pr) {
-    return pr == Precision::kFp64   ? 0.0
-           : pr == Precision::kFp32 ? 0x1p-24
-                                    : 0x1p-8;
-  };
-  const double eps_q = rung_eps(basis_p);  // basis staging quantization
-  const double eps_m = rung_eps(spmv_p);   // matrix storage quantization
+  const double eps_q = rung_eps(basis_p);
 
-  index_t resumes = 0;
-  bool abandoned = false;
-  for (;;) {
-    try {
-      while (!prob.converge()) {
-        // One poll per reverse-communication wave; a deadline or cancellation
-        // fired anywhere (including as a sticky stream error inside the wave)
-        // unwinds to the anytime handler below.
-        cancel::poll("lanczos.matvec");
-        WallTimer t;
-        const real* xwave = prob.GetVector();
-        const usize un = static_cast<usize>(n);
-        // Stage x to the device, inject the device-buffer bitflip site, and
-        // (when enabled) seal the upload with a CRC frame: the device copy
-        // is re-hashed by a device kernel and compared byte-for-byte against
-        // the host source, so a flipped device bit is caught before any
-        // kernel consumes it, at every rung.  A mismatch throws *transient*
-        // and run_transfer_with_retry re-runs the idempotent upload.
-        const auto upload_x = [&] {
-          obs::AttrSiteScope stage_site("spmv.stage");
-          if (basis_narrow) {
-            pack_scalars(xwave, un, basis_p, stage_host.data());
-            device::copy_h2d(ctx, x_stage.data(), stage_host.data(), un * bw);
-          } else {
-            dev_x.copy_from_host(std::span<const real>(xwave, un));
-          }
-        };
-        const auto corrupt_device_x = [&] {
-          if (!basis_narrow) {
-            fault::corrupt_scalars("bitflip.device.buffer", dev_x.data(), un);
-          } else if (basis_p == Precision::kFp32) {
-            fault::corrupt_scalars_f32(
-                "bitflip.device.buffer",
-                reinterpret_cast<float*>(x_stage.data()), un);
-          } else {
-            fault::corrupt_scalars_b16(
-                "bitflip.device.buffer",
-                reinterpret_cast<std::uint16_t*>(x_stage.data()), un);
-          }
-        };
-        const auto stage_x = [&] {
-          if (!transfer_crc) {
-            upload_x();
-            corrupt_device_x();
-            return;
-          }
-          device::run_transfer_with_retry(ctx, "sdc.h2d", [&] {
-            upload_x();
-            corrupt_device_x();
-            const void* host_src =
-                basis_narrow ? static_cast<const void*>(stage_host.data())
-                             : static_cast<const void*>(xwave);
-            const void* dev_src =
-                basis_narrow ? static_cast<const void*>(x_stage.data())
-                             : static_cast<const void*>(dev_x.data());
-            const usize bytes = un * (basis_narrow ? bw : sizeof(real));
-            std::uint32_t dev_crc = 0;
-            {
-              obs::AttrSiteScope crc_site("sdc.crc");
-              std::uint32_t* out = &dev_crc;
-              device::launch(
-                  ctx, 1, [=](index_t) { *out = crc32c(dev_src, bytes); },
-                  device::tagged("sdc.crc",
-                                 static_cast<double>(bytes) / 8.0,
-                                 static_cast<double>(bytes), 4.0));
-            }
-            obs::sdc_note_check();
-            ++result.integrity.checks;
-            if (dev_crc != crc32c(host_src, bytes)) {
-              obs::sdc_note_detected("device.buffer",
-                                     "staged x CRC mismatch after H2D");
-              ++result.integrity.detected;
-              result.integrity.events.push_back(
-                  "device.buffer: staged x CRC mismatch (re-uploading)");
-              throw device::DataIntegrityError(
-                  "staged x buffer CRC mismatch after H2D",
-                  /*transient=*/true);
-            }
-          });
-        };
-        const auto run_wave = [&] {
-          // One span per SpMV wave (H2D + csrmv + D2H); in the pipelined path
-          // this is the wall window the virtual-timeline overlap hides inside.
-          obs::ScopedSpan span("spmv", "wave");
-          if (pipelined) {
-            pipelined_matvec(ctx, *exec, p_blocks, xwave, dev_x, dev_y,
-                             host_y, cfg.overlap_row_tiles,
-                             cfg.balanced_spmv);
-          } else if (eig_narrow) {
-            // Mixed-precision wave: stage x/y at the basis rung's width and
-            // run the view-based csrmv with the optional D^-1/2 epilogue.
-            const real* sc = fused ? dev_isd.data() : nullptr;
-            const ConstVecView xv =
-                basis_narrow ? ConstVecView(x_stage.data(), basis_p)
-                             : ConstVecView(dev_x.data());
-            const VecView yv = basis_narrow ? VecView(y_stage.data(), basis_p)
-                                            : VecView(dev_y.data());
-            stage_x();
-            // Always the row-serial kernel here: the merge-path variant's
-            // carry-fixup rounds boundary rows differently per partition,
-            // and the sharded path accumulates row-serially — cross-device
-            // bitwise label equality at narrow rungs requires the same
-            // entry order on one device.
-            sparse::device_csrmv_mp(ctx, p, xv, yv, 1.0, 0.0, sc);
-            {
-              obs::AttrSiteScope stage_site("spmv.stage");
-              if (basis_narrow) {
-                device::copy_d2h(ctx, stage_host.data(), y_stage.data(),
-                                 un * bw);
-                unpack_scalars(stage_host.data(), un, basis_p, host_y.data());
-              } else {
-                dev_y.copy_to_host(std::span<real>(host_y));
-              }
-            }
-          } else {
-            stage_x();
-            // Device SpMV (cusparseDcsrmv / cusparseDbsrmv).
-            spmv(dev_x.data(), dev_y.data());
-            {
-              // D2H: the product back to the RCI.
-              obs::AttrSiteScope stage_site("spmv.stage");
-              dev_y.copy_to_host(std::span<real>(host_y));
-            }
-          }
-        };
-        // ABFT verify loop: one in-place block recompute on a mismatch (a
-        // one-shot upset is gone the second time), then escalate as a
-        // permanent DataIntegrityError into the degradation ladder.
-        for (int attempt = 0;; ++attempt) {
-          run_wave();
-          // In-flight basis corruption: the product on its way back into the
-          // host-side recurrence.
-          fault::corrupt_scalars("bitflip.basis.column", host_y.data(), un);
-          if (!abft_spmv) break;
-          obs::sdc_note_check();
-          ++result.integrity.checks;
-          double cx = 0;
-          double ysum = 0;
-          double ynorm1 = 0;
-          for (usize i = 0; i < un; ++i) {
-            cx += static_cast<double>(abft_colsum[i]) *
-                  quantize(xwave[i], basis_p);
-            ysum += host_y[i];
-            ynorm1 += std::abs(static_cast<double>(host_y[i]));
-          }
-          const double tol =
-              tol_scale *
-              (eps64 * 64 *
-                   std::sqrt(static_cast<double>(nnz) + static_cast<double>(un)) *
-                   (std::abs(cx) + ynorm1) +
-               2 * eps_q * ynorm1 + 1e-300);
-          if (std::abs(ysum - cx) <= tol) break;
-          obs::sdc_note_detected(
-              "spmv.wave", "|sum(y) - <c,x>| = " +
-                               std::to_string(std::abs(ysum - cx)) +
-                               " > tol " + std::to_string(tol));
-          ++result.integrity.detected;
-          result.integrity.events.push_back(
-              "spmv.wave: ABFT checksum mismatch");
-          if (attempt == 0) {
-            obs::sdc_note_recomputed("spmv.wave");
-            ++result.integrity.recomputed;
-            continue;
-          }
-          throw device::DataIntegrityError(
-              "SpMV ABFT checksum mismatch persisted after block recompute");
-        }
-        // Invariant sentinels: ||P||_2 <= 1 for the normalized operator, so
-        // ||y|| <= ||x|| and |x^T y| <= ||x||^2 up to the rungs' roundoff.
-        // No checksum storage — these catch corruption classes the sum
-        // identity can miss (a flipped structure index, a torn recurrence).
-        if (sentinels_on) {
-          obs::sdc_note_check();
-          ++result.integrity.checks;
-          double x2 = 0;
-          double y2 = 0;
-          double xy = 0;
-          for (usize i = 0; i < un; ++i) {
-            x2 += xwave[i] * xwave[i];
-            y2 += static_cast<double>(host_y[i]) * host_y[i];
-            xy += xwave[i] * host_y[i];
-          }
-          const double one = (1 + tol_scale * (1e-6 + 8 * (eps_q + eps_m)));
-          std::string why;
-          if (!(y2 <= one * one * x2)) {
-            why = "||y|| exceeds the operator norm bound";
-          } else if (!(std::abs(xy) <= one * x2)) {
-            why = "Rayleigh quotient outside the operator's numerical range";
-          } else {
-            const real drift = prob.Solver().orthogonality_drift();
-            if (!(drift <= tol_scale * (1e-8 + 64 * eps_q))) {
-              why = "CGS2 basis orthogonality drift " + std::to_string(drift);
-            }
-          }
-          if (!why.empty()) {
-            obs::sdc_note_detected("lanczos.sentinel", why);
-            ++result.integrity.detected;
-            result.integrity.events.push_back("lanczos.sentinel: " + why);
-            throw device::DataIntegrityError("RCI sentinel tripped: " + why);
-          }
-        }
-        std::copy(host_y.begin(), host_y.end(), prob.PutVector());
-        result.spmv_seconds += t.seconds();
-        prob.TakeStep();
+  // Stage x to the device, inject the device-buffer bitflip site, and (when
+  // enabled) seal the upload with a CRC frame: the device copy is re-hashed
+  // by a device kernel and compared byte-for-byte against the host source,
+  // so a flipped device bit is caught before any kernel consumes it.  A
+  // mismatch throws *transient* and run_transfer_with_retry re-runs the
+  // idempotent upload.
+  const auto stage_x = [&](const real* x) {
+    const void* host_src = x;
+    {
+      obs::AttrSiteScope stage_site("spmv.stage");
+      if (basis_narrow) {
+        pack_scalars(x, un, basis_p, stage_host.data());
+        host_src = stage_host.data();
       }
-    } catch (const cancel::CancelledError& e) {
-      cancel::Governor& gov = cancel::current_governor();
-      if (!gov.anytime_allowed() || !prob.CanAbandon()) throw;
-      // Anytime cut: freeze the iteration, keep the best partial Ritz pairs,
-      // and stop enforcement so the rest of the pipeline (k-means on the
-      // partial embedding) completes unimpeded.
-      prob.Abandon();
-      gov.begin_wrapup(e.site().empty() ? e.what() : e.site());
-      abandoned = true;
+      device::copy_h2d(ctx, x_stage.data(),
+                       static_cast<const unsigned char*>(host_src), un * bw);
     }
-    if (abandoned || !prob.Failed() || !ec.capture_checkpoints ||
-        resumes >= pol.max_solver_resumes ||
-        !prob.Solver().has_checkpoint()) {
-      break;
+    switch (basis_p) {
+      case Precision::kFp64:
+        fault::corrupt_scalars("bitflip.device.buffer",
+                               reinterpret_cast<real*>(x_stage.data()), un);
+        break;
+      case Precision::kFp32:
+        fault::corrupt_scalars_f32("bitflip.device.buffer",
+                                   reinterpret_cast<float*>(x_stage.data()),
+                                   un);
+        break;
+      case Precision::kBf16:
+        fault::corrupt_scalars_b16(
+            "bitflip.device.buffer",
+            reinterpret_cast<std::uint16_t*>(x_stage.data()), un);
+        break;
     }
-    // Rewind to the last restart boundary and continue with an extended
-    // budget instead of restarting the whole Krylov buildup from scratch.
-    ++resumes;
-    note_degradation(result, kStageEigensolver, "solver-resume",
-                     "restart budget exhausted; resuming from checkpoint at "
-                     "restart " +
-                         std::to_string(
-                             prob.Solver().last_checkpoint().restart_count));
-    const index_t extended =
-        prob.Solver().config().max_restarts + ec.max_restarts;
-    prob.Restore(prob.Solver().last_checkpoint());
-    prob.Solver().set_max_restarts(extended);
-  }
-  result.eigenvalues = prob.Eigenvalues();
-  result.eig_converged = !prob.Failed();
-  result.eig_stats = prob.Stats();
-  if (sentinels_on && result.eig_converged) {
-    // Spectral-range sanity: every Ritz value of D^-1/2 W D^-1/2 lies in
-    // [-1, 1] up to the rungs' operator perturbation; anything outside (or
-    // non-finite) means the tridiagonal recurrence itself was corrupted.
+    if (!transfer_crc) return;
+    const usize bytes = un * bw;
+    const unsigned char* dev_src = x_stage.data();
+    std::uint32_t dev_crc = 0;
+    {
+      obs::AttrSiteScope crc_site("sdc.crc");
+      std::uint32_t* out = &dev_crc;
+      device::launch(
+          ctx, 1, [=](index_t) { *out = crc32c(dev_src, bytes); },
+          device::tagged("sdc.crc", static_cast<double>(bytes) / 8.0,
+                         static_cast<double>(bytes), 4.0));
+    }
     obs::sdc_note_check();
     ++result.integrity.checks;
-    const double slack = tol_scale * (1e-6 + 64 * (eps_q + eps_m));
-    for (const real ev : result.eigenvalues) {
-      if (!(std::abs(ev) <= 1 + slack)) {
-        const std::string why =
-            "Ritz value " + std::to_string(ev) + " outside [-1, 1]";
-        obs::sdc_note_detected("lanczos.sentinel", why);
-        ++result.integrity.detected;
-        result.integrity.events.push_back("lanczos.sentinel: " + why);
-        throw device::DataIntegrityError("RCI sentinel tripped: " + why);
-      }
+    if (dev_crc != crc32c(host_src, bytes)) {
+      obs::sdc_note_detected("device.buffer",
+                             "staged x CRC mismatch after H2D");
+      ++result.integrity.detected;
+      result.integrity.events.push_back(
+          "device.buffer: staged x CRC mismatch (re-uploading)");
+      throw device::DataIntegrityError(
+          "staged x buffer CRC mismatch after H2D", /*transient=*/true);
     }
-  }
-  if (cfg.capture_checkpoint && prob.Solver().has_checkpoint()) {
-    result.checkpoint = std::make_shared<lanczos::LanczosCheckpoint>(
-        prob.Solver().last_checkpoint());
-  }
-  std::vector<real> vectors = prob.FindEigenvectors();
+  };
+
+  const detail::EigWave wave = [&](const real* x, real* y, index_t) {
+    // ABFT verify loop: one in-place recompute on a mismatch (a one-shot
+    // upset is gone the second time), then escalate as a permanent
+    // DataIntegrityError into the degradation ladder.
+    for (int attempt = 0;; ++attempt) {
+      {
+        // One span per SpMV wave (H2D + csrmv + D2H).
+        obs::ScopedSpan span("spmv", "wave");
+        if (transfer_crc) {
+          device::run_transfer_with_retry(ctx, "sdc.h2d",
+                                          [&] { stage_x(x); });
+        } else {
+          stage_x(x);
+        }
+        sparse::device_csrmv_mp(ctx, p, xv, yv, 1.0, 0.0, sc);
+        obs::AttrSiteScope stage_site("spmv.stage");
+        if (basis_narrow) {
+          device::copy_d2h(ctx, stage_host.data(), y_stage.data(), un * bw);
+          unpack_scalars(stage_host.data(), un, basis_p, y);
+        } else {
+          device::copy_d2h(ctx, reinterpret_cast<unsigned char*>(y),
+                           y_stage.data(), un * bw);
+        }
+      }
+      // In-flight basis corruption: the product on its way back into the
+      // host-side recurrence.
+      fault::corrupt_scalars("bitflip.basis.column", y, un);
+      if (!abft_spmv) return;
+      obs::sdc_note_check();
+      ++result.integrity.checks;
+      double cx = 0;
+      double ysum = 0;
+      double ynorm1 = 0;
+      for (usize i = 0; i < un; ++i) {
+        cx += static_cast<double>(abft_colsum[i]) * quantize(x[i], basis_p);
+        ysum += y[i];
+        ynorm1 += std::abs(static_cast<double>(y[i]));
+      }
+      const double tol =
+          tol_scale *
+          (eps64 * 64 *
+               std::sqrt(static_cast<double>(nnz) + static_cast<double>(un)) *
+               (std::abs(cx) + ynorm1) +
+           2 * eps_q * ynorm1 + 1e-300);
+      if (std::abs(ysum - cx) <= tol) return;
+      obs::sdc_note_detected(
+          "spmv.wave", "|sum(y) - <c,x>| = " +
+                           std::to_string(std::abs(ysum - cx)) + " > tol " +
+                           std::to_string(tol));
+      ++result.integrity.detected;
+      result.integrity.events.push_back("spmv.wave: ABFT checksum mismatch");
+      if (attempt == 0) {
+        obs::sdc_note_recomputed("spmv.wave");
+        ++result.integrity.recomputed;
+        continue;
+      }
+      throw device::DataIntegrityError(
+          "SpMV ABFT checksum mismatch persisted after block recompute");
+    }
+  };
   const std::vector<real> isd = dev_isd.to_host();  // D2H, metered
-  if (do_refine && !vectors.empty()) {
-    // fp64 rung of the ladder: Rayleigh-Ritz against the exact operator
-    // recovers the digits the narrow solve left on the table and yields the
-    // residual the auto ladder gates on.
-    result.refine_residual = refine_eigenpairs_fp64(
-        refine_w, isd, pp.refine_rounds, result.eigenvalues, vectors);
-  }
-  result.embedding = to_embedding(vectors, isd, cfg.num_clusters, n);
-  result.precision_used = pp;
+  detail::run_rci(cfg, n, wave, refine_w, isd, result);
 }
 
 void eigensolve_host(const sparse::Coo& w, const SpectralConfig& cfg,
                      SpectralResult& result);
 
-/// Auto-precision rung (DESIGN.md §13): when the fp64 refinement residual of
-/// a narrow solve exceeds the policy's limit, abandon its outputs and re-run
-/// the eigensolve with every stage forced to fp64 — the same note_degradation
-/// machinery as the PR 3 ladder, action "precision-fallback".
-template <class DeviceW>
-void precision_fallback_rerun(device::DeviceContext& ctx,
-                              const SpectralConfig& cfg,
-                              SpectralResult& result, DeviceW&& device_w,
-                              const std::vector<real>* degrees) {
-  const PrecisionPolicy& pp = cfg.precision;
-  if (!pp.auto_ladder || result.refine_residual <= pp.refine_residual_limit) {
-    return;
-  }
-  note_degradation(result, kStageEigensolver, "precision-fallback",
-                   "fp64 refinement residual " +
-                       std::to_string(result.refine_residual) +
-                       " above limit " +
-                       std::to_string(pp.refine_residual_limit) +
-                       "; re-running the eigensolve at fp64");
-  SpectralConfig fb_cfg = cfg;
-  fb_cfg.precision = pp.fp64_fallback();
-  reset_eig_result(result);
-  obs::AttrSiteScope rung_site("fallback.precision_fp64");
-  eigensolve_device(ctx, device_w(), fb_cfg, result, degrees);
-}
-
-/// Eigensolver degradation ladder: async device pipeline -> synchronous CSR
-/// device path -> host backend.  `device_w` / `host_w` lazily materialize
-/// the similarity matrix on the respective side, so a rung only pays for
-/// the representation it actually uses.  `degrees` optionally carries the
-/// operator row sums from the fused similarity+degree build so Algorithm 2
-/// skips its ones-SpMV.
+/// Eigensolver degradation ladder: device -> (integrity failures) fp64
+/// re-solve and rebuilt device state -> host backend.  `device_w` /
+/// `host_w` lazily materialize the similarity matrix on the respective side,
+/// so a rung only pays for the representation it actually uses.  `degrees`
+/// optionally carries the operator row sums from the fused similarity+degree
+/// build so Algorithm 2 skips its ones-SpMV.
 template <class DeviceW, class HostW>
 void eigensolve_device_ladder(device::DeviceContext& ctx,
                               const SpectralConfig& cfg,
@@ -826,12 +654,14 @@ void eigensolve_device_ladder(device::DeviceContext& ctx,
                               HostW&& host_w,
                               const std::vector<real>* degrees = nullptr) {
   const DegradationPolicy& pol = cfg.degradation;
+  const auto solve = [&](const SpectralConfig& c) {
+    eigensolve_device(ctx, device_w(), c, result, degrees);
+  };
   std::exception_ptr last_error;
   std::string reason;
   bool integrity = false;
   try {
-    eigensolve_device(ctx, device_w(), cfg, result, degrees);
-    precision_fallback_rerun(ctx, cfg, result, device_w, degrees);
+    detail::solve_with_precision_fallback(cfg, result, solve);
     return;
   } catch (const device::DeviceError& e) {
     if (!pol.enabled) throw;
@@ -850,31 +680,24 @@ void eigensolve_device_ladder(device::DeviceContext& ctx,
     reset_eig_result(result);
     try {
       obs::AttrSiteScope rung_site("fallback.sdc_fp64");
-      eigensolve_device(ctx, device_w(), fb_cfg, result, degrees);
+      solve(fb_cfg);
       return;
     } catch (const device::DeviceError& e) {
       last_error = std::current_exception();
       reason = e.what();
     }
   }
-  // The sync rung also serves as the integrity recompute-from-source rung:
-  // it rebuilds every device-resident payload (normalized CSR, checksums)
-  // from the COO, which clears at-rest corruption even when the failing run
-  // was already synchronous CSR.
-  if (pol.allow_sync_fallback &&
-      (cfg.async_pipeline || cfg.spmv_format != DeviceSpmvFormat::kCsr ||
-       integrity)) {
+  // Recompute-from-source rung for integrity failures: it rebuilds every
+  // device-resident payload (normalized CSR, checksums) from the COO, which
+  // clears at-rest corruption.
+  if (pol.allow_sync_fallback && integrity) {
     note_degradation(result, kStageEigensolver, "device-sync", reason);
-    SpectralConfig sync_cfg = cfg;
-    sync_cfg.async_pipeline = false;
-    sync_cfg.spmv_format = DeviceSpmvFormat::kCsr;
     reset_eig_result(result);
     try {
       // Ladder-rung site: the retried solve's device work lands in its own
       // bucket so a degraded run is visible in the attribution table.
       obs::AttrSiteScope rung_site("fallback.device_sync");
-      eigensolve_device(ctx, device_w(), sync_cfg, result, degrees);
-      precision_fallback_rerun(ctx, sync_cfg, result, device_w, degrees);
+      detail::solve_with_precision_fallback(cfg, result, solve);
       return;
     } catch (const device::DeviceError& e) {
       last_error = std::current_exception();

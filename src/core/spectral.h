@@ -41,10 +41,6 @@ enum class Backend { kDevice, kMatlabLike, kPythonLike };
 
 [[nodiscard]] std::string backend_name(Backend b);
 
-/// Sparse format for the device eigensolver SpMV (paper §IV.A: COO/CSR are
-/// primary, "other sparse formats such as CSC, BSR are also supported").
-enum class DeviceSpmvFormat { kCsr, kBsr };
-
 /// Canonical stage names used in StageClock and reports.
 inline constexpr const char* kStageSimilarity = "similarity";
 inline constexpr const char* kStageEigensolver = "eigensolver";
@@ -52,13 +48,16 @@ inline constexpr const char* kStageKmeans = "kmeans";
 
 /// Graceful-degradation policy for the device backend.  When a device stage
 /// throws a DeviceError the pipeline walks a ladder instead of aborting:
-/// async pipeline -> synchronous CSR device path -> host backend; the
-/// eigensolver can additionally resume a kFailed solve from its last IRLM
-/// checkpoint with an extended restart budget.  Every rung taken is recorded
-/// in SpectralResult::degradation and published as degrade.* counters.
+/// device -> rebuilt device state (integrity failures; k-means also drops
+/// its async prefetch) -> host backend; the eigensolver can additionally
+/// resume a kFailed solve from its last IRLM checkpoint with an extended
+/// restart budget.  Every rung taken is recorded in
+/// SpectralResult::degradation and published as degrade.* counters.
 struct DegradationPolicy {
   bool enabled = true;
-  /// Retry a failed async device stage on the synchronous CSR path.
+  /// Retry a failed device stage on the device first: the eigensolver
+  /// rebuilds its device state after an integrity failure, k-means reruns
+  /// without the async prefetch.
   bool allow_sync_fallback = true;
   /// Last rung: redo the stage on the host (kMatlabLike kernels).
   bool allow_host_fallback = true;
@@ -124,31 +123,10 @@ struct SpectralConfig {
   index_t max_restarts = 500;
   /// Largest-algebraic of D^-1 W (the paper's numerically stable choice).
   lanczos::EigWhich which = lanczos::EigWhich::kLargestAlgebraic;
-  /// Device SpMV format inside the eigensolver loop.
-  DeviceSpmvFormat spmv_format = DeviceSpmvFormat::kCsr;
-  /// Block size when spmv_format == kBsr.
-  index_t bsr_block_size = 4;
-  /// nnz-balanced (merge-path) CSR SpMV inside the eigensolver loop: every
-  /// worker gets a near-equal share of rows + entries instead of a fixed
-  /// row chunk, so hub rows on power-law graphs stop serializing the wave
-  /// (sparse::device_csrmv_balanced; spmv.wave_max_nnz gauges the effect).
-  /// Applies to kCsr, both the synchronous and the pipelined path.
-  bool balanced_spmv = true;
-
-  /// Overlapped transfer–compute pipeline for the device backend (CSR only;
-  /// BSR keeps the synchronous path).  The eigensolver matrix is split into
-  /// `overlap_col_blocks` column blocks so the RCI vector's tile b+1 stages
-  /// H2D on a transfer stream while block b multiplies on a compute stream;
-  /// the final block is split into `overlap_row_tiles` row ranges so
-  /// finished y tiles start their D2H behind the remaining compute.  This is
-  /// the stream/event answer to Table VII's communication bottleneck;
-  /// bench_ablation_overlap ablates sync vs. async.  Few column blocks:
-  /// each extra block re-sweeps every row to accumulate its partial
-  /// products, while row tiles partition the final sweep and are nearly
-  /// free — the bench's tile sweep picked these defaults.
+  /// Prefetch the next centroid tile under the k-means distance GEMM on a
+  /// {transfer, compute} stream pair (KmeansConfig::async_pipeline).  The
+  /// eigensolver has one synchronous wave per RCI step and ignores this.
   bool async_pipeline = true;
-  index_t overlap_col_blocks = 2;
-  index_t overlap_row_tiles = 4;
 
   /// Number of simulated devices for the graph pipeline (device backend).
   /// 1 (default) runs the existing single-device path untouched; > 1 builds
@@ -170,9 +148,7 @@ struct SpectralConfig {
   /// degradation ladder (action "precision-fallback") if the refinement
   /// residual exceeds precision.refine_residual_limit.  The kmeans rung
   /// quantizes the embedding before seeding so labels stay deterministic
-  /// across device counts.  BSR and the overlapped column-block pipeline are
-  /// fp64-only; a narrow eigensolver rung falls back to the synchronous CSR
-  /// path.
+  /// across device counts.  Every rung runs the same RCI wave.
   PrecisionPolicy precision{};
 
   /// Out-of-core similarity construction (device backend, points mode):

@@ -8,8 +8,8 @@
 // that imbalance.  This generator plants a Zipf weight w_i ~ (i+1)^-alpha
 // per node and samples edge endpoints proportional to the weights
 // (Chung & Lu 2002), giving an expected degree sequence with the same
-// power-law tail; bench_spmv_formats' "skewed" case and the merge-path
-// balance bench are built on it.
+// power-law tail; the "skewed" case of the SpMV format bench and the
+// merge-path balance bench are built on it.
 #pragma once
 
 #include "common/rng.h"

@@ -318,14 +318,8 @@ void DeviceContext::note_transfer_retry(std::string_view site,
     VirtualClock& clk = current_clock_locked();
     clk.now += backoff_seconds;
   }
-  obs::Counter& total = obs::metrics().counter("fault.transfer_retry");
-  total.add();
+  obs::bump("fault.transfer_retry");
   obs::metrics().counter("fault.transfer_retry." + std::string(site)).add();
-  if (obs::trace_enabled()) {
-    obs::trace().counter("fault.transfer_retry",
-                         static_cast<double>(total.value()),
-                         obs::wall_now_us());
-  }
   FASTSC_LOG_WARN("transient transfer fault at '"
                   << site << "': retrying after " << backoff_seconds * 1e6
                   << " us backoff");

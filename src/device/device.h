@@ -575,7 +575,7 @@ struct LaunchConfig {
   double modeled_seconds = -1.0;
 
   /// Attribution site for this launch (stable dotted lowercase identifier,
-  /// e.g. "spmv.balanced").  nullptr falls back to the innermost
+  /// e.g. "spmv.csr").  nullptr falls back to the innermost
   /// obs::AttrSiteScope on the launching thread, then to "unattributed".
   const char* site = nullptr;
 

@@ -41,17 +41,8 @@ void DeviceGroup::model_peer_transfer(usize src, usize dst, usize bytes,
 }
 
 void DeviceGroup::note_peer_traffic(usize bytes) {
-  obs::Counter& transfers = obs::metrics().counter("d2d.transfers");
-  transfers.add();
-  obs::Counter& total_bytes = obs::metrics().counter("d2d.bytes");
-  total_bytes.add(static_cast<std::int64_t>(bytes));
-  if (obs::trace_enabled()) {
-    const double ts = obs::wall_now_us();
-    obs::trace().counter("d2d.transfers",
-                         static_cast<double>(transfers.value()), ts);
-    obs::trace().counter("d2d.bytes",
-                         static_cast<double>(total_bytes.value()), ts);
-  }
+  obs::bump("d2d.transfers");
+  obs::bump("d2d.bytes", static_cast<std::int64_t>(bytes));
 }
 
 void accumulate_counters(DeviceCounters& a, const DeviceCounters& b) {

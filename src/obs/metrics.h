@@ -27,8 +27,9 @@ namespace fastsc::obs {
 /// Monotonically increasing integer metric.
 class Counter {
  public:
-  void add(std::int64_t delta = 1) noexcept {
-    value_.fetch_add(delta, std::memory_order_relaxed);
+  /// Returns the value this add produced.
+  std::int64_t add(std::int64_t delta = 1) noexcept {
+    return value_.fetch_add(delta, std::memory_order_relaxed) + delta;
   }
   [[nodiscard]] std::int64_t value() const noexcept {
     return value_.load(std::memory_order_relaxed);

@@ -23,24 +23,14 @@ inline void sdc_note_check() { metrics().counter("sdc.checks").add(); }
 
 inline void sdc_note_detected(const std::string& site,
                               const std::string& why) {
-  Counter& total = metrics().counter("sdc.detected");
-  total.add();
+  bump("sdc.detected");
   metrics().counter("sdc.detected." + site).add();
-  if (trace_enabled()) {
-    trace().counter("sdc.detected", static_cast<double>(total.value()),
-                    wall_now_us());
-  }
   FASTSC_LOG_WARN("sdc: corruption detected at '" << site << "' (" << why
                                                   << ")");
 }
 
 inline void sdc_note_recomputed(const std::string& site) {
-  Counter& total = metrics().counter("sdc.recomputed");
-  total.add();
-  if (trace_enabled()) {
-    trace().counter("sdc.recomputed", static_cast<double>(total.value()),
-                    wall_now_us());
-  }
+  bump("sdc.recomputed");
   FASTSC_LOG_WARN("sdc: recomputed corrupted block at '" << site << "'");
 }
 

@@ -8,6 +8,7 @@
 #include "common/log.h"
 #include "common/timer.h"
 #include "obs/json.h"
+#include "obs/metrics.h"
 
 namespace fastsc::obs {
 
@@ -71,6 +72,24 @@ void TraceRecorder::counter(std::string_view name, double value, double ts_us,
   if (log_level() <= LogLevel::kTrace) mirror_event(e);
   std::lock_guard lock(mu_);
   events_.push_back(std::move(e));
+}
+
+std::int64_t TraceRecorder::add_counter(Counter& c, std::string_view name,
+                                        std::int64_t delta) {
+  std::lock_guard lock(mu_);
+  const std::int64_t value =
+      tee_ != nullptr ? tee_->add_counter(c, name, delta) : c.add(delta);
+  if (enabled()) {
+    TraceEvent e;
+    e.name = std::string(name);
+    e.cat = "counter";
+    e.phase = 'C';
+    e.ts_us = wall_now_us();
+    e.args.emplace_back("value", static_cast<double>(value));
+    if (log_level() <= LogLevel::kTrace) mirror_event(e);
+    events_.push_back(std::move(e));
+  }
+  return value;
 }
 
 void TraceRecorder::name_track(std::uint32_t pid, std::uint32_t tid,
@@ -203,6 +222,11 @@ TraceBindScope::~TraceBindScope() {
 }
 
 double wall_now_us() { return monotonic_seconds() * 1e6; }
+
+std::int64_t bump(std::string_view name, std::int64_t delta) {
+  Counter& c = metrics().counter(name);
+  return trace_enabled() ? trace().add_counter(c, name, delta) : c.add(delta);
+}
 
 void name_this_thread(std::string name) {
   trace().name_track(kWallPid, small_thread_id(), std::move(name));

@@ -26,6 +26,7 @@
 #pragma once
 
 #include <atomic>
+#include <cstdint>
 #include <iosfwd>
 #include <mutex>
 #include <string>
@@ -35,6 +36,8 @@
 #include "common/types.h"
 
 namespace fastsc::obs {
+
+class Counter;  // obs/metrics.h
 
 /// Trace "process" ids (trackable groups in the viewer).
 inline constexpr std::uint32_t kWallPid = 1;     ///< real wall-clock spans
@@ -111,6 +114,14 @@ class TraceRecorder {
   void counter(std::string_view name, double value, double ts_us,
                std::uint32_t pid = kWallPid);
 
+  /// Add `delta` to the cumulative counter `c` and record its new value as
+  /// a counter sample named `name`.  The fetch_add, the timestamp and the
+  /// append all run under this recorder's lock (a tee is locked inside it:
+  /// per-job -> global, never the reverse), so concurrent bumps can never
+  /// record a decreasing series.  Returns the new value.
+  std::int64_t add_counter(Counter& c, std::string_view name,
+                           std::int64_t delta);
+
   /// Attach a human-readable name to a (pid, tid) track; written as
   /// trace-viewer metadata.  Cheap and always recorded (once per thread),
   /// so stream threads can register themselves before tracing turns on.
@@ -171,6 +182,11 @@ class TraceBindScope {
 /// Wall-clock microseconds since the process monotonic epoch (the wall
 /// timebase of every kWallPid event).
 [[nodiscard]] double wall_now_us();
+
+/// Bump the registry counter `name` (obs::metrics()) by `delta` and, when
+/// tracing, mirror its new cumulative value into the trace in fetch order
+/// (TraceRecorder::add_counter).  Returns the new value.
+std::int64_t bump(std::string_view name, std::int64_t delta = 1);
 
 /// Register a name for the calling thread's wall track.
 void name_this_thread(std::string name);

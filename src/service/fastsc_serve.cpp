@@ -174,12 +174,6 @@ int main(int argc, char** argv) {
   double sdc_overhead_ratio = 1.0;
   if (chaos) {
     scfg.workers = 1;
-    // The recovery rung for persistent corruption is the synchronous staged
-    // wave; its summation order differs from the overlapped pipeline's, so
-    // an oracle solved async would disagree on boundary points through no
-    // fault of the detectors.  Both passes therefore run the sync wave —
-    // which also keeps the H2D transfer-CRC detector in the storm's path.
-    base.async_pipeline = false;
     std::fprintf(stderr,
                  "[serve] chaos soak: fault-free oracle pass (seed %llu)\n",
                  static_cast<unsigned long long>(chaos_seed));

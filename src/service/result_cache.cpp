@@ -8,21 +8,6 @@
 
 namespace fastsc::service {
 
-namespace {
-
-/// Counter bump + cumulative trace mirror (the cancel.cpp/fault.cpp
-/// pattern, so tools/check_trace.py can assert monotonicity).
-void bump(const char* name) {
-  obs::Counter& c = obs::metrics().counter(name);
-  c.add();
-  if (obs::trace_enabled()) {
-    obs::trace().counter(name, static_cast<double>(c.value()),
-                         obs::wall_now_us());
-  }
-}
-
-}  // namespace
-
 std::uint32_t CacheEntry::payload_crc() const {
   std::uint32_t c = 0;
   if (!labels.empty()) {
@@ -68,62 +53,46 @@ bool ResultCache::verify_or_evict_locked(std::list<CacheEntry>::iterator it) {
   bytes_ -= e.bytes;
   map_.erase(CacheKey{e.graph_fp, e.config_fp});
   lru_.erase(it);
-  bump("cache.integrity_evicted");
+  obs::bump("cache.integrity_evicted");
   publish_gauges_locked();
   return false;
 }
 
 std::optional<CacheEntry> ResultCache::lookup(const CacheKey& key) {
   if (capacity_ == 0) {
-    bump("cache.misses");
+    obs::bump("cache.misses");
     return std::nullopt;
   }
   std::lock_guard lock(mu_);
   const auto it = map_.find(key);
   if (it == map_.end()) {
-    bump("cache.misses");
+    obs::bump("cache.misses");
     return std::nullopt;
   }
   if (!verify_or_evict_locked(it->second)) {
     // Corrupted entry: dropped above; the job falls through to a cold solve.
-    bump("cache.misses");
+    obs::bump("cache.misses");
     return std::nullopt;
   }
   lru_.splice(lru_.begin(), lru_, it->second);  // bump to MRU
-  bump("cache.hits");
+  obs::bump("cache.hits");
   return *it->second;
 }
 
 std::shared_ptr<const lanczos::LanczosCheckpoint> ResultCache::lookup_warm(
     std::uint64_t config_fp, index_t n, std::uint64_t warm_hint) {
-  if (capacity_ == 0) return nullptr;
+  if (capacity_ == 0 || warm_hint == 0) return nullptr;
   std::lock_guard lock(mu_);
-  if (warm_hint != 0) {
-    const auto it = map_.find(CacheKey{warm_hint, config_fp});
-    if (it != map_.end() && it->second->checkpoint != nullptr &&
-        it->second->n == n) {
-      if (verify_or_evict_locked(it->second)) {
-        bump("cache.warm_donors");
-        return it->second->checkpoint;
-      }
-      // Corrupted donor: skipped + evicted; fall through to the LRU scan.
-    }
+  const auto it = map_.find(CacheKey{warm_hint, config_fp});
+  if (it == map_.end() || it->second->checkpoint == nullptr ||
+      it->second->n != n || !verify_or_evict_locked(it->second)) {
+    // Missing, checkpoint-less or corrupt (evicted) donor: cold start.  No
+    // fallback to other same-shaped entries — a donor basis from an
+    // unrelated graph converges to the wrong clusters.
+    return nullptr;
   }
-  // Fall back to the freshest same-shaped entry: most recently used first,
-  // so a stream of updates to one graph keeps chaining warm starts.
-  for (auto it = lru_.begin(); it != lru_.end();) {
-    if (it->config_fp == config_fp && it->n == n &&
-        it->checkpoint != nullptr) {
-      const auto candidate = it++;
-      if (verify_or_evict_locked(candidate)) {
-        bump("cache.warm_donors");
-        return candidate->checkpoint;
-      }
-    } else {
-      ++it;
-    }
-  }
-  return nullptr;
+  obs::bump("cache.warm_donors");
+  return it->second->checkpoint;
 }
 
 void ResultCache::insert(CacheEntry entry) {
@@ -144,7 +113,7 @@ void ResultCache::insert(CacheEntry entry) {
   bytes_ += entry.bytes;
   lru_.push_front(std::move(entry));
   map_.emplace(key, lru_.begin());
-  bump("cache.inserts");
+  obs::bump("cache.inserts");
   publish_gauges_locked();
 }
 
@@ -154,7 +123,7 @@ void ResultCache::evict_until_fits_locked(std::uint64_t incoming_bytes) {
     bytes_ -= victim.bytes;
     map_.erase(CacheKey{victim.graph_fp, victim.config_fp});
     lru_.pop_back();
-    bump("cache.evictions");
+    obs::bump("cache.evictions");
   }
 }
 

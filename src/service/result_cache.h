@@ -70,10 +70,10 @@ class ResultCache {
   /// cache.hits / cache.misses.
   [[nodiscard]] std::optional<CacheEntry> lookup(const CacheKey& key);
 
-  /// Warm-start donor search (does NOT count as hit/miss): prefer the entry
-  /// for (warm_hint, config_fp) when it holds a checkpoint; otherwise the
-  /// most-recently-used entry with the same config fingerprint, problem
-  /// size, and a checkpoint.  Returns nullptr when no donor exists.
+  /// Warm-start donor lookup (does NOT count as hit/miss): the entry for
+  /// (warm_hint, config_fp) when it holds an intact checkpoint of problem
+  /// size n.  Returns nullptr — cold start — for a zero hint or a missing,
+  /// checkpoint-less or corrupt (then evicted) hinted entry.
   [[nodiscard]] std::shared_ptr<const lanczos::LanczosCheckpoint> lookup_warm(
       std::uint64_t config_fp, index_t n, std::uint64_t warm_hint);
 

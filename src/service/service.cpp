@@ -39,16 +39,6 @@ double ms_between(Clock::time_point from, Clock::time_point to) {
   return std::chrono::duration<double, std::milli>(to - from).count();
 }
 
-/// Counter bump with the cumulative trace mirror (cancel.cpp pattern).
-void bump(const char* name) {
-  obs::Counter& c = obs::metrics().counter(name);
-  c.add();
-  if (obs::trace_enabled()) {
-    obs::trace().counter(name, static_cast<double>(c.value()),
-                         obs::wall_now_us());
-  }
-}
-
 /// Device bytes a job will need, from the same arithmetic the pipeline
 /// allocates: the COO staging copy, the normalized CSR, and the iteration
 /// vectors (x, y staged per wave, plus two device scratch vectors).
@@ -146,7 +136,7 @@ struct Service::Impl {
   bool stopping = false;  ///< executors exit once the queue is empty
   bool stopped = false;   ///< executors joined
 
-  // service.* statistics (also mirrored as metrics counters by bump()).
+  // service.* statistics (also mirrored as metrics counters by obs::bump()).
   std::uint64_t n_submitted = 0;
   std::uint64_t n_admitted = 0;
   std::uint64_t n_rejected = 0;
@@ -171,15 +161,15 @@ struct Service::Impl {
     switch (status) {
       case JobStatus::kCompleted:
         ++n_completed;
-        bump("service.jobs_completed");
+        obs::bump("service.jobs_completed");
         break;
       case JobStatus::kFailed:
         ++n_failed;
-        bump("service.jobs_failed");
+        obs::bump("service.jobs_failed");
         break;
       case JobStatus::kCancelled:
         ++n_cancelled;
-        bump("service.jobs_cancelled");
+        obs::bump("service.jobs_cancelled");
         break;
       default:
         break;
@@ -334,7 +324,7 @@ Service::Submitted Service::submit(Job job) {
   std::lock_guard lock(I.mu);
   const JobId id = I.next_id++;
   ++I.n_submitted;
-  bump("service.jobs_submitted");
+  obs::bump("service.jobs_submitted");
 
   Impl::JobState state;
   state.result.id = id;
@@ -367,8 +357,8 @@ Service::Submitted Service::submit(Job job) {
 
   if (reject_counter != nullptr) {
     ++I.n_rejected;
-    bump("service.jobs_rejected");
-    bump(reject_counter);
+    obs::bump("service.jobs_rejected");
+    obs::bump(reject_counter);
     state.result.status = JobStatus::kOverloaded;
     state.result.error = reject;
     state.terminal = true;
@@ -378,7 +368,7 @@ Service::Submitted Service::submit(Job job) {
   }
 
   ++I.n_admitted;
-  bump("service.jobs_admitted");
+  obs::bump("service.jobs_admitted");
   state.job = std::move(job);
   state.reserved_bytes = estimate;
   state.result.status = JobStatus::kQueued;

@@ -103,6 +103,8 @@ Service::Submitted TraceReplayer::submit(const TraceOp& op) {
   DatasetState& ds = datasets_[op.dataset];
   std::uint64_t warm_hint = 0;
   if (op.op == "update" && ds.graph.rows > 0) {
+    // The hinted donor is the previous job's cache entry: let it land.
+    (void)service_.wait(ds.last_job);
     warm_hint = ds.fingerprint;
     ++ds.updates;
     perturb_edges(ds.graph, op.delta_frac, op.seed + ds.updates);
@@ -131,6 +133,7 @@ Service::Submitted TraceReplayer::submit(const TraceOp& op) {
   job.tag = op.dataset + ":" + op.op;
 
   const Service::Submitted sub = service_.submit(std::move(job));
+  ds.last_job = sub.id;
   ReplayedJob replayed;
   replayed.op = op;
   replayed.id = sub.id;

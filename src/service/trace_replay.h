@@ -13,8 +13,11 @@
 // perturbs `delta_frac` of the dataset's current edges (weight x1.5,
 // symmetric, deterministic) and submits the result with Job::warm_hint set
 // to the pre-update graph fingerprint, so the service warm-starts from the
-// cached Krylov basis.  Updates must repeat the solve's k and seed — the
-// config fingerprint has to match for the cache to chain them.
+// cached Krylov basis.  An update is submitted once the dataset's previous
+// job has finished: the service takes warm donors from the hinted cache
+// entry only, so that entry must exist.  Updates must repeat the solve's k
+// and seed — the config fingerprint has to match for the cache to chain
+// them.
 #pragma once
 
 #include <map>
@@ -88,6 +91,7 @@ class TraceReplayer {
     sparse::Coo graph;
     std::uint64_t fingerprint = 0;  ///< graph_fingerprint of `graph`
     std::uint64_t updates = 0;      ///< perturbation counter (seeds deltas)
+    JobId last_job = 0;             ///< the job an update warm-starts from
   };
 
   Service& service_;

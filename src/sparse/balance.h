@@ -8,8 +8,9 @@
 // row_ptr[1..rows] and the entry indices 0..nnz-1 — and split that merged
 // path into equal pieces with a diagonal binary search.  Every span then
 // carries (rows consumed + entries consumed) ~= (rows + nnz) / spans of
-// work regardless of how skewed the degree distribution is: a hub row is
-// simply cut across several spans.
+// work regardless of how skewed the degree distribution is.  The consumers
+// (device_csrmv, make_row_partition) hand each row cut by a span boundary
+// whole to one side, which adds at most one row's entries to a span.
 #pragma once
 
 #include <vector>
@@ -23,8 +24,8 @@ namespace fastsc::sparse {
 /// M = (row_end - row_begin) + nnz(range); its 2-D coordinates are
 /// (span_row[s], span_ent[s]) .. (span_row[s+1], span_ent[s+1]): it
 /// processes entries [span_ent[s], span_ent[s+1]) and finishes rows
-/// [span_row[s], span_row[s+1]).  Rows cut by a span boundary are shared;
-/// their partial sums are combined by a deterministic fixup pass.
+/// [span_row[s], span_row[s+1]).  Rows cut by a span boundary are shared
+/// between two spans in the merge path itself.
 struct MergePathPartition {
   index_t row_begin = 0;
   index_t row_end = 0;
@@ -32,8 +33,9 @@ struct MergePathPartition {
   std::vector<index_t> span_row;  ///< size spans + 1, ascending
   std::vector<index_t> span_ent;  ///< size spans + 1, ascending (absolute)
 
-  /// Worst / mean entries handled by one span — the balance telemetry
-  /// published as spmv.wave_max_nnz / spmv.wave_mean_nnz.
+  /// Worst / mean entries per span of the merge path itself (boundary rows
+  /// split).  device_csrmv publishes the mean as spmv.wave_mean_nnz; its
+  /// spmv.wave_max_nnz counts whole rows instead.
   index_t max_span_nnz = 0;
   real mean_span_nnz = 0;
 

@@ -17,7 +17,7 @@
 //   4. each device downloads its y segment.
 //
 // The wave runs through one {transfer, compute} PipelineExecutor per device
-// (the same machinery the single-device pipelined eigensolver uses), so
+// (the same machinery the k-means centroid prefetch uses), so
 // every copy and kernel lands on the owning device's virtual timeline and
 // exchange/compute overlap is metered per device.
 //

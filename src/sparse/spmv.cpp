@@ -8,6 +8,7 @@
 #include "obs/attribution.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
+#include "sparse/balance.h"
 
 namespace fastsc::sparse {
 
@@ -202,198 +203,61 @@ void device_csrmv_mp(device::DeviceContext& ctx, const DeviceCsr& a,
   const index_t* col_idx = a.col_idx.data();
   const CsrValuesView w = a.values_view();
   const real* sc = fused_scale;
+  const index_t rows = a.rows;
   const double nnz = static_cast<double>(a.nnz());
+  if (rows <= 0) return;
+
+  // Whole-row spans of the merge-path cut: span s owns every entry of rows
+  // [span_row[s], span_row[s+1]), so each row is summed by one worker in
+  // entry order.
+  const auto spans = static_cast<index_t>(ctx.pool().worker_count());
+  const MergePathPartition part =
+      merge_path_partition(row_ptr, 0, rows, spans);
+  const std::vector<index_t>& span_row = part.span_row;
+  index_t max_nnz = 0;
+  for (index_t s = 0; s < part.spans; ++s) {
+    max_nnz = std::max(max_nnz,
+                       row_ptr[span_row[static_cast<usize>(s) + 1]] -
+                           row_ptr[span_row[static_cast<usize>(s)]]);
+  }
+  obs::metrics().set_gauge("spmv.wave_max_nnz", static_cast<double>(max_nnz));
+  obs::metrics().set_gauge("spmv.wave_mean_nnz",
+                           static_cast<double>(part.mean_span_nnz));
+  if (obs::trace_enabled()) {
+    const double ts = obs::wall_now_us();
+    obs::trace().counter("spmv.wave_max_nnz", static_cast<double>(max_nnz),
+                         ts);
+    obs::trace().counter("spmv.wave_mean_nnz",
+                         static_cast<double>(part.mean_span_nnz), ts);
+  }
+
+  const index_t* cut = span_row.data();
   device::launch(
-      ctx, a.rows,
-      [=](index_t r) {
-        real acc = 0;
-        for (index_t p = row_ptr[r]; p < row_ptr[r + 1]; ++p) {
-          const index_t c = col_idx[p];
-          const real xv = sc != nullptr
-                              ? sc[c] * x.load(static_cast<usize>(c))
-                              : x.load(static_cast<usize>(c));
-          acc += w[p] * xv;
+      ctx, part.spans,
+      [=](index_t s) {
+        for (index_t r = cut[s]; r < cut[s + 1]; ++r) {
+          real acc = 0;
+          for (index_t p = row_ptr[r]; p < row_ptr[r + 1]; ++p) {
+            const index_t c = col_idx[p];
+            const real xv = sc != nullptr
+                                ? sc[c] * x.load(static_cast<usize>(c))
+                                : x.load(static_cast<usize>(c));
+            acc += w[p] * xv;
+          }
+          const real t =
+              alpha * acc +
+              (beta == 0 ? 0 : beta * y.load(static_cast<usize>(r)));
+          y.store(static_cast<usize>(r), sc != nullptr ? sc[r] * t : t);
         }
-        const real t =
-            alpha * acc +
-            (beta == 0 ? 0 : beta * y.load(static_cast<usize>(r)));
-        y.store(static_cast<usize>(r), sc != nullptr ? sc[r] * t : t);
       },
       csrmv_cost(sc != nullptr ? "spmv.fused_scale" : "spmv.csr", nnz,
-                 static_cast<double>(a.rows), a.value_precision, x.prec,
+                 static_cast<double>(rows), a.value_precision, x.prec,
                  y.prec, sc != nullptr));
 }
 
-std::shared_ptr<const MergePathPartition> CsrBalanceCache::get(
-    const index_t* row_ptr, index_t row_begin, index_t row_end,
-    index_t spans) {
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    for (const Entry& e : entries_) {
-      if (e.row_begin == row_begin && e.row_end == row_end &&
-          e.spans == spans) {
-        return e.part;
-      }
-    }
-  }
-  // Build outside the lock (the search is read-only, so a racing duplicate
-  // build is wasted work, not a hazard).
-  auto part = std::make_shared<const MergePathPartition>(
-      merge_path_partition(row_ptr, row_begin, row_end, spans));
-  std::lock_guard<std::mutex> lock(mu_);
-  for (const Entry& e : entries_) {
-    if (e.row_begin == row_begin && e.row_end == row_end &&
-        e.spans == spans) {
-      return e.part;
-    }
-  }
-  entries_.push_back(Entry{row_begin, row_end, spans, part});
-  return part;
-}
-
-namespace {
-
-/// Shared body of the balanced csrmv variants.  Each span walks its merge
-/// segment: rows it fully owns are written directly; the partial sums of
-/// rows cut by a span boundary go to per-span carry slots (head = 2s,
-/// tail = 2s + 1) that a sequential fixup kernel folds in span order —
-/// same grouping every run, so the result is deterministic for a fixed
-/// worker count.
-void csrmv_balanced_impl(device::DeviceContext& ctx, const DeviceCsr& a,
-                         ConstVecView x, VecView y, index_t row_begin,
-                         index_t row_end, real alpha, real beta,
-                         const real* fused_scale) {
-  FASTSC_CHECK(row_begin >= 0 && row_begin <= row_end && row_end <= a.rows,
-               "csrmv row range out of bounds");
-  if (row_end == row_begin) return;
-  const index_t* row_ptr = a.row_ptr.data();
-  const index_t* col_idx = a.col_idx.data();
-  const CsrValuesView values = a.values_view();
-  const real* sc = fused_scale;
-
-  const auto spans = static_cast<index_t>(ctx.pool().worker_count());
-  const std::shared_ptr<const MergePathPartition> part =
-      a.balance->get(row_ptr, row_begin, row_end, spans);
-  obs::metrics().set_gauge("spmv.wave_max_nnz",
-                           static_cast<double>(part->max_span_nnz));
-  obs::metrics().set_gauge("spmv.wave_mean_nnz",
-                           static_cast<double>(part->mean_span_nnz));
-  obs::metrics().counter("spmv.balanced_waves").add(1);
-  if (obs::trace_enabled()) {
-    const double ts = obs::wall_now_us();
-    obs::trace().counter("spmv.wave_max_nnz",
-                         static_cast<double>(part->max_span_nnz), ts);
-    obs::trace().counter("spmv.wave_mean_nnz",
-                         static_cast<double>(part->mean_span_nnz), ts);
-  }
-
-  const index_t* span_row = part->span_row.data();
-  const index_t* span_ent = part->span_ent.data();
-  // Host-side carry scratch captured by the kernels, like device_cscmv's
-  // partial buffers.
-  std::vector<real> carry_val(static_cast<usize>(2 * spans), 0.0);
-  std::vector<index_t> carry_row(static_cast<usize>(2 * spans), -1);
-  real* cval = carry_val.data();
-  index_t* crow = carry_row.data();
-
-  const double nnz_range =
-      static_cast<double>(part->span_ent.back() - part->span_ent.front());
-  const double rows_range = static_cast<double>(row_end - row_begin);
-  device::LaunchConfig wave_cfg =
-      csrmv_cost(sc != nullptr ? "spmv.fused_scale" : "spmv.balanced",
-                 nnz_range, rows_range, a.value_precision, x.prec, y.prec,
-                 sc != nullptr);
-  device::launch(ctx, spans, [=](index_t s) {
-    crow[2 * s] = -1;
-    crow[2 * s + 1] = -1;
-    const index_t r0 = span_row[s];
-    const index_t r1 = span_row[s + 1];
-    const index_t e0 = span_ent[s];
-    const index_t e1 = span_ent[s + 1];
-    index_t e = e0;
-    for (index_t r = r0; r < r1; ++r) {
-      const index_t end = row_ptr[r + 1];
-      real acc = 0;
-      for (; e < end; ++e) {
-        const index_t c = col_idx[e];
-        const real xv = sc != nullptr ? sc[c] * x.load(static_cast<usize>(c))
-                                      : x.load(static_cast<usize>(c));
-        acc += values[e] * xv;
-      }
-      if (r == r0 && e0 > row_ptr[r0]) {
-        // Head of this span but tail of the row: earlier spans hold the
-        // rest, so stash the partial instead of writing.  Carries stay raw
-        // fp64 partials — the fused epilogue is applied once, in the fixup.
-        crow[2 * s] = r;
-        cval[2 * s] = acc;
-      } else {
-        const real t =
-            alpha * acc +
-            (beta == 0 ? 0 : beta * y.load(static_cast<usize>(r)));
-        y.store(static_cast<usize>(r), sc != nullptr ? sc[r] * t : t);
-      }
-    }
-    if (e < e1) {
-      // Leading entries of the boundary row r1; later spans finish it.
-      real acc = 0;
-      for (; e < e1; ++e) {
-        const index_t c = col_idx[e];
-        const real xv = sc != nullptr ? sc[c] * x.load(static_cast<usize>(c))
-                                      : x.load(static_cast<usize>(c));
-        acc += values[e] * xv;
-      }
-      crow[2 * s + 1] = r1;
-      cval[2 * s + 1] = acc;
-    }
-  }, wave_cfg);
-
-  // Sequential fixup: consecutive same-row carries (empty slots skipped)
-  // are one boundary row split across spans; fold them in span order.
-  const index_t slots = 2 * spans;
-  const double slots_d = static_cast<double>(slots);
-  device::launch(ctx, 1, [=](index_t) {
-    index_t i = 0;
-    while (i < slots) {
-      if (crow[i] < 0) {
-        ++i;
-        continue;
-      }
-      const index_t r = crow[i];
-      real tot = cval[i];
-      ++i;
-      while (i < slots && (crow[i] == r || crow[i] < 0)) {
-        if (crow[i] == r) tot += cval[i];
-        ++i;
-      }
-      const real t =
-          alpha * tot + (beta == 0 ? 0 : beta * y.load(static_cast<usize>(r)));
-      y.store(static_cast<usize>(r), sc != nullptr ? sc[r] * t : t);
-    }
-  }, device::tagged("spmv.balanced_fixup", 2.0 * slots_d,
-                    slots_d * (sizeof(real) + sizeof(index_t)),
-                    slots_d * static_cast<double>(sizeof(real))));
-}
-
-}  // namespace
-
 void device_csrmv_balanced(device::DeviceContext& ctx, const DeviceCsr& a,
                            const real* x, real* y, real alpha, real beta) {
-  csrmv_balanced_impl(ctx, a, ConstVecView(x), VecView(y), 0, a.rows, alpha,
-                      beta, nullptr);
-}
-
-void device_csrmv_balanced_mp(device::DeviceContext& ctx, const DeviceCsr& a,
-                              ConstVecView x, VecView y, real alpha, real beta,
-                              const real* fused_scale) {
-  csrmv_balanced_impl(ctx, a, x, y, 0, a.rows, alpha, beta, fused_scale);
-}
-
-void device_csrmv_range_balanced(device::DeviceContext& ctx,
-                                 const DeviceCsr& a, const real* x, real* y,
-                                 index_t row_begin, index_t row_end, real alpha,
-                                 real beta) {
-  csrmv_balanced_impl(ctx, a, ConstVecView(x), VecView(y), row_begin, row_end,
-                      alpha, beta, nullptr);
+  device_csrmv(ctx, a, x, y, alpha, beta);
 }
 
 void device_csrmm(device::DeviceContext& ctx, const DeviceCsr& a,
@@ -626,169 +490,6 @@ void device_bsrmv(device::DeviceContext& ctx, const DeviceBsr& a, const real* x,
       y[r] = alpha * acc + (beta == 0 ? 0 : beta * y[r]);
     }
   }, bsr_cfg);
-}
-
-std::vector<Csr> split_csr_col_blocks(const Csr& a, index_t num_blocks,
-                                      std::vector<index_t>& col_start) {
-  index_t nb = num_blocks < 1 ? 1 : num_blocks;
-  if (a.cols > 0 && nb > a.cols) nb = a.cols;
-  col_start.assign(static_cast<usize>(nb) + 1, 0);
-  for (index_t b = 0; b <= nb; ++b) {
-    // Near-equal column ranges; the first (cols % nb) blocks get one extra.
-    col_start[static_cast<usize>(b)] =
-        (a.cols * b) / nb;
-  }
-  std::vector<Csr> out(static_cast<usize>(nb));
-  for (index_t b = 0; b < nb; ++b) {
-    const index_t c_lo = col_start[static_cast<usize>(b)];
-    const index_t c_hi = col_start[static_cast<usize>(b) + 1];
-    Csr& blk = out[static_cast<usize>(b)];
-    blk.rows = a.rows;
-    blk.cols = a.cols;
-    blk.row_ptr.assign(static_cast<usize>(a.rows) + 1, 0);
-    for (index_t r = 0; r < a.rows; ++r) {
-      // Column indices are ascending within a row, so the block's entries
-      // form one contiguous subrange found by binary search.
-      const auto row_lo = a.col_idx.begin() + a.row_ptr[static_cast<usize>(r)];
-      const auto row_hi =
-          a.col_idx.begin() + a.row_ptr[static_cast<usize>(r) + 1];
-      const auto lo = std::lower_bound(row_lo, row_hi, c_lo);
-      const auto hi = std::lower_bound(lo, row_hi, c_hi);
-      const auto p0 = static_cast<usize>(lo - a.col_idx.begin());
-      const auto p1 = static_cast<usize>(hi - a.col_idx.begin());
-      blk.col_idx.insert(blk.col_idx.end(), a.col_idx.begin() + p0,
-                         a.col_idx.begin() + p1);
-      blk.values.insert(blk.values.end(), a.values.begin() + p0,
-                        a.values.begin() + p1);
-      blk.row_ptr[static_cast<usize>(r) + 1] =
-          static_cast<index_t>(blk.col_idx.size());
-    }
-  }
-  return out;
-}
-
-DeviceCsrColBlocks::DeviceCsrColBlocks(device::DeviceContext& ctx,
-                                       const Csr& host, index_t num_blocks)
-    : rows(host.rows), cols(host.cols) {
-  std::vector<Csr> parts = split_csr_col_blocks(host, num_blocks, col_start);
-  blocks.reserve(parts.size());
-  for (const Csr& p : parts) blocks.emplace_back(ctx, p);
-}
-
-DeviceCsrColBlocks split_device_csr_col_blocks(device::DeviceContext& ctx,
-                                               const DeviceCsr& a,
-                                               index_t num_blocks) {
-  // The pipelined column-block path is fp64-only (the precision ladder
-  // forces the synchronous staging path for narrower rungs).
-  FASTSC_CHECK(a.value_precision == Precision::kFp64,
-               "split_device_csr_col_blocks requires fp64 values");
-  index_t nb = num_blocks < 1 ? 1 : num_blocks;
-  if (a.cols > 0 && nb > a.cols) nb = a.cols;
-  DeviceCsrColBlocks out;
-  out.rows = a.rows;
-  out.cols = a.cols;
-  out.col_start.assign(static_cast<usize>(nb) + 1, 0);
-  for (index_t b = 0; b <= nb; ++b) {
-    out.col_start[static_cast<usize>(b)] = (a.cols * b) / nb;
-  }
-  out.blocks.resize(static_cast<usize>(nb));
-
-  obs::AttrSiteScope attr_site("sparse.col_blocks");
-  const index_t n = a.rows;
-  const index_t* src_row_ptr = a.row_ptr.data();
-  const index_t* src_col_idx = a.col_idx.data();
-  const real* src_values = a.values.data();
-  // Per-row first/last entry positions of the current block's column range.
-  device::DeviceBuffer<index_t> lo(ctx, static_cast<usize>(n));
-  device::DeviceBuffer<index_t> hi(ctx, static_cast<usize>(n));
-  device::DeviceBuffer<index_t> total(ctx, 1);
-  index_t* lop = lo.data();
-  index_t* hip = hi.data();
-  index_t* totalp = total.data();
-
-  for (index_t b = 0; b < nb; ++b) {
-    const index_t c_lo = out.col_start[static_cast<usize>(b)];
-    const index_t c_hi = out.col_start[static_cast<usize>(b) + 1];
-    DeviceCsr& blk = out.blocks[static_cast<usize>(b)];
-    blk.rows = a.rows;
-    blk.cols = a.cols;
-    blk.row_ptr = device::DeviceBuffer<index_t>(ctx, static_cast<usize>(n) + 1);
-    index_t* blk_row_ptr = blk.row_ptr.data();
-
-    // Columns are ascending within a row, so each row contributes one
-    // contiguous entry range per block, found by binary search.
-    device::launch(ctx, n, [=](index_t r) {
-      const index_t* row_lo = src_col_idx + src_row_ptr[r];
-      const index_t* row_hi = src_col_idx + src_row_ptr[r + 1];
-      const index_t* first = std::lower_bound(row_lo, row_hi, c_lo);
-      const index_t* last = std::lower_bound(first, row_hi, c_hi);
-      lop[r] = static_cast<index_t>(first - src_col_idx);
-      hip[r] = static_cast<index_t>(last - src_col_idx);
-    }, device::tagged("sparse.col_blocks"));
-    // Exclusive scan of per-row counts into the block's row_ptr (a real
-    // implementation would use a parallel scan; the simulated device runs
-    // it as one sequential kernel).
-    device::launch(ctx, 1, [=](index_t) {
-      index_t acc = 0;
-      blk_row_ptr[0] = 0;
-      for (index_t r = 0; r < n; ++r) {
-        acc += hip[r] - lop[r];
-        blk_row_ptr[r + 1] = acc;
-      }
-      totalp[0] = acc;
-    }, device::tagged("sparse.col_blocks", static_cast<double>(n),
-                      2.0 * n * sizeof(index_t),
-                      (n + 2.0) * sizeof(index_t)));
-    // The only PCIe traffic: one nnz count to size the block's arrays.
-    index_t blk_nnz = 0;
-    total.copy_to_host(std::span<index_t>(&blk_nnz, 1));
-    blk.col_idx =
-        device::DeviceBuffer<index_t>(ctx, static_cast<usize>(blk_nnz));
-    blk.values = device::DeviceBuffer<real>(ctx, static_cast<usize>(blk_nnz));
-    index_t* blk_col_idx = blk.col_idx.data();
-    real* blk_values = blk.values.data();
-    device::launch(ctx, n, [=](index_t r) {
-      index_t dst = blk_row_ptr[r];
-      for (index_t p = lop[r]; p < hip[r]; ++p, ++dst) {
-        blk_col_idx[dst] = src_col_idx[p];
-        blk_values[dst] = src_values[p];
-      }
-    }, device::tagged(
-           "sparse.col_blocks", static_cast<double>(blk_nnz),
-           blk_nnz * (static_cast<double>(sizeof(real)) + sizeof(index_t)),
-           blk_nnz * (static_cast<double>(sizeof(real)) + sizeof(index_t))));
-  }
-  return out;
-}
-
-void device_csrmv_range(device::DeviceContext& ctx, const DeviceCsr& a,
-                        const real* x, real* y, index_t row_begin,
-                        index_t row_end, real alpha, real beta) {
-  FASTSC_CHECK(row_begin >= 0 && row_begin <= row_end && row_end <= a.rows,
-               "csrmv row range out of bounds");
-  const index_t* row_ptr = a.row_ptr.data();
-  const index_t* col_idx = a.col_idx.data();
-  const CsrValuesView values = a.values_view();
-  // Entry count of the row slice is device-resident; prorate total nnz by
-  // the row fraction for the cost model rather than paying a transfer.
-  const double frac = a.rows > 0
-                          ? static_cast<double>(row_end - row_begin) / a.rows
-                          : 0.0;
-  const double nnz_est = static_cast<double>(a.nnz()) * frac;
-  device::launch(
-      ctx, row_end - row_begin,
-      [=](index_t i) {
-        const index_t r = row_begin + i;
-        real acc = 0;
-        for (index_t p = row_ptr[r]; p < row_ptr[r + 1]; ++p) {
-          acc += values[p] * x[col_idx[p]];
-        }
-        y[r] = alpha * acc + (beta == 0 ? 0 : beta * y[r]);
-      },
-      device::tagged("spmv.csr_range", 2.0 * nnz_est,
-                     nnz_est * (2.0 * sizeof(real) + sizeof(index_t)),
-                     (row_end - row_begin) *
-                         static_cast<double>(sizeof(real))));
 }
 
 void device_sort_coo(device::DeviceContext& ctx, DeviceCoo& coo) {

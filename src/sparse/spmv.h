@@ -7,12 +7,8 @@
 // comparison bench.
 #pragma once
 
-#include <memory>
-#include <mutex>
-
 #include "common/precision.h"
 #include "device/device.h"
-#include "sparse/balance.h"
 #include "sparse/bsr.h"
 #include "sparse/coo.h"
 #include "sparse/csc.h"
@@ -35,30 +31,6 @@ void bsr_mv(const Bsr& a, const real* x, real* y, real alpha = 1.0,
             real beta = 0.0);
 
 // ---- device-resident CSR and SpMV -----------------------------------------
-
-/// Memoized merge-path partitions of one DeviceCsr, keyed on
-/// (row_begin, row_end, spans).  The balanced SpMV looks its partition up
-/// here so the O(spans log nnz) search runs once per (matrix, row range,
-/// worker count), not once per wave; the pipelined eigensolver hits the
-/// same ranges every iteration.  Guarded by a mutex because waves of
-/// different row tiles may race on first use.
-class CsrBalanceCache {
- public:
-  /// Return the cached partition, building it on a miss.
-  [[nodiscard]] std::shared_ptr<const MergePathPartition> get(
-      const index_t* row_ptr, index_t row_begin, index_t row_end,
-      index_t spans);
-
- private:
-  struct Entry {
-    index_t row_begin;
-    index_t row_end;
-    index_t spans;
-    std::shared_ptr<const MergePathPartition> part;
-  };
-  std::mutex mu_;
-  std::vector<Entry> entries_;
-};
 
 /// Widening accessor over a DeviceCsr's value array at whatever storage
 /// precision it currently holds.  The fp64 branch is a plain array read, so
@@ -90,9 +62,6 @@ struct DeviceCsr {
   device::DeviceBuffer<float> values_f32;
   device::DeviceBuffer<std::uint16_t> values_b16;
   Precision value_precision = Precision::kFp64;
-  /// Lazily-built merge-path partitions (shared so DeviceCsr stays movable).
-  std::shared_ptr<CsrBalanceCache> balance =
-      std::make_shared<CsrBalanceCache>();
 
   DeviceCsr() = default;
 
@@ -143,15 +112,25 @@ struct DeviceCoo {
 };
 
 /// y = alpha * A @ x + beta * y with device pointers (cusparseDcsrmv).
-/// One logical GPU thread per row.
+/// Same kernel as device_csrmv_mp at fp64 with no fused scale.
 void device_csrmv(device::DeviceContext& ctx, const DeviceCsr& a, const real* x,
                   real* y, real alpha = 1.0, real beta = 0.0);
 
-/// Mixed-precision / fused csrmv.  Matrix values are read through the
-/// CSR's storage precision, x and y through their view widths, and every
-/// product accumulates in fp64.  With `fused_scale` == s non-null the
-/// kernel computes the symmetric similarity transform in one pass
-/// (site "spmv.fused_scale"):
+/// The one device csrmv.  Worker s owns whole rows [span_row[s],
+/// span_row[s+1]) of the merge-path cut merge_path_partition(row_ptr, 0,
+/// rows, workers) — the cut sparse::make_row_partition makes for device
+/// shards — so hub rows no longer serialize the wave: a worker handles at
+/// most ceil((rows + nnz) / workers) + max row nnz units of work.  Every
+/// row accumulates serially in entry order, so y is bitwise independent of
+/// the worker count and equal to the sharded kernel's.  The cut is an
+/// O(workers log(rows + nnz)) host search per call; each call publishes
+/// the spmv.wave_max_nnz / spmv.wave_mean_nnz balance gauges (and trace
+/// counters).
+///
+/// Matrix values are read through the CSR's storage precision, x and y
+/// through their view widths, and every product accumulates in fp64.  With
+/// `fused_scale` == s non-null the kernel computes the symmetric similarity
+/// transform in one pass (site "spmv.fused_scale"):
 ///
 ///   y[r] = s[r] * (alpha * sum_p w[p] * (s[col[p]] * x[col[p]]) + beta*y[r])
 ///
@@ -165,24 +144,10 @@ void device_csrmv_mp(device::DeviceContext& ctx, const DeviceCsr& a,
                      ConstVecView x, VecView y, real alpha = 1.0,
                      real beta = 0.0, const real* fused_scale = nullptr);
 
-/// nnz-balanced csrmv: the merge-path partition (cached on `a`) gives every
-/// worker a near-equal share of rows + entries, so hub rows no longer
-/// serialize the wave.  Rows cut by a span boundary are reduced by a
-/// deterministic carry-fixup pass, so the result is reproducible for a
-/// fixed worker count (and matches device_csrmv to rounding).  Publishes
-/// the spmv.wave_max_nnz / spmv.wave_mean_nnz balance gauges.
+/// Alias of device_csrmv, kept for callers that name the balanced kernel.
 void device_csrmv_balanced(device::DeviceContext& ctx, const DeviceCsr& a,
                            const real* x, real* y, real alpha = 1.0,
                            real beta = 0.0);
-
-/// Mixed-precision / fused balanced csrmv (see device_csrmv_mp for the
-/// fused semantics).  The D^{-1/2} epilogue is applied exactly once per
-/// row: complete rows inside a span apply it in the wave, boundary rows
-/// carry raw fp64 partials and the fixup applies it after folding.
-void device_csrmv_balanced_mp(device::DeviceContext& ctx, const DeviceCsr& a,
-                              ConstVecView x, VecView y, real alpha = 1.0,
-                              real beta = 0.0,
-                              const real* fused_scale = nullptr);
 
 /// Y = alpha * A @ X + beta * Y for `nvec` packed vectors: X is row-major
 /// nvec x cols (each row one input vector), Y is nvec x rows.  One sweep of
@@ -248,69 +213,5 @@ void device_cscmv(device::DeviceContext& ctx, const DeviceCsc& a, const real* x,
 /// block row (cusparseDbsrmv).
 void device_bsrmv(device::DeviceContext& ctx, const DeviceBsr& a, const real* x,
                   real* y, real alpha = 1.0, real beta = 0.0);
-
-// ---- column-blocked CSR for the overlapped eigensolver pipeline -----------
-
-/// Partition of a CSR matrix into contiguous column blocks: block b holds
-/// exactly the entries whose column lies in [col_start[b], col_start[b+1]),
-/// with *absolute* column indices preserved.  The overlapped RCI pipeline
-/// computes y = A x as an ordered accumulation of partial products
-/// y += A_b x, so block b's kernel only needs x's b-th tile to be
-/// device-resident — the H2D staging of tile b+1 runs on the transfer
-/// stream while block b multiplies on the compute stream.  Because the
-/// blocks partition each row's entries in ascending column order, the
-/// per-row accumulation order matches plain csrmv up to the partial-sum
-/// grouping.
-struct DeviceCsrColBlocks {
-  index_t rows = 0;
-  index_t cols = 0;
-  std::vector<index_t> col_start;  ///< size block_count() + 1
-  std::vector<DeviceCsr> blocks;
-
-  DeviceCsrColBlocks() = default;
-
-  /// Split `host` into `num_blocks` near-equal column ranges and upload
-  /// each block (3 metered H2D transfers per block).  num_blocks is clamped
-  /// to [1, cols].
-  DeviceCsrColBlocks(device::DeviceContext& ctx, const Csr& host,
-                     index_t num_blocks);
-
-  [[nodiscard]] usize block_count() const noexcept { return blocks.size(); }
-  [[nodiscard]] index_t nnz() const noexcept {
-    index_t total = 0;
-    for (const DeviceCsr& b : blocks) total += b.nnz();
-    return total;
-  }
-};
-
-/// Host-side column split used by the device constructor (exposed for
-/// tests): returns one CSR per block and fills `col_start`.
-[[nodiscard]] std::vector<Csr> split_csr_col_blocks(
-    const Csr& a, index_t num_blocks, std::vector<index_t>& col_start);
-
-/// Repartition a device-resident CSR into column blocks without moving the
-/// matrix over the link: per-row range search, prefix-sum, and compaction
-/// run as kernels on the device copy (cusparse-style format conversion),
-/// and only one nnz count per block crosses PCIe to size the allocations.
-/// Use this instead of `DeviceCsrColBlocks(ctx, a.to_host(), nb)` when the
-/// matrix is already on the device.
-[[nodiscard]] DeviceCsrColBlocks split_device_csr_col_blocks(
-    device::DeviceContext& ctx, const DeviceCsr& a, index_t num_blocks);
-
-/// Partial csrmv over rows [row_begin, row_end):
-///   y[r] = alpha * (A x)[r] + beta * y[r]
-/// The building block of the tiled/pipelined SpMV; call with a column
-/// block's CSR and beta=1 to accumulate partial products.
-void device_csrmv_range(device::DeviceContext& ctx, const DeviceCsr& a,
-                        const real* x, real* y, index_t row_begin,
-                        index_t row_end, real alpha = 1.0, real beta = 0.0);
-
-/// nnz-balanced device_csrmv_range (see device_csrmv_balanced).  The
-/// pipelined eigensolver's column blocks and row tiles hit stable ranges,
-/// so their partitions are built once and cached on the block.
-void device_csrmv_range_balanced(device::DeviceContext& ctx,
-                                 const DeviceCsr& a, const real* x, real* y,
-                                 index_t row_begin, index_t row_end,
-                                 real alpha = 1.0, real beta = 0.0);
 
 }  // namespace fastsc::sparse

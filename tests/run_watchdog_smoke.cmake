@@ -20,14 +20,14 @@ file(MAKE_DIRECTORY "${WORKDIR}")
 set(trace_json "${WORKDIR}/trace.json")
 set(report_json "${WORKDIR}/report.json")
 
-# nth picks the 200th stream op so the hang lands mid-eigensolve, after the
-# initial factorization has banked enough Ritz pairs for an anytime cut
-# (CanAbandon requires j >= nev); the first ~50 ops are setup uploads where
-# abandoning is impossible and the cancellation would rightly be fatal.
+# The eigensolver waves are synchronous, so the only stream ops are the
+# k-means centroid-tile prefetches (about a dozen at this size); nth picks
+# the 4th so the hang lands mid-k-means, where the stage's anytime wrap-up
+# reruns it to a full assignment.
 execute_process(
   COMMAND "${BENCH}"
           --n=400 --blocks=4 --k=4 --baselines=false
-          --faults=site=stream.hang,nth=200
+          --faults=site=stream.hang,nth=4
           --watchdog=heartbeat_ms=50,poll_ms=5
           --trace-out=${trace_json}
           --report-out=${report_json}

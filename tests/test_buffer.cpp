@@ -101,5 +101,24 @@ TEST(AlignedBuffer, ZeroSizedAllocationsWork) {
   EXPECT_TRUE(copy.empty());
 }
 
+// Buffers of 128 KiB and up are anonymous mappings (16384 doubles is the
+// threshold); both sides of it must zero, align, copy and move alike.
+TEST(AlignedBuffer, LargeAllocationsBehaveLikeSmallOnes) {
+  for (const usize n : {usize{16383}, usize{16384}, usize{100001}}) {
+    AlignedBuffer<double> buf(n);
+    EXPECT_EQ(reinterpret_cast<std::uintptr_t>(buf.data()) % kBufferAlignment,
+              0u);
+    for (usize i = 0; i < n; ++i) ASSERT_EQ(buf[i], 0.0) << "n=" << n;
+    std::iota(buf.begin(), buf.end(), 1.0);
+    AlignedBuffer<double> copy(buf);
+    EXPECT_NE(copy.data(), buf.data());
+    EXPECT_EQ(copy[n - 1], static_cast<double>(n));
+    AlignedBuffer<double> moved(std::move(copy));
+    EXPECT_EQ(moved[0], 1.0);
+    moved = AlignedBuffer<double>(3);  // releases the large mapping
+    EXPECT_EQ(moved.size(), 3u);
+  }
+}
+
 }  // namespace
 }  // namespace fastsc

@@ -1,8 +1,7 @@
 // Tests for the dependency-graph pipeline executor: DAG ordering within and
 // across streams, eager emission (transfer work proceeds while compute
 // runs), graph validation, error propagation through run(), reuse across
-// waves via reset(), and overlap attribution for the column-blocked SpMV
-// pattern the spectral pipeline uses.
+// waves via reset(), and overlap attribution for transfer/compute pairs.
 #include "device/executor.h"
 
 #include <gtest/gtest.h>
@@ -10,8 +9,6 @@
 #include <mutex>
 #include <string>
 #include <vector>
-
-#include "sparse/spmv.h"
 
 namespace fastsc::device {
 namespace {
@@ -141,120 +138,6 @@ TEST(Executor, TransferComputePairProducesOverlap) {
   const DeviceCounters c = ctx.counters_snapshot();
   EXPECT_DOUBLE_EQ(c.overlapped_seconds, 0.5);
   EXPECT_DOUBLE_EQ(c.overlapped_h2d_seconds, 0.5);
-}
-
-TEST(Executor, DeviceSideColumnSplitMovesNoMatrixDataOverLink) {
-  DeviceContext ctx(1);
-  sparse::Csr a;
-  a.rows = a.cols = 9;
-  a.row_ptr = {0};
-  for (index_t r = 0; r < 9; ++r) {
-    for (index_t c = r % 3; c < 9; c += 3) {
-      a.col_idx.push_back(c);
-      a.values.push_back(static_cast<real>(r * 10 + c + 1));
-    }
-    a.row_ptr.push_back(static_cast<index_t>(a.col_idx.size()));
-  }
-  sparse::DeviceCsr dev_a(ctx, a);
-
-  const DeviceCounters before = ctx.counters_snapshot();
-  const sparse::DeviceCsrColBlocks dev_split =
-      sparse::split_device_csr_col_blocks(ctx, dev_a, 4);
-  const DeviceCounters after = ctx.counters_snapshot();
-  // The repartition runs on the device: only one nnz count per block comes
-  // back to size the allocations, and nothing is uploaded.
-  EXPECT_EQ(after.bytes_h2d - before.bytes_h2d, 0u);
-  EXPECT_EQ(after.bytes_d2h - before.bytes_d2h, 4 * sizeof(index_t));
-  EXPECT_GT(after.kernel_launches, before.kernel_launches);
-
-  // Block-by-block identical to the host-side split.
-  std::vector<index_t> col_start;
-  const std::vector<sparse::Csr> host_split =
-      sparse::split_csr_col_blocks(a, 4, col_start);
-  ASSERT_EQ(dev_split.block_count(), host_split.size());
-  EXPECT_EQ(dev_split.col_start, col_start);
-  EXPECT_EQ(dev_split.nnz(), dev_a.nnz());
-  for (usize b = 0; b < host_split.size(); ++b) {
-    const sparse::Csr got = dev_split.blocks[b].to_host();
-    EXPECT_EQ(got.row_ptr, host_split[b].row_ptr) << "block " << b;
-    EXPECT_EQ(got.col_idx, host_split[b].col_idx) << "block " << b;
-    EXPECT_EQ(got.values, host_split[b].values) << "block " << b;
-  }
-}
-
-TEST(Executor, ColumnBlockedSpmvMatchesMonolithicCsrmv) {
-  DeviceContext ctx(1);
-  // Small deterministic CSR: a 7x7 band matrix.
-  sparse::Csr a;
-  a.rows = a.cols = 7;
-  a.row_ptr = {0};
-  for (index_t r = 0; r < 7; ++r) {
-    for (index_t c = r > 0 ? r - 1 : 0; c < std::min<index_t>(r + 2, 7); ++c) {
-      a.col_idx.push_back(c);
-      a.values.push_back(static_cast<real>(r + 2 * c + 1));
-    }
-    a.row_ptr.push_back(static_cast<index_t>(a.col_idx.size()));
-  }
-  std::vector<real> x(7);
-  for (index_t i = 0; i < 7; ++i) x[static_cast<usize>(i)] = 0.5 * (i + 1);
-
-  sparse::DeviceCsr dev_a(ctx, a);
-  DeviceBuffer<real> dev_x(ctx, std::span<const real>(x));
-  DeviceBuffer<real> dev_y(ctx, 7);
-  sparse::device_csrmv(ctx, dev_a, dev_x.data(), dev_y.data());
-  const std::vector<real> expected = dev_y.to_host();
-
-  // The pipelined formulation: column blocks accumulated through the
-  // executor with cross-stream H2D dependencies, final block row-tiled.
-  sparse::DeviceCsrColBlocks blocks(ctx, a, 3);
-  ASSERT_EQ(blocks.block_count(), 3u);
-  ASSERT_EQ(blocks.nnz(), dev_a.nnz());
-  DeviceBuffer<real> dev_x2(ctx, 7);
-  DeviceBuffer<real> dev_y2(ctx, 7);
-  std::vector<real> host_y(7, -1.0);
-  PipelineExecutor exec(ctx, 2);
-  using Exec = PipelineExecutor;
-  std::vector<Exec::NodeId> h2d(blocks.block_count());
-  for (usize b = 0; b < blocks.block_count(); ++b) {
-    const index_t c0 = blocks.col_start[b];
-    const index_t c1 = blocks.col_start[b + 1];
-    h2d[b] = exec.add(Exec::kTransferStream, "h2d", [&, c0, c1] {
-      copy_h2d(ctx, dev_x2.data() + c0, x.data() + c0,
-               static_cast<usize>(c1 - c0));
-    });
-  }
-  for (usize b = 0; b + 1 < blocks.block_count(); ++b) {
-    exec.add(
-        Exec::kComputeStream, "csrmv",
-        [&, b] {
-          sparse::device_csrmv_range(ctx, blocks.blocks[b], dev_x2.data(),
-                                     dev_y2.data(), 0, 7, 1.0,
-                                     b == 0 ? 0.0 : 1.0);
-        },
-        {h2d[b]});
-  }
-  const usize last = blocks.block_count() - 1;
-  for (index_t t = 0; t < 2; ++t) {
-    const index_t r0 = t == 0 ? 0 : 4;
-    const index_t r1 = t == 0 ? 4 : 7;
-    const auto compute = exec.add(
-        Exec::kComputeStream, "csrmv-tail",
-        [&, r0, r1] {
-          sparse::device_csrmv_range(ctx, blocks.blocks[last], dev_x2.data(),
-                                     dev_y2.data(), r0, r1, 1.0, 1.0);
-        },
-        {h2d[last]});
-    exec.add(Exec::kTransferStream, "d2h",
-             [&, r0, r1] {
-               copy_d2h(ctx, host_y.data() + r0, dev_y2.data() + r0,
-                        static_cast<usize>(r1 - r0));
-             },
-             {compute});
-  }
-  exec.run();
-  for (usize i = 0; i < 7; ++i) {
-    EXPECT_NEAR(host_y[i], expected[i], 1e-12);
-  }
 }
 
 }  // namespace

@@ -106,7 +106,7 @@ TEST(ResultCache, ZeroCapacityDisables) {
   EXPECT_EQ(cache.entries(), 0u);
 }
 
-TEST(ResultCache, WarmDonorPrefersHintThenRecency) {
+TEST(ResultCache, WarmDonorIsTheHintedEntryOnly) {
   ResultCache cache(1 << 20);
   CacheEntry hinted = make_entry(10, 1);
   hinted.checkpoint = make_checkpoint();
@@ -115,16 +115,19 @@ TEST(ResultCache, WarmDonorPrefersHintThenRecency) {
   cache.insert(std::move(hinted));
   cache.insert(std::move(other));  // MRU
 
-  // Exact hint match wins even though entry 11 is fresher.
+  // The hinted entry donates even though entry 11 is fresher.
   auto donor = cache.lookup_warm(/*config_fp=*/1, /*n=*/16, /*hint=*/10);
   ASSERT_NE(donor, nullptr);
-  // Fallback: no hint -> most recently used compatible entry.
-  auto fresh = cache.lookup_warm(/*config_fp=*/1, /*n=*/16, /*hint=*/0);
-  ASSERT_NE(fresh, nullptr);
-  // Wrong shape or config: no donor.
-  EXPECT_EQ(cache.lookup_warm(/*config_fp=*/2, /*n=*/16, /*hint=*/0),
+  // No hint, or a hint naming no entry: cold start, even though two
+  // same-shaped entries with checkpoints are cached.
+  EXPECT_EQ(cache.lookup_warm(/*config_fp=*/1, /*n=*/16, /*hint=*/0),
             nullptr);
-  EXPECT_EQ(cache.lookup_warm(/*config_fp=*/1, /*n=*/32, /*hint=*/0),
+  EXPECT_EQ(cache.lookup_warm(/*config_fp=*/1, /*n=*/16, /*hint=*/99),
+            nullptr);
+  // The hinted entry under another config or shape: no donor.
+  EXPECT_EQ(cache.lookup_warm(/*config_fp=*/2, /*n=*/16, /*hint=*/10),
+            nullptr);
+  EXPECT_EQ(cache.lookup_warm(/*config_fp=*/1, /*n=*/32, /*hint=*/10),
             nullptr);
 }
 
@@ -218,8 +221,8 @@ TEST(ResultCache, PrecisionPolicyChangesConfigFingerprint) {
   cache.insert(std::move(e));
   EXPECT_TRUE(cache.lookup(CacheKey{7, fp64_fp}).has_value());
   EXPECT_FALSE(cache.lookup(CacheKey{7, fp32_fp}).has_value());
-  EXPECT_NE(cache.lookup_warm(fp64_fp, 16, 0), nullptr);
-  EXPECT_EQ(cache.lookup_warm(fp32_fp, 16, 0), nullptr);
+  EXPECT_NE(cache.lookup_warm(fp64_fp, 16, 7), nullptr);
+  EXPECT_EQ(cache.lookup_warm(fp32_fp, 16, 7), nullptr);
 }
 
 }  // namespace

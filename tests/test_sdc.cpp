@@ -49,8 +49,10 @@ core::SpectralConfig sdc_config() {
   cfg.num_clusters = 3;
   cfg.backend = core::Backend::kDevice;
   cfg.seed = 42;
-  // Synchronous staged wave: every bitflip site (CSR values, staged device
-  // buffer, returned basis column) occurs, and the H2D transfer CRC is live.
+  // Every eigensolver wave stages x and y synchronously, so each bitflip
+  // site (CSR values, staged device buffer, returned basis column) occurs
+  // and the H2D transfer CRC is live.  k-means runs without its async
+  // centroid prefetch.
   cfg.async_pipeline = false;
   return cfg;
 }
@@ -245,16 +247,18 @@ TEST_F(SdcTest, WarmDonorLookupSkipsAndEvictsCorruptEntry) {
   EXPECT_EQ(cache.entries(), 0u);
 }
 
-TEST_F(SdcTest, WarmDonorFallsThroughToIntactCandidate) {
+TEST_F(SdcTest, WarmDonorCorruptHintColdStartsDespiteIntactEntry) {
   service::ResultCache cache(1 << 20);
   cache.insert(make_entry(111, /*with_checkpoint=*/true));
   cache.insert(make_entry(333, /*with_checkpoint=*/true));
-  // nth=1,count=1: only the first verification (the corrupt hinted donor)
-  // is hit; the LRU-scan fallback's candidate verifies clean.
+  // nth=1: the hinted donor fails its seal and is evicted.  The intact
+  // same-shaped entry 333 belongs to another graph, so it is not handed out
+  // in its place: the solve cold-starts.
   fault::ArmScope scope(
       fault::FaultPlan::parse("site=bitflip.cache.entry,nth=1"));
-  EXPECT_NE(cache.lookup_warm(222, 48, 111), nullptr);
+  EXPECT_EQ(cache.lookup_warm(222, 48, 111), nullptr);
   EXPECT_EQ(cache.entries(), 1u);
+  EXPECT_TRUE(cache.lookup({333, 222}).has_value());
 }
 
 // ---------------------------------------------------------------------------
@@ -285,7 +289,7 @@ TEST_F(SdcTest, CleanRunsReportZeroDetectionsAcrossRungsAndDevices) {
 TEST_F(SdcTest, CleanPipelinedRunReportsZeroDetections) {
   const data::SbmGraph g = sdc_graph();
   core::SpectralConfig cfg = sdc_config();
-  cfg.async_pipeline = true;  // overlapped path: ABFT still verifies waves
+  cfg.async_pipeline = true;  // k-means prefetch: the GEMM ABFT still runs
   const std::uint64_t before = detected();
   const core::SpectralResult r = core::spectral_cluster_graph(g.w, cfg);
   EXPECT_EQ(detected(), before);

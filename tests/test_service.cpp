@@ -184,6 +184,31 @@ TEST(Service, WarmStartUsesFewerWavesAndMatchesColdLabels) {
             real{1.0});
 }
 
+// A cold job never borrows a donor by shape: an unrelated graph with the
+// same n and config as a cached, checkpointed entry cold-starts and clusters
+// exactly like a fresh solve.
+TEST(Service, UnrelatedSameShapeGraphDoesNotWarmStart) {
+  ServiceConfig scfg;
+  scfg.workers = 1;
+  Service svc(scfg);
+  const sparse::Coo cached = make_fb(300, 4, 42);
+  const sparse::Coo unrelated = make_fb(300, 4, 7);
+  ASSERT_EQ(cached.rows, unrelated.rows);
+  ASSERT_NE(core::graph_fingerprint(cached),
+            core::graph_fingerprint(unrelated));
+
+  const JobResult first = svc.wait(svc.submit(make_job(cached, 4)).id);
+  ASSERT_EQ(first.status, JobStatus::kCompleted);
+  const JobResult second = svc.wait(svc.submit(make_job(unrelated, 4)).id);
+  ASSERT_EQ(second.status, JobStatus::kCompleted);
+  EXPECT_FALSE(second.cache_hit);
+  EXPECT_FALSE(second.warm_started);
+
+  const core::SpectralResult fresh =
+      core::spectral_cluster_graph(unrelated, device_config(4), nullptr);
+  EXPECT_EQ(second.spectral.labels, fresh.labels);
+}
+
 TEST(Service, ShutdownDrainCompletesQueuedJobs) {
   ServiceConfig scfg;
   scfg.workers = 1;

@@ -157,8 +157,8 @@ INSTANTIATE_TEST_SUITE_P(DeviceCounts, ShardedSpmv,
                          ::testing::Values(2u, 4u, 8u));
 
 // ---------------------------------------------------------------------------
-// End-to-end: the pipeline's labels are byte-identical for every device
-// count, and eigenpairs agree far inside the solver tolerance.
+// End-to-end: the pipeline's labels, eigenvalues and embedding are
+// byte-identical for every device count.
 
 SpectralConfig pipeline_config(index_t k, index_t num_devices) {
   SpectralConfig cfg;
@@ -189,15 +189,11 @@ void check_device_count_invariance(const sparse::Coo& w_in, index_t k,
     EXPECT_EQ(std::memcmp(sharded.labels.data(), base.labels.data(),
                           base.labels.size() * sizeof(index_t)),
               0);
-    // Eigenpairs: ISSUE tolerance 1e-8 (in practice they match bitwise).
-    ASSERT_EQ(sharded.eigenvalues.size(), base.eigenvalues.size());
-    for (usize i = 0; i < base.eigenvalues.size(); ++i) {
-      EXPECT_NEAR(sharded.eigenvalues[i], base.eigenvalues[i], 1e-8);
-    }
-    ASSERT_EQ(sharded.embedding.size(), base.embedding.size());
-    for (usize i = 0; i < base.embedding.size(); ++i) {
-      EXPECT_NEAR(sharded.embedding[i], base.embedding[i], 1e-8);
-    }
+    // Eigenpairs: bitwise, since both drivers accumulate every row
+    // serially in entry order.
+    expect_bitwise_equal(sharded.eigenvalues, base.eigenvalues,
+                         "eigenvalues");
+    expect_bitwise_equal(sharded.embedding, base.embedding, "embedding");
     EXPECT_EQ(sharded.eig_converged, base.eig_converged);
     EXPECT_EQ(sharded.kmeans_iterations, base.kmeans_iterations);
     // The sharded run really ran sharded: peer traffic was metered.
@@ -233,6 +229,31 @@ TEST(ShardedPipeline, LabelsByteIdenticalOnPowerlaw) {
   const data::PowerlawGraph g =
       data::make_powerlaw({.n = 1100, .avg_degree = 8.0, .seed = 7});
   check_device_count_invariance(g.w, 4, "powerlaw");
+}
+
+// The single-device SpMV gives every worker whole rows, so the eigenpairs
+// do not depend on the device context's worker count either.  (Labels are
+// not part of this contract: k-means++ seeding reduces per worker.)
+TEST(ShardedPipeline, EigenpairsBitwiseAcrossWorkerCounts) {
+  data::SbmParams p;
+  p.block_sizes = data::equal_blocks(1500, 10);
+  p.p_in = 0.08;
+  p.p_out = 0.004;
+  p.seed = 23;
+  std::vector<index_t> old_of_new;
+  const sparse::Coo w = graph::largest_component(data::make_sbm(p).w,
+                                                 old_of_new);
+  const SpectralConfig cfg = pipeline_config(10, 1);
+  device::DeviceContext ctx1(1);
+  const SpectralResult base = core::spectral_cluster_graph(w, cfg, &ctx1);
+  ASSERT_TRUE(base.eig_converged);
+  for (const usize workers : {3u, 4u, 8u}) {
+    SCOPED_TRACE(std::to_string(workers) + " workers");
+    device::DeviceContext ctx(workers);
+    const SpectralResult r = core::spectral_cluster_graph(w, cfg, &ctx);
+    expect_bitwise_equal(r.eigenvalues, base.eigenvalues, "eigenvalues");
+    expect_bitwise_equal(r.embedding, base.embedding, "embedding");
+  }
 }
 
 TEST(ShardedPipeline, LabelsInvariantUnderIterationCap) {

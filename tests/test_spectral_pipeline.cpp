@@ -169,23 +169,6 @@ TEST(Pipeline, AllBackendsAgreeOnQuality) {
   for (real a : aris) EXPECT_GT(a, 0.9);
 }
 
-TEST(Pipeline, BsrSpmvFormatGivesSameClustering) {
-  const data::SbmGraph g = easy_sbm(200, 3, 47);
-  device::DeviceContext ctx(2);
-  SpectralConfig cfg;
-  cfg.num_clusters = 3;
-  cfg.seed = 9;
-  const SpectralResult csr = spectral_cluster_graph(g.w, cfg, &ctx);
-  cfg.spmv_format = DeviceSpmvFormat::kBsr;
-  cfg.bsr_block_size = 4;
-  const SpectralResult bsr = spectral_cluster_graph(g.w, cfg, &ctx);
-  ASSERT_EQ(csr.eigenvalues.size(), bsr.eigenvalues.size());
-  for (usize i = 0; i < csr.eigenvalues.size(); ++i) {
-    EXPECT_NEAR(csr.eigenvalues[i], bsr.eigenvalues[i], 1e-8);
-  }
-  EXPECT_GT(metrics::adjusted_rand_index(bsr.labels, g.labels), 0.95);
-}
-
 TEST(Pipeline, RowNormalizedEmbeddingAlsoRecovers) {
   const data::SbmGraph g = easy_sbm(240, 3, 43);
   SpectralConfig cfg;

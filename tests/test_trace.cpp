@@ -16,6 +16,7 @@
 
 #include "device/device.h"
 #include "device/executor.h"
+#include "obs/metrics.h"
 
 namespace fastsc::obs {
 namespace {
@@ -221,6 +222,56 @@ TEST(Trace, EnableScopesFromConcurrentThreads) {
   for (std::thread& j : jobs) j.join();
   EXPECT_EQ(saw_disabled.load(), 0);
   EXPECT_FALSE(trace().enabled());
+}
+
+// obs::bump under contention: half the threads record through a per-job
+// recorder that tees into the global one, half straight into the global
+// one.  Each recorder's series, sorted by timestamp, must never decrease —
+// the tools/check_trace.py rule for cumulative counters — and the global
+// recorder must hold one sample per bump ending at the final total.
+TEST(Trace, ConcurrentBumpsRecordNonDecreasingSeries) {
+  const TraceEnableScope on(true);
+  trace().clear();
+  TraceRecorder job;
+  job.set_enabled(true);
+  job.set_tee(&trace());
+  const char* name = "test.concurrent_bumps";
+  const std::int64_t start = metrics().counter(name).value();
+  constexpr int kThreads = 8;
+  constexpr int kBumps = 2000;
+  std::vector<std::thread> threads;
+  for (int t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&, t] {
+      const TraceBindScope bind(t % 2 == 0 ? &job : nullptr);
+      for (int i = 0; i < kBumps; ++i) bump(name, 3);
+    });
+  }
+  for (std::thread& t : threads) t.join();
+
+  const auto series = [&](const TraceRecorder& rec) {
+    std::vector<std::pair<double, double>> out;
+    for (const TraceEvent& e : rec.snapshot()) {
+      if (e.phase == 'C' && e.name == name) {
+        out.emplace_back(e.ts_us, e.args.at(0).num);
+      }
+    }
+    std::stable_sort(out.begin(), out.end(),
+                     [](const auto& a, const auto& b) {
+                       return a.first < b.first;
+                     });
+    return out;
+  };
+  const auto global = series(trace());
+  const auto local = series(job);
+  ASSERT_EQ(global.size(), static_cast<usize>(kThreads * kBumps));
+  ASSERT_EQ(local.size(), static_cast<usize>(kThreads / 2 * kBumps));
+  for (const auto* s : {&global, &local}) {
+    for (usize i = 1; i < s->size(); ++i) {
+      ASSERT_LE((*s)[i - 1].second, (*s)[i].second) << "sample " << i;
+    }
+  }
+  EXPECT_EQ(global.back().second,
+            static_cast<double>(start + 3 * kThreads * kBumps));
 }
 
 TEST(Trace, SequentialDeviceWorkProducesNoOverlap) {
