@@ -170,14 +170,13 @@ int main(int argc, char** argv) {
       "eigensolver hot path — modeled SpMV cost, eigenpair agreement, and "
       "label stability across precision rungs and device counts");
   const bool run = cli.parse(argc, argv);
-  bench::CommonFlags flags = bench::CommonFlags::parse(cli, /*default_k=*/5);
+  bench::CommonFlags flags =
+      bench::CommonFlags::parse(cli, /*default_k=*/5, /*default_devices=*/4);
   // Default n keeps the waves bandwidth-dominated: below ~4k nodes the
   // modeled per-launch latency (~5us) eats the byte savings and the ladder
   // speedup under-reads relative to the paper-scale datasets.
   const auto base_n = cli.get_int("n", 6000, "base node count per dataset "
                                             "(scaled by --scale)");
-  const auto devices =
-      cli.get_int("devices", 4, "device count for the sharded runs");
   const auto compute_rate = cli.get_double(
       "compute-rate", 150e9,
       "modeled device compute bandwidth in bytes/s (deterministic kernel "
@@ -232,7 +231,8 @@ int main(int argc, char** argv) {
     std::vector<RungRun> runs;
     for (const std::string& rung : rungs) {
       std::fprintf(stderr, "[bench]   rung %s...\n", rung.c_str());
-      runs.push_back(run_rung(ds, rung, devices, compute_rate, flags.seed));
+      runs.push_back(
+          run_rung(ds, rung, flags.devices, compute_rate, flags.seed));
     }
     const RungRun& base = runs.front();  // fp64 (always first)
 
@@ -242,7 +242,7 @@ int main(int argc, char** argv) {
                     ", k=" + std::to_string(ds.k) + ")");
     table.header({"Rung", "spmv/s", "mv", "speedup/mv", "spmv bytes",
                   "max|d lambda|", "ARI", "residual", "1dev/s",
-                  std::to_string(devices) + "dev/s", "labels=="});
+                  std::to_string(flags.devices) + "dev/s", "labels=="});
     for (const RungRun& r : runs) {
       const double err = max_eig_err(r.result, base.result);
       const double ari = metrics::adjusted_rand_index(r.result.labels,

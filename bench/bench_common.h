@@ -26,6 +26,7 @@ struct CommonFlags {
   double scale = 1.0;
   bool baselines = true;
   index_t workers = 0;  // 0 = hardware concurrency
+  index_t devices = 1;  // SpectralConfig::num_devices
   std::string trace_out;    // Chrome trace-event JSON path ("" = off)
   std::string metrics_out;  // metrics snapshot JSON path ("" = off)
   std::string report_out;   // RunReport JSON path ("" = off)
@@ -34,7 +35,8 @@ struct CommonFlags {
   std::string stage_budget;  // RunBudget spec, e.g. "eigensolver=500;anytime=1"
   std::string watchdog;      // WatchdogConfig spec, e.g. "heartbeat_ms=100"
 
-  static CommonFlags parse(CliParser& cli, index_t default_k) {
+  static CommonFlags parse(CliParser& cli, index_t default_k,
+                           index_t default_devices = 1) {
     CommonFlags f;
     f.k = cli.get_int("k", default_k, "number of clusters");
     f.seed = static_cast<std::uint64_t>(
@@ -46,6 +48,9 @@ struct CommonFlags {
                                "run the Matlab/Python-like baselines too");
     f.workers = cli.get_int("workers", 0,
                             "simulated-device worker threads (0 = all cores)");
+    f.devices = cli.get_int(
+        "devices", default_devices,
+        "simulated devices; > 1 runs the graph pipeline row-sharded");
     f.trace_out = cli.get_string(
         "trace-out", "",
         "write a Chrome trace-event / Perfetto JSON timeline here");
@@ -133,6 +138,7 @@ inline core::BackendRuns run_graph_backends(const std::string& dataset,
     cfg.num_clusters = k;
     cfg.backend = b;
     cfg.seed = flags.seed;
+    cfg.num_devices = flags.devices;
     if (!flags.faults.empty()) {
       cfg.faults = fault::FaultPlan::parse(flags.faults);
     }
@@ -159,6 +165,7 @@ inline core::BackendRuns run_points_backends(
     cfg.num_clusters = k;
     cfg.backend = b;
     cfg.seed = flags.seed;
+    cfg.num_devices = flags.devices;
     if (!flags.faults.empty()) {
       cfg.faults = fault::FaultPlan::parse(flags.faults);
     }

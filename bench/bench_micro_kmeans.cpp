@@ -63,23 +63,8 @@ void BM_KmeansppHostSeeding(benchmark::State& state) {
   }
 }
 
-void BM_KmeansppDeviceSeeding(benchmark::State& state) {
-  const index_t n = 8000, d = 32;
-  const index_t k = state.range(0);
-  const auto x = blob_data(n, d, k);
-  device::DeviceContext ctx;
-  device::DeviceBuffer<real> dx(ctx, std::span<const real>(x));
-  for (auto _ : state) {
-    Rng rng(7);
-    const auto seeds =
-        kmeans::kmeanspp_seeds_device(ctx, dx.data(), n, d, k, rng);
-    benchmark::DoNotOptimize(seeds.data());
-  }
-}
-
 }  // namespace
 
 BENCHMARK(BM_KmeansDeviceFull)->Arg(16)->Arg(64);
 BENCHMARK(BM_KmeansLloydFull)->Arg(16)->Arg(64);
 BENCHMARK(BM_KmeansppHostSeeding)->Arg(16)->Arg(64);
-BENCHMARK(BM_KmeansppDeviceSeeding)->Arg(16)->Arg(64);

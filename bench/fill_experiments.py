@@ -88,7 +88,6 @@ def main():
         ('bench_ablation_eigensolvers', None),
         ('bench_ablation_reorth', None),
         ('bench_ablation_embedding_norm', None),
-        ('bench_ablation_centroid_update', None),
         ('bench_ablation_bisection', None),
         ('bench_ablation_pcie', None),
     ]

@@ -145,86 +145,4 @@ void row_squared_norms(DeviceContext& ctx, index_t m, index_t n, const real* a,
                  algo_cfg("blas.row_norms", 2.0 * mn, mn * kReal, m * kReal));
 }
 
-namespace {
-
-/// View element access with a row offset (views carry no stride).
-real view_at(const ConstVecView& v, index_t i) {
-  return v.load(static_cast<usize>(i));
-}
-
-}  // namespace
-
-void gemv_mp(DeviceContext& ctx, index_t m, index_t n, real alpha,
-             ConstVecView a, index_t lda, ConstVecView x, real beta,
-             VecView y) {
-  const double mn = static_cast<double>(m) * n;
-  const auto ba = static_cast<double>(bytes_per_scalar(a.prec));
-  const auto bx = static_cast<double>(bytes_per_scalar(x.prec));
-  const auto by = static_cast<double>(bytes_per_scalar(y.prec));
-  device::LaunchConfig cfg =
-      algo_cfg("blas.gemv", 2.0 * mn, mn * ba + n * bx + m * by, m * by);
-  cfg.bytes_per_scalar = (mn * ba * ba + n * bx * bx + 2.0 * m * by * by) /
-                         (mn * ba + n * bx + 2.0 * m * by);
-  device::launch(ctx, m,
-                 [=](index_t i) {
-                   real acc = 0;
-                   for (index_t j = 0; j < n; ++j) {
-                     acc += view_at(a, i * lda + j) * view_at(x, j);
-                   }
-                   const real t = beta == 0 ? 0 : beta * y.load(static_cast<usize>(i));
-                   y.store(static_cast<usize>(i), alpha * acc + t);
-                 },
-                 cfg);
-}
-
-void gemm_nt_mp(DeviceContext& ctx, index_t m, index_t n, index_t k,
-                real alpha, ConstVecView a, index_t lda, ConstVecView b,
-                index_t ldb, real beta, real* c, index_t ldc) {
-  const double md = m, nd = n, kd = k;
-  const auto ba = static_cast<double>(bytes_per_scalar(a.prec));
-  const auto bb = static_cast<double>(bytes_per_scalar(b.prec));
-  device::LaunchConfig cfg = algo_cfg(
-      "blas.gemm", 2.0 * md * nd * kd,
-      md * kd * ba + kd * nd * bb + md * nd * kReal, md * nd * kReal);
-  cfg.bytes_per_scalar =
-      (md * kd * ba * ba + kd * nd * bb * bb + 2.0 * md * nd * kReal * kReal) /
-      (md * kd * ba + kd * nd * bb + 2.0 * md * nd * kReal);
-  // Same per-element op sequence as hblas::gemm_nt (scale then one
-  // fused add of alpha*acc), so the fp64-view run is bitwise the plain
-  // gemm_nt.
-  device::launch(ctx, m,
-                 [=](index_t i) {
-                   real* crow = c + i * ldc;
-                   for (index_t j = 0; j < n; ++j) {
-                     real acc = 0;
-                     for (index_t l = 0; l < k; ++l) {
-                       acc += view_at(a, i * lda + l) * view_at(b, j * ldb + l);
-                     }
-                     const real t = beta == 0 ? 0 : beta * crow[j];
-                     crow[j] = t + alpha * acc;
-                   }
-                 },
-                 cfg);
-}
-
-void row_squared_norms_mp(DeviceContext& ctx, index_t m, index_t n,
-                          ConstVecView a, index_t lda, real* rownorms) {
-  const double mn = static_cast<double>(m) * n;
-  const auto ba = static_cast<double>(bytes_per_scalar(a.prec));
-  device::LaunchConfig cfg =
-      algo_cfg("blas.row_norms", 2.0 * mn, mn * ba, m * kReal);
-  cfg.bytes_per_scalar =
-      (mn * ba * ba + m * kReal * kReal) / (mn * ba + m * kReal);
-  device::launch(ctx, m,
-                 [=](index_t i) {
-                   real acc = 0;
-                   for (index_t j = 0; j < n; ++j) {
-                     const real v = view_at(a, i * lda + j);
-                     acc += v * v;
-                   }
-                   rownorms[i] = acc;
-                 },
-                 cfg);
-}
-
 }  // namespace fastsc::dblas

@@ -7,7 +7,6 @@
 // as kernel time.
 #pragma once
 
-#include "common/precision.h"
 #include "common/types.h"
 #include "device/device.h"
 
@@ -44,28 +43,5 @@ void gemm_nt(DeviceContext& ctx, index_t m, index_t n, index_t k, real alpha,
 /// vectors of Eq. 13/14.
 void row_squared_norms(DeviceContext& ctx, index_t m, index_t n, const real* a,
                        index_t lda, real* rownorms);
-
-// --- mixed-precision variants (DESIGN.md §13) ------------------------------
-//
-// Operands read through ConstVecView — storage at any ladder rung, every
-// accumulation in fp64.  At fp64 views these are bitwise identical to the
-// plain kernels above (same loop order, the view load is a plain pointer
-// access); at narrower storage the declared kernel bytes shrink with the
-// storage width, which is the modeled win the precision bench measures.
-
-/// y = alpha * A @ x + beta * y; A m x n row-major at the view's width.
-void gemv_mp(DeviceContext& ctx, index_t m, index_t n, real alpha,
-             ConstVecView a, index_t lda, ConstVecView x, real beta,
-             VecView y);
-
-/// C = alpha * A @ B^T + beta * C with A, B narrow-storage and C fp64 — the
-/// k-means distance phase at a narrow embedding rung.
-void gemm_nt_mp(DeviceContext& ctx, index_t m, index_t n, index_t k,
-                real alpha, ConstVecView a, index_t lda, ConstVecView b,
-                index_t ldb, real beta, real* c, index_t ldc);
-
-/// rownorms[i] = sum_j A[i,j]^2 with A narrow-storage, fp64 accumulation.
-void row_squared_norms_mp(DeviceContext& ctx, index_t m, index_t n,
-                          ConstVecView a, index_t lda, real* rownorms);
 
 }  // namespace fastsc::dblas

@@ -53,7 +53,6 @@ std::uint64_t config_fingerprint(const SpectralConfig& cfg) {
   h = mix(h, cfg.eig_tol);
   h = mix(h, cfg.max_restarts);
   h = mix(h, static_cast<int>(cfg.which));
-  h = mix(h, cfg.async_pipeline);
   h = mix(h, cfg.similarity_chunk_edges);
   h = mix(h, cfg.kmeans_max_iters);
   h = mix(h, static_cast<int>(cfg.seeding));

@@ -4,10 +4,12 @@
 #pragma once
 
 #include <functional>
+#include <span>
 #include <string>
 #include <vector>
 
 #include "core/spectral.h"
+#include "device/device_group.h"
 #include "obs/attribution.h"
 
 namespace fastsc::core::detail {
@@ -37,6 +39,16 @@ using EigWave = std::function<void(const real* x, real* y, index_t basis)>;
 void run_rci(const SpectralConfig& cfg, index_t n, const EigWave& wave,
              const sparse::Coo& refine_w,
              const std::vector<real>& inv_sqrt_degree, SpectralResult& result);
+
+/// Step 4 behind every pipeline: cluster the rows of result.embedding, with
+/// device i of `group` owning rows [cuts[i], cuts[i+1]) (cuts on
+/// kmeans::kBlockRows boundaries).  Owns input validation, the optional NJW
+/// row normalization (applied to result.embedding once), the device
+/// ladder (integrity failure -> rebuilt device run -> host Lloyd) and the
+/// anytime rerun: a deadline before the first full assignment enters
+/// wrap-up and reruns the stage to completion.
+void kmeans_stage(device::DeviceGroup& group, std::span<const index_t> cuts,
+                  const SpectralConfig& cfg, SpectralResult& result);
 
 /// Auto-precision rung (DESIGN.md §13) around any eigensolve: run
 /// `solve(cfg)`; when the fp64 refinement residual of a narrow solve exceeds

@@ -3,8 +3,8 @@
 //
 // Stage mapping (the multi-GPU design of Sgherzi et al., arXiv:2201.07498):
 //
-//   * normalization (Algorithm 2) runs on the root device, which then
-//     distributes the CSR row blocks — one H2D upload per device;
+//   * normalization (Algorithm 2) runs distributed: every device normalizes
+//     its own CSR row block (graph::sym_normalized_sharded);
 //   * every reverse-communication SpMV is a sharded wave: own-segment
 //     upload, peer halo exchange on the modeled D2D link, interior rows
 //     overlapping the exchange, frontier rows behind the scatter;
@@ -12,12 +12,13 @@
 //     over the local rows plus a coefficient allreduce ("d2d.allreduce");
 //     the arithmetic itself stays in the host solver, bitwise identical to
 //     the single-device run;
-//   * k-means keeps the points (embedding rows) sharded in place: centroids
-//     broadcast root -> peers each sweep ("d2d.centroid_bcast"), every
-//     device reduces fixed 256-point blocks to partial sums, and the blocks
-//     fold on the root in ascending global order ("d2d.centroid_reduce") —
-//     the fixed fold order that makes labels byte-identical across device
-//     counts (DESIGN.md §12).
+//   * k-means is the same stage the single-device pipeline runs
+//     (detail::kmeans_stage over kmeans::kmeans_group), here over the
+//     eigensolver's row cuts: the points stay sharded in place, centroids
+//     broadcast root -> peers each sweep ("d2d.centroid_bcast"), and the
+//     fixed 256-point block partials fold on the root in ascending global
+//     order ("d2d.centroid_reduce") — the fixed fold order that makes
+//     labels byte-identical across device counts (DESIGN.md §12).
 //
 // Entered through SpectralConfig::num_devices > 1 (core/spectral.cpp); the
 // direct entry point here lets tests and benches own the DeviceGroup.

@@ -733,22 +733,20 @@ void eigensolve_host(const sparse::Coo& w, const SpectralConfig& cfg,
       to_embedding(eig.eigenvectors, isd, cfg.num_clusters, w.rows);
 }
 
-void kmeans_stage_run(device::DeviceContext& ctx, const SpectralConfig& cfg,
+}  // namespace
+
+namespace detail {
+
+namespace {
+
+/// One pass of Step 4 over the (already NJW-normalized) embedding with the
+/// configured backend; the device backend walks its degradation ladder.
+void kmeans_stage_run(device::DeviceGroup& group,
+                      std::span<const index_t> cuts, const SpectralConfig& cfg,
                       SpectralResult& result) {
   const index_t n = result.n;
   const index_t k = cfg.num_clusters;
-  if (cfg.row_normalize_embedding) {
-    // Ng-Jordan-Weiss: project each embedded point onto the unit sphere.
-    for (index_t i = 0; i < n; ++i) {
-      real* row = result.embedding.data() + i * k;
-      real norm = 0;
-      for (index_t l = 0; l < k; ++l) norm += row[l] * row[l];
-      if (norm > 0) {
-        const real inv = 1.0 / std::sqrt(norm);
-        for (index_t l = 0; l < k; ++l) row[l] *= inv;
-      }
-    }
-  }
+  const real* emb = result.embedding.data();
   const auto assign = [&](const kmeans::KmeansResult& res) {
     result.labels = res.labels;
     result.kmeans_converged = res.converged;
@@ -762,23 +760,33 @@ void kmeans_stage_run(device::DeviceContext& ctx, const SpectralConfig& cfg,
       kc.max_iters = cfg.kmeans_max_iters;
       kc.seeding = cfg.seeding;
       kc.seed = cfg.seed;
-      kc.async_pipeline = cfg.async_pipeline;
       kc.precision = cfg.precision.resolve(PrecisionStage::kKmeans);
       kc.record_inertia = cfg.record_kmeans_inertia;
       kc.abft = cfg.sdc.enabled && cfg.sdc.abft_kmeans;
       kc.abft_tolerance_scale = cfg.sdc.tolerance_scale;
-      // Degradation ladder: async device -> sync device -> host Lloyd.  An
-      // integrity failure takes the sync rung even when already synchronous:
-      // the re-run rebuilds the device-resident working set from the host
-      // embedding, which clears a one-shot upset.
+      const auto run_device = [&] {
+        const kmeans::KmeansResult res =
+            kmeans::kmeans_group(group, cuts, emb, n, k, kc);
+        result.integrity.checks += res.abft_checks;
+        result.integrity.detected += res.abft_detected;
+        result.integrity.recomputed += res.abft_recomputed;
+        for (std::uint64_t i = 0; i < res.abft_detected; ++i) {
+          result.integrity.events.push_back(
+              "gemm.kmeans_dist: ABFT checksum mismatch");
+        }
+        assign(res);
+      };
+      // Degradation ladder: device -> device rebuilt from the host
+      // embedding -> host Lloyd.  Only an integrity failure takes the
+      // rebuild rung: the rerun re-uploads every device's point block,
+      // which clears a one-shot upset.
       const DegradationPolicy& pol = cfg.degradation;
       std::exception_ptr last_error;
       std::string reason;
       bool integrity = false;
-      bool done = false;
       try {
-        assign(kmeans::kmeans_device(ctx, result.embedding.data(), n, k, kc));
-        done = true;
+        run_device();
+        return;
       } catch (const device::DeviceError& e) {
         if (!pol.enabled) throw;
         last_error = std::current_exception();
@@ -786,71 +794,94 @@ void kmeans_stage_run(device::DeviceContext& ctx, const SpectralConfig& cfg,
         integrity =
             dynamic_cast<const device::DataIntegrityError*>(&e) != nullptr;
       }
-      if (!done && pol.allow_sync_fallback &&
-          (kc.async_pipeline || integrity)) {
-        note_degradation(result, kStageKmeans, "kmeans-sync", reason);
-        kmeans::KmeansConfig sync_kc = kc;
-        sync_kc.async_pipeline = false;
+      if (integrity) {
+        ++result.integrity.detected;
+        result.integrity.events.push_back("gemm.kmeans_dist: " + reason);
+      }
+      if (integrity && pol.allow_sync_fallback) {
+        note_degradation(result, kStageKmeans, "kmeans-rebuild", reason);
         try {
-          obs::AttrSiteScope rung_site("fallback.kmeans_sync");
-          assign(kmeans::kmeans_device(ctx, result.embedding.data(), n, k,
-                                       sync_kc));
-          done = true;
+          obs::AttrSiteScope rung_site("fallback.kmeans_rebuild");
+          run_device();
+          return;
         } catch (const device::DeviceError& e) {
           last_error = std::current_exception();
           reason = e.what();
         }
       }
-      if (!done) {
-        if (!pol.allow_host_fallback) std::rethrow_exception(last_error);
-        note_degradation(result, kStageKmeans, "host-kmeans", reason);
-        obs::AttrSiteScope rung_site("fallback.host_kmeans");
-        assign(kmeans::kmeans_lloyd_host(result.embedding.data(), n, k, kc));
-      }
-      break;
+      if (!pol.allow_host_fallback) std::rethrow_exception(last_error);
+      note_degradation(result, kStageKmeans, "host-kmeans", reason);
+      obs::AttrSiteScope rung_site("fallback.host_kmeans");
+      assign(kmeans::kmeans_lloyd_host(emb, n, k, kc));
+      return;
     }
     case Backend::kMatlabLike: {
-      const auto res = baseline::kmeans_matlab(result.embedding.data(), n, k,
-                                               k, cfg.kmeans_max_iters,
-                                               cfg.seed);
+      const auto res = baseline::kmeans_matlab(emb, n, k, k,
+                                               cfg.kmeans_max_iters, cfg.seed);
       result.labels = res.labels;
       result.kmeans_converged = res.converged;
       result.kmeans_iterations = res.iterations;
       result.kmeans_inertia_history = res.inertia_history;
-      break;
+      return;
     }
     case Backend::kPythonLike: {
-      const auto res = baseline::kmeans_python(result.embedding.data(), n, k,
-                                               k, cfg.kmeans_max_iters,
-                                               cfg.seed);
+      const auto res = baseline::kmeans_python(emb, n, k, k,
+                                               cfg.kmeans_max_iters, cfg.seed);
       result.labels = res.labels;
       result.kmeans_converged = res.converged;
       result.kmeans_iterations = res.iterations;
       result.kmeans_inertia_history = res.inertia_history;
-      break;
+      return;
     }
   }
 }
 
-void kmeans_stage(device::DeviceContext& ctx, const SpectralConfig& cfg,
-                  SpectralResult& result) {
+}  // namespace
+
+void kmeans_stage(device::DeviceGroup& group, std::span<const index_t> cuts,
+                  const SpectralConfig& cfg, SpectralResult& result) {
   if (cfg.validate_inputs) {
     // The embedding is the k-means input; an abandoned eigensolve or a NaN
     // that slipped through a degraded rung must not poison the labels.
     check_finite(result.embedding, "spectral embedding (k-means input)");
   }
+  if (cfg.row_normalize_embedding) {
+    // Ng-Jordan-Weiss: project each embedded point onto the unit sphere.
+    const index_t k = result.k;
+    for (index_t i = 0; i < result.n; ++i) {
+      real* row = result.embedding.data() + i * k;
+      real norm = 0;
+      for (index_t l = 0; l < k; ++l) norm += row[l] * row[l];
+      if (norm > 0) {
+        const real inv = 1.0 / std::sqrt(norm);
+        for (index_t l = 0; l < k; ++l) row[l] *= inv;
+      }
+    }
+  }
   try {
-    kmeans_stage_run(ctx, cfg, result);
+    kmeans_stage_run(group, cuts, cfg, result);
   } catch (const cancel::CancelledError& e) {
     // The stage's own deadline expired somewhere labels are not yet valid
-    // (seeding, a torn async sweep).  With anytime enabled, enter wrap-up —
+    // (seeding, the first sweep).  With anytime enabled, enter wrap-up —
     // enforcement stops — and rerun the stage to completion so the caller
     // still gets a full assignment.
     cancel::Governor& gov = cancel::current_governor();
     if (!gov.anytime_allowed()) throw;
     gov.begin_wrapup(e.site().empty() ? e.what() : e.site());
-    kmeans_stage_run(ctx, cfg, result);
+    kmeans_stage_run(group, cuts, cfg, result);
   }
+}
+
+}  // namespace detail
+
+namespace {
+
+/// Step 4 on one context: the group-wide stage over a group of one.
+void kmeans_stage_single(device::DeviceContext& ctx, const SpectralConfig& cfg,
+                         SpectralResult& result) {
+  device::DeviceGroup group(ctx);
+  const index_t cuts[] = {0, result.n};
+  detail::kmeans_stage(group, cuts, cfg, result);
 }
 
 device::DeviceContext& resolve_ctx(device::DeviceContext* ctx) {
@@ -1004,7 +1035,7 @@ SpectralResult spectral_cluster_points(const real* x, index_t n, index_t d,
     obs::ScopedSpan span(kStageKmeans, "stage");
     cancel::StageScope budget_scope(kStageKmeans);
     obs::AttrSiteScope stage_site("stage.kmeans");
-    kmeans_stage(ctx, config, result);
+    kmeans_stage_single(ctx, config, result);
   }
   result.clock.stop();
 
@@ -1106,7 +1137,7 @@ SpectralResult spectral_cluster_graph(const sparse::Coo& w,
     obs::ScopedSpan span(kStageKmeans, "stage");
     cancel::StageScope budget_scope(kStageKmeans);
     obs::AttrSiteScope stage_site("stage.kmeans");
-    kmeans_stage(ctx, config, result);
+    kmeans_stage_single(ctx, config, result);
   }
   result.clock.stop();
 

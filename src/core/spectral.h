@@ -48,16 +48,16 @@ inline constexpr const char* kStageKmeans = "kmeans";
 
 /// Graceful-degradation policy for the device backend.  When a device stage
 /// throws a DeviceError the pipeline walks a ladder instead of aborting:
-/// device -> rebuilt device state (integrity failures; k-means also drops
-/// its async prefetch) -> host backend; the eigensolver can additionally
+/// device -> rebuilt device state (integrity failures only) -> host
+/// backend; the eigensolver can additionally
 /// resume a kFailed solve from its last IRLM checkpoint with an extended
 /// restart budget.  Every rung taken is recorded in
 /// SpectralResult::degradation and published as degrade.* counters.
 struct DegradationPolicy {
   bool enabled = true;
-  /// Retry a failed device stage on the device first: the eigensolver
-  /// rebuilds its device state after an integrity failure, k-means reruns
-  /// without the async prefetch.
+  /// Retry a device stage that failed an integrity check on the device
+  /// first: the eigensolver and k-means rebuild their device state from the
+  /// host copy.
   bool allow_sync_fallback = true;
   /// Last rung: redo the stage on the host (kMatlabLike kernels).
   bool allow_host_fallback = true;
@@ -123,16 +123,16 @@ struct SpectralConfig {
   index_t max_restarts = 500;
   /// Largest-algebraic of D^-1 W (the paper's numerically stable choice).
   lanczos::EigWhich which = lanczos::EigWhich::kLargestAlgebraic;
-  /// Prefetch the next centroid tile under the k-means distance GEMM on a
-  /// {transfer, compute} stream pair (KmeansConfig::async_pipeline).  The
-  /// eigensolver has one synchronous wave per RCI step and ignores this.
+  /// No effect: the k-means centroid-tile prefetch it switched is gone, and
+  /// it is not part of the config fingerprint.  Kept only so existing
+  /// callers compile.
   bool async_pipeline = true;
 
   /// Number of simulated devices for the graph pipeline (device backend).
-  /// 1 (default) runs the existing single-device path untouched; > 1 builds
-  /// a transient DeviceGroup and runs the row-sharded multi-device pipeline
-  /// (core/sharded.h): halo-exchanged SpMV waves, allreduced CGS2, and
-  /// blocked k-means reductions.  Labels are byte-identical for every value
+  /// 1 (default) runs the single-device path; > 1 builds a transient
+  /// DeviceGroup and runs the row-sharded multi-device pipeline
+  /// (core/sharded.h): halo-exchanged SpMV waves and allreduced CGS2.  Both
+  /// run the same blocked k-means sweep.  Labels are byte-identical for every value
   /// of this knob (DESIGN.md §12 determinism contract).  On a permanent
   /// device error the run degrades to the single-device pipeline when
   /// degradation.enabled.  Points mode ignores this with a WARN.
@@ -173,9 +173,8 @@ struct SpectralConfig {
   /// can also be forced globally with FASTSC_TRACE=1.
   bool trace = false;
 
-  /// Record per-sweep k-means inertia into kmeans_inertia_history (one extra
-  /// device reduction per Lloyd sweep on the device backend).  Implied by
-  /// tracing.
+  /// Record per-sweep k-means inertia into kmeans_inertia_history.  Implied
+  /// by tracing.
   bool record_kmeans_inertia = false;
 
   /// How the device backend degrades on DeviceErrors instead of aborting.

@@ -96,30 +96,40 @@ void gather(DeviceContext& ctx, const I* map, const T* in, T* out, index_t n) {
                           static_cast<double>(n) * sizeof(T)));
 }
 
-/// Tree-style parallel reduction: combine(...combine(init, x0)..., xn-1).
-/// combine must be associative and commutative-safe for the partials order.
+/// Blocked parallel reduction: each fixed kReduceBlock-element block folds
+/// serially from `init`, then the block partials fold in ascending order
+/// into `init`.  The combine order depends on n alone, never on the worker
+/// count, so floating-point sums are bitwise reproducible across pools.
+inline constexpr index_t kReduceBlock = 4096;
+
 template <class T, class Combine>
 [[nodiscard]] T reduce(DeviceContext& ctx, const T* in, index_t n, T init,
                        const Combine& combine) {
   if (n <= 0) return init;
   WallTimer t;
+  const index_t blocks = (n + kReduceBlock - 1) / kReduceBlock;
+  std::vector<T> partials(static_cast<usize>(blocks), init);
+  const auto fold_blocks = [&](index_t b0, index_t b1) {
+    for (index_t b = b0; b < b1; ++b) {
+      const index_t hi = std::min(n, (b + 1) * kReduceBlock);
+      T acc = init;
+      for (index_t i = b * kReduceBlock; i < hi; ++i) acc = combine(acc, in[i]);
+      partials[static_cast<usize>(b)] = acc;
+    }
+  };
   const auto workers = static_cast<index_t>(ctx.pool().worker_count());
-  T result = init;
-  if (workers == 1) {
-    for (index_t i = 0; i < n; ++i) result = combine(result, in[i]);
+  if (workers == 1 || blocks == 1) {
+    fold_blocks(0, blocks);
   } else {
-    const index_t chunk = (n + workers - 1) / workers;
-    std::vector<T> partials(static_cast<usize>(workers), init);
+    const index_t chunk = (blocks + workers - 1) / workers;
     std::function<void(usize)> job = [&](usize w) {
       const index_t lo = static_cast<index_t>(w) * chunk;
-      const index_t hi = lo + chunk < n ? lo + chunk : n;
-      T acc = init;
-      for (index_t i = lo; i < hi; ++i) acc = combine(acc, in[i]);
-      partials[w] = acc;
+      fold_blocks(std::min(lo, blocks), std::min(lo + chunk, blocks));
     };
     ctx.run_compute(job);
-    for (const T& p : partials) result = combine(result, p);
   }
+  T result = init;
+  for (const T& p : partials) result = combine(result, p);
   ctx.record_kernel(t.seconds(), -1.0,
                     detail::algo_cost("algo.reduce", static_cast<double>(n),
                                       static_cast<double>(n) * sizeof(T),

@@ -247,7 +247,12 @@ void DeviceContext::record_d2d(usize bytes, double measured_seconds,
 
 void DeviceContext::record_kernel(double seconds, double modeled_override,
                                   const obs::KernelCost& cost) {
-  const double duration = modeled_override >= 0 ? modeled_override : seconds;
+  double duration = modeled_override;
+  if (duration < 0) {
+    duration = modeled_kernel_seconds(std::max(cost.bytes_read, 0.0) +
+                                      std::max(cost.bytes_written, 0.0));
+  }
+  if (duration < 0) duration = seconds;
   {
     std::lock_guard lock(meter_mu_);
     VirtualClock& clk = current_clock_locked();

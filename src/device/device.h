@@ -278,6 +278,28 @@ class DeviceContext {
         model_.bandwidth_bytes_per_sec * model_.efficiency));
   }
 
+  /// Deterministic kernel cost model: while `bytes_per_sec` > 0, a kernel
+  /// recorded without an explicit modeled duration is charged
+  /// `latency_seconds + (bytes_read + bytes_written) / bytes_per_sec`
+  /// instead of its measured wall time, so modeled timelines (the
+  /// DeviceGroup speedup curves) are a pure function of the work, not of
+  /// host noise.  0 (default) keeps measured kernel wall time.
+  void set_kernel_cost_model(double bytes_per_sec,
+                             double latency_seconds) noexcept {
+    kernel_bytes_per_sec_ = bytes_per_sec;
+    kernel_latency_seconds_ = latency_seconds;
+  }
+
+  /// Modeled duration of a kernel touching `bytes_touched` bytes under the
+  /// cost model, or -1 (measure wall time) when the model is off.  Feed to
+  /// LaunchConfig::modeled_seconds for launches whose charged bytes differ
+  /// from their declared bytes_read + bytes_written.
+  [[nodiscard]] double modeled_kernel_seconds(
+      double bytes_touched) const noexcept {
+    if (kernel_bytes_per_sec_ <= 0) return -1.0;
+    return kernel_latency_seconds_ + bytes_touched / kernel_bytes_per_sec_;
+  }
+
   void set_transfer_retry(TransferRetryPolicy p) noexcept { retry_ = p; }
   [[nodiscard]] const TransferRetryPolicy& transfer_retry() const noexcept {
     return retry_;
@@ -336,7 +358,8 @@ class DeviceContext {
   void record_d2d(usize bytes, double measured_seconds,
                   const char* site = nullptr);
   /// `modeled_override` >= 0 replaces the duration on the virtual timeline
-  /// and in kernel_seconds (deterministic tests, future kernel cost models).
+  /// and in kernel_seconds (deterministic tests, explicit cost formulas);
+  /// otherwise the kernel cost model, when set, charges the cost's bytes.
   void record_kernel(double seconds, double modeled_override = -1.0,
                      const obs::KernelCost& cost = {});
   void record_alloc(usize bytes);
@@ -429,6 +452,8 @@ class DeviceContext {
   std::vector<Interval> copy_intervals_;
   std::vector<Interval> kernel_intervals_;
   TransferRetryPolicy retry_;
+  double kernel_bytes_per_sec_ = 0;
+  double kernel_latency_seconds_ = 0;
   std::uint32_t link_tid_ = obs::kLinkTid;
   std::uint32_t compute_tid_ = obs::kComputeTid;
 };
@@ -568,10 +593,10 @@ struct LaunchConfig {
   index_t block = 256;
 
   /// Virtual-timeline duration override in seconds.  < 0 (default) uses the
-  /// measured wall time of the kernel body; >= 0 substitutes this duration
-  /// both on the timeline and in DeviceCounters::kernel_seconds, which lets
-  /// tests build deterministic overlap scenarios and future work model
-  /// kernels whose simulated speed should not depend on the host machine.
+  /// context's kernel cost model when set, else the measured wall time of
+  /// the kernel body; >= 0 substitutes this duration both on the timeline
+  /// and in DeviceCounters::kernel_seconds, which lets tests build
+  /// deterministic overlap scenarios.
   double modeled_seconds = -1.0;
 
   /// Attribution site for this launch (stable dotted lowercase identifier,
@@ -625,7 +650,7 @@ void launch(DeviceContext& ctx, index_t n, const Kernel& kernel,
   cost.bytes_written = cfg.bytes_written >= 0 ? cfg.bytes_written : 8.0 * work;
   cost.bytes_per_scalar = cfg.bytes_per_scalar;
   if (n <= 0) {
-    ctx.record_kernel(0.0, -1.0, cost);
+    ctx.record_kernel(0.0, 0.0, cost);  // an empty launch is free
     return;
   }
   WallTimer t;

@@ -12,18 +12,30 @@ DeviceGroup::DeviceGroup(const DeviceGroupConfig& config) : config_(config) {
                "a device group needs at least one device");
   const usize workers =
       config_.workers_per_device == 0 ? 1 : config_.workers_per_device;
-  contexts_.reserve(config_.num_devices);
+  owned_.reserve(config_.num_devices);
   for (usize i = 0; i < config_.num_devices; ++i) {
     auto ctx = std::make_unique<DeviceContext>(workers, config_.model);
     if (config_.memory_limit_bytes != 0) {
       ctx->set_memory_limit(config_.memory_limit_bytes);
     }
+    if (config_.modeled_compute_bytes_per_sec > 0) {
+      ctx->set_kernel_cost_model(config_.modeled_compute_bytes_per_sec,
+                                 config_.modeled_launch_latency_seconds);
+    }
     // Device i's virtual timeline lives on tracks (2i+1, 2i+2); device 0
     // keeps the legacy single-device pair (kLinkTid, kComputeTid) = (1, 2).
     ctx->set_trace_tids(static_cast<std::uint32_t>(2 * i + 1),
                         static_cast<std::uint32_t>(2 * i + 2));
-    contexts_.push_back(std::move(ctx));
+    contexts_.push_back(ctx.get());
+    owned_.push_back(std::move(ctx));
   }
+}
+
+DeviceGroup::DeviceGroup(DeviceContext& root) : contexts_{&root} {
+  config_.num_devices = 1;
+  config_.workers_per_device = root.pool().worker_count();
+  config_.model = root.transfer_model();
+  config_.memory_limit_bytes = root.memory_limit();
 }
 
 void DeviceGroup::model_peer_transfer(usize src, usize dst, usize bytes,

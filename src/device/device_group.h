@@ -44,10 +44,11 @@ struct DeviceGroupConfig {
   /// Per-device memory budget in bytes; 0 = unlimited.
   usize memory_limit_bytes = 0;
 
-  /// Deterministic kernel cost model for the sharded drivers: when > 0,
-  /// launches pass modeled_seconds = launch latency + bytes_touched / rate,
-  /// so modeled speedup curves are a pure function of the partition, not of
-  /// host wall-clock noise.  0 keeps measured kernel wall time.
+  /// Deterministic kernel cost model, installed on every device context
+  /// (DeviceContext::set_kernel_cost_model) when > 0: kernels are charged
+  /// launch latency + bytes touched / rate, so modeled speedup curves are a
+  /// pure function of the partition, not of host wall-clock noise.  0 keeps
+  /// measured kernel wall time.
   double modeled_compute_bytes_per_sec = 0;
   double modeled_launch_latency_seconds = 5.0e-6;
 };
@@ -55,6 +56,12 @@ struct DeviceGroupConfig {
 class DeviceGroup {
  public:
   explicit DeviceGroup(const DeviceGroupConfig& config = {});
+
+  /// A group of one that borrows the caller's context as device 0: no new
+  /// contexts or pools, and the context keeps its workers, transfer model,
+  /// trace tracks and counters.  This is how single-device pipelines run
+  /// the group-wide stages.  `root` must outlive the group.
+  explicit DeviceGroup(DeviceContext& root);
 
   DeviceGroup(const DeviceGroup&) = delete;
   DeviceGroup& operator=(const DeviceGroup&) = delete;
@@ -74,16 +81,6 @@ class DeviceGroup {
 
   [[nodiscard]] const DeviceGroupConfig& config() const noexcept {
     return config_;
-  }
-
-  /// Modeled duration for a kernel touching `bytes_touched` bytes under
-  /// config().modeled_compute_bytes_per_sec, or -1 (measure wall time) when
-  /// the kernel cost model is off.  Feed to LaunchConfig::modeled_seconds.
-  [[nodiscard]] double modeled_kernel_seconds(
-      double bytes_touched) const noexcept {
-    if (config_.modeled_compute_bytes_per_sec <= 0) return -1.0;
-    return config_.modeled_launch_latency_seconds +
-           bytes_touched / config_.modeled_compute_bytes_per_sec;
   }
 
   /// cudaMemcpyPeer: copy `count` elements from device `src` memory into
@@ -136,7 +133,8 @@ class DeviceGroup {
   void note_peer_traffic(usize bytes);
 
   DeviceGroupConfig config_;
-  std::vector<std::unique_ptr<DeviceContext>> contexts_;
+  std::vector<std::unique_ptr<DeviceContext>> owned_;
+  std::vector<DeviceContext*> contexts_;
 };
 
 /// Sum `b` into `a` field by field (used by the rollup and by tests

@@ -6,9 +6,8 @@
 // dependencies become record/wait event pairs.  Nodes are emitted eagerly —
 // add() enqueues immediately, so a transfer node on stream 0 runs while a
 // compute node on stream 1 is still executing, which is the entire point:
-// the spectral pipeline uses a {transfer, compute} stream pair to
-// double-buffer the RCI eigensolver loop and to prefetch k-means centroid
-// tiles behind the distance GEMM.
+// each device of a sharded SpMV wave (sparse/shard.h) runs a {transfer,
+// compute} stream pair so its halo exchange overlaps its interior rows.
 //
 // The graph is acyclic by construction: a dependency must name an
 // already-added node.  reset() forgets the graph between waves (e.g. RCI

@@ -24,6 +24,7 @@
 //   bitflip.csr.values      resident normalized CSR value array
 //   bitflip.basis.column    Lanczos basis column staged back from the device
 //   bitflip.device.buffer   staged host->device transfer buffer
+//   bitflip.kmeans.dist     k-means distance block S after the GEMM
 //   bitflip.checkpoint.blob serialized LanczosCheckpoint payload
 //   bitflip.cache.entry     ResultCache entry at rest
 //

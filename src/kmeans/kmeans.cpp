@@ -3,8 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <limits>
-
-#include <memory>
+#include <string>
 
 #include "blas/dblas.h"
 #include "common/cancel.h"
@@ -12,7 +11,7 @@
 #include "common/rng.h"
 #include "common/validation.h"
 #include "device/algorithms.h"
-#include "device/executor.h"
+#include "fault/fault.h"
 #include "kmeans/seeding.h"
 #include "obs/attribution.h"
 #include "obs/sdc.h"
@@ -22,200 +21,349 @@ namespace fastsc::kmeans {
 
 namespace {
 
-/// Empty-cluster repair: re-seed each empty centroid at the point currently
-/// farthest from its assigned centroid (classic farthest-point heuristic).
-/// Host-side over the downloaded per-point min distances — k and the number
-/// of empties are small relative to n.
-void repair_empty_clusters(std::vector<real>& centroids,
-                           const std::vector<index_t>& counts,
-                           const std::vector<real>& host_v,
-                           std::vector<real> min_dist, index_t n, index_t d) {
-  const index_t k = static_cast<index_t>(counts.size());
-  for (index_t c = 0; c < k; ++c) {
-    if (counts[static_cast<usize>(c)] != 0) continue;
-    index_t far = 0;
-    real best = -1;
-    for (index_t j = 0; j < n; ++j) {
-      if (min_dist[static_cast<usize>(j)] > best) {
-        best = min_dist[static_cast<usize>(j)];
-        far = j;
+/// One device's share of the sweep: its point block plus the sweep buffers.
+struct Shard {
+  device::DeviceContext* ctx = nullptr;
+  index_t row_begin = 0;
+  index_t rows = 0;
+  index_t blocks = 0;
+  real vnorm_sum = 0;  ///< ABFT: sum of vnorm, fixed for the solve
+  device::DeviceBuffer<real> v;         ///< local points, rows x d (fp64)
+  device::DeviceBuffer<real> vnorm;     ///< ||v_i||^2 (Eq. 13)
+  device::DeviceBuffer<real> cent;      ///< centroid replica, k x d
+  device::DeviceBuffer<real> cnorm;     ///< ||c_j||^2 (Eq. 14)
+  device::DeviceBuffer<real> s;         ///< distance block, rows x k
+  device::DeviceBuffer<index_t> cur;    ///< labels after the last sweep
+  device::DeviceBuffer<index_t> next;   ///< labels being assigned
+  device::DeviceBuffer<real> min_dist;  ///< distance to the own centroid
+  device::DeviceBuffer<real> partials;  ///< blocks x stride reduction output
+  device::DeviceBuffer<real> colsum_v;  ///< ABFT: column sums of v
+  device::DeviceBuffer<real> prod;      ///< ABFT: colsum(v) .* colsum(C)
+};
+
+/// Algorithm 4 step 1 for one device.  Below fp64 the block crosses the
+/// link packed at the rung's width and widens into the fp64 working copy on
+/// the device (the values are already quantized, so widening is exact).
+device::DeviceBuffer<real> upload_points(device::DeviceContext& ctx,
+                                         const real* v, usize count,
+                                         Precision prec) {
+  if (prec == Precision::kFp64) {
+    return device::DeviceBuffer<real>(ctx, std::span<const real>(v, count));
+  }
+  const usize w = bytes_per_scalar(prec);
+  std::vector<unsigned char> packed(count * w);
+  pack_scalars(v, count, prec, packed.data());
+  const device::DeviceBuffer<unsigned char> staged(
+      ctx, std::span<const unsigned char>(packed));
+  device::DeviceBuffer<real> out(ctx, count);
+  const ConstVecView pv(staged.data(), prec);
+  real* op = out.data();
+  const auto c = static_cast<double>(count);
+  device::LaunchConfig cfg = device::tagged(
+      "precision.stage", c, c * static_cast<double>(w), c * sizeof(real));
+  cfg.bytes_per_scalar = static_cast<double>(w);
+  device::launch(ctx, static_cast<index_t>(count),
+                 [=](index_t i) { op[i] = pv.load(static_cast<usize>(i)); },
+                 cfg);
+  return out;
+}
+
+/// Lloyd iterations over a device group.  Construction uploads every
+/// device's point block once; run() clusters from one seed and can repeat
+/// for restarts.
+class GroupSweep {
+ public:
+  GroupSweep(device::DeviceGroup& group, std::span<const index_t> cuts,
+             const real* v, index_t n, index_t d, const KmeansConfig& config)
+      : group_(group), v_(v), n_(n), d_(d), k_(config.k), config_(config),
+        // Partial record per block: k*d centroid sums, k counts, changed,
+        // inertia.
+        stride_(static_cast<usize>(k_) * static_cast<usize>(d_) +
+                static_cast<usize>(k_) + 2),
+        shards_(group.size()) {
+    for (usize dev = 0; dev < shards_.size(); ++dev) {
+      Shard& sh = shards_[dev];
+      device::DeviceContext& ctx = group.device(dev);
+      sh.ctx = &ctx;
+      sh.row_begin = cuts[dev];
+      sh.rows = cuts[dev + 1] - cuts[dev];
+      sh.blocks = (sh.rows + kBlockRows - 1) / kBlockRows;
+      const auto nl = static_cast<usize>(sh.rows);
+      sh.v = upload_points(ctx, v + sh.row_begin * d,
+                           nl * static_cast<usize>(d), config.precision);
+      sh.vnorm = device::DeviceBuffer<real>(ctx, nl);
+      sh.cent = device::DeviceBuffer<real>(
+          ctx, static_cast<usize>(k_) * static_cast<usize>(d));
+      sh.cnorm = device::DeviceBuffer<real>(ctx, static_cast<usize>(k_));
+      sh.s = device::DeviceBuffer<real>(ctx, nl * static_cast<usize>(k_));
+      sh.cur = device::DeviceBuffer<index_t>(ctx, nl);
+      sh.next = device::DeviceBuffer<index_t>(ctx, nl);
+      sh.min_dist = device::DeviceBuffer<real>(ctx, nl);
+      sh.partials = device::DeviceBuffer<real>(
+          ctx, static_cast<usize>(sh.blocks) * stride_);
+      // V is fixed for the solve: its norms (Eq. 13) and, for the ABFT
+      // identity, their sum and its column sums are computed once.
+      dblas::row_squared_norms(ctx, sh.rows, d, sh.v.data(), d,
+                               sh.vnorm.data());
+      if (config.abft) {
+        obs::AttrSiteScope abft_site("sdc.checksum");
+        sh.vnorm_sum = device::reduce_sum(ctx, sh.vnorm.data(), sh.rows);
+        sh.colsum_v = device::DeviceBuffer<real>(ctx, static_cast<usize>(d));
+        sh.prod = device::DeviceBuffer<real>(ctx, static_cast<usize>(d));
+        const real* vp = sh.v.data();
+        real* csv = sh.colsum_v.data();
+        const index_t rows = sh.rows;
+        device::launch(
+            ctx, d,
+            [=](index_t j) {
+              real acc = 0;
+              for (index_t i = 0; i < rows; ++i) acc += vp[i * d + j];
+              csv[j] = acc;
+            },
+            device::tagged("sdc.checksum", static_cast<double>(rows) * d,
+                           static_cast<double>(rows) * d * sizeof(real),
+                           static_cast<double>(d) * sizeof(real)));
       }
     }
-    std::copy(host_v.begin() + far * d, host_v.begin() + (far + 1) * d,
-              centroids.begin() + c * d);
-    min_dist[static_cast<usize>(far)] = -1;  // don't reuse for another empty
+  }
+
+  KmeansResult run(std::uint64_t seed);
+
+ private:
+  void assemble_distances(Shard& sh, index_t sweep, KmeansResult& result);
+  void assign_and_reduce(Shard& sh);
+
+  device::DeviceGroup& group_;
+  const real* v_;  ///< host points (quantized at a narrow rung)
+  index_t n_;
+  index_t d_;
+  index_t k_;
+  const KmeansConfig& config_;
+  usize stride_;
+  std::vector<Shard> shards_;
+};
+
+/// S = Vnorm + Cnorm - 2 V C^T for one device (Eq. 11-16), then — with ABFT
+/// on — detect -> recompute the block once -> escalate: a second mismatch
+/// means the corruption lives upstream (V, centroids, norms) and the k-means
+/// ladder has to rebuild device state.
+void GroupSweep::assemble_distances(Shard& sh, index_t sweep,
+                                    KmeansResult& result) {
+  device::DeviceContext& ctx = *sh.ctx;
+  const index_t nl = sh.rows;
+  const index_t k = k_;
+  const index_t d = d_;
+  real* sp = sh.s.data();
+  for (int attempt = 0;; ++attempt) {
+    {
+      obs::AttrSiteScope dist_site("gemm.kmeans_dist");
+      dblas::row_squared_norms(ctx, k, d, sh.cent.data(), d, sh.cnorm.data());
+      const real* vnorm = sh.vnorm.data();
+      const real* cnorm = sh.cnorm.data();
+      device::launch(
+          ctx, nl * k,
+          [=](index_t t) { sp[t] = vnorm[t / k] + cnorm[t % k]; },
+          device::tagged("gemm.kmeans_dist", static_cast<double>(nl) * k,
+                         static_cast<double>(nl + k) * sizeof(real),
+                         static_cast<double>(nl) * k * sizeof(real)));
+      dblas::gemm_nt(ctx, nl, k, d, -2.0, sh.v.data(), d, sh.cent.data(), d,
+                     1.0, sp, k);
+      fault::corrupt_scalars("bitflip.kmeans.dist", sp,
+                             static_cast<usize>(nl) * static_cast<usize>(k));
+    }
+    if (!config_.abft) return;
+    obs::AttrSiteScope abft_site("sdc.checksum");
+    obs::sdc_note_check();
+    ++result.abft_checks;
+    const real* csv = sh.colsum_v.data();
+    const real* cp = sh.cent.data();
+    real* prod = sh.prod.data();
+    device::launch(ctx, d,
+                   [=](index_t j) {
+                     real acc = 0;
+                     for (index_t c = 0; c < k; ++c) acc += cp[c * d + j];
+                     prod[j] = csv[j] * acc;
+                   },
+                   device::tagged("sdc.checksum", static_cast<double>(k) * d,
+                                  static_cast<double>(k) * d * sizeof(real),
+                                  static_cast<double>(d) * sizeof(real)));
+    const real sum_s = device::reduce_sum(ctx, sp, nl * k);
+    const real sum_vn = sh.vnorm_sum;
+    const real sum_cn = device::reduce_sum(ctx, sh.cnorm.data(), k);
+    const real dot = device::reduce_sum(ctx, sh.prod.data(), d);
+    const real predicted = k * sum_vn + nl * sum_cn - 2 * dot;
+    const real scale =
+        std::abs(k * sum_vn) + std::abs(nl * sum_cn) + 2 * std::abs(dot) + 1;
+    const double elems = static_cast<double>(nl) * (k + d) + d;
+    const real tol = config_.abft_tolerance_scale *
+                     std::numeric_limits<real>::epsilon() *
+                     (std::sqrt(elems) + 64) * scale;
+    if (std::abs(sum_s - predicted) <= tol) return;
+    ++result.abft_detected;
+    obs::sdc_note_detected(
+        "gemm.kmeans_dist",
+        "sum(S) = " + std::to_string(sum_s) + " vs predicted " +
+            std::to_string(predicted) + " (tol " + std::to_string(tol) +
+            ") at sweep " + std::to_string(sweep));
+    if (attempt == 0) {
+      ++result.abft_recomputed;
+      obs::sdc_note_recomputed("gemm.kmeans_dist");
+      continue;
+    }
+    throw device::DataIntegrityError(
+        "k-means distance checksum mismatch persisted after recompute at "
+        "sweep " +
+        std::to_string(sweep));
   }
 }
 
-/// Narrow-rung Lloyd: mirrors the sharded k-means sweep arithmetic exactly —
-/// direct squared distances, fixed 256-point block partials folded in
-/// ascending block order, host-side centroid update, farthest-point repair,
-/// host seeding — so a single-device run is bitwise label-identical to a
-/// sharded run at the same rung, for any device count.  The fp64 path's
-/// expanded-norm GEMM (Vnorm + Cnorm - 2<v,c>) rounds differently, which a
-/// coarse rung turns into visible label flips at quantization ties.
-/// `v` is the already-quantized host embedding.
-constexpr index_t kNarrowBlock = 256;  // == core's kKmeansBlock
+/// Label every local point with the argmin of its row of S, then reduce
+/// fixed kBlockRows-point blocks to partial (sums, counts, changed,
+/// inertia) records.
+void GroupSweep::assign_and_reduce(Shard& sh) {
+  device::DeviceContext& ctx = *sh.ctx;
+  const index_t nl = sh.rows;
+  const index_t k = k_;
+  const index_t d = d_;
+  const real* sp = sh.s.data();
+  const real* pv = sh.v.data();
+  const index_t* cur = sh.cur.data();
+  index_t* next = sh.next.data();
+  real* min_dist = sh.min_dist.data();
+  real* partials = sh.partials.data();
+  device::launch(
+      ctx, nl,
+      [=](index_t i) {
+        const real* row = sp + i * k;
+        index_t best = 0;
+        real best_val = row[0];
+        for (index_t j = 1; j < k; ++j) {
+          if (row[j] < best_val) {
+            best_val = row[j];
+            best = j;
+          }
+        }
+        next[i] = best;
+        min_dist[i] = best_val;
+      },
+      device::tagged("kmeans.argmin", static_cast<double>(nl) * k,
+                     static_cast<double>(nl) * k * sizeof(real),
+                     static_cast<double>(nl) *
+                         (sizeof(real) + sizeof(index_t))));
 
-KmeansResult kmeans_lloyd_narrow(device::DeviceContext& ctx, const real* v,
-                                 index_t n, index_t d,
-                                 const KmeansConfig& config) {
-  const index_t k = config.k;
-  const Precision prec = config.precision;
-  Rng rng(config.seed);
+  const usize stride = stride_;
+  device::launch(
+      ctx, sh.blocks,
+      [=](index_t b) {
+        real* rec = partials + static_cast<usize>(b) * stride;
+        for (usize s = 0; s < stride; ++s) rec[s] = 0;
+        real* rsums = rec;
+        real* rcounts = rec + k * d;
+        real& rchanged = rec[stride - 2];
+        real& rinertia = rec[stride - 1];
+        const index_t i0 = b * kBlockRows;
+        const index_t i1 = std::min(nl, i0 + kBlockRows);
+        for (index_t i = i0; i < i1; ++i) {
+          const index_t lab = next[i];
+          const real* row = pv + i * d;
+          for (index_t l = 0; l < d; ++l) rsums[lab * d + l] += row[l];
+          rcounts[lab] += 1;
+          if (next[i] != cur[i]) rchanged += 1;
+          rinertia += min_dist[i];
+        }
+      },
+      device::tagged(
+          "kmeans.block_reduce",
+          static_cast<double>(nl) * static_cast<double>(d + 2),
+          static_cast<double>(nl) *
+              (static_cast<double>(d) * sizeof(real) + 2.0 * sizeof(index_t)),
+          static_cast<double>(sh.blocks) * static_cast<double>(stride) *
+              sizeof(real)));
+}
 
-  // Host seeding over the quantized points — the same draws the sharded
-  // path makes, independent of the device count.
+KmeansResult GroupSweep::run(std::uint64_t seed) {
+  const index_t n = n_;
+  const index_t d = d_;
+  const index_t k = k_;
+  const usize stride = stride_;
+  const usize ndev = shards_.size();
+
+  Rng rng(seed);
   const std::vector<index_t> seed_rows =
-      config.seeding == Seeding::kKmeansPlusPlus
-          ? kmeanspp_seeds_host(v, n, d, k, rng)
+      config_.seeding == Seeding::kKmeansPlusPlus
+          ? kmeanspp_seeds_host(v_, n, d, k, rng)
           : random_seeds_host(n, k, rng);
   std::vector<real> centroids(static_cast<usize>(k) * static_cast<usize>(d));
-  const std::vector<real> host_v(
-      v, v + static_cast<usize>(n) * static_cast<usize>(d));
   for (index_t c = 0; c < k; ++c) {
-    std::copy(host_v.begin() + seed_rows[static_cast<usize>(c)] * d,
-              host_v.begin() + (seed_rows[static_cast<usize>(c)] + 1) * d,
-              centroids.begin() + c * d);
+    const real* row = v_ + seed_rows[static_cast<usize>(c)] * d;
+    std::copy(row, row + d, centroids.begin() + c * d);
   }
-
-  // Narrow uplink: packed scalars over PCIe, widened into the fp64 working
-  // copy the sweep kernels read (values already quantized, so widening is
-  // exact and every device-count sees the same fp64 bits).
-  const usize w = bytes_per_scalar(prec);
-  const usize cnt = static_cast<usize>(n) * static_cast<usize>(d);
-  std::vector<unsigned char> packed(cnt * w);
-  pack_scalars(v, cnt, prec, packed.data());
-  const device::DeviceBuffer<unsigned char> staged(
-      ctx, std::span<const unsigned char>(packed));
-  device::DeviceBuffer<real> dev_v(ctx, cnt);
-  {
-    const ConstVecView pv(staged.data(), prec);
-    real* vp = dev_v.data();
-    const double c = static_cast<double>(cnt);
-    device::LaunchConfig cfg = device::tagged(
-        "precision.stage", c, c * static_cast<double>(w), c * sizeof(real));
-    cfg.bytes_per_scalar = static_cast<double>(w);
-    device::launch(ctx, static_cast<index_t>(cnt),
-                   [=](index_t i) { vp[i] = pv.load(static_cast<usize>(i)); },
-                   cfg);
-  }
-
-  // Partial record per block: k*d centroid sums, k counts, changed, inertia.
-  const index_t blocks = (n + kNarrowBlock - 1) / kNarrowBlock;
-  const usize stride = static_cast<usize>(k) * static_cast<usize>(d) +
-                       static_cast<usize>(k) + 2;
-  device::DeviceBuffer<real> dev_cent(ctx, centroids.size());
-  device::DeviceBuffer<index_t> dev_cur(ctx, static_cast<usize>(n));
-  device::DeviceBuffer<index_t> dev_next(ctx, static_cast<usize>(n));
-  device::DeviceBuffer<real> dev_mindist(ctx, static_cast<usize>(n));
-  device::DeviceBuffer<real> dev_partials(
-      ctx, static_cast<usize>(blocks) * stride);
-  {
+  for (Shard& sh : shards_) {
     // Labels start at the invalid value k so the first sweep counts every
-    // point as changed (the sharded cold-start convention).
-    index_t* cur = dev_cur.data();
-    device::launch(ctx, n, [cur, k](index_t i) { cur[i] = k; },
+    // point as changed.
+    index_t* cur = sh.cur.data();
+    device::launch(*sh.ctx, sh.rows, [cur, k](index_t i) { cur[i] = k; },
                    device::tagged("kmeans.init"));
   }
 
   KmeansResult result;
-  std::vector<real> host_partials(static_cast<usize>(blocks) * stride);
+  std::vector<real> host_partials;
   std::vector<real> sums(centroids.size());
   std::vector<index_t> counts(static_cast<usize>(k));
   real inertia = 0;
-  index_t iterations = 0;
-  for (index_t sweep = 0; sweep < config.max_iters; ++sweep) {
-    cancel::poll("kmeans.sweep");
-    dev_cent.copy_from_host(std::span<const real>(centroids));
+  for (index_t sweep = 0; sweep < config_.max_iters; ++sweep) {
+    // Deadline check at the sweep boundary.  The first sweep must run (there
+    // is no assignment yet), so it polls hard; later sweeps stop softly on
+    // an anytime expiry, keeping the previous assignment.
+    if (sweep == 0) {
+      cancel::poll("kmeans.sweep");
+    } else if (cancel::expired("kmeans.sweep")) {
+      break;
+    }
 
-    const real* pv = dev_v.data();
-    const real* cent = dev_cent.data();
-    index_t* next = dev_next.data();
-    const index_t* cur = dev_cur.data();
-    real* min_dist = dev_mindist.data();
-    real* partials = dev_partials.data();
-    device::launch(
-        ctx, n,
-        [pv, cent, next, min_dist, k, d](index_t i) {
-          const real* row = pv + i * d;
-          index_t best = 0;
-          real best_val = 0;
-          for (index_t c = 0; c < k; ++c) {
-            real dist = 0;
-            const real* cc = cent + c * d;
-            for (index_t l = 0; l < d; ++l) {
-              const real diff = row[l] - cc[l];
-              dist += diff * diff;
-            }
-            if (c == 0 || dist < best_val) {
-              best_val = dist;
-              best = c;
-            }
-          }
-          next[i] = best;
-          min_dist[i] = best_val;
-        },
-        device::tagged(
-            "kmeans.assign",
-            3.0 * static_cast<double>(n) * static_cast<double>(k) *
-                static_cast<double>(d),
-            static_cast<double>(n) * static_cast<double>(d + k * d) *
-                sizeof(real),
-            static_cast<double>(n) * 2.0 * sizeof(real)));
+    // Centroid broadcast: host -> root over the PCIe link, root -> peers
+    // over the D2D link.
+    shards_[0].cent.copy_from_host(std::span<const real>(centroids));
+    for (usize e = 1; e < ndev; ++e) {
+      group_.copy_peer(0, e, shards_[0].cent.data(), shards_[e].cent.data(),
+                       centroids.size(), "d2d.centroid_bcast");
+    }
+    for (Shard& sh : shards_) {
+      if (sh.rows == 0) continue;
+      assemble_distances(sh, sweep, result);
+      assign_and_reduce(sh);
+    }
 
-    const usize block_stride = stride;
-    const index_t nl = n;
-    device::launch(
-        ctx, blocks,
-        [pv, next, cur, min_dist, partials, nl, k, d,
-         block_stride](index_t b) {
-          real* rec = partials + static_cast<usize>(b) * block_stride;
-          for (usize s = 0; s < block_stride; ++s) rec[s] = 0;
-          real* rsums = rec;
-          real* rcounts = rec + k * d;
-          real& rchanged = rec[block_stride - 2];
-          real& rinertia = rec[block_stride - 1];
-          const index_t i0 = b * kNarrowBlock;
-          const index_t i1 = std::min(nl, i0 + kNarrowBlock);
-          for (index_t i = i0; i < i1; ++i) {
-            const index_t lab = next[i];
-            const real* row = pv + i * d;
-            for (index_t l = 0; l < d; ++l) rsums[lab * d + l] += row[l];
-            rcounts[lab] += 1;
-            if (next[i] != cur[i]) rchanged += 1;
-            rinertia += min_dist[i];
-          }
-        },
-        device::tagged(
-            "kmeans.block_reduce",
-            static_cast<double>(n) * static_cast<double>(d + 2),
-            static_cast<double>(n) *
-                (static_cast<double>(d) * sizeof(real) +
-                 2.0 * sizeof(index_t)),
-            static_cast<double>(blocks) * static_cast<double>(stride) *
-                sizeof(real)));
-
-    // Fold block partials in ascending global block order — bitwise the
-    // same centroid update the sharded root performs.
-    dev_partials.copy_to_host(std::span<real>(host_partials));
+    // Fold on the root in ascending global block order (devices are in row
+    // order, blocks within a device are in row order).  Partials download
+    // over each device's own link, then ship to the root on the D2D link.
     std::fill(sums.begin(), sums.end(), real{0});
     std::fill(counts.begin(), counts.end(), index_t{0});
     index_t changed = 0;
     inertia = 0;
-    for (index_t b = 0; b < blocks; ++b) {
-      const real* rec = host_partials.data() + static_cast<usize>(b) * stride;
-      for (usize s = 0; s < sums.size(); ++s) sums[s] += rec[s];
-      for (index_t c = 0; c < k; ++c) {
-        counts[static_cast<usize>(c)] +=
-            static_cast<index_t>(rec[static_cast<usize>(k * d + c)]);
+    for (usize dev = 0; dev < ndev; ++dev) {
+      Shard& sh = shards_[dev];
+      if (sh.blocks == 0) continue;
+      host_partials.resize(static_cast<usize>(sh.blocks) * stride);
+      sh.partials.copy_to_host(std::span<real>(host_partials));
+      if (dev != 0) {
+        group_.model_peer_transfer(dev, 0, host_partials.size() * sizeof(real),
+                                   "d2d.centroid_reduce");
       }
-      changed += static_cast<index_t>(rec[stride - 2]);
-      inertia += rec[stride - 1];
+      for (index_t b = 0; b < sh.blocks; ++b) {
+        const real* rec = host_partials.data() + static_cast<usize>(b) * stride;
+        for (usize s = 0; s < sums.size(); ++s) sums[s] += rec[s];
+        for (index_t c = 0; c < k; ++c) {
+          counts[static_cast<usize>(c)] +=
+              static_cast<index_t>(rec[static_cast<usize>(k * d + c)]);
+        }
+        changed += static_cast<index_t>(rec[stride - 2]);
+        inertia += rec[stride - 1];
+      }
     }
 
-    iterations = sweep + 1;
-    if (config.record_inertia || obs::trace_enabled()) {
+    result.iterations = sweep + 1;
+    if (config_.record_inertia || obs::trace_enabled()) {
       result.inertia_history.push_back(inertia);
       result.changed_history.push_back(changed);
       if (obs::trace_enabled()) {
@@ -226,16 +374,17 @@ KmeansResult kmeans_lloyd_narrow(device::DeviceContext& ctx, const real* v,
       }
     }
 
-    dev_cur.swap(dev_next);
+    // Labels for the next sweep are this sweep's assignment.
+    for (Shard& sh : shards_) sh.cur.swap(sh.next);
     if (changed == 0) {
       result.converged = true;
       break;
     }
 
     for (index_t c = 0; c < k; ++c) {
-      const index_t cc = counts[static_cast<usize>(c)];
-      if (cc == 0) continue;  // repaired below
-      const real inv = real{1} / static_cast<real>(cc);
+      const index_t cnt = counts[static_cast<usize>(c)];
+      if (cnt == 0) continue;  // repaired below
+      const real inv = real{1} / static_cast<real>(cnt);
       for (index_t l = 0; l < d; ++l) {
         centroids[static_cast<usize>(c * d + l)] =
             sums[static_cast<usize>(c * d + l)] * inv;
@@ -243,478 +392,97 @@ KmeansResult kmeans_lloyd_narrow(device::DeviceContext& ctx, const real* v,
     }
     if (std::any_of(counts.begin(), counts.end(),
                     [](index_t c) { return c == 0; })) {
-      repair_empty_clusters(centroids, counts, host_v, dev_mindist.to_host(),
-                            n, d);
+      // Rare path: gather the globally-ordered min-distance vector and
+      // re-seed the empty centroids from the full embedding.
+      std::vector<real> min_dist(static_cast<usize>(n));
+      for (usize dev = 0; dev < ndev; ++dev) {
+        Shard& sh = shards_[dev];
+        if (sh.rows == 0) continue;
+        sh.min_dist.copy_to_host(std::span<real>(
+            min_dist.data() + sh.row_begin, static_cast<usize>(sh.rows)));
+        if (dev != 0) {
+          group_.model_peer_transfer(
+              dev, 0, static_cast<usize>(sh.rows) * sizeof(real),
+              "d2d.centroid_reduce");
+        }
+      }
+      repair_empty_clusters(centroids, counts, v_, std::move(min_dist), d);
     }
   }
 
+  // Algorithm 4 step 4: transfer the labels back to the host.
   result.labels.resize(static_cast<usize>(n));
-  dev_cur.copy_to_host(std::span<index_t>(result.labels));
-  result.centroids = centroids;
-  result.iterations = iterations;
+  for (Shard& sh : shards_) {
+    if (sh.rows == 0) continue;
+    sh.cur.copy_to_host(std::span<index_t>(
+        result.labels.data() + sh.row_begin, static_cast<usize>(sh.rows)));
+  }
+  result.centroids = std::move(centroids);
   result.objective = inertia;
   return result;
 }
 
 }  // namespace
 
-namespace {
-KmeansResult kmeans_device_single(device::DeviceContext& ctx, const real* v,
-                                  index_t n, index_t d,
-                                  const KmeansConfig& config);
-}  // namespace
-
-KmeansResult kmeans_device(device::DeviceContext& ctx, const real* v, index_t n,
-                           index_t d, const KmeansConfig& config) {
+KmeansResult kmeans_group(device::DeviceGroup& group,
+                          std::span<const index_t> cuts, const real* v,
+                          index_t n, index_t d, const KmeansConfig& config) {
+  FASTSC_CHECK(n >= 1 && d >= 1, "data must be nonempty");
+  FASTSC_CHECK(config.k >= 1 && config.k <= n, "k must be in [1, n]");
   FASTSC_CHECK(config.restarts >= 1, "restarts must be positive");
+  FASTSC_CHECK(cuts.size() == group.size() + 1 && cuts.front() == 0 &&
+                   cuts.back() == n,
+               "row cuts must span [0, n) with one part per device");
+  for (usize i = 1; i < cuts.size(); ++i) {
+    FASTSC_CHECK(cuts[i - 1] <= cuts[i] &&
+                     (cuts[i] == n || cuts[i] % kBlockRows == 0),
+                 "row cuts must ascend on kBlockRows boundaries");
+  }
+  const usize nd = static_cast<usize>(n) * static_cast<usize>(d);
+  check_finite({v, nd}, "k-means input data");
+  // Default bucket for the whole solve: untagged primitives (fills, copies,
+  // reductions, buffer transfers) attribute here; the hot launches carry
+  // their own finer-grained sites.
+  obs::AttrSiteScope attr_site("kmeans.lloyd");
+
+  // Mixed-precision rung: quantize the input up front so seeding, repair,
+  // and the device data all see the same values (see KmeansConfig).
+  std::vector<real> vquant;
+  if (config.precision != Precision::kFp64) {
+    vquant.resize(nd);
+    for (usize i = 0; i < nd; ++i) vquant[i] = quantize(v[i], config.precision);
+    v = vquant.data();
+  }
+
+  GroupSweep sweep(group, cuts, v, n, d, config);
   KmeansResult best;
+  std::uint64_t checks = 0;
+  std::uint64_t detected = 0;
+  std::uint64_t recomputed = 0;
   for (index_t r = 0; r < config.restarts; ++r) {
     // A deadline between restarts keeps the best completed run (anytime);
     // hard cancellation throws from the poll sites inside the run itself.
     if (r > 0 && cancel::expired("kmeans.restart")) break;
-    KmeansConfig cfg = config;
-    cfg.seed = config.seed + static_cast<std::uint64_t>(r) * 0x9e3779b9ULL;
-    KmeansResult candidate = kmeans_device_single(ctx, v, n, d, cfg);
+    KmeansResult candidate =
+        sweep.run(config.seed + static_cast<std::uint64_t>(r) * 0x9e3779b9ULL);
+    checks += candidate.abft_checks;
+    detected += candidate.abft_detected;
+    recomputed += candidate.abft_recomputed;
     if (r == 0 || candidate.objective < best.objective) {
       best = std::move(candidate);
     }
   }
+  best.abft_checks = checks;
+  best.abft_detected = detected;
+  best.abft_recomputed = recomputed;
   return best;
 }
 
-namespace {
-KmeansResult kmeans_device_single(device::DeviceContext& ctx, const real* v,
-                                  index_t n, index_t d,
-                                  const KmeansConfig& config) {
-  FASTSC_CHECK(n >= 1 && d >= 1, "data must be nonempty");
-  FASTSC_CHECK(config.k >= 1 && config.k <= n, "k must be in [1, n]");
-  check_finite({v, static_cast<usize>(n) * static_cast<usize>(d)},
-               "k-means input data");
-  // Default bucket for the whole solve: untagged primitives (fills, copies,
-  // reductions, buffer transfers) attribute here; the hot launches below
-  // carry their own finer-grained sites.
-  obs::AttrSiteScope attr_site("kmeans.lloyd");
-  const index_t k = config.k;
-  Rng rng(config.seed);
-
-  // Mixed-precision rung: quantize the input up front so seeding, repair,
-  // and the device data all see the same values (see KmeansConfig).
-  const Precision prec = config.precision;
-  const bool narrow = prec != Precision::kFp64;
-  const usize nd = static_cast<usize>(n) * static_cast<usize>(d);
-  std::vector<real> vquant;
-  if (narrow) {
-    vquant.resize(nd);
-    for (usize i = 0; i < nd; ++i) vquant[i] = quantize(v[i], prec);
-    // Narrow rungs take the sharded-mirror sweep so labels are bitwise
-    // identical to a multi-device run at the same rung.
-    return kmeans_lloyd_narrow(ctx, vquant.data(), n, d, config);
-  }
-
-  // Algorithm 4 step 1: transfer V to the device.
-  device::DeviceBuffer<real> dev_v(ctx, std::span<const real>(v, nd));
-
-  // Step 2: seeding.
-  std::vector<index_t> seed_rows;
-  if (config.seeding == Seeding::kKmeansPlusPlus) {
-    seed_rows = kmeanspp_seeds_device(ctx, dev_v.data(), n, d, k, rng,
-                                      config.seeding_candidates);
-  } else {
-    seed_rows = random_seeds_host(n, k, rng);
-  }
-  std::vector<real> centroids(static_cast<usize>(k) * static_cast<usize>(d));
-  const std::vector<real> host_v(
-      v, v + static_cast<usize>(n) * static_cast<usize>(d));
-  for (index_t c = 0; c < k; ++c) {
-    std::copy(host_v.begin() + seed_rows[static_cast<usize>(c)] * d,
-              host_v.begin() + (seed_rows[static_cast<usize>(c)] + 1) * d,
-              centroids.begin() + c * d);
-  }
-
-  device::DeviceBuffer<real> dev_c(ctx, std::span<const real>(centroids));
-  device::DeviceBuffer<real> dev_s(
-      ctx, static_cast<usize>(n) * static_cast<usize>(k));
-  device::DeviceBuffer<real> dev_vnorm(ctx, static_cast<usize>(n));
-  device::DeviceBuffer<real> dev_cnorm(ctx, static_cast<usize>(k));
-  device::DeviceBuffer<index_t> dev_labels(ctx, static_cast<usize>(n));
-  device::DeviceBuffer<real> dev_mindist(ctx, static_cast<usize>(n));
-  device::DeviceBuffer<index_t> dev_changed(ctx, static_cast<usize>(n));
-  device::DeviceBuffer<index_t> sort_keys(ctx, static_cast<usize>(n));
-  device::DeviceBuffer<index_t> sort_vals(ctx, static_cast<usize>(n));
-  device::DeviceBuffer<real> dev_newc(
-      ctx, static_cast<usize>(k) * static_cast<usize>(d));
-  device::DeviceBuffer<index_t> seg_offsets(ctx, static_cast<usize>(k) + 1);
-
-  device::fill(ctx, dev_labels.data(), n, index_t{-1});
-  dblas::row_squared_norms(ctx, n, d, dev_v.data(), d, dev_vnorm.data());
-
-  // ABFT setup (DESIGN.md §14): the checksum identity
-  //   sum(S) = k*sum(vnorm) + n*sum(cnorm) - 2*<colsum(V), colsum(C)>
-  // needs the column sums of V once per solve (V is fixed) and per sweep
-  // only the centroid column sums plus three reductions — all computed from
-  // the same device-resident arrays, so a clean compare differs by
-  // accumulation-order roundoff alone.
-  device::DeviceBuffer<real> abft_csv;
-  device::DeviceBuffer<real> abft_csc;
-  device::DeviceBuffer<real> abft_prod;
-  if (config.abft) {
-    obs::AttrSiteScope abft_site("sdc.checksum");
-    abft_csv = device::DeviceBuffer<real>(ctx, static_cast<usize>(d));
-    abft_csc = device::DeviceBuffer<real>(ctx, static_cast<usize>(d));
-    abft_prod = device::DeviceBuffer<real>(ctx, static_cast<usize>(d));
-    const real* vp0 = dev_v.data();
-    real* csv = abft_csv.data();
-    const index_t nn = n;
-    const index_t dd = d;
-    device::launch(ctx, d,
-                   [=](index_t j) {
-                     real acc = 0;
-                     for (index_t i = 0; i < nn; ++i) acc += vp0[i * dd + j];
-                     csv[j] = acc;
-                   },
-                   device::tagged("sdc.checksum", static_cast<double>(n) * d,
-                                  static_cast<double>(n) * d * sizeof(real),
-                                  static_cast<double>(d) * sizeof(real)));
-  }
-
-  // Overlapped distance phase: a {transfer, compute} stream pair kept alive
-  // across iterations so centroid tiles prefetch behind the GEMM.
-  std::unique_ptr<device::PipelineExecutor> exec;
-  index_t dist_tiles = 1;
-  if (config.async_pipeline) {
-    exec = std::make_unique<device::PipelineExecutor>(ctx);
-    dist_tiles = config.centroid_tiles < 1 ? 1 : config.centroid_tiles;
-    if (dist_tiles > k) dist_tiles = k;
-  }
-
-  KmeansResult result;
-  result.labels.assign(static_cast<usize>(n), -1);
-
-  real* sp = dev_s.data();
-  const real* vnorm = dev_vnorm.data();
-  const real* cnorm = dev_cnorm.data();
-  index_t* labels = dev_labels.data();
-  real* mind = dev_mindist.data();
-  index_t* changed = dev_changed.data();
-
-  index_t iter = 0;
-  for (; iter < config.max_iters; ++iter) {
-    // Deadline check at the sweep boundary.  The first sweep must run (labels
-    // are still -1, there is no best-so-far), so it polls hard; later sweeps
-    // stop softly on an anytime expiry, keeping the previous assignment.
-    if (iter == 0) {
-      cancel::poll("kmeans.sweep");
-    } else if (cancel::expired("kmeans.sweep")) {
-      break;
-    }
-    // --- pairwise distances: S_ij = Vnorm_i + Cnorm_j - 2 <v_i, c_j> -------
-    // Norm fill + GEMM (and the prefetching centroid tile copies in async
-    // mode) all land in one site: the distance phase dominates the sweep.
-    const auto compute_distances = [&] {
-    obs::AttrSiteScope dist_site("gemm.kmeans_dist");
-    if (exec) {
-      // Prefetched centroid tiles: tile t+1 stages its centroid rows H2D on
-      // the transfer stream while tile t's norms and GEMM slice run on the
-      // compute stream; each tile fills its own column range of S.
-      using Exec = device::PipelineExecutor;
-      exec->reset();
-      real* cp = dev_c.data();
-      real* cnp = dev_cnorm.data();
-      const real* vp = dev_v.data();
-      const real* host_c = centroids.data();
-      const index_t kk = k;
-      const index_t dd = d;
-      const index_t nn = n;
-      for (index_t t = 0; t < dist_tiles; ++t) {
-        const index_t j0 = (k * t) / dist_tiles;
-        const index_t j1 = (k * (t + 1)) / dist_tiles;
-        const index_t jt = j1 - j0;
-        const Exec::NodeId h2d = exec->add(
-            Exec::kTransferStream, "h2d-c" + std::to_string(t),
-            [&ctx, cp, host_c, j0, jt, dd] {
-              device::copy_h2d(ctx, cp + j0 * dd, host_c + j0 * dd,
-                               static_cast<usize>(jt * dd));
-            });
-        exec->add(
-            Exec::kComputeStream, "dist-c" + std::to_string(t),
-            [&ctx, cp, cnp, vp, sp, vnorm, cnorm, j0, jt, kk, dd, nn] {
-              dblas::row_squared_norms(ctx, jt, dd, cp + j0 * dd, dd,
-                                       cnp + j0);
-              device::launch(ctx, nn * jt, [=](index_t u) {
-                const index_t i = u / jt;
-                const index_t j = j0 + u % jt;
-                sp[i * kk + j] = vnorm[i] + cnorm[j];
-              });
-              dblas::gemm_nt(ctx, nn, jt, dd, -2.0, vp, dd, cp + j0 * dd, dd,
-                             1.0, sp + j0, kk);
-            },
-            {h2d});
-      }
-      exec->run();
-    } else {
-      dblas::row_squared_norms(ctx, k, d, dev_c.data(), d, dev_cnorm.data());
-      device::launch(ctx, n * k, [=](index_t t) {
-        const index_t i = t / k;
-        const index_t j = t % k;
-        sp[t] = vnorm[i] + cnorm[j];
-      });
-      dblas::gemm_nt(ctx, n, k, d, -2.0, dev_v.data(), d, dev_c.data(), d, 1.0,
-                     dev_s.data(), k);
-    }
-    };
-    // Detect -> recompute-block -> escalate: a checksum mismatch redoes the
-    // distance assembly once (transient upset in S); a second mismatch means
-    // the corruption lives upstream (V, centroids, norms) and the k-means
-    // degradation ladder has to rebuild device state.
-    for (int attempt = 0;; ++attempt) {
-      compute_distances();
-      if (!config.abft) break;
-      obs::AttrSiteScope abft_site("sdc.checksum");
-      obs::sdc_note_check();
-      const real* csv = abft_csv.data();
-      real* csc = abft_csc.data();
-      real* prod = abft_prod.data();
-      const real* cp0 = dev_c.data();
-      const index_t kk = k;
-      const index_t dd = d;
-      device::launch(ctx, d,
-                     [=](index_t j) {
-                       real acc = 0;
-                       for (index_t c = 0; c < kk; ++c) acc += cp0[c * dd + j];
-                       csc[j] = acc;
-                       prod[j] = csv[j] * acc;
-                     },
-                     device::tagged("sdc.checksum", static_cast<double>(k) * d,
-                                    static_cast<double>(k) * d * sizeof(real),
-                                    2.0 * d * sizeof(real)));
-      const real sum_s = device::reduce_sum(ctx, dev_s.data(), n * k);
-      const real sum_vn = device::reduce_sum(ctx, dev_vnorm.data(), n);
-      const real sum_cn = device::reduce_sum(ctx, dev_cnorm.data(), k);
-      const real dot = device::reduce_sum(ctx, abft_prod.data(), d);
-      const real predicted = k * sum_vn + n * sum_cn - 2 * dot;
-      const real scale =
-          std::abs(k * sum_vn) + std::abs(n * sum_cn) + 2 * std::abs(dot) + 1;
-      const double elems = static_cast<double>(n) * (k + d) + d;
-      const real tol = config.abft_tolerance_scale *
-                       std::numeric_limits<real>::epsilon() *
-                       (std::sqrt(elems) + 64) * scale;
-      if (std::abs(sum_s - predicted) <= tol) break;
-      obs::sdc_note_detected(
-          "gemm.kmeans_dist",
-          "sum(S) = " + std::to_string(sum_s) + " vs predicted " +
-              std::to_string(predicted) + " (tol " + std::to_string(tol) +
-              ") at sweep " + std::to_string(iter));
-      if (attempt == 0) {
-        obs::sdc_note_recomputed("gemm.kmeans_dist");
-        continue;
-      }
-      throw device::DataIntegrityError(
-          "k-means distance checksum mismatch persisted after recompute at "
-          "sweep " +
-          std::to_string(iter));
-    }
-
-    // --- label update: argmin over each row of S ---------------------------
-    device::launch(ctx, n, [=](index_t i) {
-      const real* row = sp + i * k;
-      index_t best = 0;
-      real best_val = row[0];
-      for (index_t j = 1; j < k; ++j) {
-        if (row[j] < best_val) {
-          best_val = row[j];
-          best = j;
-        }
-      }
-      changed[i] = (labels[i] != best) ? 1 : 0;
-      labels[i] = best;
-      mind[i] = best_val;
-    }, device::tagged("kmeans.argmin", static_cast<double>(n) * k,
-                      static_cast<double>(n) * k * sizeof(real),
-                      static_cast<double>(n) *
-                          (sizeof(real) + 2.0 * sizeof(index_t))));
-    const index_t num_changed =
-        device::reduce_sum(ctx, dev_changed.data(), n);
-
-    // Per-sweep telemetry: the objective under the fresh labels (against the
-    // centroids they were assigned with).  Costs one extra device reduction
-    // per sweep, so it is gated rather than always-on.
-    if (config.record_inertia || obs::trace_enabled()) {
-      const real inertia = device::reduce_sum(ctx, dev_mindist.data(), n);
-      result.inertia_history.push_back(inertia);
-      result.changed_history.push_back(num_changed);
-      if (obs::trace_enabled()) {
-        const double now = obs::wall_now_us();
-        obs::trace().counter("kmeans.inertia", inertia, now);
-        obs::trace().counter("kmeans.changed",
-                             static_cast<double>(num_changed), now);
-      }
-    }
-
-    // --- centroid update -----------------------------------------------------
-    // One site for both update schemes (sort-by-label and direct
-    // accumulation), so the two strategies are comparable in the table.
-    obs::AttrSiteScope update_site("kmeans.centroid_update");
-    std::vector<index_t> counts(static_cast<usize>(k), 0);
-    if (config.centroid_update == CentroidUpdate::kSortByLabel) {
-      // The paper's scheme: sort point ids by label, segmented means.
-      device::transform(ctx, dev_labels.data(), sort_keys.data(), n,
-                        [](index_t l) { return l; });
-      device::sequence(ctx, sort_vals.data(), n, index_t{0});
-      device::sort_by_key(ctx, sort_keys.data(), sort_vals.data(), n);
-
-      // Segment offsets: first occurrence of each label via binary search.
-      const index_t* skeys = sort_keys.data();
-      index_t* soff = seg_offsets.data();
-      const index_t nn = n;
-      device::launch(ctx, k + 1, [=](index_t c) {
-        index_t lo = 0, hi = nn;
-        while (lo < hi) {
-          const index_t mid = lo + (hi - lo) / 2;
-          if (skeys[mid] < c) {
-            lo = mid + 1;
-          } else {
-            hi = mid;
-          }
-        }
-        soff[c] = lo;
-      });
-
-      // One thread per cluster accumulates its consecutive segment.
-      const index_t* svals = sort_vals.data();
-      const real* vp = dev_v.data();
-      real* newc = dev_newc.data();
-      const real* oldc = dev_c.data();
-      const index_t dd = d;
-      device::launch(ctx, k, [=](index_t c) {
-        const index_t lo = soff[c];
-        const index_t hi = soff[c + 1];
-        real* out = newc + c * dd;
-        if (lo == hi) {
-          // Empty cluster: keep the previous centroid (repaired below).
-          for (index_t l = 0; l < dd; ++l) out[l] = oldc[c * dd + l];
-          return;
-        }
-        for (index_t l = 0; l < dd; ++l) out[l] = 0;
-        for (index_t p = lo; p < hi; ++p) {
-          const real* row = vp + svals[p] * dd;
-          for (index_t l = 0; l < dd; ++l) out[l] += row[l];
-        }
-        const real inv = 1.0 / static_cast<real>(hi - lo);
-        for (index_t l = 0; l < dd; ++l) out[l] *= inv;
-      });
-      const std::vector<index_t> off = seg_offsets.to_host();
-      for (index_t c = 0; c < k; ++c) {
-        counts[static_cast<usize>(c)] =
-            off[static_cast<usize>(c) + 1] - off[static_cast<usize>(c)];
-      }
-    } else {
-      // Direct accumulation: per-worker partial (sum, count) over a
-      // point-parallel sweep, folded cluster-parallel.  Deterministic
-      // (fixed chunk boundaries), no sort.
-      const auto workers =
-          static_cast<index_t>(ctx.pool().worker_count());
-      std::vector<real> part_sums(
-          static_cast<usize>(workers) * static_cast<usize>(k) *
-              static_cast<usize>(d),
-          0.0);
-      std::vector<index_t> part_counts(
-          static_cast<usize>(workers) * static_cast<usize>(k), 0);
-      const real* vp = dev_v.data();
-      const index_t* lab = dev_labels.data();
-      const index_t dd = d;
-      const index_t kk = k;
-      {
-        WallTimer t;
-        const index_t chunk = (n + workers - 1) / workers;
-        std::function<void(usize)> job = [&](usize w) {
-          const index_t lo = static_cast<index_t>(w) * chunk;
-          const index_t hi = lo + chunk < n ? lo + chunk : n;
-          real* sums = part_sums.data() +
-                       static_cast<index_t>(w) * kk * dd;
-          index_t* cnts = part_counts.data() + static_cast<index_t>(w) * kk;
-          for (index_t i = lo; i < hi; ++i) {
-            const index_t c = lab[i];
-            cnts[c] += 1;
-            const real* row = vp + i * dd;
-            real* sum = sums + c * dd;
-            for (index_t l = 0; l < dd; ++l) sum[l] += row[l];
-          }
-        };
-        if (workers == 1) {
-          job(0);
-        } else {
-          ctx.run_compute(job);
-        }
-        obs::KernelCost cost;
-        cost.flops = static_cast<double>(n) * d;
-        cost.bytes_read = static_cast<double>(n) * d * sizeof(real);
-        cost.bytes_written =
-            static_cast<double>(workers) * k * d * sizeof(real);
-        ctx.record_kernel(t.seconds(), -1.0, cost);
-      }
-      real* newc = dev_newc.data();
-      const real* oldc = dev_c.data();
-      device::launch(ctx, k, [&part_sums, &part_counts, newc, oldc, workers,
-                              kk, dd](index_t c) {
-        real* out = newc + c * dd;
-        for (index_t l = 0; l < dd; ++l) out[l] = 0;
-        index_t count = 0;
-        for (index_t w = 0; w < workers; ++w) {
-          count += part_counts[static_cast<usize>(w * kk + c)];
-          const real* sum =
-              part_sums.data() + (w * kk + c) * dd;
-          for (index_t l = 0; l < dd; ++l) out[l] += sum[l];
-        }
-        if (count == 0) {
-          for (index_t l = 0; l < dd; ++l) out[l] = oldc[c * dd + l];
-          return;
-        }
-        const real inv = 1.0 / static_cast<real>(count);
-        for (index_t l = 0; l < dd; ++l) out[l] *= inv;
-      });
-      for (index_t c = 0; c < k; ++c) {
-        index_t count = 0;
-        for (index_t w = 0; w < workers; ++w) {
-          count += part_counts[static_cast<usize>(w * k + c)];
-        }
-        counts[static_cast<usize>(c)] = count;
-      }
-    }
-    dblas::copy(ctx, k * d, dev_newc.data(), dev_c.data());
-
-    // Empty-cluster repair (host side, rare path).
-    {
-      bool any_empty = false;
-      for (index_t c = 0; c < k; ++c) {
-        if (counts[static_cast<usize>(c)] == 0) any_empty = true;
-      }
-      if (any_empty) {
-        std::vector<real> cent = dev_c.to_host();
-        repair_empty_clusters(cent, counts, host_v, dev_mindist.to_host(), n,
-                              d);
-        dev_c.copy_from_host(std::span<const real>(cent));
-      }
-    }
-    if (exec) {
-      // Async mode keeps the authoritative centroids host-resident so the
-      // next iteration's tiles can stream from them (k x d, metered D2H).
-      centroids = dev_c.to_host();
-    }
-
-    if (num_changed == 0) {
-      result.converged = true;
-      ++iter;
-      break;
-    }
-  }
-
-  result.iterations = iter;
-  result.objective = device::reduce_sum(ctx, dev_mindist.data(), n);
-  // Algorithm 4 step 4: transfer the labels back to the host.
-  result.labels = dev_labels.to_host();
-  result.centroids = dev_c.to_host();
-  return result;
+KmeansResult kmeans_device(device::DeviceContext& ctx, const real* v,
+                           index_t n, index_t d, const KmeansConfig& config) {
+  device::DeviceGroup group(ctx);
+  const index_t cuts[] = {0, n};
+  return kmeans_group(group, cuts, v, n, d, config);
 }
-}  // namespace
 
 }  // namespace fastsc::kmeans

@@ -1,18 +1,38 @@
-// Parallel k-means on the (simulated) device — the paper's Algorithm 4.
+// Parallel k-means on the (simulated) device — the paper's Algorithm 4 —
+// over the row-partitioned multi-GPU layout of Sgherzi et al.
+// (arXiv:2201.07498).
 //
-// The distance matrix is never formed point-by-point: following Eq. 11-16,
-// S_ij = ||v_i||^2 + ||c_j||^2 - 2 <v_i, c_j> is assembled from two squared-
-// norm vectors plus one level-3 BLAS product (dblas::gemm_nt), which is the
-// paper's main source of k-means speedup.  Labels update with an argmin
-// kernel; centroids update by sorting point indices by label and having
-// each thread reduce a consecutive segment (paper §IV.C).
+// One blocked Lloyd sweep serves every device count: a single device is a
+// DeviceGroup of one.  Each device owns a contiguous block of points (rows
+// of the embedding) and per sweep
+//
+//   * receives the centroids (host -> root over PCIe, root -> peers over
+//     the D2D link, "d2d.centroid_bcast");
+//   * assembles its distance block following Eq. 11-16 — never point by
+//     point: S_ij = ||v_i||^2 + ||c_j||^2 - 2 <v_i, c_j> from two squared-
+//     norm vectors plus one level-3 BLAS product (dblas::gemm_nt), the
+//     paper's main source of k-means speedup — and verifies it with an ABFT
+//     column-sum checksum (DESIGN.md §14);
+//   * labels each point with the argmin of its row of S;
+//   * reduces fixed 256-point blocks to partial (sum, count, changed,
+//     inertia) records, which the root folds in ascending global block
+//     order ("d2d.centroid_reduce") into the centroid update.
+//
+// Every per-point value depends only on that point's row, and the fold order
+// is fixed by the block grid, so labels are bitwise identical for every
+// device count and worker count (DESIGN.md §12).  Seeding (k-means++,
+// Algorithm 5) and the farthest-point repair of empty clusters run on the
+// host over the full embedding.
 #pragma once
 
+#include <cstdint>
+#include <span>
 #include <vector>
 
 #include "common/precision.h"
 #include "common/types.h"
 #include "device/device.h"
+#include "device/device_group.h"
 
 namespace fastsc::kmeans {
 
@@ -21,56 +41,36 @@ enum class Seeding {
   kKmeansPlusPlus,  ///< D^2-weighted seeding (Algorithm 5)
 };
 
-/// Centroid-update strategy for the device k-means.
-enum class CentroidUpdate {
-  /// The paper's §IV.C scheme: sort point indices by label, then one thread
-  /// per cluster reduces its consecutive segment.
-  kSortByLabel,
-  /// Per-worker partial sums over a point-parallel sweep, folded by a
-  /// cluster-parallel reduction (no sort; the GPU-atomics-free alternative).
-  kDirectAccumulate,
-};
+/// Points per partial-reduction block.  Row cuts of a device group must be
+/// multiples of it so every block lies whole on one device.
+inline constexpr index_t kBlockRows = 256;
 
 struct KmeansConfig {
   index_t k = 2;
   index_t max_iters = 300;
   Seeding seeding = Seeding::kKmeansPlusPlus;
-  /// Candidate centroids drawn per k-means++ step (greedy k-means++ when
-  /// > 1): all candidates' distance columns are evaluated in one batched
-  /// kernel per step — the data panel is read once, not once per candidate
-  /// — and the lowest-potential candidate wins.  1 = plain Algorithm 5.
-  index_t seeding_candidates = 1;
-  CentroidUpdate centroid_update = CentroidUpdate::kSortByLabel;
   /// Independent runs with different seeds; the best objective wins
   /// (sklearn's n_init; Matlab's "replicates").
   index_t restarts = 1;
-  /// Overlapped distance phase: the centroids stay host-resident and stream
-  /// to the device in `centroid_tiles` column tiles, each tile's H2D
-  /// prefetched on a transfer stream while the previous tile's norms and
-  /// GEMM slice occupy the compute stream (the spectral pipeline forwards
-  /// its async_pipeline flag here).
+  /// No effect: the centroid-tile prefetch it switched is gone.  Kept only
+  /// so existing callers compile.
   bool async_pipeline = false;
-  index_t centroid_tiles = 2;
   std::uint64_t seed = 42;
   /// Storage rung for the embedding (DESIGN.md §13).  Below fp64 the input
-  /// rows are quantized through this width up front (every consumer — the
-  /// device upload, seeding, and empty-cluster repair — sees the same
-  /// quantized values, so labels are deterministic), the V upload moves
-  /// packed scalars, and the per-sweep distance phase (norms + GEMM) reads
-  /// narrow storage with fp64 accumulation.  Centroids stay fp64 and are
-  /// re-quantized for each distance sweep.  The prefetched centroid-tile
-  /// pipeline is fp64-only; a narrow rung forces the sync distance phase.
+  /// rows are quantized through this width up front (seeding, the device
+  /// upload and empty-cluster repair all see the same quantized values),
+  /// the V upload moves packed scalars, and each device widens its block
+  /// back to fp64 before the sweep, which then runs exactly as at fp64.
   Precision precision = Precision::kFp64;
   /// Record the clustering objective after every label update into
-  /// KmeansResult::inertia_history (one extra device reduction per sweep).
-  /// Per-sweep telemetry is also recorded whenever tracing is enabled.
+  /// KmeansResult::inertia_history.  Per-sweep telemetry is also recorded
+  /// whenever tracing is enabled.
   bool record_inertia = false;
-  /// ABFT checksum on the fp64 distance phase (DESIGN.md §14): the identity
-  /// sum(S) = k*sum(vnorm) + n*sum(cnorm) - 2*<colsum(V), colsum(C)> is
-  /// verified after every distance assembly with all terms reduced from the
-  /// same device-resident arrays.  A mismatch recomputes the distance block
-  /// once, then raises DataIntegrityError into the k-means ladder.  The
-  /// narrow (quantized) distance path has no GEMM and is not checked.
+  /// ABFT checksum on every device's distance block (DESIGN.md §14): the
+  /// identity sum(S) = k*sum(vnorm) + n*sum(cnorm) - 2*<colsum(V), colsum(C)>
+  /// is verified after every distance assembly with all terms reduced from
+  /// the same device-resident arrays.  A mismatch recomputes the block once,
+  /// then raises DataIntegrityError into the k-means ladder.
   bool abft = true;
   /// Multiplies the derived checksum tolerance (SdcPolicy::tolerance_scale).
   real abft_tolerance_scale = 1;
@@ -87,12 +87,26 @@ struct KmeansResult {
   std::vector<real> inertia_history;
   /// Points that switched cluster in each sweep (same gating/length).
   std::vector<index_t> changed_history;
+  /// Distance-block checksums verified, mismatches found, and mismatches
+  /// cleared by an in-place recompute, summed over devices and restarts.
+  std::uint64_t abft_checks = 0;
+  std::uint64_t abft_detected = 0;
+  std::uint64_t abft_recomputed = 0;
 };
 
-/// Device k-means.  `v` is the host-resident n x d row-major data (the rows
-/// of the eigenvector matrix in the pipeline); it is transferred to the
-/// device, clustered, and the labels transferred back (Algorithm 4 steps 1
-/// and 4).
+/// Device k-means over `group`: device i clusters rows [cuts[i], cuts[i+1])
+/// of the host-resident n x d row-major data `v` (the rows of the
+/// eigenvector matrix in the pipeline).  `cuts` holds group.size() + 1
+/// ascending entries from 0 to n; interior cuts are multiples of
+/// kBlockRows.  Each device's block is transferred to it, clustered, and
+/// the labels transferred back (Algorithm 4 steps 1 and 4).
+[[nodiscard]] KmeansResult kmeans_group(device::DeviceGroup& group,
+                                        std::span<const index_t> cuts,
+                                        const real* v, index_t n, index_t d,
+                                        const KmeansConfig& config);
+
+/// Device k-means on one context: kmeans_group over a group of one that
+/// borrows `ctx`.
 [[nodiscard]] KmeansResult kmeans_device(device::DeviceContext& ctx,
                                          const real* v, index_t n, index_t d,
                                          const KmeansConfig& config);

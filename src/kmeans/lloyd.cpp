@@ -144,27 +144,21 @@ KmeansResult lloyd_single(const real* v, index_t n, index_t d,
       real* sum = sums.data() + c * d;
       for (index_t l = 0; l < d; ++l) sum[l] += row[l];
     }
+    bool any_empty = false;
     for (index_t c = 0; c < k; ++c) {
-      if (counts[static_cast<usize>(c)] > 0) {
-        const real inv = 1.0 / static_cast<real>(counts[static_cast<usize>(c)]);
-        for (index_t l = 0; l < d; ++l) {
-          result.centroids[static_cast<usize>(c * d + l)] =
-              sums[static_cast<usize>(c * d + l)] * inv;
-        }
-      } else {
-        // Empty cluster: farthest-point reseed, matching the device path.
-        index_t far = 0;
-        real best = -1;
-        for (index_t i = 0; i < n; ++i) {
-          if (min_dist[static_cast<usize>(i)] > best) {
-            best = min_dist[static_cast<usize>(i)];
-            far = i;
-          }
-        }
-        std::copy(v + far * d, v + (far + 1) * d,
-                  result.centroids.begin() + c * d);
-        min_dist[static_cast<usize>(far)] = -1;
+      if (counts[static_cast<usize>(c)] == 0) {
+        any_empty = true;
+        continue;
       }
+      const real inv = 1.0 / static_cast<real>(counts[static_cast<usize>(c)]);
+      for (index_t l = 0; l < d; ++l) {
+        result.centroids[static_cast<usize>(c * d + l)] =
+            sums[static_cast<usize>(c * d + l)] * inv;
+      }
+    }
+    // Empty clusters: farthest-point reseed, matching the device path.
+    if (any_empty) {
+      repair_empty_clusters(result.centroids, counts, v, min_dist, d);
     }
 
     if (changes == 0) {

@@ -5,7 +5,6 @@
 
 #include "common/cancel.h"
 #include "common/error.h"
-#include "device/algorithms.h"
 
 namespace fastsc::kmeans {
 
@@ -83,150 +82,23 @@ std::vector<index_t> kmeanspp_seeds_host(const real* v, index_t n, index_t d,
   return seeds;
 }
 
-namespace {
-
-/// Binary search the device prefix array for the smallest j with
-/// prefix[j] >= target (host read of device data; same precedent as the
-/// plain sampling path).
-index_t sample_from_prefix(const real* prefix, index_t n, real target) {
-  index_t lo = 0, hi = n - 1;
-  while (lo < hi) {
-    const index_t mid = lo + (hi - lo) / 2;
-    if (prefix[mid] < target) {
-      lo = mid + 1;
-    } else {
-      hi = mid;
-    }
-  }
-  return lo;
-}
-
-}  // namespace
-
-std::vector<index_t> kmeanspp_seeds_device(device::DeviceContext& ctx,
-                                           const real* dev_v, index_t n,
-                                           index_t d, index_t k, Rng& rng,
-                                           index_t candidates) {
-  FASTSC_CHECK(k >= 1 && k <= n, "k must be in [1, n]");
-  FASTSC_CHECK(candidates >= 1, "candidate count must be positive");
-  // All seeding work (distance kernels, scans, potential reductions) rolls
-  // up into one site; the solve phases carry their own.
-  obs::AttrSiteScope attr_site("kmeans.seeding");
-  std::vector<index_t> seeds;
-  seeds.reserve(static_cast<usize>(k));
-  seeds.push_back(static_cast<index_t>(rng.uniform_index(
-      static_cast<std::uint64_t>(n))));
-
-  device::DeviceBuffer<real> dist2(ctx, static_cast<usize>(n));
-  device::DeviceBuffer<real> prefix(ctx, static_cast<usize>(n));
-  real* dp = dist2.data();
-
-  // Initialize Dist with distances to the first centroid.
-  {
-    const real* c = dev_v + seeds[0] * d;
-    device::launch(ctx, n, [=](index_t j) {
-      const real* row = dev_v + j * d;
-      real acc = 0;
-      for (index_t l = 0; l < d; ++l) {
-        const real delta = row[l] - c[l];
-        acc += delta * delta;
-      }
-      dp[j] = acc;
-    });
-  }
-
-  const index_t ncand = std::min(candidates, n);
-  device::DeviceBuffer<real> cand_dist(
-      ctx, ncand > 1 ? static_cast<usize>(ncand) * static_cast<usize>(n) : 0);
-  std::vector<index_t> picks(static_cast<usize>(ncand));
-
-  for (index_t i = 1; i < k; ++i) {
-    // One poll per centroid draw: each step is one O(ncand * n * d) kernel.
-    cancel::poll("kmeans.seeding");
-    // P_j = Dist_j^2 / sum_l Dist_l^2, sampled via inclusive scan + one
-    // uniform draw (a single binary search on the device prefix array).
-    const real total =
-        device::inclusive_scan(ctx, dist2.data(), prefix.data(), n);
-    if (total <= 0) {
-      // All remaining points coincide with centroids; fall back to uniform
-      // (candidate evaluation is moot — every potential is identical).
-      const auto pick = static_cast<index_t>(
-          rng.uniform_index(static_cast<std::uint64_t>(n)));
-      seeds.push_back(pick);
-      const real* c = dev_v + pick * d;
-      device::launch(ctx, n, [=](index_t j) {
-        const real* row = dev_v + j * d;
-        real acc = 0;
-        for (index_t l = 0; l < d; ++l) {
-          const real delta = row[l] - c[l];
-          acc += delta * delta;
-        }
-        if (acc < dp[j]) dp[j] = acc;
-      });
-      continue;
-    }
-
-    if (ncand == 1) {
-      const index_t pick =
-          sample_from_prefix(prefix.data(), n, rng.uniform() * total);
-      seeds.push_back(pick);
-      // newDist kernel + elementwise min fold (Algorithm 5's last two lines).
-      const real* c = dev_v + pick * d;
-      device::launch(ctx, n, [=](index_t j) {
-        const real* row = dev_v + j * d;
-        real acc = 0;
-        for (index_t l = 0; l < d; ++l) {
-          const real delta = row[l] - c[l];
-          acc += delta * delta;
-        }
-        if (acc < dp[j]) dp[j] = acc;
-      });
-      continue;
-    }
-
-    // Greedy refinement: draw all candidates up front, then evaluate the
-    // folded distance of every point to every candidate in ONE kernel so
-    // the n x d data panel streams through once per step.
-    for (index_t c = 0; c < ncand; ++c) {
-      picks[static_cast<usize>(c)] =
-          sample_from_prefix(prefix.data(), n, rng.uniform() * total);
-    }
-    const index_t* pk = picks.data();
-    real* cd = cand_dist.data();
-    const index_t nc = ncand;
-    device::launch(ctx, n, [=](index_t j) {
-      const real* row = dev_v + j * d;
-      const real cur = dp[j];
-      for (index_t c = 0; c < nc; ++c) {
-        const real* cand = dev_v + pk[c] * d;
-        real acc = 0;
-        for (index_t l = 0; l < d; ++l) {
-          const real delta = row[l] - cand[l];
-          acc += delta * delta;
-        }
-        cd[c * n + j] = acc < cur ? acc : cur;
-      }
-    }, device::tagged("kmeans.seeding",
-                      3.0 * static_cast<double>(n) * nc * d,
-                      static_cast<double>(n) * (nc + 1.0) * d * sizeof(real),
-                      static_cast<double>(n) * nc * sizeof(real)));
-    // Keep the candidate with the smallest total potential (ties -> the
-    // earliest draw, keeping the result deterministic for a fixed seed).
-    index_t best = 0;
-    real best_pot = device::reduce_sum(ctx, cd, n);
-    for (index_t c = 1; c < ncand; ++c) {
-      const real pot = device::reduce_sum(
-          ctx, cd + static_cast<usize>(c) * static_cast<usize>(n), n);
-      if (pot < best_pot) {
-        best_pot = pot;
-        best = c;
+void repair_empty_clusters(std::vector<real>& centroids,
+                           const std::vector<index_t>& counts, const real* v,
+                           std::vector<real> min_dist, index_t d) {
+  for (usize c = 0; c < counts.size(); ++c) {
+    if (counts[c] != 0) continue;
+    usize far = 0;
+    real best = -1;
+    for (usize j = 0; j < min_dist.size(); ++j) {
+      if (min_dist[j] > best) {
+        best = min_dist[j];
+        far = j;
       }
     }
-    seeds.push_back(picks[static_cast<usize>(best)]);
-    const real* win = cd + static_cast<usize>(best) * static_cast<usize>(n);
-    device::launch(ctx, n, [=](index_t j) { dp[j] = win[j]; });
+    const real* row = v + static_cast<index_t>(far) * d;
+    std::copy(row, row + d, centroids.begin() + static_cast<index_t>(c) * d);
+    min_dist[far] = -1;  // don't reuse for another empty
   }
-  return seeds;
 }
 
 }  // namespace fastsc::kmeans

@@ -1,12 +1,13 @@
 // Centroid seeding: uniform random and k-means++ (paper's Algorithm 5,
-// Arthur & Vassilvitskii 2007).
+// Arthur & Vassilvitskii 2007), plus the farthest-point re-seed of empty
+// clusters.  All host-side: seeding runs once per solve over the full
+// embedding, so every device count draws the same seeds.
 #pragma once
 
 #include <vector>
 
 #include "common/rng.h"
 #include "common/types.h"
-#include "device/device.h"
 
 namespace fastsc::kmeans {
 
@@ -19,22 +20,13 @@ namespace fastsc::kmeans {
 [[nodiscard]] std::vector<index_t> random_seeds_host(index_t n, index_t k,
                                                      Rng& rng);
 
-/// Device k-means++ (Algorithm 5): maintains the Dist vector on the device,
-/// updates it with a per-point kernel after each pick, and samples the next
-/// centroid by an inclusive scan of the squared distances plus a single
-/// uniform draw (Thrust-style).  `dev_v` is the device-resident n x d data;
-/// returns the chosen row indices.
-///
-/// `candidates` > 1 enables greedy k-means++ (the scikit-learn default,
-/// Arthur & Vassilvitskii's suggested refinement): at each step it samples
-/// that many candidate centroids by D^2 weighting, evaluates the distance
-/// of every point to ALL candidates in one batched kernel — the data panel
-/// is read once per step instead of once per candidate, the same
-/// amortization as the batched SpMM — and keeps the candidate minimizing
-/// the total potential.  candidates == 1 reproduces the plain behavior
-/// draw-for-draw.
-[[nodiscard]] std::vector<index_t> kmeanspp_seeds_device(
-    device::DeviceContext& ctx, const real* dev_v, index_t n, index_t d,
-    index_t k, Rng& rng, index_t candidates = 1);
+/// Empty-cluster repair: re-seed each empty centroid (counts[c] == 0), in
+/// ascending cluster order, at the point currently farthest from its
+/// assigned centroid (classic farthest-point heuristic; the first maximum of
+/// `min_dist`, which is then retired so no point seeds two clusters).
+/// `centroids` is k x d row-major over the n x d points `v`.
+void repair_empty_clusters(std::vector<real>& centroids,
+                           const std::vector<index_t>& counts, const real* v,
+                           std::vector<real> min_dist, index_t d);
 
 }  // namespace fastsc::kmeans

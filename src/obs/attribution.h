@@ -4,7 +4,7 @@
 // much did the device do" but not "which kernel is bandwidth-bound" — the
 // question the paper's Tables III-VII are built around.  This module tags
 // every device launch and host<->device transfer with a stable *site* name
-// (dotted lowercase identifiers: "spmv.csr", "kmeans.assign",
+// (dotted lowercase identifiers: "spmv.csr", "kmeans.argmin",
 // "stage.similarity") and accumulates, per site:
 //
 //   * launch / transfer counts and bytes moved in each direction,

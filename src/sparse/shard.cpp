@@ -270,8 +270,7 @@ namespace {
 /// segment.  The accumulation loop is entry-for-entry identical to
 /// device_csrmv, which is what makes the sharded result bitwise equal to
 /// the single-device kernel.
-void rowlist_csrmv(device::DeviceGroup& group, device::DeviceContext& ctx,
-                   DeviceCsrShard& sh,
+void rowlist_csrmv(device::DeviceContext& ctx, DeviceCsrShard& sh,
                    const device::DeviceBuffer<index_t>& rows_idx,
                    index_t nnz_cost, const char* site) {
   const auto n = static_cast<index_t>(rows_idx.size());
@@ -302,7 +301,7 @@ void rowlist_csrmv(device::DeviceGroup& group, device::DeviceContext& ctx,
                      static_cast<double>(n) * sizeof(real));
   cfg.bytes_per_scalar = (nnzd * (bw + bx) + n * static_cast<double>(sizeof(real))) /
                          std::max(2.0 * nnzd + n, 1.0);
-  cfg.modeled_seconds = group.modeled_kernel_seconds(read_bytes);
+  cfg.modeled_seconds = ctx.modeled_kernel_seconds(read_bytes);
   device::launch(
       ctx, n,
       [=](index_t i) {
@@ -465,7 +464,7 @@ void sharded_csrmv(ShardedCsr& a, const real* x, real* y) {
               "spmv.halo_gather", c, c * (bx + sizeof(index_t)),
               c * static_cast<double>(w));
           cfg.bytes_per_scalar = static_cast<double>(w);
-          cfg.modeled_seconds = group.modeled_kernel_seconds(
+          cfg.modeled_seconds = ctx.modeled_kernel_seconds(
               c * (bx + static_cast<double>(w)));
           if (!narrow) {
             const real* xr = sh.x_replica.data();
@@ -511,7 +510,7 @@ void sharded_csrmv(ShardedCsr& a, const real* x, real* y) {
           DeviceCsrShard& sh = a.shards[d];
           device::DeviceContext& ctx = group.device(d);
           ctx.sync_current_clock_to(x_ready[d]);
-          rowlist_csrmv(group, ctx, sh, sh.interior_idx, sh.interior_nnz,
+          rowlist_csrmv(ctx, sh, sh.interior_idx, sh.interior_nnz,
                         "spmv.shard_interior");
         });
     const auto hnode = ex.add(
@@ -552,7 +551,7 @@ void sharded_csrmv(ShardedCsr& a, const real* x, real* y) {
               "spmv.halo_scatter",
               c, c * (static_cast<double>(w) + sizeof(index_t)), c * bo);
           cfg.bytes_per_scalar = static_cast<double>(w);
-          cfg.modeled_seconds = group.modeled_kernel_seconds(
+          cfg.modeled_seconds = group.device(d).modeled_kernel_seconds(
               c * (static_cast<double>(w) + bo));
           if (!narrow) {
             real* xr = sh.x_replica.data();
@@ -581,7 +580,7 @@ void sharded_csrmv(ShardedCsr& a, const real* x, real* y) {
         PipelineExecutor::kComputeStream, "shard.spmv_frontier",
         [&a, &group, d] {
           DeviceCsrShard& sh = a.shards[d];
-          rowlist_csrmv(group, group.device(d), sh, sh.frontier_idx,
+          rowlist_csrmv(group.device(d), sh, sh.frontier_idx,
                         sh.frontier_nnz, "spmv.shard_frontier");
         },
         {snode});
@@ -610,7 +609,7 @@ void sharded_csrmv(ShardedCsr& a, const real* x, real* y) {
                 "precision.stage", c, c * sizeof(real),
                 c * static_cast<double>(w));
             cfg.bytes_per_scalar = static_cast<double>(w);
-            cfg.modeled_seconds = group.modeled_kernel_seconds(
+            cfg.modeled_seconds = group.device(d).modeled_kernel_seconds(
                 c * (sizeof(real) + static_cast<double>(w)));
             device::launch(
                 group.device(d), rows,
@@ -704,7 +703,7 @@ void sharded_csrmm(ShardedCsr& a, const real* x, real* y, index_t nvec) {
               "spmv.halo_gather", c, c * (sizeof(real) + sizeof(index_t)),
               c * sizeof(real));
           cfg.modeled_seconds =
-              group.modeled_kernel_seconds(c * 2.0 * sizeof(real));
+              ctx.modeled_kernel_seconds(c * 2.0 * sizeof(real));
           device::launch(
               ctx, n,
               [=](index_t i) {
@@ -760,7 +759,7 @@ void sharded_csrmm(ShardedCsr& a, const real* x, real* y, index_t nvec) {
               "spmv.halo_scatter", c, c * (sizeof(real) + sizeof(index_t)),
               c * sizeof(real));
           cfg.modeled_seconds =
-              group.modeled_kernel_seconds(c * 2.0 * sizeof(real));
+              group.device(d).modeled_kernel_seconds(c * 2.0 * sizeof(real));
           device::launch(
               group.device(d), n,
               [=](index_t i) {
@@ -801,7 +800,7 @@ void sharded_csrmm(ShardedCsr& a, const real* x, real* y, index_t nvec) {
               (nnzd * bw + nnzd * nvec * 8.0 +
                static_cast<double>(lrows) * nvec * 8.0) /
               (nnzd + nnzd * nvec + static_cast<double>(lrows) * nvec);
-          cfg.modeled_seconds = group.modeled_kernel_seconds(
+          cfg.modeled_seconds = ctx.modeled_kernel_seconds(
               nnzd * nvec * 2.0 * sizeof(real));
           device::launch(
               ctx, lrows,

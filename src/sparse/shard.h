@@ -16,9 +16,8 @@
 //      rows wait for the scatter,
 //   4. each device downloads its y segment.
 //
-// The wave runs through one {transfer, compute} PipelineExecutor per device
-// (the same machinery the k-means centroid prefetch uses), so
-// every copy and kernel lands on the owning device's virtual timeline and
+// The wave runs through one {transfer, compute} PipelineExecutor per device,
+// so every copy and kernel lands on the owning device's virtual timeline and
 // exchange/compute overlap is metered per device.
 //
 // Determinism contract (tests/test_sharded_differential.cpp): the per-row

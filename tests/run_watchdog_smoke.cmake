@@ -1,6 +1,7 @@
 # Watchdog smoke, run as a CTest via `cmake -P`:
-#   1. run a tiny bench_table5_syn200 pipeline with a stream.hang fault (the
-#      stream worker wedges before its next op) under a heartbeat watchdog,
+#   1. run a tiny two-device bench_table5_syn200 pipeline with a stream.hang
+#      fault (the stream worker wedges before its next op) under a heartbeat
+#      watchdog,
 #   2. require the run to finish with an exit code of 0 — the watchdog must
 #      convert the hang into an anytime result, not a wedged process,
 #   3. validate the trace with tools/check_trace.py and require the
@@ -20,14 +21,16 @@ file(MAKE_DIRECTORY "${WORKDIR}")
 set(trace_json "${WORKDIR}/trace.json")
 set(report_json "${WORKDIR}/report.json")
 
-# The eigensolver waves are synchronous, so the only stream ops are the
-# k-means centroid-tile prefetches (about a dozen at this size); nth picks
-# the 4th so the hang lands mid-k-means, where the stage's anytime wrap-up
-# reruns it to a full assignment.
+# A single-device run issues no stream ops, so the run is sharded over two
+# devices: every sharded SpMV wave runs its halo exchange and row blocks
+# through per-device streams (~22 ops per wave here).  nth=300 wedges an op
+# of about the 14th of ~32 waves, once the basis holds the k vectors an
+# anytime cut needs; the watchdog cancels the eigensolve and its partial
+# Ritz pairs still feed k-means a full assignment.
 execute_process(
   COMMAND "${BENCH}"
-          --n=400 --blocks=4 --k=4 --baselines=false
-          --faults=site=stream.hang,nth=4
+          --n=400 --blocks=4 --k=4 --baselines=false --devices=2
+          --faults=site=stream.hang,nth=300
           --watchdog=heartbeat_ms=50,poll_ms=5
           --trace-out=${trace_json}
           --report-out=${report_json}

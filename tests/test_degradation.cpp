@@ -97,7 +97,7 @@ TEST_F(DegradationTest, SingleFaultAtEverySiteLeavesClusteringUnchanged) {
       device_sites.push_back(site);
     }
   }
-  // The async graph pipeline must expose at least the allocation site and
+  // The graph pipeline must expose at least the allocation site and
   // one transfer site in each direction.
   ASSERT_TRUE(sites.contains("device.alloc"));
   ASSERT_GE(device_sites.size(), 3u);
@@ -236,24 +236,20 @@ TEST_F(DegradationTest, FailedSolveStillRunsKmeansDownstream) {
 
 TEST_F(DegradationTest, RepeatedRunsAreByteIdentical) {
   const data::SbmGraph g = easy_graph();
-  for (const bool async : {false, true}) {
-    SpectralConfig cfg = base_config();
-    cfg.async_pipeline = async;
-    device::DeviceContext ctx_a(1);
-    device::DeviceContext ctx_b(1);
-    const SpectralResult a = spectral_cluster_graph(g.w, cfg, &ctx_a);
-    const SpectralResult b = spectral_cluster_graph(g.w, cfg, &ctx_b);
-    EXPECT_EQ(a.labels, b.labels);
-    EXPECT_EQ(a.eigenvalues, b.eigenvalues);
-    EXPECT_EQ(a.embedding, b.embedding);
-    EXPECT_EQ(a.eig_stats.matvec_count, b.eig_stats.matvec_count);
-    EXPECT_EQ(a.eig_stats.restart_count, b.eig_stats.restart_count);
-    EXPECT_EQ(a.kmeans_iterations, b.kmeans_iterations);
-    EXPECT_EQ(a.device_counters.bytes_h2d, b.device_counters.bytes_h2d);
-    EXPECT_EQ(a.device_counters.bytes_d2h, b.device_counters.bytes_d2h);
-    EXPECT_EQ(a.device_counters.transfers_h2d,
-              b.device_counters.transfers_h2d);
-  }
+  const SpectralConfig cfg = base_config();
+  device::DeviceContext ctx_a(1);
+  device::DeviceContext ctx_b(1);
+  const SpectralResult a = spectral_cluster_graph(g.w, cfg, &ctx_a);
+  const SpectralResult b = spectral_cluster_graph(g.w, cfg, &ctx_b);
+  EXPECT_EQ(a.labels, b.labels);
+  EXPECT_EQ(a.eigenvalues, b.eigenvalues);
+  EXPECT_EQ(a.embedding, b.embedding);
+  EXPECT_EQ(a.eig_stats.matvec_count, b.eig_stats.matvec_count);
+  EXPECT_EQ(a.eig_stats.restart_count, b.eig_stats.restart_count);
+  EXPECT_EQ(a.kmeans_iterations, b.kmeans_iterations);
+  EXPECT_EQ(a.device_counters.bytes_h2d, b.device_counters.bytes_h2d);
+  EXPECT_EQ(a.device_counters.bytes_d2h, b.device_counters.bytes_d2h);
+  EXPECT_EQ(a.device_counters.transfers_h2d, b.device_counters.transfers_h2d);
 }
 
 TEST_F(DegradationTest, FaultInjectedRunsAreReproducible) {

@@ -120,6 +120,32 @@ TEST(Launch, ZeroThreadsIsANoop) {
   EXPECT_EQ(ctx.counters().kernel_launches, 1u);
 }
 
+TEST(Launch, KernelCostModelChargesDeclaredBytes) {
+  DeviceContext ctx(1);
+  ctx.set_kernel_cost_model(1e9, 5e-6);
+  // No modeled_seconds: charged latency + (bytes_read + bytes_written) / rate.
+  LaunchConfig cfg;
+  cfg.bytes_read = 3000;
+  cfg.bytes_written = 1000;
+  launch(ctx, 10, [](index_t) {}, cfg);
+  EXPECT_DOUBLE_EQ(ctx.counters().kernel_seconds, 5e-6 + 4000 / 1e9);
+  // An explicit override keeps its own formula.
+  cfg.modeled_seconds = 1e-3;
+  launch(ctx, 10, [](index_t) {}, cfg);
+  EXPECT_DOUBLE_EQ(ctx.counters().kernel_seconds, 5e-6 + 4000 / 1e9 + 1e-3);
+  // Direct record_kernel callers are charged the same way; empty launches
+  // are free.
+  obs::KernelCost cost;
+  cost.bytes_read = 2000;
+  ctx.record_kernel(0.5, -1.0, cost);
+  launch(ctx, 0, [](index_t) {}, cfg);
+  EXPECT_DOUBLE_EQ(ctx.counters().kernel_seconds,
+                   5e-6 + 4000 / 1e9 + 1e-3 + 5e-6 + 2000 / 1e9);
+  EXPECT_DOUBLE_EQ(ctx.modeled_kernel_seconds(1e9), 5e-6 + 1.0);
+  ctx.set_kernel_cost_model(0, 0);
+  EXPECT_LT(ctx.modeled_kernel_seconds(1e9), 0);  // off: measure wall time
+}
+
 TEST(LaunchConfig, GridCoversThreads) {
   LaunchConfig cfg;
   cfg.block = 256;

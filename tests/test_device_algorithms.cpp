@@ -4,6 +4,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstring>
 #include <numeric>
 #include <vector>
 
@@ -69,6 +70,21 @@ TEST_P(DeviceAlgorithms, ReduceSumMatchesSerial) {
   DeviceBuffer<double> dev(ctx_, std::span<const double>(host));
   EXPECT_NEAR(reduce_sum(ctx_, dev.data(), static_cast<index_t>(host.size())),
               expect, 1e-9);
+}
+
+TEST_P(DeviceAlgorithms, ReduceSumBitwiseAcrossWorkerCounts) {
+  // Fixed-size blocks fold in a fixed order, so the sum is the same bits
+  // for any pool — including a serial one.
+  std::vector<double> host(3 * device::kReduceBlock + 17);
+  Rng rng(5);
+  for (double& v : host) v = rng.uniform(-1, 1) * 1e3;
+  const auto n = static_cast<index_t>(host.size());
+  DeviceContext serial(1);
+  DeviceBuffer<double> a(serial, std::span<const double>(host));
+  DeviceBuffer<double> b(ctx_, std::span<const double>(host));
+  const double want = reduce_sum(serial, a.data(), n);
+  const double got = reduce_sum(ctx_, b.data(), n);
+  EXPECT_EQ(std::memcmp(&want, &got, sizeof(double)), 0);
 }
 
 TEST_P(DeviceAlgorithms, ReduceEmptyReturnsInit) {

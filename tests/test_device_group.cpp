@@ -233,6 +233,34 @@ TEST(DeviceGroup, CopyPeerMovesDataAndMetersDestination) {
   EXPECT_EQ(group.device(0).counters_snapshot().transfers_d2d, 0u);
 }
 
+TEST(DeviceGroup, BorrowedRootIsTheCallersContext) {
+  device::DeviceContext ctx(3);
+  DeviceGroup group(ctx);
+  ASSERT_EQ(group.size(), 1u);
+  EXPECT_EQ(&group.device(0), &ctx);
+  EXPECT_EQ(&group.root(), &ctx);
+  EXPECT_EQ(group.config().workers_per_device, 3u);
+  // Work on the group lands on the caller's books, not on a fresh context.
+  std::vector<real> host(64, 2.0);
+  device::DeviceBuffer<real> buf(group.device(0),
+                                 std::span<const real>(host));
+  EXPECT_EQ(ctx.counters_snapshot().bytes_h2d, host.size() * sizeof(real));
+  EXPECT_EQ(group.rollup_counters().bytes_h2d, host.size() * sizeof(real));
+}
+
+TEST(DeviceGroup, CostModelIsInstalledOnEveryDevice) {
+  DeviceGroupConfig gc;
+  gc.num_devices = 2;
+  gc.modeled_compute_bytes_per_sec = 1e9;
+  gc.modeled_launch_latency_seconds = 1e-6;
+  DeviceGroup group(gc);
+  for (usize d = 0; d < group.size(); ++d) {
+    EXPECT_DOUBLE_EQ(group.device(d).modeled_kernel_seconds(1000),
+                     1e-6 + 1000 / 1e9);
+  }
+  EXPECT_LT(make_group(1).device(0).modeled_kernel_seconds(1000), 0);
+}
+
 TEST(DeviceGroup, CopyPeerAbsorbsInjectedTransientFault) {
   fault::FaultPlan plan = fault::FaultPlan::parse("site=d2d.halo,nth=1");
   fault::ArmScope armed(plan);

@@ -4,9 +4,11 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstring>
 #include <limits>
 #include <map>
 #include <set>
+#include <string>
 #include <vector>
 
 #include "common/rng.h"
@@ -160,23 +162,6 @@ TEST_P(KmeansDevice, RandomSeedingAlsoWorks) {
   EXPECT_GE(used.size(), 2u);
 }
 
-TEST_P(KmeansDevice, CentroidUpdateStrategiesAgree) {
-  const Blobs b = make_blobs(40, 5, 4, 0.5, 53);
-  KmeansConfig cfg;
-  cfg.k = 5;
-  cfg.seed = 7;
-  cfg.centroid_update = CentroidUpdate::kSortByLabel;
-  const KmeansResult sorted = kmeans_device(ctx_, b.x.data(), b.n, b.d, cfg);
-  cfg.centroid_update = CentroidUpdate::kDirectAccumulate;
-  const KmeansResult direct = kmeans_device(ctx_, b.x.data(), b.n, b.d, cfg);
-  EXPECT_EQ(sorted.labels, direct.labels);
-  EXPECT_EQ(sorted.iterations, direct.iterations);
-  ASSERT_EQ(sorted.centroids.size(), direct.centroids.size());
-  for (usize i = 0; i < sorted.centroids.size(); ++i) {
-    EXPECT_NEAR(sorted.centroids[i], direct.centroids[i], 1e-10);
-  }
-}
-
 TEST_P(KmeansDevice, RestartsNeverWorsenObjective) {
   const Blobs b = make_blobs(20, 6, 2, 1.5, 59);  // overlapping: seeds matter
   KmeansConfig cfg;
@@ -220,7 +205,124 @@ TEST_P(KmeansDevice, TransfersDataAndLabels) {
   EXPECT_GT(ctx_.counters().bytes_d2h, before.bytes_d2h);
 }
 
+TEST_P(KmeansDevice, ChecksumVerifiesEverySweep) {
+  const Blobs b = make_blobs(30, 4, 3, 0.5, 47);
+  KmeansConfig cfg;
+  cfg.k = 4;
+  const KmeansResult r = kmeans_device(ctx_, b.x.data(), b.n, b.d, cfg);
+  EXPECT_EQ(r.abft_checks, static_cast<std::uint64_t>(r.iterations));
+  EXPECT_EQ(r.abft_detected, 0u);
+  cfg.abft = false;
+  const KmeansResult off = kmeans_device(ctx_, b.x.data(), b.n, b.d, cfg);
+  EXPECT_EQ(off.abft_checks, 0u);
+  EXPECT_EQ(off.labels, r.labels);
+}
+
 INSTANTIATE_TEST_SUITE_P(WorkerCounts, KmeansDevice, ::testing::Values(1, 4));
+
+// ---------------------------------------------------------------------------
+// The group sweep: one blocked Lloyd sweep for every device count.
+
+/// Cuts of [0, n) into `parts` pieces on kBlockRows boundaries (trailing
+/// pieces may be empty).
+std::vector<index_t> block_cuts(index_t n, index_t parts) {
+  const index_t blocks = (n + kBlockRows - 1) / kBlockRows;
+  std::vector<index_t> cuts(static_cast<usize>(parts) + 1, n);
+  for (index_t p = 0; p < parts; ++p) {
+    cuts[static_cast<usize>(p)] =
+        std::min(n, (blocks * p + parts - 1) / parts * kBlockRows);
+  }
+  return cuts;
+}
+
+device::DeviceGroup make_group(usize devices, usize workers) {
+  device::DeviceGroupConfig gc;
+  gc.num_devices = devices;
+  gc.workers_per_device = workers;
+  return device::DeviceGroup(gc);
+}
+
+TEST(KmeansGroup, BitwiseAcrossDeviceAndWorkerCounts) {
+  // Overlapping blobs: many near-ties, a dozen sweeps, and an empty cluster
+  // to repair (k exceeds the planted count).
+  const Blobs b = make_blobs(260, 5, 6, 3.0, 61);
+  for (const Precision rung : {Precision::kFp64, Precision::kFp32}) {
+    KmeansConfig cfg;
+    cfg.k = 8;
+    cfg.seed = 5;
+    cfg.precision = rung;
+    device::DeviceContext ctx1(1);
+    const KmeansResult base = kmeans_device(ctx1, b.x.data(), b.n, b.d, cfg);
+    ASSERT_GT(base.iterations, 2);
+    for (const usize devices : {1u, 2u, 4u, 8u}) {
+      for (const usize workers : {1u, 3u, 4u, 8u}) {
+        SCOPED_TRACE(std::string(precision_name(rung)) + " devices " +
+                     std::to_string(devices) + " workers " +
+                     std::to_string(workers));
+        device::DeviceGroup group = make_group(devices, workers);
+        const std::vector<index_t> cuts =
+            block_cuts(b.n, static_cast<index_t>(devices));
+        const KmeansResult r =
+            kmeans_group(group, cuts, b.x.data(), b.n, b.d, cfg);
+        ASSERT_EQ(r.labels.size(), base.labels.size());
+        EXPECT_EQ(std::memcmp(r.labels.data(), base.labels.data(),
+                              base.labels.size() * sizeof(index_t)),
+                  0);
+        ASSERT_EQ(r.centroids.size(), base.centroids.size());
+        EXPECT_EQ(std::memcmp(r.centroids.data(), base.centroids.data(),
+                              base.centroids.size() * sizeof(real)),
+                  0);
+        EXPECT_EQ(std::memcmp(&r.objective, &base.objective, sizeof(real)),
+                  0);
+        EXPECT_EQ(r.iterations, base.iterations);
+        // One distance-block checksum per sweep on every non-empty device.
+        index_t busy = 0;
+        for (usize p = 0; p < devices; ++p) busy += cuts[p + 1] > cuts[p];
+        EXPECT_EQ(r.abft_checks,
+                  static_cast<std::uint64_t>(r.iterations * busy));
+      }
+    }
+  }
+}
+
+TEST(KmeansGroup, CentroidTrafficCrossesThePeerLinks) {
+  const Blobs b = make_blobs(200, 4, 3, 0.3, 67);
+  KmeansConfig cfg;
+  cfg.k = 4;
+  const index_t devices = 3;
+  device::DeviceGroup group = make_group(devices, 1);
+  const std::vector<index_t> cuts = block_cuts(b.n, devices);
+  const KmeansResult r = kmeans_group(group, cuts, b.x.data(), b.n, b.d, cfg);
+  ASSERT_TRUE(r.converged);
+  // Per sweep: the k x d centroids broadcast root -> each peer, and every
+  // peer's block partials (k*d sums, k counts, changed, inertia) ship back.
+  const usize stride = static_cast<usize>(cfg.k * b.d + cfg.k + 2);
+  usize peer_blocks = 0;
+  for (index_t p = 1; p < devices; ++p) {
+    peer_blocks += static_cast<usize>(
+        (cuts[static_cast<usize>(p) + 1] - cuts[static_cast<usize>(p)] +
+         kBlockRows - 1) /
+        kBlockRows);
+  }
+  const auto sweeps = static_cast<usize>(r.iterations);
+  const usize want =
+      sweeps * sizeof(real) *
+      ((devices - 1) * static_cast<usize>(cfg.k * b.d) + peer_blocks * stride);
+  EXPECT_EQ(group.rollup_counters().bytes_d2d, want);
+}
+
+TEST(KmeansGroup, RejectsCutsOffTheBlockGrid) {
+  const Blobs b = make_blobs(200, 4, 2, 0.3, 71);
+  KmeansConfig cfg;
+  cfg.k = 4;
+  device::DeviceGroup group = make_group(2, 1);
+  const std::vector<index_t> off_grid{0, 300, b.n};
+  EXPECT_THROW((void)kmeans_group(group, off_grid, b.x.data(), b.n, b.d, cfg),
+               std::invalid_argument);
+  const std::vector<index_t> too_few{0, b.n};
+  EXPECT_THROW((void)kmeans_group(group, too_few, b.x.data(), b.n, b.d, cfg),
+               std::invalid_argument);
+}
 
 }  // namespace
 }  // namespace fastsc::kmeans

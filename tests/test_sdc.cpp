@@ -51,9 +51,8 @@ core::SpectralConfig sdc_config() {
   cfg.seed = 42;
   // Every eigensolver wave stages x and y synchronously, so each bitflip
   // site (CSR values, staged device buffer, returned basis column) occurs
-  // and the H2D transfer CRC is live.  k-means runs without its async
-  // centroid prefetch.
-  cfg.async_pipeline = false;
+  // and the H2D transfer CRC is live; every k-means sweep assembles a
+  // checksummed distance block.
   return cfg;
 }
 
@@ -88,7 +87,7 @@ TEST_F(SdcTest, BitflipSweepDetectsAndRecoversEverySite) {
   // The live-payload site family must actually be reachable in this
   // pipeline shape — an empty sweep would vacuously pass.
   for (const char* must : {"bitflip.csr.values", "bitflip.device.buffer",
-                           "bitflip.basis.column"}) {
+                           "bitflip.basis.column", "bitflip.kmeans.dist"}) {
     EXPECT_NE(std::find(sites.begin(), sites.end(), must), sites.end())
         << "site " << must << " never occurred; the sweep lost coverage";
   }
@@ -121,6 +120,28 @@ TEST_F(SdcTest, BasisColumnFlipIsRecomputedInPlace) {
   EXPECT_FALSE(r.degradation.degraded);
   EXPECT_GE(r.integrity.detected, 1u);
   EXPECT_GE(r.integrity.recomputed, 1u);
+}
+
+TEST_F(SdcTest, KmeansDistFlipIsRecomputedInPlaceOnTwoDevices) {
+  const data::SbmGraph g = sdc_graph();
+  core::SpectralConfig cfg = sdc_config();
+  cfg.num_devices = 2;
+  const core::SpectralResult clean = core::spectral_cluster_graph(g.w, cfg);
+  ASSERT_GT(clean.device_counters.bytes_d2d, 0u);  // really sharded
+
+  cfg.faults = fault::FaultPlan::parse("site=bitflip.kmeans.dist,nth=1");
+  const std::uint64_t detected_before = detected();
+  const std::uint64_t recomputed_before = counter("sdc.recomputed");
+  const core::SpectralResult r = core::spectral_cluster_graph(g.w, cfg);
+  // The flipped distance block fails its checksum and is reassembled in
+  // place: no degradation rung, and the labels are the clean run's.
+  EXPECT_EQ(detected(), detected_before + 1);
+  EXPECT_EQ(counter("sdc.recomputed"), recomputed_before + 1);
+  EXPECT_GE(counter("sdc.detected.gemm.kmeans_dist"), 1u);
+  EXPECT_EQ(r.integrity.detected, 1u);
+  EXPECT_EQ(r.integrity.recomputed, 1u);
+  EXPECT_FALSE(r.degradation.degraded);
+  EXPECT_EQ(r.labels, clean.labels);
 }
 
 TEST_F(SdcTest, PersistentCsrCorruptionEscalatesToResolve) {
@@ -287,14 +308,21 @@ TEST_F(SdcTest, CleanRunsReportZeroDetectionsAcrossRungsAndDevices) {
 }
 
 TEST_F(SdcTest, CleanPipelinedRunReportsZeroDetections) {
+  // A clean two-device run: the k-means distance checksum runs on both
+  // shards every sweep and is counted in the run's integrity report.
   const data::SbmGraph g = sdc_graph();
   core::SpectralConfig cfg = sdc_config();
-  cfg.async_pipeline = true;  // k-means prefetch: the GEMM ABFT still runs
+  cfg.num_devices = 2;
   const std::uint64_t before = detected();
   const core::SpectralResult r = core::spectral_cluster_graph(g.w, cfg);
   EXPECT_EQ(detected(), before);
-  EXPECT_GE(r.integrity.checks, 1u);
   EXPECT_EQ(r.integrity.detected, 0u);
+  cfg.sdc.abft_kmeans = false;
+  const core::SpectralResult no_km = core::spectral_cluster_graph(g.w, cfg);
+  EXPECT_EQ(no_km.labels, r.labels);
+  ASSERT_GE(r.kmeans_iterations, 1);
+  EXPECT_EQ(r.integrity.checks - no_km.integrity.checks,
+            2u * static_cast<std::uint64_t>(r.kmeans_iterations));
 }
 
 }  // namespace

@@ -78,118 +78,5 @@ TEST(KmeansppHost, FirstSeedUniform) {
   EXPECT_EQ(seen.size(), 4u);
 }
 
-class KmeansppDevice : public ::testing::TestWithParam<int> {
- protected:
-  device::DeviceContext ctx_{static_cast<usize>(GetParam())};
-};
-
-TEST_P(KmeansppDevice, SpreadsSeedsLikeHost) {
-  const auto x = two_far_groups();
-  device::DeviceBuffer<real> dx(ctx_, std::span<const real>(x));
-  int split = 0;
-  for (std::uint64_t seed = 0; seed < 50; ++seed) {
-    Rng rng(seed);
-    const auto seeds = kmeanspp_seeds_device(ctx_, dx.data(), 8, 1, 2, rng);
-    if ((seeds[0] < 4) != (seeds[1] < 4)) ++split;
-  }
-  EXPECT_GE(split, 48);
-}
-
-TEST_P(KmeansppDevice, SeedsAreValidIndices) {
-  std::vector<real> x(60);
-  Rng data_rng(9);
-  for (real& v : x) v = data_rng.uniform(-1, 1);
-  device::DeviceBuffer<real> dx(ctx_, std::span<const real>(x));
-  Rng rng(17);
-  const auto seeds = kmeanspp_seeds_device(ctx_, dx.data(), 20, 3, 7, rng);
-  ASSERT_EQ(seeds.size(), 7u);
-  for (index_t s : seeds) {
-    EXPECT_GE(s, 0);
-    EXPECT_LT(s, 20);
-  }
-}
-
-TEST_P(KmeansppDevice, MatchesHostDistributionOnBimodalData) {
-  // Statistical agreement: the probability mass of picking the far group
-  // for the second seed should match between host and device samplers.
-  const auto x = two_far_groups();
-  device::DeviceBuffer<real> dx(ctx_, std::span<const real>(x));
-  int host_far = 0, dev_far = 0;
-  for (std::uint64_t seed = 100; seed < 300; ++seed) {
-    Rng hr(seed), dr(seed);
-    const auto hs = kmeanspp_seeds_host(x.data(), 8, 1, 2, hr);
-    const auto ds = kmeanspp_seeds_device(ctx_, dx.data(), 8, 1, 2, dr);
-    if ((hs[0] < 4) != (hs[1] < 4)) ++host_far;
-    if ((ds[0] < 4) != (ds[1] < 4)) ++dev_far;
-  }
-  EXPECT_NEAR(host_far, dev_far, 10);
-}
-
-TEST_P(KmeansppDevice, SingleCandidateParamReproducesPlainPath) {
-  std::vector<real> x(80);
-  Rng data_rng(11);
-  for (real& v : x) v = data_rng.uniform(-1, 1);
-  device::DeviceBuffer<real> dx(ctx_, std::span<const real>(x));
-  Rng r1(23), r2(23);
-  const auto plain = kmeanspp_seeds_device(ctx_, dx.data(), 40, 2, 6, r1);
-  const auto one = kmeanspp_seeds_device(ctx_, dx.data(), 40, 2, 6, r2, 1);
-  EXPECT_EQ(plain, one);  // candidates == 1 must be draw-for-draw identical
-}
-
-TEST_P(KmeansppDevice, GreedyCandidatesNeverIncreasePotential) {
-  // Greedy k-means++ picks the potential-minimizing candidate each step, so
-  // for the same data its final potential should (statistically) dominate
-  // the single-draw sampler.  Compare summed potentials over many seeds.
-  std::vector<real> x(120);
-  Rng data_rng(13);
-  for (real& v : x) v = data_rng.uniform(-10, 10);
-  const index_t n = 60, d = 2, k = 5;
-  device::DeviceBuffer<real> dx(ctx_, std::span<const real>(x));
-
-  auto potential = [&](const std::vector<index_t>& seeds) {
-    real total = 0;
-    for (index_t j = 0; j < n; ++j) {
-      real best = std::numeric_limits<real>::infinity();
-      for (index_t s : seeds) {
-        real acc = 0;
-        for (index_t l = 0; l < d; ++l) {
-          const real delta = x[static_cast<usize>(j * d + l)] -
-                             x[static_cast<usize>(s * d + l)];
-          acc += delta * delta;
-        }
-        best = std::min(best, acc);
-      }
-      total += best;
-    }
-    return total;
-  };
-
-  real plain_sum = 0, greedy_sum = 0;
-  for (std::uint64_t seed = 0; seed < 20; ++seed) {
-    Rng r1(seed), r2(seed);
-    plain_sum += potential(kmeanspp_seeds_device(ctx_, dx.data(), n, d, k, r1));
-    greedy_sum +=
-        potential(kmeanspp_seeds_device(ctx_, dx.data(), n, d, k, r2, 4));
-  }
-  EXPECT_LE(greedy_sum, plain_sum);
-}
-
-TEST_P(KmeansppDevice, GreedyHandlesDuplicatePointsAndIsDeterministic) {
-  std::vector<real> x(30, 2.71);  // all identical: total potential hits 0
-  device::DeviceBuffer<real> dx(ctx_, std::span<const real>(x));
-  Rng r1(5), r2(5);
-  const auto a = kmeanspp_seeds_device(ctx_, dx.data(), 30, 1, 4, r1, 3);
-  const auto b = kmeanspp_seeds_device(ctx_, dx.data(), 30, 1, 4, r2, 3);
-  ASSERT_EQ(a.size(), 4u);
-  EXPECT_EQ(a, b);  // deterministic for a fixed seed
-  for (index_t s : a) {
-    EXPECT_GE(s, 0);
-    EXPECT_LT(s, 30);
-  }
-}
-
-INSTANTIATE_TEST_SUITE_P(WorkerCounts, KmeansppDevice,
-                         ::testing::Values(1, 4));
-
 }  // namespace
 }  // namespace fastsc::kmeans

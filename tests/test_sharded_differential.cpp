@@ -6,8 +6,10 @@
 #include <gtest/gtest.h>
 
 #include <cstring>
+#include <string>
 #include <vector>
 
+#include "common/precision.h"
 #include "common/rng.h"
 #include "core/spectral.h"
 #include "data/powerlaw.h"
@@ -231,9 +233,43 @@ TEST(ShardedPipeline, LabelsByteIdenticalOnPowerlaw) {
   check_device_count_invariance(g.w, 4, "powerlaw");
 }
 
-// The single-device SpMV gives every worker whole rows, so the eigenpairs
-// do not depend on the device context's worker count either.  (Labels are
-// not part of this contract: k-means++ seeding reduces per worker.)
+// The Ng-Jordan-Weiss variant normalizes the embedding rows once, in the
+// k-means stage every pipeline shares, so the normalized embedding and the
+// labels are the same bits at every device count.
+TEST(ShardedPipeline, NjwEmbeddingAndLabelsBitwiseAcrossDeviceCounts) {
+  for (const std::uint64_t seed : {42u, 7u}) {
+    const data::SbmGraph g =
+        data::make_social_graph(data::fb_like_params(1200, 5, seed));
+    std::vector<index_t> old_of_new;
+    const sparse::Coo w = graph::largest_component(g.w, old_of_new);
+    SpectralConfig cfg = pipeline_config(5, 1);
+    cfg.row_normalize_embedding = true;
+    const SpectralResult base = core::spectral_cluster_graph(w, cfg);
+    for (index_t i = 0; i < base.n; ++i) {
+      real norm2 = 0;
+      for (index_t l = 0; l < base.k; ++l) {
+        const real v = base.embedding[static_cast<usize>(i * base.k + l)];
+        norm2 += v * v;
+      }
+      ASSERT_NEAR(norm2, 1.0, 1e-9) << "row " << i << " not normalized";
+    }
+    for (const index_t nd : {2, 4, 8}) {
+      SCOPED_TRACE("seed " + std::to_string(seed) + " num_devices=" +
+                   std::to_string(nd));
+      cfg.num_devices = nd;
+      const SpectralResult r = core::spectral_cluster_graph(w, cfg);
+      expect_bitwise_equal(r.embedding, base.embedding, "NJW embedding");
+      ASSERT_EQ(r.labels.size(), base.labels.size());
+      EXPECT_EQ(std::memcmp(r.labels.data(), base.labels.data(),
+                            base.labels.size() * sizeof(index_t)),
+                0);
+    }
+  }
+}
+
+// The single-device SpMV gives every worker whole rows and the k-means sweep
+// folds fixed point blocks, so neither the eigenpairs nor the labels depend
+// on the device context's worker count, at fp64 or fp32.
 TEST(ShardedPipeline, EigenpairsBitwiseAcrossWorkerCounts) {
   data::SbmParams p;
   p.block_sizes = data::equal_blocks(1500, 10);
@@ -243,16 +279,24 @@ TEST(ShardedPipeline, EigenpairsBitwiseAcrossWorkerCounts) {
   std::vector<index_t> old_of_new;
   const sparse::Coo w = graph::largest_component(data::make_sbm(p).w,
                                                  old_of_new);
-  const SpectralConfig cfg = pipeline_config(10, 1);
-  device::DeviceContext ctx1(1);
-  const SpectralResult base = core::spectral_cluster_graph(w, cfg, &ctx1);
-  ASSERT_TRUE(base.eig_converged);
-  for (const usize workers : {3u, 4u, 8u}) {
-    SCOPED_TRACE(std::to_string(workers) + " workers");
-    device::DeviceContext ctx(workers);
-    const SpectralResult r = core::spectral_cluster_graph(w, cfg, &ctx);
-    expect_bitwise_equal(r.eigenvalues, base.eigenvalues, "eigenvalues");
-    expect_bitwise_equal(r.embedding, base.embedding, "embedding");
+  for (const Precision rung : {Precision::kFp64, Precision::kFp32}) {
+    SpectralConfig cfg = pipeline_config(10, 1);
+    cfg.precision.base = rung;
+    device::DeviceContext ctx1(1);
+    const SpectralResult base = core::spectral_cluster_graph(w, cfg, &ctx1);
+    ASSERT_TRUE(base.eig_converged);
+    for (const usize workers : {3u, 4u, 8u}) {
+      SCOPED_TRACE(std::string(precision_name(rung)) + " " +
+                   std::to_string(workers) + " workers");
+      device::DeviceContext ctx(workers);
+      const SpectralResult r = core::spectral_cluster_graph(w, cfg, &ctx);
+      expect_bitwise_equal(r.eigenvalues, base.eigenvalues, "eigenvalues");
+      expect_bitwise_equal(r.embedding, base.embedding, "embedding");
+      ASSERT_EQ(r.labels.size(), base.labels.size());
+      EXPECT_EQ(std::memcmp(r.labels.data(), base.labels.data(),
+                            base.labels.size() * sizeof(index_t)),
+                0);
+    }
   }
 }
 

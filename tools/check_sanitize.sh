@@ -27,6 +27,8 @@ esac
 # stream and worker threads concurrently).  test_balance and test_hblas
 # exercise the merge-path balanced SpMV / SpMM kernels and the threaded
 # level-2 hblas paths across worker counts; test_powerlaw feeds them.
+# test_kmeans and test_seeding drive the k-means group sweep across device
+# and worker counts.
 TESTS=(
   test_thread_pool
   test_stage_clock
@@ -52,6 +54,8 @@ TESTS=(
   test_hblas
   test_balance
   test_powerlaw
+  test_kmeans
+  test_seeding
 )
 
 echo "== configuring ${SANITIZER}-sanitized build in ${BUILD_DIR} =="
