@@ -30,7 +30,7 @@
 
 #include "bench_common.h"
 #include "common/precision.h"
-#include "core/sharded.h"
+#include "core/spectral.h"
 #include "data/powerlaw.h"
 #include "data/sbm.h"
 #include "data/social.h"
@@ -123,7 +123,7 @@ RungRun run_rung(const Dataset& ds, const std::string& rung, index_t devices,
     gc.num_devices = 1;
     gc.modeled_compute_bytes_per_sec = compute_rate;
     device::DeviceGroup group(gc);
-    r.result = core::spectral_cluster_graph_sharded(ds.w, cfg, group);
+    r.result = core::spectral_cluster_graph(ds.w, cfg, group);
     r.pipeline_seconds = group.max_modeled_pipeline_seconds();
     r.matvecs = std::max<index_t>(1, r.result.eig_stats.matvec_count);
     for (const obs::SiteReport& s : group.device(0).attribution().report()) {
@@ -140,7 +140,7 @@ RungRun run_rung(const Dataset& ds, const std::string& rung, index_t devices,
     gc.modeled_compute_bytes_per_sec = compute_rate;
     device::DeviceGroup group(gc);
     const core::SpectralResult sharded =
-        core::spectral_cluster_graph_sharded(ds.w, cfg, group);
+        core::spectral_cluster_graph(ds.w, cfg, group);
     r.sharded_seconds = group.max_modeled_pipeline_seconds();
     r.sharded_labels_match =
         sharded.labels.size() == r.result.labels.size() &&

@@ -17,7 +17,7 @@
 #include <vector>
 
 #include "bench_common.h"
-#include "core/sharded.h"
+#include "core/spectral.h"
 #include "data/powerlaw.h"
 #include "data/social.h"
 #include "device/device_group.h"
@@ -49,7 +49,7 @@ ScalingPoint run_point(const sparse::Coo& w, index_t k, index_t devices,
   cfg.backend = core::Backend::kDevice;
   cfg.seed = seed;
   const core::SpectralResult r =
-      core::spectral_cluster_graph_sharded(w, cfg, group);
+      core::spectral_cluster_graph(w, cfg, group);
 
   ScalingPoint p;
   p.devices = devices;
@@ -197,7 +197,7 @@ int main(int argc, char** argv) {
     cfg.backend = core::Backend::kDevice;
     cfg.seed = flags.seed;
     cfg.trace = obs::trace_enabled();
-    (void)core::spectral_cluster_graph_sharded(datasets[0].w, cfg, group);
+    (void)core::spectral_cluster_graph(datasets[0].w, cfg, group);
     obs::publish_device_counters(group.rollup_counters(), obs::metrics());
     bench::maybe_write_run_report(flags, "scaling_devices", {}, tables, group);
   }

@@ -856,9 +856,9 @@ bool on_interrupted(std::string_view site) noexcept {
 }
 
 void on_heartbeat() noexcept {
-  // Stream threads are never governor-bound, so heartbeats land on the
-  // process default; per-job governors therefore never see heartbeats and
-  // their heartbeat watchdog stays inert (busy_streams == 0 suppresses it).
+  // Kernel launches feed the launching thread's governor, so a service
+  // job's heartbeat watchdog watches its own launches; stream threads are
+  // never governor-bound and feed the process default.
   current_governor().impl().heartbeat_ticks.fetch_add(
       1, std::memory_order_relaxed);
 }

@@ -24,8 +24,9 @@
 // enforced by a monitor thread so a wedged stage cannot outlive its deadline.
 //
 // The watchdog converts hangs into cancellations: no residual improvement
-// across N IRLM restarts, a stale stream heartbeat while streams are busy, or
-// a transfer exceeding k x its transfer-model estimate.
+// across N IRLM restarts, a stale heartbeat while a kernel launch is in
+// flight (the `device.hang` fault site wedges one), or a transfer exceeding
+// k x its transfer-model estimate.
 #pragma once
 
 #include <atomic>
@@ -172,7 +173,8 @@ struct WatchdogConfig {
   /// `lanczos.convergence` stall fault.
   int stall_restarts = 0;
   double stall_rtol = 1e-3;
-  /// Fire when streams are busy but no stream op completed for this long.
+  /// Fire when the device is busy (a kernel launch or stream op in flight)
+  /// but none completed for this long.
   double heartbeat_timeout_ms = 0;
   /// Fire when a transfer's measured time exceeds this factor times its
   /// transfer-model estimate.
@@ -370,9 +372,11 @@ inline void poll(std::string_view site) {
   return detail::on_interrupted(site);
 }
 
-/// Stream-thread liveness feeds.  Deliberately *not* gated on g_active: the
-/// busy count must stay balanced across arm/disarm boundaries, and both are
-/// single relaxed fetch_adds — negligible next to executing a stream op.
+/// Device liveness feeds, driven by every kernel launch
+/// (device::LaunchLiveness) and stream op.  Deliberately *not* gated on
+/// g_active: the busy count must stay balanced across arm/disarm
+/// boundaries, and both are single relaxed fetch_adds — negligible next to
+/// a kernel launch.
 inline void heartbeat() noexcept { detail::on_heartbeat(); }
 inline void stream_busy(bool busy) noexcept { detail::on_stream_busy(busy); }
 

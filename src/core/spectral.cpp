@@ -3,8 +3,10 @@
 #include <algorithm>
 #include <cmath>
 #include <exception>
+#include <functional>
 #include <limits>
 #include <optional>
+#include <span>
 
 #include "baseline/matlab_like.h"
 #include "baseline/python_like.h"
@@ -14,10 +16,7 @@
 #include "common/log.h"
 #include "common/validation.h"
 #include "common/timer.h"
-#include "core/pipeline_internal.h"
-#include "core/sharded.h"
 #include "device/device_group.h"
-#include "device/stream.h"
 #include "fault/fault.h"
 #include "graph/build.h"
 #include "graph/components.h"
@@ -29,6 +28,7 @@
 #include "obs/metrics.h"
 #include "obs/sdc.h"
 #include "obs/trace.h"
+#include "sparse/shard.h"
 #include "sparse/spmv.h"
 
 namespace fastsc::core {
@@ -223,10 +223,8 @@ bool refines(const PrecisionPolicy& pp) noexcept {
           pp.resolve(PrecisionStage::kBasis) != Precision::kFp64);
 }
 
-}  // namespace
-
-namespace detail {
-
+/// Record one degradation decision: result report + degrade.* counters +
+/// trace counter + a WARN so unattended runs leave an audit trail.
 void note_degradation(SpectralResult& result, const char* stage,
                       const char* action, const std::string& reason) {
   result.degradation.degraded = true;
@@ -237,6 +235,8 @@ void note_degradation(SpectralResult& result, const char* stage,
                                          << reason << ")");
 }
 
+/// Clear the eigensolver outputs of an abandoned attempt before the next
+/// ladder rung re-runs the stage (degradation events are kept).
 void reset_eig_result(SpectralResult& result) {
   result.eigenvalues.clear();
   result.embedding.clear();
@@ -249,6 +249,75 @@ void reset_eig_result(SpectralResult& result) {
   result.refine_residual = 0;
 }
 
+/// Auto-precision rung (DESIGN.md §13) around any eigensolve: run
+/// `solve(cfg)`; when the fp64 refinement residual of a narrow solve exceeds
+/// the policy's limit, drop its outputs and re-run `solve` with every stage
+/// forced to fp64 (degradation action "precision-fallback").
+template <class Solve>
+void solve_with_precision_fallback(const SpectralConfig& cfg,
+                                   SpectralResult& result, Solve&& solve) {
+  solve(cfg);
+  const PrecisionPolicy& pp = cfg.precision;
+  if (!pp.auto_ladder || result.refine_residual <= pp.refine_residual_limit) {
+    return;
+  }
+  note_degradation(result, kStageEigensolver, "precision-fallback",
+                   "fp64 refinement residual " +
+                       std::to_string(result.refine_residual) +
+                       " above limit " +
+                       std::to_string(pp.refine_residual_limit) +
+                       "; re-running the eigensolve at fp64");
+  SpectralConfig fb_cfg = cfg;
+  fb_cfg.precision = pp.fp64_fallback();
+  reset_eig_result(result);
+  obs::AttrSiteScope rung_site("fallback.precision_fp64");
+  solve(fb_cfg);
+}
+
+/// Run a stage whose partial result may not exist yet when a deadline
+/// fires (the eigensolver before its basis holds nev vectors, k-means
+/// before its first full assignment).  With anytime enabled the cut enters
+/// wrap-up — enforcement stops — and reruns the stage to completion, so the
+/// caller still gets a full result; other causes unwind.
+template <class Stage>
+void run_to_completion(Stage&& stage) {
+  try {
+    stage();
+  } catch (const cancel::CancelledError& e) {
+    cancel::Governor& gov = cancel::current_governor();
+    if (!gov.anytime_allowed()) throw;
+    gov.begin_wrapup(e.site().empty() ? e.what() : e.site());
+    stage();
+  }
+}
+
+/// One pipeline stage: wall clock, trace span, budget scope and the
+/// attribution site its device work lands under.
+template <class Fn>
+void run_stage(SpectralResult& result, const char* stage, const char* site,
+               Fn&& fn) {
+  result.clock.start(stage);
+  {
+    obs::ScopedSpan span(stage, "stage");
+    cancel::StageScope budget_scope(stage);
+    obs::AttrSiteScope stage_site(site);
+    fn();
+  }
+  result.clock.stop();
+}
+
+/// One reverse-communication wave (paper Algorithm 3): y = S x for the
+/// solver's host vector x, written to host y (both length n).  `basis` is
+/// the Lanczos basis size at this wave.  A wave reports detected corruption
+/// by throwing device::DataIntegrityError.
+using EigWave = std::function<void(const real* x, real* y, index_t basis)>;
+
+/// The RCI driver behind every device eigensolve.  It owns the steps around
+/// the wave: the narrow-rung tolerance clamp and warm start, checkpoint
+/// resume and anytime abandon, the per-wave and Ritz-range sentinels,
+/// checkpoint export, Ritz extraction, the fp64 refinement against
+/// `refine_w` (read only when an eigensolver stage runs below fp64 or the
+/// fused epilogue is on) and the embedding through `inv_sqrt_degree`.
 void run_rci(const SpectralConfig& cfg, index_t n, const EigWave& wave,
              const sparse::Coo& refine_w,
              const std::vector<real>& inv_sqrt_degree, SpectralResult& result) {
@@ -309,8 +378,8 @@ void run_rci(const SpectralConfig& cfg, index_t n, const EigWave& wave,
     try {
       while (!prob.converge()) {
         // One poll per reverse-communication wave; a deadline or cancellation
-        // fired anywhere (including as a sticky stream error inside the wave)
-        // unwinds to the anytime handler below.
+        // fired anywhere (including a hung launch inside the wave) unwinds
+        // to the anytime handler below.
         cancel::poll("lanczos.matvec");
         WallTimer t;
         const real* x = prob.GetVector();
@@ -343,6 +412,8 @@ void run_rci(const SpectralConfig& cfg, index_t n, const EigWave& wave,
       }
     } catch (const cancel::CancelledError& e) {
       cancel::Governor& gov = cancel::current_governor();
+      // Too early for partial Ritz pairs: run_to_completion reruns the
+      // stage under wrap-up.
       if (!gov.anytime_allowed() || !prob.CanAbandon()) throw;
       // Anytime cut: freeze the iteration, keep the best partial Ritz pairs,
       // and stop enforcement so the rest of the pipeline (k-means on the
@@ -393,9 +464,8 @@ void run_rci(const SpectralConfig& cfg, index_t n, const EigWave& wave,
   if (refines(pp) && !vectors.empty()) {
     // fp64 rung of the ladder: Rayleigh-Ritz against the exact operator
     // recovers the digits the narrow solve left on the table and yields the
-    // residual the auto ladder gates on.  Both drivers refine against W in
-    // its original COO entry order, so the result is the same for every
-    // device count.
+    // residual the auto ladder gates on.  It reads W in its original COO
+    // entry order, so the result is the same for every device count.
     result.refine_residual = refine_eigenpairs_fp64(
         refine_w, inv_sqrt_degree, pp.refine_rounds, result.eigenvalues,
         vectors);
@@ -405,108 +475,220 @@ void run_rci(const SpectralConfig& cfg, index_t n, const EigWave& wave,
   result.precision_used = pp;
 }
 
-}  // namespace detail
+/// Meter one wave of row-sharded CGS2 reorthogonalization: each device runs
+/// the partial GEMV pair over its local rows against the j-vector basis
+/// (twice — "twice is enough"), then the j+1 coefficient vector allreduces
+/// through the group.  The arithmetic itself stays in the host solver
+/// (bitwise the same for every device count); this charges where the flops
+/// and wire traffic would land on a real multi-GPU eigensolver.  A group of
+/// one meters its GEMVs and no exchange.
+void meter_cgs2_wave(device::DeviceGroup& group,
+                     const sparse::RowPartition& part, index_t j) {
+  if (j <= 0) return;
+  for (usize d = 0; d < group.size(); ++d) {
+    const auto n_local =
+        static_cast<double>(part.size(static_cast<index_t>(d)));
+    if (n_local <= 0) continue;
+    obs::KernelCost cost;
+    cost.site = "cgs2.partial_gemv";
+    cost.flops = 8.0 * n_local * static_cast<double>(j);
+    cost.bytes_read =
+        4.0 * n_local * static_cast<double>(j) * sizeof(real);
+    cost.bytes_written = 2.0 * n_local * sizeof(real);
+    group.device(d).record_kernel(0.0, -1.0, cost);
+  }
+  // Recursive-doubling allreduce of the coefficient vector (two CGS passes
+  // per wave ride one fused exchange).  Every device receives exactly one
+  // message per round — ceil(log2 P) per wave on each link — instead of a
+  // star serializing 2(P-1) message latencies on the root's link.
+  const usize coeff_bytes = 2 * static_cast<usize>(j + 1) * sizeof(real);
+  const usize P = group.size();
+  for (usize r = 1; r < P; r *= 2) {
+    for (usize d = 0; d < P; ++d) {
+      const usize peer = d ^ r;
+      if (peer >= P || peer < d) continue;
+      group.model_peer_transfer(d, peer, coeff_bytes, "d2d.allreduce");
+      group.model_peer_transfer(peer, d, coeff_bytes, "d2d.allreduce");
+    }
+  }
+}
 
-namespace {
+/// The similarity matrix W as the eigensolver stage's input.  `host` is W
+/// in its original entry order — what the fp64 refinement, the N > 1 row
+/// bucketing and the host rung read — downloaded at most once; `dev` is the
+/// root device's copy, which a group of one normalizes in place (sorted,
+/// values kept), so every ladder rung rebuilds the same operator from it.
+struct SimilaritySource {
+  explicit SimilaritySource(device::DeviceContext& r,
+                            const sparse::Coo* h = nullptr)
+      : root(r), host(h) {}
 
-using detail::note_degradation;
-using detail::reset_eig_result;
+  device::DeviceContext& root;
+  const sparse::Coo* host;
+  sparse::Coo host_storage;
+  std::optional<sparse::DeviceCoo> dev;
 
-/// Device eigensolver stage: Algorithm 3.  The COO similarity matrix is
-/// already device-resident; normalize (Algorithm 2), then drive the RCI loop
-/// with one synchronous wave per step: stage x over the link (sealed by the
-/// transfer CRC), run the row-serial csrmv (with the optional fused D^-1/2
-/// epilogue), download y, and verify the wave's ABFT checksum.
-void eigensolve_device(device::DeviceContext& ctx, sparse::DeviceCoo& w,
-                       const SpectralConfig& cfg, SpectralResult& result,
-                       const std::vector<real>* degrees = nullptr) {
-  const index_t n = w.rows;
+  const sparse::Coo& host_w() {
+    if (host == nullptr) {
+      host_storage = dev->to_host();  // D2H, metered
+      host = &host_storage;
+    }
+    return *host;
+  }
+  sparse::DeviceCoo& device_w() {
+    if (!dev) dev.emplace(root, *host);  // H2D, metered
+    return *dev;
+  }
+};
+
+/// Row cuts of the eigensolver's operator, which k-means reuses: one part
+/// for a group of one; otherwise the merge-path cut of W's row histogram
+/// (normalization keeps the structure, so it equals the final CSR's
+/// row_ptr) on k-means block boundaries.
+sparse::RowPartition eig_partition(device::DeviceGroup& group,
+                                   SimilaritySource& src, index_t n,
+                                   const SpectralConfig& cfg) {
+  if (group.size() == 1) return sparse::whole_partition(n);
+  std::vector<index_t> row_ptr(static_cast<usize>(n) + 1, 0);
+  for (const index_t r : src.host_w().row_idx) {
+    ++row_ptr[static_cast<usize>(r) + 1];
+  }
+  for (index_t r = 0; r < n; ++r) {
+    row_ptr[static_cast<usize>(r) + 1] += row_ptr[static_cast<usize>(r)];
+  }
+  // Per row and wave the dense stages read ~4 * ncv doubles (the CGS2
+  // sweeps dominate; k-means assignment and the PCIe x/y staging scale the
+  // same way) against ~20 bytes per CSR entry for the SpMV, so a row weighs
+  // roughly ncv entries.  Weighting the merge path accordingly balances
+  // rows and entries together instead of entries alone.
+  const index_t ncv_eff =
+      cfg.ncv > 0 ? cfg.ncv
+                  : std::min(n, std::max<index_t>(2 * cfg.num_clusters + 1, 20));
+  return sparse::make_row_partition(row_ptr.data(), n,
+                                    static_cast<index_t>(group.size()),
+                                    kmeans::kBlockRows, ncv_eff);
+}
+
+/// Device eigensolve over `group` (paper Algorithm 3): Algorithm 2 over one
+/// COO chunk per device, then the RCI loop with one synchronous wave per
+/// step.  Each wave stages every device's x segment (sealed by the transfer
+/// CRC), exchanges halos, multiplies each row block with the fused D^-1/2
+/// epilogue when on, fetches y, and verifies one ABFT checksum over y.
+void eigensolve_group(device::DeviceGroup& group, SimilaritySource& src,
+                      const sparse::RowPartition& part,
+                      const SpectralConfig& cfg, SpectralResult& result,
+                      const std::vector<real>* degrees) {
+  const index_t n = part.rows;
+  const usize P = group.size();
   const PrecisionPolicy& pp = cfg.precision;
   const Precision spmv_p = pp.resolve(PrecisionStage::kSpmv);
   const Precision basis_p = pp.resolve(PrecisionStage::kBasis);
   const bool fused = pp.fused();
 
-  // The refinement operator must be the exact fp64 similarity matrix in its
-  // original entry order (refine_eigenpairs_fp64's cross-device-count
-  // contract); snapshot before Algorithm 2 sorts the device COO.
-  sparse::Coo refine_w;
-  if (refines(pp)) refine_w = w.to_host();  // D2H, metered
-
-  device::DeviceBuffer<real> dev_isd;
+  // A group of one normalizes the root's resident COO; a larger group
+  // buckets the host copy by row block and uploads each chunk to its owner.
+  std::vector<sparse::Coo> host_chunks;
+  std::vector<sparse::DeviceCoo> dev_chunks;
+  std::span<sparse::DeviceCoo> chunks;
+  if (P == 1) {
+    chunks = std::span<sparse::DeviceCoo>(&src.device_w(), 1);
+  } else {
+    host_chunks = sparse::bucket_rows(src.host_w(), part);
+    dev_chunks.reserve(P);
+    for (usize d = 0; d < P; ++d) {
+      dev_chunks.emplace_back(group.device(d), host_chunks[d]);
+    }
+    chunks = dev_chunks;
+  }
   graph::NormalizeOptions nopts;
   nopts.fuse_scale = fused;
   nopts.degrees = degrees;
-  sparse::DeviceCsr p = graph::sym_normalized_device(ctx, w, dev_isd, nopts);
-  if (spmv_p != Precision::kFp64) sparse::demote_csr_values(ctx, p, spmv_p);
+  graph::GroupNormalized norm =
+      graph::sym_normalized_group(group, chunks, part, nopts);
+  dev_chunks.clear();
+  if (spmv_p != Precision::kFp64) {
+    for (usize d = 0; d < P; ++d) {
+      sparse::demote_csr_values(group.device(d), norm.blocks[d], spmv_p);
+    }
+  }
+  sparse::ShardedCsr op = sparse::shard_device_locals(
+      group, part, std::move(norm.blocks), host_chunks, basis_p);
+  host_chunks.clear();
+  if (fused) {
+    for (usize d = 0; d < P; ++d) {
+      op.shards[d].fused_scale = std::move(norm.isd[d]);
+    }
+  }
+  norm.isd.clear();
 
   // ABFT checksum vector (DESIGN.md §14): Huang-Abraham column sums of the
   // *effective* operator, taken from the same (possibly demoted) stored
   // values the kernels read.  With the fused D^-1/2 epilogue the effective
-  // entry is s_r * w_rj * s_j, so c_j = s_j * sum_r s_r * w_rj.  Every SpMV
-  // wave then verifies sum(y) == <c, x> up to accumulation roundoff.  Built
-  // once per solve on the device, downloaded once (n doubles).
+  // entry is s_r * w_rj * s_j, so c_j = s_j * sum_r s_r * w_rj.  Each device
+  // sums its own rows on the device; the partials fold on the host in
+  // device order.  Every wave then verifies sum(y) == <c, x> up to
+  // accumulation roundoff.
   const bool abft_spmv = cfg.sdc.enabled && cfg.sdc.abft_spmv;
-  const usize nnz = p.col_idx.size();
+  const auto un = static_cast<usize>(n);
   std::vector<real> abft_colsum;
   if (abft_spmv) {
-    device::DeviceBuffer<real> dev_colsum(ctx, static_cast<usize>(n));
     obs::AttrSiteScope abft_site("sdc.checksum");
-    const sparse::CsrValuesView vals = p.values_view();
-    const index_t* rp = p.row_ptr.data();
-    const index_t* ci = p.col_idx.data();
-    const real* sd = fused ? dev_isd.data() : nullptr;
-    real* c = dev_colsum.data();
-    const index_t rows = p.rows;
-    device::launch(
-        ctx, 1,
-        [=](index_t) {
-          for (index_t j = 0; j < rows; ++j) c[j] = 0;
-          for (index_t r = 0; r < rows; ++r) {
-            const real sr = sd != nullptr ? sd[r] : real{1};
-            for (index_t e = rp[r]; e < rp[r + 1]; ++e) {
-              c[ci[e]] += sr * vals[e];
+    abft_colsum.assign(un, 0);
+    std::vector<real> partial(un);
+    for (usize d = 0; d < P; ++d) {
+      const sparse::DeviceCsrShard& sh = op.shards[d];
+      device::DeviceContext& ctx = group.device(d);
+      device::DeviceBuffer<real> dev_colsum(ctx, un);
+      const sparse::CsrValuesView vals = sh.local.values_view();
+      const index_t* rp = sh.local.row_ptr.data();
+      const index_t* ci = sh.local.col_idx.data();
+      const real* sd = fused ? sh.fused_scale.data() : nullptr;
+      real* c = dev_colsum.data();
+      const index_t rows = sh.rows();
+      const index_t rb = sh.row_begin;
+      const auto nnz_d = static_cast<double>(sh.local.nnz());
+      device::launch(
+          ctx, 1,
+          [=](index_t) {
+            for (index_t j = 0; j < n; ++j) c[j] = 0;
+            for (index_t r = 0; r < rows; ++r) {
+              const real sr = sd != nullptr ? sd[rb + r] : real{1};
+              for (index_t e = rp[r]; e < rp[r + 1]; ++e) {
+                c[ci[e]] += sr * vals[e];
+              }
             }
-          }
-          if (sd != nullptr) {
-            for (index_t j = 0; j < rows; ++j) c[j] *= sd[j];
-          }
-        },
-        device::tagged("sdc.checksum", 2.0 * static_cast<double>(nnz),
-                       12.0 * static_cast<double>(nnz),
-                       8.0 * static_cast<double>(n)));
-    abft_colsum = dev_colsum.to_host();  // D2H, metered
+          },
+          device::tagged("sdc.checksum", 2.0 * nnz_d, 12.0 * nnz_d,
+                         8.0 * static_cast<double>(n)));
+      dev_colsum.copy_to_host(std::span<real>(partial));  // D2H, metered
+      for (usize j = 0; j < un; ++j) abft_colsum[j] += partial[j];
+    }
+    if (fused) {
+      for (usize j = 0; j < un; ++j) {
+        abft_colsum[j] *= norm.inv_sqrt_degree[j];
+      }
+    }
   }
   // Corruption-at-rest injection point for the matrix payload: *after* the
   // checksum build, so the colsums describe the values as computed and a
-  // flipped stored bit is a detectable divergence.  (A flip before the
-  // build would poison the checksum itself — a different threat model the
-  // at-rest CRC frames cover.)
-  switch (p.value_precision) {
-    case Precision::kFp64:
-      fault::corrupt_scalars("bitflip.csr.values", p.values.data(), nnz);
-      break;
-    case Precision::kFp32:
-      fault::corrupt_scalars_f32("bitflip.csr.values", p.values_f32.data(),
-                                 nnz);
-      break;
-    case Precision::kBf16:
-      fault::corrupt_scalars_b16("bitflip.csr.values", p.values_b16.data(),
-                                 nnz);
-      break;
+  // flipped stored bit is a detectable divergence.
+  for (sparse::DeviceCsrShard& sh : op.shards) {
+    const auto nnz_d = static_cast<usize>(sh.local.nnz());
+    switch (sh.local.value_precision) {
+      case Precision::kFp64:
+        fault::corrupt_scalars("bitflip.csr.values", sh.local.values.data(),
+                               nnz_d);
+        break;
+      case Precision::kFp32:
+        fault::corrupt_scalars_f32("bitflip.csr.values",
+                                   sh.local.values_f32.data(), nnz_d);
+        break;
+      case Precision::kBf16:
+        fault::corrupt_scalars_b16("bitflip.csr.values",
+                                   sh.local.values_b16.data(), nnz_d);
+        break;
+    }
   }
-
-  // Iteration-vector staging: fp64 buffers, or byte buffers at the basis
-  // rung's width — the link then moves packed scalars and the quantization
-  // point matches the sharded x replica exactly.
-  const bool basis_narrow = basis_p != Precision::kFp64;
-  const usize un = static_cast<usize>(n);
-  const usize bw = bytes_per_scalar(basis_p);
-  device::DeviceBuffer<unsigned char> x_stage(ctx, un * bw);
-  device::DeviceBuffer<unsigned char> y_stage(ctx, un * bw);
-  std::vector<unsigned char> stage_host(basis_narrow ? un * bw : 0);
-  const ConstVecView xv(x_stage.data(), basis_p);
-  const VecView yv(y_stage.data(), basis_p);
-  const real* sc = fused ? dev_isd.data() : nullptr;
 
   // The transfer CRC is an exact byte compare of the staged x at every
   // rung; the ABFT checksum's only rung term is the basis quantization of
@@ -515,55 +697,48 @@ void eigensolve_device(device::DeviceContext& ctx, sparse::DeviceCoo& w,
   const double tol_scale = static_cast<double>(cfg.sdc.tolerance_scale);
   const double eps64 = std::numeric_limits<double>::epsilon() / 2;
   const double eps_q = rung_eps(basis_p);
+  const usize bw = bytes_per_scalar(basis_p);
 
-  // Stage x to the device, inject the device-buffer bitflip site, and (when
-  // enabled) seal the upload with a CRC frame: the device copy is re-hashed
-  // by a device kernel and compared byte-for-byte against the host source,
-  // so a flipped device bit is caught before any kernel consumes it.  A
-  // mismatch throws *transient* and run_transfer_with_retry re-runs the
-  // idempotent upload.
-  const auto stage_x = [&](const real* x) {
-    const void* host_src = x;
-    {
-      obs::AttrSiteScope stage_site("spmv.stage");
-      if (basis_narrow) {
-        pack_scalars(x, un, basis_p, stage_host.data());
-        host_src = stage_host.data();
-      }
-      device::copy_h2d(ctx, x_stage.data(),
-                       static_cast<const unsigned char*>(host_src), un * bw);
-    }
+  // Seal on every device's staged x segment: the device-buffer bitflip
+  // site, then (when enabled) a CRC frame — the device copy is re-hashed by
+  // a device kernel and compared byte-for-byte against the host source, so
+  // a flipped device bit is caught before any kernel consumes it.  A
+  // mismatch throws *transient* and the retry re-runs the idempotent upload.
+  sparse::StageCheck seal;
+  seal.site = transfer_crc ? "sdc.h2d" : nullptr;
+  seal.check = [&](usize d, unsigned char* dev, const unsigned char* host,
+                   usize bytes) {
+    const usize count = bytes / bw;
     switch (basis_p) {
       case Precision::kFp64:
         fault::corrupt_scalars("bitflip.device.buffer",
-                               reinterpret_cast<real*>(x_stage.data()), un);
+                               reinterpret_cast<real*>(dev), count);
         break;
       case Precision::kFp32:
         fault::corrupt_scalars_f32("bitflip.device.buffer",
-                                   reinterpret_cast<float*>(x_stage.data()),
-                                   un);
+                                   reinterpret_cast<float*>(dev), count);
         break;
       case Precision::kBf16:
-        fault::corrupt_scalars_b16(
-            "bitflip.device.buffer",
-            reinterpret_cast<std::uint16_t*>(x_stage.data()), un);
+        fault::corrupt_scalars_b16("bitflip.device.buffer",
+                                   reinterpret_cast<std::uint16_t*>(dev),
+                                   count);
         break;
     }
     if (!transfer_crc) return;
-    const usize bytes = un * bw;
-    const unsigned char* dev_src = x_stage.data();
     std::uint32_t dev_crc = 0;
     {
       obs::AttrSiteScope crc_site("sdc.crc");
       std::uint32_t* out = &dev_crc;
+      const unsigned char* src_bytes = dev;
       device::launch(
-          ctx, 1, [=](index_t) { *out = crc32c(dev_src, bytes); },
+          group.device(d), 1,
+          [=](index_t) { *out = crc32c(src_bytes, bytes); },
           device::tagged("sdc.crc", static_cast<double>(bytes) / 8.0,
                          static_cast<double>(bytes), 4.0));
     }
     obs::sdc_note_check();
     ++result.integrity.checks;
-    if (dev_crc != crc32c(host_src, bytes)) {
+    if (dev_crc != crc32c(host, bytes)) {
       obs::sdc_note_detected("device.buffer",
                              "staged x CRC mismatch after H2D");
       ++result.integrity.detected;
@@ -574,34 +749,20 @@ void eigensolve_device(device::DeviceContext& ctx, sparse::DeviceCoo& w,
     }
   };
 
-  const detail::EigWave wave = [&](const real* x, real* y, index_t) {
+  const usize nnz = static_cast<usize>(op.nnz);
+  const EigWave wave = [&](const real* x, real* y, index_t basis) {
     // ABFT verify loop: one in-place recompute on a mismatch (a one-shot
     // upset is gone the second time), then escalate as a permanent
     // DataIntegrityError into the degradation ladder.
     for (int attempt = 0;; ++attempt) {
       {
-        // One span per SpMV wave (H2D + csrmv + D2H).
         obs::ScopedSpan span("spmv", "wave");
-        if (transfer_crc) {
-          device::run_transfer_with_retry(ctx, "sdc.h2d",
-                                          [&] { stage_x(x); });
-        } else {
-          stage_x(x);
-        }
-        sparse::device_csrmv_mp(ctx, p, xv, yv, 1.0, 0.0, sc);
-        obs::AttrSiteScope stage_site("spmv.stage");
-        if (basis_narrow) {
-          device::copy_d2h(ctx, stage_host.data(), y_stage.data(), un * bw);
-          unpack_scalars(stage_host.data(), un, basis_p, y);
-        } else {
-          device::copy_d2h(ctx, reinterpret_cast<unsigned char*>(y),
-                           y_stage.data(), un * bw);
-        }
+        sparse::sharded_csrmv(op, x, y, &seal);
       }
       // In-flight basis corruption: the product on its way back into the
       // host-side recurrence.
       fault::corrupt_scalars("bitflip.basis.column", y, un);
-      if (!abft_spmv) return;
+      if (!abft_spmv) break;
       obs::sdc_note_check();
       ++result.integrity.checks;
       double cx = 0;
@@ -618,7 +779,7 @@ void eigensolve_device(device::DeviceContext& ctx, sparse::DeviceCoo& w,
                std::sqrt(static_cast<double>(nnz) + static_cast<double>(un)) *
                (std::abs(cx) + ynorm1) +
            2 * eps_q * ynorm1 + 1e-300);
-      if (std::abs(ysum - cx) <= tol) return;
+      if (std::abs(ysum - cx) <= tol) break;
       obs::sdc_note_detected(
           "spmv.wave", "|sum(y) - <c,x>| = " +
                            std::to_string(std::abs(ysum - cx)) + " > tol " +
@@ -633,35 +794,50 @@ void eigensolve_device(device::DeviceContext& ctx, sparse::DeviceCoo& w,
       throw device::DataIntegrityError(
           "SpMV ABFT checksum mismatch persisted after block recompute");
     }
+    meter_cgs2_wave(group, part, basis);
   };
-  const std::vector<real> isd = dev_isd.to_host();  // D2H, metered
-  detail::run_rci(cfg, n, wave, refine_w, isd, result);
+  static const sparse::Coo kNoRefinement;
+  run_rci(cfg, n, wave, refines(pp) ? src.host_w() : kNoRefinement,
+          norm.inv_sqrt_degree, result);
 }
 
 void eigensolve_host(const sparse::Coo& w, const SpectralConfig& cfg,
-                     SpectralResult& result);
+                     SpectralResult& result) {
+  std::vector<real> isd;
+  const sparse::Csr p = graph::sym_normalized_host(w, isd);
+  const auto eig =
+      cfg.backend == Backend::kMatlabLike
+          ? baseline::eigensolve_matlab(p, cfg.num_clusters, cfg.which,
+                                        cfg.eig_tol, cfg.ncv, cfg.max_restarts,
+                                        cfg.seed)
+          : baseline::eigensolve_python(p, cfg.num_clusters, cfg.which,
+                                        cfg.eig_tol, cfg.ncv, cfg.max_restarts,
+                                        cfg.seed);
+  result.eigenvalues = eig.eigenvalues;
+  result.eig_converged = eig.converged;
+  result.eig_stats = eig.stats;
+  result.spmv_seconds = eig.spmv_seconds;
+  result.embedding =
+      to_embedding(eig.eigenvectors, isd, cfg.num_clusters, w.rows);
+}
 
-/// Eigensolver degradation ladder: device -> (integrity failures) fp64
-/// re-solve and rebuilt device state -> host backend.  `device_w` /
-/// `host_w` lazily materialize the similarity matrix on the respective side,
-/// so a rung only pays for the representation it actually uses.  `degrees`
-/// optionally carries the operator row sums from the fused similarity+degree
-/// build so Algorithm 2 skips its ones-SpMV.
-template <class DeviceW, class HostW>
-void eigensolve_device_ladder(device::DeviceContext& ctx,
-                              const SpectralConfig& cfg,
-                              SpectralResult& result, DeviceW&& device_w,
-                              HostW&& host_w,
-                              const std::vector<real>* degrees = nullptr) {
+/// Eigensolver degradation ladder, the same for every device count:
+/// device -> (integrity failures) fp64 re-solve and rebuilt device state ->
+/// host backend.  A larger group hands a failure its device rungs could
+/// not absorb to the caller's single-device rerun instead of the host rung.
+void eigensolve_ladder(device::DeviceGroup& group, SimilaritySource& src,
+                       const sparse::RowPartition& part,
+                       const SpectralConfig& cfg, SpectralResult& result,
+                       const std::vector<real>* degrees) {
   const DegradationPolicy& pol = cfg.degradation;
   const auto solve = [&](const SpectralConfig& c) {
-    eigensolve_device(ctx, device_w(), c, result, degrees);
+    eigensolve_group(group, src, part, c, result, degrees);
   };
   std::exception_ptr last_error;
   std::string reason;
   bool integrity = false;
   try {
-    detail::solve_with_precision_fallback(cfg, result, solve);
+    solve_with_precision_fallback(cfg, result, solve);
     return;
   } catch (const device::DeviceError& e) {
     if (!pol.enabled) throw;
@@ -688,8 +864,8 @@ void eigensolve_device_ladder(device::DeviceContext& ctx,
     }
   }
   // Recompute-from-source rung for integrity failures: it rebuilds every
-  // device-resident payload (normalized CSR, checksums) from the COO, which
-  // clears at-rest corruption.
+  // device-resident payload (normalized CSR, checksums) from the unmodified
+  // similarity matrix, which clears at-rest corruption.
   if (pol.allow_sync_fallback && integrity) {
     note_degradation(result, kStageEigensolver, "device-sync", reason);
     reset_eig_result(result);
@@ -697,47 +873,50 @@ void eigensolve_device_ladder(device::DeviceContext& ctx,
       // Ladder-rung site: the retried solve's device work lands in its own
       // bucket so a degraded run is visible in the attribution table.
       obs::AttrSiteScope rung_site("fallback.device_sync");
-      detail::solve_with_precision_fallback(cfg, result, solve);
+      solve_with_precision_fallback(cfg, result, solve);
       return;
     } catch (const device::DeviceError& e) {
       last_error = std::current_exception();
       reason = e.what();
     }
   }
-  if (!pol.allow_host_fallback) std::rethrow_exception(last_error);
+  if (!pol.allow_host_fallback || group.size() > 1) {
+    std::rethrow_exception(last_error);
+  }
   note_degradation(result, kStageEigensolver, "host-eigensolver", reason);
   reset_eig_result(result);
   SpectralConfig host_cfg = cfg;
   host_cfg.backend = Backend::kMatlabLike;
   obs::AttrSiteScope rung_site("fallback.host_eigensolver");
-  eigensolve_host(host_w(), host_cfg, result);
+  eigensolve_host(src.host_w(), host_cfg, result);
 }
 
-void eigensolve_host(const sparse::Coo& w, const SpectralConfig& cfg,
-                     SpectralResult& result) {
-  std::vector<real> isd;
-  const sparse::Csr p = graph::sym_normalized_host(w, isd);
-  const auto eig =
-      cfg.backend == Backend::kMatlabLike
-          ? baseline::eigensolve_matlab(p, cfg.num_clusters, cfg.which,
-                                        cfg.eig_tol, cfg.ncv, cfg.max_restarts,
-                                        cfg.seed)
-          : baseline::eigensolve_python(p, cfg.num_clusters, cfg.which,
-                                        cfg.eig_tol, cfg.ncv, cfg.max_restarts,
-                                        cfg.seed);
-  result.eigenvalues = eig.eigenvalues;
-  result.eig_converged = eig.converged;
-  result.eig_stats = eig.stats;
-  result.spmv_seconds = eig.spmv_seconds;
-  result.embedding =
-      to_embedding(eig.eigenvectors, isd, cfg.num_clusters, w.rows);
+/// Step 3, the eigensolver stage over `group`: the host backends solve on
+/// the host; the device backend walks its ladder, rerun to completion under
+/// wrap-up when a deadline fires before partial Ritz pairs exist.  Returns
+/// the row cuts the k-means stage shards its points by.
+sparse::RowPartition eigensolver_stage(device::DeviceGroup& group,
+                                       SimilaritySource& src,
+                                       const SpectralConfig& cfg,
+                                       SpectralResult& result,
+                                       const std::vector<real>* degrees) {
+  sparse::RowPartition part = sparse::whole_partition(result.n);
+  run_stage(result, kStageEigensolver, "stage.eigensolver", [&] {
+    if (cfg.backend != Backend::kDevice) {
+      eigensolve_host(src.host_w(), cfg, result);
+      return;
+    }
+    // W's original entry order feeds the row bucketing and the fp64
+    // refinement; take it before a group of one sorts the root's copy.
+    if (group.size() > 1 || refines(cfg.precision)) (void)src.host_w();
+    part = eig_partition(group, src, result.n, cfg);
+    run_to_completion([&] {
+      reset_eig_result(result);
+      eigensolve_ladder(group, src, part, cfg, result, degrees);
+    });
+  });
+  return part;
 }
-
-}  // namespace
-
-namespace detail {
-
-namespace {
 
 /// One pass of Step 4 over the (already NJW-normalized) embedding with the
 /// configured backend; the device backend walks its degradation ladder.
@@ -836,8 +1015,11 @@ void kmeans_stage_run(device::DeviceGroup& group,
   }
 }
 
-}  // namespace
-
+/// Step 4: cluster the rows of result.embedding, with device i of `group`
+/// owning rows [cuts[i], cuts[i+1]) (cuts on kmeans::kBlockRows
+/// boundaries).  Owns input validation, the optional NJW row normalization
+/// (applied to result.embedding once), the device ladder (integrity
+/// failure -> rebuilt device run -> host Lloyd) and the anytime rerun.
 void kmeans_stage(device::DeviceGroup& group, std::span<const index_t> cuts,
                   const SpectralConfig& cfg, SpectralResult& result) {
   if (cfg.validate_inputs) {
@@ -858,52 +1040,200 @@ void kmeans_stage(device::DeviceGroup& group, std::span<const index_t> cuts,
       }
     }
   }
-  try {
-    kmeans_stage_run(group, cuts, cfg, result);
-  } catch (const cancel::CancelledError& e) {
-    // The stage's own deadline expired somewhere labels are not yet valid
-    // (seeding, the first sweep).  With anytime enabled, enter wrap-up —
-    // enforcement stops — and rerun the stage to completion so the caller
-    // still gets a full assignment.
-    cancel::Governor& gov = cancel::current_governor();
-    if (!gov.anytime_allowed()) throw;
-    gov.begin_wrapup(e.site().empty() ? e.what() : e.site());
-    kmeans_stage_run(group, cuts, cfg, result);
-  }
+  run_to_completion([&] { kmeans_stage_run(group, cuts, cfg, result); });
 }
 
-}  // namespace detail
+/// The run skeleton both entry points share: trace and fault scopes, the
+/// cancellation governor (armed only when a budget, watchdog or token is
+/// configured; virtual-now is the devices' transfer timeline), the device
+/// counter delta and the budget report around `body`.  `sim_ctx` is the
+/// caller's context when Algorithm 1 ran there outside the group (points
+/// mode over more than one device); its books count toward the run.  A
+/// non-empty `single_device_reason` records the multi-device failure this
+/// run replaces.
+template <class Body>
+SpectralResult run_pipeline(const SpectralConfig& config, index_t n,
+                            device::DeviceGroup& group,
+                            device::DeviceContext* sim_ctx,
+                            const std::string& single_device_reason,
+                            Body&& body) {
+  // Snapshots under the meter mutex: with fastsc::Service, other jobs may
+  // be metering the caller's context concurrently.
+  const auto counters_now = [&] {
+    device::DeviceCounters c = group.rollup_counters();
+    if (sim_ctx != nullptr) {
+      device::accumulate_counters(c, sim_ctx->counters_snapshot());
+    }
+    return c;
+  };
+  const device::DeviceCounters counters_before = counters_now();
+  const obs::TraceEnableScope trace_scope(config.trace);
+  std::optional<fault::ArmScope> fault_scope;
+  if (!config.faults.empty()) fault_scope.emplace(config.faults);
+  // Plain runs never arm the governor, so every poll site stays on its
+  // single-relaxed-load fast path.  The config's budget wins over
+  // FASTSC_BUDGET.
+  std::optional<cancel::RunScope> cancel_scope;
+  const cancel::RunBudget& budget =
+      config.budget.enabled() ? config.budget : cancel::env_budget();
+  if (budget.enabled() || config.watchdog.enabled() ||
+      config.cancel_token.valid()) {
+    cancel_scope.emplace(budget, config.watchdog, config.cancel_token,
+                         [&group, sim_ctx] {
+                           return group.modeled_transfer_seconds_now() +
+                                  (sim_ctx != nullptr
+                                       ? sim_ctx->modeled_transfer_seconds_now()
+                                       : 0.0);
+                         });
+  }
 
-namespace {
+  SpectralResult result;
+  result.n = n;
+  result.k = config.num_clusters;
+  if (!single_device_reason.empty()) {
+    note_degradation(result, kStageEigensolver, "single-device",
+                     single_device_reason);
+  }
+  body(result);
+  if (cancel::Governor& gov = cancel::current_governor(); gov.armed()) {
+    result.budget = gov.report();
+  }
+  result.device_counters = device::counters_delta(counters_now(),
+                                                  counters_before);
+  return result;
+}
 
-/// Step 4 on one context: the group-wide stage over a group of one.
-void kmeans_stage_single(device::DeviceContext& ctx, const SpectralConfig& cfg,
-                         SpectralResult& result) {
+/// Run `run(group, reason)` over config.num_devices devices.  More than one
+/// builds a transient group inheriting the caller's transfer model; a
+/// permanent device error there reruns the whole pipeline on the caller's
+/// context as a group of one (degradation action "single-device").  A group
+/// of one borrows the caller's context.
+template <class Run>
+SpectralResult on_devices(const SpectralConfig& config,
+                          device::DeviceContext& ctx, Run&& run) {
+  std::string reason;
+  if (config.backend == Backend::kDevice && config.num_devices > 1) {
+    device::DeviceGroupConfig gc;
+    gc.num_devices = static_cast<usize>(config.num_devices);
+    gc.model = ctx.transfer_model();
+    device::DeviceGroup group(gc);
+    try {
+      return run(group, reason);
+    } catch (const device::DeviceError& e) {
+      if (!config.degradation.enabled) throw;
+      reason = e.what();
+    }
+  }
   device::DeviceGroup group(ctx);
-  const index_t cuts[] = {0, result.n};
-  detail::kmeans_stage(group, cuts, cfg, result);
+  return run(group, reason);
+}
+
+/// Steps 1-4 on `group`, with Algorithm 1 on `ctx`.
+SpectralResult cluster_points_on(device::DeviceGroup& group,
+                                 device::DeviceContext& ctx, const real* x,
+                                 index_t n, index_t d,
+                                 const graph::EdgeList& sym,
+                                 const SpectralConfig& config,
+                                 const std::string& reason) {
+  const auto body = [&](SpectralResult& result) {
+    SimilaritySource src(ctx);
+    std::vector<real> fused_degrees;
+    bool have_degrees = false;
+    const auto build_on_host = [&] {
+      src.host_storage =
+          baseline::similarity_loop(x, n, d, sym, config.similarity);
+      src.host = &src.host_storage;
+    };
+    run_stage(result, kStageSimilarity, "stage.similarity", [&] {
+      if (config.backend != Backend::kDevice) return build_on_host();
+      const DegradationPolicy& pol = config.degradation;
+      const Precision sim_p =
+          config.precision.resolve(PrecisionStage::kSimilarity);
+      try {
+        if (config.similarity_chunk_edges > 0) {
+          // Out-of-core Algorithm 1: the edge list streams through the
+          // device.
+          src.host_storage = graph::build_similarity_device_chunked(
+              ctx, x, n, d, sym, config.similarity,
+              config.similarity_chunk_edges);
+          src.host = &src.host_storage;
+          src.dev.emplace(ctx, src.host_storage);
+        } else if (config.precision.fused() || sim_p != Precision::kFp64) {
+          // Fused Algorithm 1 + degree pass (DESIGN.md §13): similarity
+          // values quantize to the rung on store, and the operator row sums
+          // come out of the same edge sweep so Algorithm 2 skips its
+          // degree pass.
+          src.dev.emplace(graph::build_similarity_device_fused_degrees(
+              ctx, x, n, d, sym, config.similarity, fused_degrees, sim_p));
+          have_degrees = true;
+        } else {
+          src.dev.emplace(graph::build_similarity_device(ctx, x, n, d, sym,
+                                                         config.similarity));
+        }
+      } catch (const device::DeviceError& e) {
+        if (!pol.enabled || !pol.allow_host_fallback) throw;
+        note_degradation(result, kStageSimilarity, "host-similarity",
+                         e.what());
+        src.dev.reset();
+        have_degrees = false;
+        obs::AttrSiteScope rung_site("fallback.host_similarity");
+        build_on_host();
+      }
+    });
+    const sparse::RowPartition part = eigensolver_stage(
+        group, src, config, result, have_degrees ? &fused_degrees : nullptr);
+    run_stage(result, kStageKmeans, "stage.kmeans",
+              [&] { kmeans_stage(group, part.cuts, config, result); });
+  };
+  device::DeviceContext* sim_ctx = &group.root() == &ctx ? nullptr : &ctx;
+  return run_pipeline(config, n, group, sim_ctx, reason, body);
+}
+
+/// Steps 2-4 of the graph `w` on `group`.
+SpectralResult cluster_graph_on(device::DeviceGroup& group,
+                                const sparse::Coo& w,
+                                const SpectralConfig& config,
+                                const std::string& reason) {
+  const auto body = [&](SpectralResult& result) {
+    // The graph upload is part of the eigensolver stage (the paper's
+    // accounting for the graph datasets), and lazy, so a degraded run that
+    // never touches the device skips it.
+    SimilaritySource src(group.root(), &w);
+    const sparse::RowPartition part =
+        eigensolver_stage(group, src, config, result, nullptr);
+    run_stage(result, kStageKmeans, "stage.kmeans",
+              [&] { kmeans_stage(group, part.cuts, config, result); });
+  };
+  return run_pipeline(config, w.rows, group, nullptr, reason, body);
+}
+
+void check_graph_input(const sparse::Coo& w, const SpectralConfig& config) {
+  FASTSC_CHECK(w.rows == w.cols, "graph matrix must be square");
+  FASTSC_CHECK(config.num_clusters >= 1 && config.num_clusters <= w.rows,
+               "cluster count must be in [1, n]");
+  if (config.validate_inputs) {
+    check_finite(w.values, "similarity matrix values");
+    check_index_range(w.row_idx, w.rows, "similarity matrix row");
+    check_index_range(w.col_idx, w.cols, "similarity matrix column");
+  }
+  // A disconnected graph makes the eigenvalue 1 of D^-1 W degenerate (one
+  // copy per component), which a Krylov iteration from a single start
+  // vector resolves slowly and unreliably.  Warn so callers can split
+  // components (graph::largest_component) or reconnect weakly.
+  const graph::ComponentInfo info = graph::connected_components(w);
+  if (info.count > 1) {
+    FASTSC_LOG_WARN("input graph has "
+                    << info.count
+                    << " connected components; spectral clustering is "
+                       "only well-posed per component — consider "
+                       "graph::largest_component or a connected "
+                       "similarity graph");
+  }
 }
 
 device::DeviceContext& resolve_ctx(device::DeviceContext* ctx) {
   return ctx != nullptr ? *ctx : device::default_device();
 }
-
-/// Arms the cancellation governor for this run when a budget, watchdog, or
-/// external token is configured; plain runs never arm, so every poll site
-/// stays on its single-relaxed-load fast path.  The config's budget wins
-/// over FASTSC_BUDGET.
-void govern_run(const SpectralConfig& config, device::DeviceContext& ctx,
-                std::optional<cancel::RunScope>& scope) {
-  const cancel::RunBudget& budget =
-      config.budget.enabled() ? config.budget : cancel::env_budget();
-  if (budget.enabled() || config.watchdog.enabled() ||
-      config.cancel_token.valid()) {
-    scope.emplace(budget, config.watchdog, config.cancel_token,
-                  [&ctx] { return ctx.modeled_transfer_seconds_now(); });
-  }
-}
-
-using device::counters_delta;
 
 }  // namespace
 
@@ -920,233 +1250,30 @@ SpectralResult spectral_cluster_points(const real* x, index_t n, index_t d,
     check_index_range(edges.u, n, "edge endpoint");
     check_index_range(edges.v, n, "edge endpoint");
   }
-  if (config.num_devices > 1) {
-    FASTSC_LOG_WARN("num_devices > 1 is only supported for the graph "
-                    "pipeline (spectral_cluster_graph); running the points "
-                    "pipeline single-device");
-  }
   device::DeviceContext& ctx = resolve_ctx(ctx_in);
-  // Snapshot under the meter mutex: with fastsc::Service, other jobs' stream
-  // threads may be metering this context concurrently.
-  const device::DeviceCounters counters_before = ctx.counters_snapshot();
-  const obs::TraceEnableScope trace_scope(config.trace);
-  std::optional<fault::ArmScope> fault_scope;
-  if (!config.faults.empty()) fault_scope.emplace(config.faults);
-  std::optional<cancel::RunScope> cancel_scope;
-  govern_run(config, ctx, cancel_scope);
-
-  SpectralResult result;
-  result.n = n;
-  result.k = config.num_clusters;
-
   const graph::EdgeList sym = graph::symmetrized(edges);
-
-  if (config.backend == Backend::kDevice) {
-    const DegradationPolicy& pol = config.degradation;
-    std::optional<sparse::DeviceCoo> dev_w;
-    sparse::Coo host_w_storage;
-    bool have_host = false;
-    std::vector<real> fused_degrees;
-    bool have_degrees = false;
-
-    result.clock.start(kStageSimilarity);
-    {
-      obs::ScopedSpan span(kStageSimilarity, "stage");
-      cancel::StageScope budget_scope(kStageSimilarity);
-      obs::AttrSiteScope stage_site("stage.similarity");
-      const Precision sim_p =
-          config.precision.resolve(PrecisionStage::kSimilarity);
-      try {
-        if (config.similarity_chunk_edges > 0) {
-          // Out-of-core Algorithm 1: the edge list streams through the
-          // device.
-          host_w_storage = graph::build_similarity_device_chunked(
-              ctx, x, n, d, sym, config.similarity,
-              config.similarity_chunk_edges);
-          have_host = true;
-          dev_w.emplace(ctx, host_w_storage);
-        } else if (config.precision.fused() || sim_p != Precision::kFp64) {
-          // Fused Algorithm 1 + degree pass (DESIGN.md §13): similarity
-          // values quantize to the rung on store, and the operator row sums
-          // come out of the same edge sweep so Algorithm 2 skips its
-          // ones-SpMV.
-          dev_w.emplace(graph::build_similarity_device_fused_degrees(
-              ctx, x, n, d, sym, config.similarity, fused_degrees, sim_p));
-          have_degrees = true;
-        } else {
-          dev_w.emplace(graph::build_similarity_device(ctx, x, n, d, sym,
-                                                       config.similarity));
-        }
-      } catch (const device::DeviceError& e) {
-        if (!pol.enabled || !pol.allow_host_fallback) throw;
-        note_degradation(result, kStageSimilarity, "host-similarity",
-                         e.what());
-        dev_w.reset();
-        have_degrees = false;
-        obs::AttrSiteScope rung_site("fallback.host_similarity");
-        host_w_storage =
-            baseline::similarity_loop(x, n, d, sym, config.similarity);
-        have_host = true;
-      }
-    }
-    result.clock.stop();
-
-    result.clock.start(kStageEigensolver);
-    {
-      obs::ScopedSpan span(kStageEigensolver, "stage");
-      cancel::StageScope budget_scope(kStageEigensolver);
-      obs::AttrSiteScope stage_site("stage.eigensolver");
-      auto device_w = [&]() -> sparse::DeviceCoo& {
-        if (!dev_w) dev_w.emplace(ctx, host_w_storage);
-        return *dev_w;
-      };
-      auto host_w = [&]() -> const sparse::Coo& {
-        if (!have_host) {
-          host_w_storage = dev_w->to_host();  // D2H, metered
-          have_host = true;
-        }
-        return host_w_storage;
-      };
-      eigensolve_device_ladder(ctx, config, result, device_w, host_w,
-                               have_degrees ? &fused_degrees : nullptr);
-    }
-    result.clock.stop();
-  } else {
-    result.clock.start(kStageSimilarity);
-    sparse::Coo w;
-    {
-      obs::ScopedSpan span(kStageSimilarity, "stage");
-      cancel::StageScope budget_scope(kStageSimilarity);
-      w = baseline::similarity_loop(x, n, d, sym, config.similarity);
-    }
-    result.clock.stop();
-
-    result.clock.start(kStageEigensolver);
-    {
-      obs::ScopedSpan span(kStageEigensolver, "stage");
-      cancel::StageScope budget_scope(kStageEigensolver);
-      eigensolve_host(w, config, result);
-    }
-    result.clock.stop();
-  }
-
-  result.clock.start(kStageKmeans);
-  {
-    obs::ScopedSpan span(kStageKmeans, "stage");
-    cancel::StageScope budget_scope(kStageKmeans);
-    obs::AttrSiteScope stage_site("stage.kmeans");
-    kmeans_stage_single(ctx, config, result);
-  }
-  result.clock.stop();
-
-  if (cancel::Governor& gov = cancel::current_governor(); gov.armed()) {
-    result.budget = gov.report();
-  }
-  result.device_counters =
-      counters_delta(ctx.counters_snapshot(), counters_before);
-  return result;
+  return on_devices(config, ctx,
+                    [&](device::DeviceGroup& group, const std::string& why) {
+                      return cluster_points_on(group, ctx, x, n, d, sym,
+                                               config, why);
+                    });
 }
 
 SpectralResult spectral_cluster_graph(const sparse::Coo& w,
                                       const SpectralConfig& config,
                                       device::DeviceContext* ctx_in) {
-  FASTSC_CHECK(w.rows == w.cols, "graph matrix must be square");
-  FASTSC_CHECK(config.num_clusters >= 1 && config.num_clusters <= w.rows,
-               "cluster count must be in [1, n]");
-  if (config.validate_inputs) {
-    check_finite(w.values, "similarity matrix values");
-    check_index_range(w.row_idx, w.rows, "similarity matrix row");
-    check_index_range(w.col_idx, w.cols, "similarity matrix column");
-  }
-  {
-    // A disconnected graph makes the eigenvalue 1 of D^-1 W degenerate
-    // (one copy per component), which a Krylov iteration from a single
-    // start vector resolves slowly and unreliably.  Warn so callers can
-    // split components (graph::largest_component) or reconnect weakly.
-    const graph::ComponentInfo info = graph::connected_components(w);
-    if (info.count > 1) {
-      FASTSC_LOG_WARN("input graph has "
-                      << info.count
-                      << " connected components; spectral clustering is "
-                         "only well-posed per component — consider "
-                         "graph::largest_component or a connected "
-                         "similarity graph");
-    }
-  }
-  device::DeviceContext& ctx = resolve_ctx(ctx_in);
+  check_graph_input(w, config);
+  return on_devices(config, resolve_ctx(ctx_in),
+                    [&](device::DeviceGroup& group, const std::string& why) {
+                      return cluster_graph_on(group, w, config, why);
+                    });
+}
 
-  // Multi-device path: a transient DeviceGroup inheriting this context's
-  // transfer model runs the row-sharded pipeline.  A permanent device error
-  // degrades to the single-device pipeline below (the last rung before the
-  // per-stage ladders take over).
-  std::string sharded_fallback_reason;
-  if (config.backend == Backend::kDevice && config.num_devices > 1) {
-    device::DeviceGroupConfig gc;
-    gc.num_devices = static_cast<usize>(config.num_devices);
-    gc.model = ctx.transfer_model();
-    device::DeviceGroup group(gc);
-    try {
-      return spectral_cluster_graph_sharded(w, config, group);
-    } catch (const device::DeviceError& e) {
-      if (!config.degradation.enabled) throw;
-      sharded_fallback_reason = e.what();
-    }
-  }
-
-  // Snapshot under the meter mutex: with fastsc::Service, other jobs' stream
-  // threads may be metering this context concurrently.
-  const device::DeviceCounters counters_before = ctx.counters_snapshot();
-  const obs::TraceEnableScope trace_scope(config.trace);
-  std::optional<fault::ArmScope> fault_scope;
-  if (!config.faults.empty()) fault_scope.emplace(config.faults);
-  std::optional<cancel::RunScope> cancel_scope;
-  govern_run(config, ctx, cancel_scope);
-
-  SpectralResult result;
-  result.n = w.rows;
-  result.k = config.num_clusters;
-  if (!sharded_fallback_reason.empty()) {
-    note_degradation(result, kStageEigensolver, "single-device",
-                     sharded_fallback_reason);
-  }
-
-  result.clock.start(kStageEigensolver);
-  {
-    obs::ScopedSpan span(kStageEigensolver, "stage");
-    cancel::StageScope budget_scope(kStageEigensolver);
-    obs::AttrSiteScope stage_site("stage.eigensolver");
-    if (config.backend == Backend::kDevice) {
-      // Transfer the graph to the device (part of the eigensolver stage cost,
-      // matching the paper's accounting for the graph datasets).  The upload
-      // is lazy so a degraded run that never touches the device skips it.
-      std::optional<sparse::DeviceCoo> dev_w;
-      auto device_w = [&]() -> sparse::DeviceCoo& {
-        if (!dev_w) dev_w.emplace(ctx, w);
-        return *dev_w;
-      };
-      auto host_w = [&]() -> const sparse::Coo& { return w; };
-      eigensolve_device_ladder(ctx, config, result, device_w, host_w);
-    } else {
-      eigensolve_host(w, config, result);
-    }
-  }
-  result.clock.stop();
-
-  result.clock.start(kStageKmeans);
-  {
-    obs::ScopedSpan span(kStageKmeans, "stage");
-    cancel::StageScope budget_scope(kStageKmeans);
-    obs::AttrSiteScope stage_site("stage.kmeans");
-    kmeans_stage_single(ctx, config, result);
-  }
-  result.clock.stop();
-
-  if (cancel::Governor& gov = cancel::current_governor(); gov.armed()) {
-    result.budget = gov.report();
-  }
-  result.device_counters =
-      counters_delta(ctx.counters_snapshot(), counters_before);
-  return result;
+SpectralResult spectral_cluster_graph(const sparse::Coo& w,
+                                      const SpectralConfig& config,
+                                      device::DeviceGroup& group) {
+  check_graph_input(w, config);
+  return cluster_graph_on(group, w, config, "");
 }
 
 }  // namespace fastsc::core

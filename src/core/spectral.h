@@ -28,6 +28,7 @@
 #include "common/precision.h"
 #include "common/stage_clock.h"
 #include "device/device.h"
+#include "device/device_group.h"
 #include "fault/fault.h"
 #include "graph/grid_index.h"
 #include "graph/similarity.h"
@@ -128,14 +129,17 @@ struct SpectralConfig {
   /// callers compile.
   bool async_pipeline = true;
 
-  /// Number of simulated devices for the graph pipeline (device backend).
-  /// 1 (default) runs the single-device path; > 1 builds a transient
-  /// DeviceGroup and runs the row-sharded multi-device pipeline
-  /// (core/sharded.h): halo-exchanged SpMV waves and allreduced CGS2.  Both
-  /// run the same blocked k-means sweep.  Labels are byte-identical for every value
-  /// of this knob (DESIGN.md §12 determinism contract).  On a permanent
-  /// device error the run degrades to the single-device pipeline when
-  /// degradation.enabled.  Points mode ignores this with a WARN.
+  /// Number of simulated devices for Steps 2-4 (device backend, points and
+  /// graph mode).  Every count runs the same pipeline over a DeviceGroup
+  /// (sparse/shard.h): 1 (default) is a group of one that borrows the
+  /// caller's context; > 1 builds a transient group, row-shards the
+  /// operator (halo-exchanged SpMV waves, metered CGS2 allreduce) and the
+  /// k-means points.  Points mode builds the similarity matrix (Step 1) on
+  /// the caller's context either way.  Eigenpairs, embedding and labels are
+  /// byte-identical for every value of this knob (DESIGN.md §12).  On a
+  /// permanent device error the device rungs cannot absorb, a run over
+  /// more than one device reruns on the caller's context as a group of one
+  /// when degradation.enabled (action "single-device").
   index_t num_devices = 1;
 
   /// Mixed-precision ladder for the device hot path (DESIGN.md §13).  The
@@ -288,5 +292,14 @@ struct SpectralResult {
 [[nodiscard]] SpectralResult spectral_cluster_graph(
     const sparse::Coo& w, const SpectralConfig& config,
     device::DeviceContext* ctx = nullptr);
+
+/// As above on a caller-owned group (config.num_devices is ignored; the
+/// group's size wins): counters and attribution land on the group's
+/// contexts, and SpectralResult::device_counters holds the group rollup
+/// delta.  There is no caller context to fall back to, so a permanent
+/// device error the device rungs cannot absorb propagates.
+[[nodiscard]] SpectralResult spectral_cluster_graph(
+    const sparse::Coo& w, const SpectralConfig& config,
+    device::DeviceGroup& group);
 
 }  // namespace fastsc::core

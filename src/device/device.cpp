@@ -1,6 +1,7 @@
 #include "device/device.h"
 
 #include <algorithm>
+#include <chrono>
 #include <sstream>
 #include <thread>
 
@@ -18,7 +19,43 @@ namespace {
 /// a thread executes ops for at most one stream at a time.
 thread_local VirtualClock* t_current_clock = nullptr;
 
+/// The `device.hang` fault: a wedged launch spins until the watchdog (or any
+/// other cancellation) fires and then surfaces as a site-annotated
+/// CancelledError.  A wall cap bounds the spin so an unwatched hang still
+/// fails loudly instead of wedging the caller.
+void simulate_hang() {
+  constexpr double kMaxHangSeconds = 5.0;
+  const WallTimer t;
+  for (;;) {
+    if (cancel::pending("device.hang")) {
+      throw cancel::CancelledError("injected device hang cancelled",
+                                   "device.hang");
+    }
+    if (t.seconds() > kMaxHangSeconds) {
+      throw DeviceError(
+          "injected device hang exceeded its 5 s cap with no watchdog "
+          "cancellation");
+    }
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+}
+
 }  // namespace
+
+LaunchLiveness::LaunchLiveness() {
+  cancel::stream_busy(true);
+  try {
+    if (fault::triggered("device.hang")) simulate_hang();
+  } catch (...) {
+    cancel::stream_busy(false);
+    throw;
+  }
+}
+
+LaunchLiveness::~LaunchLiveness() {
+  cancel::stream_busy(false);
+  cancel::heartbeat();
+}
 
 // --- PinnedPool -------------------------------------------------------------
 

@@ -483,6 +483,32 @@ auto run_transfer_with_retry(DeviceContext& ctx, const char* site, Fn&& body) {
   }
 }
 
+/// Metered raw-pointer copies (cudaMemcpy on sub-ranges of device buffers):
+/// the SpMV wave stages its x and y segments with these.
+template <class T>
+void copy_h2d(DeviceContext& ctx, T* dev, const T* host, usize n) {
+  run_transfer_with_retry(ctx, "copy.h2d", [&] {
+    if (fault::triggered("copy.h2d")) {
+      throw DeviceTransferError("copy.h2d", n * sizeof(T), true);
+    }
+    WallTimer t;
+    if (n != 0) std::memcpy(dev, host, n * sizeof(T));
+    ctx.record_h2d(n * sizeof(T), t.seconds(), "copy.h2d");
+  });
+}
+
+template <class T>
+void copy_d2h(DeviceContext& ctx, T* host, const T* dev, usize n) {
+  run_transfer_with_retry(ctx, "copy.d2h", [&] {
+    if (fault::triggered("copy.d2h")) {
+      throw DeviceTransferError("copy.d2h", n * sizeof(T), false);
+    }
+    WallTimer t;
+    if (n != 0) std::memcpy(host, dev, n * sizeof(T));
+    ctx.record_d2h(n * sizeof(T), t.seconds(), "copy.d2h");
+  });
+}
+
 /// Device-resident array of trivially-copyable T.
 ///
 /// Host code must not dereference device data directly in library code; use
@@ -635,6 +661,19 @@ inline LaunchConfig tagged(const char* site, double flops = -1.0,
   return cfg;
 }
 
+/// Liveness of one kernel launch for the heartbeat watchdog (DESIGN.md §9):
+/// the device counts as busy while the launch runs, and its retirement beats
+/// the heartbeat of the launching thread's governor.  Also the `device.hang`
+/// fault site: an injected hang wedges the launch until a cancellation fires
+/// (bounded by a 5 s failsafe).
+class LaunchLiveness {
+ public:
+  LaunchLiveness();
+  ~LaunchLiveness();
+  LaunchLiveness(const LaunchLiveness&) = delete;
+  LaunchLiveness& operator=(const LaunchLiveness&) = delete;
+};
+
 /// Launch `kernel(i)` for every global thread id i in [0, n), blocking until
 /// completion (default-stream semantics; from inside a stream op this blocks
 /// only the stream, which is exactly a stream-ordered kernel launch).
@@ -653,6 +692,7 @@ void launch(DeviceContext& ctx, index_t n, const Kernel& kernel,
     ctx.record_kernel(0.0, 0.0, cost);  // an empty launch is free
     return;
   }
+  const LaunchLiveness live;
   WallTimer t;
   const auto workers = static_cast<index_t>(ctx.pool().worker_count());
   if (workers == 1) {

@@ -59,8 +59,8 @@ class DeviceGroup {
 
   /// A group of one that borrows the caller's context as device 0: no new
   /// contexts or pools, and the context keeps its workers, transfer model,
-  /// trace tracks and counters.  This is how single-device pipelines run
-  /// the group-wide stages.  `root` must outlive the group.
+  /// trace tracks and counters.  This is how a one-device run executes the
+  /// pipeline's group stages.  `root` must outlive the group.
   explicit DeviceGroup(DeviceContext& root);
 
   DeviceGroup(const DeviceGroup&) = delete;
@@ -141,10 +141,10 @@ class DeviceGroup {
 /// asserting the conservation law independently).
 void accumulate_counters(DeviceCounters& a, const DeviceCounters& b);
 
-/// Difference of two counter snapshots — per-run accounting for both the
-/// single-device and sharded pipelines.  Traffic and engine-time fields are
-/// subtracted; the memory gauges (live/peak bytes, total allocations) keep
-/// the `after` snapshot's absolute values.
+/// Difference of two counter snapshots — per-run accounting at every device
+/// count.  Traffic and engine-time fields are subtracted; the memory gauges
+/// (live/peak bytes, total allocations) keep the `after` snapshot's absolute
+/// values.
 [[nodiscard]] DeviceCounters counters_delta(const DeviceCounters& after,
                                             const DeviceCounters& before);
 

@@ -1,42 +1,10 @@
 #include "device/stream.h"
 
-#include <chrono>
-#include <thread>
-
 #include "common/cancel.h"
-#include "fault/fault.h"
 #include "obs/attribution.h"
 #include "obs/trace.h"
 
 namespace fastsc::device {
-
-namespace {
-
-/// Simulated wedged op for the `stream.hang` fault site: spins until the
-/// watchdog (or any other cancellation) fires, then surfaces as a
-/// site-annotated CancelledError through the sticky-error machinery.  A wall
-/// cap bounds the spin so an unwatched hang still fails loudly instead of
-/// wedging the suite.
-void simulate_hang() {
-  constexpr double kMaxHangSeconds = 5.0;
-  const auto start = std::chrono::steady_clock::now();
-  for (;;) {
-    if (cancel::pending("stream.hang")) {
-      throw cancel::CancelledError("injected stream hang cancelled",
-                                   "stream.hang");
-    }
-    if (std::chrono::duration<double>(std::chrono::steady_clock::now() -
-                                      start)
-            .count() > kMaxHangSeconds) {
-      throw DeviceError(
-          "injected stream hang exceeded its 5 s cap with no watchdog "
-          "cancellation");
-    }
-    std::this_thread::sleep_for(std::chrono::milliseconds(1));
-  }
-}
-
-}  // namespace
 
 Stream::Stream(DeviceContext& ctx, std::string name)
     : ctx_(ctx), name_(std::move(name)), thread_([this] { thread_main(); }) {}
@@ -124,15 +92,14 @@ void Stream::thread_main() {
     obs::ObsBindScope obs_scope(op.obs);
     cancel::stream_busy(true);
     try {
-      // Real work (not fences/records) honours cancellation and the
-      // injected-hang site before executing.
+      // Real work (not fences/records) honours cancellation before
+      // executing.
       if (!op.always_run) {
         if (cancel::pending("stream.queue")) {
           throw cancel::CancelledError("stream op cancelled before execution",
                                        op.label.empty() ? "stream.queue"
                                                         : op.label);
         }
-        if (fault::triggered("stream.hang")) simulate_hang();
       }
       op.fn();
     } catch (DeviceError& e) {

@@ -190,30 +190,4 @@ class Stream {
   std::thread thread_;  // last: starts after all state above is ready
 };
 
-/// Metered raw-pointer copies for use inside stream ops (or from the host):
-/// the building blocks executor nodes use to stage tiles.
-template <class T>
-void copy_h2d(DeviceContext& ctx, T* dev, const T* host, usize n) {
-  run_transfer_with_retry(ctx, "copy.h2d", [&] {
-    if (fault::triggered("copy.h2d")) {
-      throw DeviceTransferError("copy.h2d", n * sizeof(T), true);
-    }
-    WallTimer t;
-    if (n != 0) std::memcpy(dev, host, n * sizeof(T));
-    ctx.record_h2d(n * sizeof(T), t.seconds(), "copy.h2d");
-  });
-}
-
-template <class T>
-void copy_d2h(DeviceContext& ctx, T* host, const T* dev, usize n) {
-  run_transfer_with_retry(ctx, "copy.d2h", [&] {
-    if (fault::triggered("copy.d2h")) {
-      throw DeviceTransferError("copy.d2h", n * sizeof(T), false);
-    }
-    WallTimer t;
-    if (n != 0) std::memcpy(host, dev, n * sizeof(T));
-    ctx.record_d2h(n * sizeof(T), t.seconds(), "copy.d2h");
-  });
-}
-
 }  // namespace fastsc::device

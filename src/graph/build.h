@@ -49,12 +49,11 @@ namespace fastsc::graph {
 /// weighted degrees d_i = sum_j W_ij in the same build stage, without first
 /// materializing a CSR — a span-partial edge sweep (kFusedDegreeSpans fixed
 /// contiguous spans, each folded in ascending span order) replaces the
-/// sort + coo2csr + ones-SpMV degree prologue of Algorithm 2.  The span
-/// count is fixed so the fold order — and hence every degree bit — is
-/// independent of the worker count and of the device count (the sharded
-/// path consumes the same host vector).  Note the fold order differs from
-/// CSR entry order, so fused-build degrees are numerically (not bitwise)
-/// equal to the unfused path's.
+/// degree pass of Algorithm 2.  The span count is fixed so the fold order —
+/// and hence every degree bit — is independent of the worker count and of
+/// the device count (every device count consumes the same host vector).
+/// Note the fold order differs from CSR entry order, so fused-build degrees
+/// are numerically (not bitwise) equal to the unfused path's.
 ///
 /// `value_precision` below fp64 quantizes each similarity on store (RNE
 /// through the narrow width; degrees then accumulate the *quantized*

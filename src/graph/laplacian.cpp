@@ -5,6 +5,7 @@
 
 #include "common/error.h"
 #include "device/algorithms.h"
+#include "sparse/balance.h"
 #include "sparse/convert.h"
 
 namespace fastsc::graph {
@@ -132,6 +133,134 @@ sparse::Csr sym_normalized_host(const sparse::Coo& w,
   return sparse::coo_to_csr(scaled);
 }
 
+namespace {
+
+/// Degrees y_r = sum_j W_rj of a CSR row block: Algorithm 2's ones-vector
+/// SpMV without the ones vector.  Each worker owns whole rows of the
+/// merge-path cut, so hub rows do not serialize the pass, and each row sums
+/// in entry order — bitwise the csrmv against ones (w * 1.0 == w) at every
+/// worker count and partition.
+void row_sums(device::DeviceContext& ctx, const sparse::DeviceCsr& a,
+              real* y) {
+  const index_t* rp = a.row_ptr.data();
+  const real* v = a.values.data();
+  const sparse::MergePathPartition mp = sparse::merge_path_partition(
+      rp, 0, a.rows, static_cast<index_t>(ctx.pool().worker_count()));
+  const index_t* cut = mp.span_row.data();
+  const auto nnz = static_cast<double>(a.nnz());
+  const auto rows = static_cast<double>(a.rows);
+  device::launch(
+      ctx, mp.spans,
+      [=](index_t s) {
+        for (index_t r = cut[s]; r < cut[s + 1]; ++r) {
+          real acc = 0;
+          for (index_t p = rp[r]; p < rp[r + 1]; ++p) acc += v[p];
+          y[r] = acc;
+        }
+      },
+      device::tagged("laplacian.normalize", nnz,
+                     nnz * sizeof(real) + (rows + 1) * sizeof(index_t),
+                     rows * sizeof(real)));
+}
+
+}  // namespace
+
+GroupNormalized sym_normalized_group(device::DeviceGroup& group,
+                                     std::span<sparse::DeviceCoo> chunks,
+                                     const sparse::RowPartition& part,
+                                     const NormalizeOptions& opts) {
+  const usize P = group.size();
+  FASTSC_CHECK(chunks.size() == P && part.parts == static_cast<index_t>(P),
+               "Algorithm 2 needs one COO chunk per device");
+  obs::AttrSiteScope attr_site("laplacian.normalize");
+  const index_t n = part.rows;
+  FASTSC_CHECK(opts.degrees == nullptr ||
+                   static_cast<index_t>(opts.degrees->size()) == n,
+               "precomputed degree vector must have length rows");
+
+  GroupNormalized out;
+  out.blocks.resize(P);
+  out.isd.resize(P);
+  std::vector<real> deg(static_cast<usize>(n));
+  std::vector<device::DeviceBuffer<real>> y(P);
+  for (usize d = 0; d < P; ++d) {
+    device::DeviceContext& ctx = group.device(d);
+    sparse::DeviceCoo& chunk = chunks[d];
+    const index_t rb = part.begin(static_cast<index_t>(d));
+    const index_t nl = part.size(static_cast<index_t>(d));
+    FASTSC_CHECK(chunk.rows == nl && chunk.cols == n,
+                 "COO chunk shape disagrees with the partition");
+    sparse::device_sort_coo(ctx, chunk);
+    sparse::device_coo2csr(ctx, chunk, out.blocks[d]);
+    if (nl == 0) continue;
+    const std::span<real> seg(deg.data() + rb, static_cast<usize>(nl));
+    if (opts.degrees != nullptr) {
+      // Degrees from the fused similarity+degree pass: one metered upload
+      // replaces the ones vector and the degree SpMV.
+      std::copy_n(opts.degrees->data() + rb, seg.size(), seg.data());
+      y[d] = device::DeviceBuffer<real>(ctx, std::span<const real>(seg));
+      continue;
+    }
+    y[d] = device::DeviceBuffer<real>(ctx, seg.size());
+    row_sums(ctx, out.blocks[d], y[d].data());
+    y[d].copy_to_host(seg);
+  }
+  out.inv_sqrt_degree.resize(deg.size());
+  for (usize i = 0; i < deg.size(); ++i) {
+    FASTSC_CHECK(deg[i] > 0,
+                 "zero-degree vertex: remove isolated nodes before "
+                 "normalizing (paper §IV.B)");
+    out.inv_sqrt_degree[i] = 1.0 / std::sqrt(deg[i]);
+  }
+
+  // Full 1/sqrt(d) on every device: the own segment is computed in place,
+  // every other segment arrives over the D2D mesh (each device broadcasts
+  // its slice to all peers — a one-time allgather).
+  for (usize d = 0; d < P; ++d) {
+    device::DeviceContext& ctx = group.device(d);
+    out.isd[d] = device::DeviceBuffer<real>(ctx, static_cast<usize>(n));
+    const index_t nl = part.size(static_cast<index_t>(d));
+    if (nl == 0) continue;
+    const real* yp = y[d].data();
+    real* ip = out.isd[d].data() + part.begin(static_cast<index_t>(d));
+    device::launch(ctx, nl, [=](index_t i) { ip[i] = 1.0 / std::sqrt(yp[i]); },
+                   device::tagged("laplacian.scale"));
+  }
+  for (usize d = 0; d < P; ++d) {
+    const index_t rb = part.begin(static_cast<index_t>(d));
+    const auto nl = static_cast<usize>(part.size(static_cast<index_t>(d)));
+    if (nl == 0) continue;
+    for (usize e = 0; e < P; ++e) {
+      if (e == d) continue;
+      group.copy_peer(d, e, out.isd[d].data() + rb, out.isd[e].data() + rb,
+                      nl, "d2d.isd_allgather");
+    }
+  }
+  if (opts.fuse_scale) return out;  // raw values; the epilogue scales
+
+  // ScaleElements: thread e scales the block's entry e by
+  // isd[row] * isd[col].  The compressed copy is scaled, so the chunk keeps
+  // its raw values.
+  for (usize d = 0; d < P; ++d) {
+    device::DeviceContext& ctx = group.device(d);
+    const sparse::DeviceCoo& chunk = chunks[d];
+    const index_t nnz = chunk.nnz();
+    const index_t* rows = chunk.row_idx.data();
+    const index_t* cols = chunk.col_idx.data();
+    real* vals = out.blocks[d].values.data();
+    const real* isd = out.isd[d].data();
+    const index_t rb = part.begin(static_cast<index_t>(d));
+    device::launch(
+        ctx, nnz,
+        [=](index_t e) { vals[e] *= isd[rb + rows[e]] * isd[cols[e]]; },
+        device::tagged("laplacian.scale", 2.0 * nnz,
+                       static_cast<double>(nnz) *
+                           (3.0 * sizeof(real) + 2.0 * sizeof(index_t)),
+                       static_cast<double>(nnz) * sizeof(real)));
+  }
+  return out;
+}
+
 sparse::DeviceCsr sym_normalized_device(
     device::DeviceContext& ctx, sparse::DeviceCoo& w,
     device::DeviceBuffer<real>& inv_sqrt_degree) {
@@ -143,232 +272,12 @@ sparse::DeviceCsr sym_normalized_device(
     device::DeviceBuffer<real>& inv_sqrt_degree,
     const NormalizeOptions& opts) {
   FASTSC_CHECK(w.rows == w.cols, "similarity matrix must be square");
-  obs::AttrSiteScope attr_site("laplacian.normalize");
-  const index_t n = w.rows;
-  const index_t nnz = w.nnz();
-
-  sparse::device_sort_coo(ctx, w);
-  sparse::DeviceCsr w_csr;
-  sparse::device_coo2csr(ctx, w, w_csr);
-
-  device::DeviceBuffer<real> y;
-  if (opts.degrees != nullptr) {
-    // Degrees already computed in the fused similarity+degree pass — one
-    // metered upload replaces the ones vector and the degree SpMV.
-    FASTSC_CHECK(static_cast<index_t>(opts.degrees->size()) == n,
-                 "precomputed degree vector must have length rows");
-    for (real di : *opts.degrees) {
-      FASTSC_CHECK(di > 0,
-                   "zero-degree vertex: remove isolated nodes before "
-                   "normalizing (paper §IV.B)");
-    }
-    y = device::DeviceBuffer<real>(ctx, std::span<const real>(*opts.degrees));
-  } else {
-    device::DeviceBuffer<real> ones(ctx, static_cast<usize>(n));
-    y = device::DeviceBuffer<real>(ctx, static_cast<usize>(n));
-    device::fill(ctx, ones.data(), n, real{1});
-    sparse::device_csrmv(ctx, w_csr, ones.data(), y.data());
-
-    const std::vector<real> yh = y.to_host();
-    for (real di : yh) {
-      FASTSC_CHECK(di > 0,
-                   "zero-degree vertex: remove isolated nodes before "
-                   "normalizing (paper §IV.B)");
-    }
-  }
-
-  inv_sqrt_degree = device::DeviceBuffer<real>(ctx, static_cast<usize>(n));
-  real* isd = inv_sqrt_degree.data();
-  const real* yp = y.data();
-  device::launch(ctx, n, [=](index_t i) { isd[i] = 1.0 / std::sqrt(yp[i]); },
-                 device::tagged("laplacian.scale"));
-
-  if (opts.fuse_scale) {
-    // Fused epilogue: the raw CSR is the operator; D^-1/2 is applied inside
-    // the SpMV kernels.  Skips the nnz ScaleElements pass AND the second
-    // coo2csr compress below.
-    return w_csr;
-  }
-
-  // ScaleElements: thread e scales entry e by isd[row] * isd[col].
-  const index_t* rows = w.row_idx.data();
-  const index_t* cols = w.col_idx.data();
-  real* vals = w.values.data();
-  device::launch(ctx, nnz,
-                 [=](index_t e) { vals[e] *= isd[rows[e]] * isd[cols[e]]; },
-                 device::tagged("laplacian.scale", 2.0 * nnz,
-                                static_cast<double>(nnz) *
-                                    (3.0 * sizeof(real) +
-                                     2.0 * sizeof(index_t)),
-                                static_cast<double>(nnz) * sizeof(real)));
-
-  sparse::DeviceCsr out;
-  sparse::device_coo2csr(ctx, w, out);
-  return out;
-}
-
-ShardedNormalized sym_normalized_sharded(device::DeviceGroup& group,
-                                         const sparse::Coo& w,
-                                         const sparse::RowPartition& part) {
-  return sym_normalized_sharded(group, w, part, NormalizeOptions{});
-}
-
-ShardedNormalized sym_normalized_sharded(device::DeviceGroup& group,
-                                         const sparse::Coo& w,
-                                         const sparse::RowPartition& part,
-                                         const NormalizeOptions& opts) {
-  FASTSC_CHECK(w.rows == w.cols, "similarity matrix must be square");
-  const auto parts = static_cast<index_t>(group.size());
-  FASTSC_CHECK(part.parts == parts && part.rows == w.rows,
-               "partition does not match the group and matrix");
-  obs::AttrSiteScope attr_site("laplacian.normalize");
-  const index_t n = w.rows;
-
-  // Host bucketing: entries by owning device, original order kept within a
-  // bucket (the per-device sort re-establishes the global (row, col) order
-  // block by block — row ranges are disjoint, so each row's entry sequence
-  // is exactly what the whole-matrix sort would produce).
-  std::vector<sparse::Coo> chunks(static_cast<usize>(parts));
-  for (index_t d = 0; d < parts; ++d) {
-    chunks[static_cast<usize>(d)].rows = part.size(d);
-    chunks[static_cast<usize>(d)].cols = n;
-  }
-  for (usize e = 0; e < w.values.size(); ++e) {
-    const index_t d = part.owner(w.row_idx[e]);
-    sparse::Coo& c = chunks[static_cast<usize>(d)];
-    c.row_idx.push_back(w.row_idx[e] - part.begin(d));  // local rows
-    c.col_idx.push_back(w.col_idx[e]);                  // global cols
-    c.values.push_back(w.values[e]);
-  }
-
-  ShardedNormalized out;
-  out.locals.resize(static_cast<usize>(parts));
-  out.structure.resize(static_cast<usize>(parts));
-  out.inv_sqrt_degree.resize(static_cast<usize>(n));
-  std::vector<real> host_deg(static_cast<usize>(n));
-  std::vector<device::DeviceBuffer<real>> degs(static_cast<usize>(parts));
-  std::vector<device::DeviceBuffer<real>> isd(static_cast<usize>(parts));
-
-  // Each device assembles its block and row-sums its degrees; the host
-  // loop is sequential but every upload and kernel is metered on the
-  // owning device's own timeline, so the modeled work runs group-wide.
-  for (index_t d = 0; d < parts; ++d) {
-    device::DeviceContext& ctx = group.device(static_cast<usize>(d));
-    const sparse::Coo& hc = chunks[static_cast<usize>(d)];
-    const index_t nl = part.size(d);
-    sparse::DeviceCoo chunk(ctx, hc);
-    sparse::device_sort_coo(ctx, chunk);
-    sparse::device_coo2csr(ctx, chunk, out.locals[static_cast<usize>(d)]);
-    if (nl == 0) {
-      degs[static_cast<usize>(d)] =
-          device::DeviceBuffer<real>(ctx, static_cast<usize>(nl));
-      continue;
-    }
-    if (opts.degrees != nullptr) {
-      // Fused-build degrees: one metered segment upload per device in
-      // place of the rowsum kernel + degree download.
-      FASTSC_CHECK(static_cast<index_t>(opts.degrees->size()) == n,
-                   "precomputed degree vector must have length rows");
-      degs[static_cast<usize>(d)] = device::DeviceBuffer<real>(
-          ctx, std::span<const real>(opts.degrees->data() + part.begin(d),
-                                     static_cast<usize>(nl)));
-      std::copy_n(opts.degrees->data() + part.begin(d),
-                  static_cast<usize>(nl), host_deg.data() + part.begin(d));
-      continue;
-    }
-    degs[static_cast<usize>(d)] =
-        device::DeviceBuffer<real>(ctx, static_cast<usize>(nl));
-    // Degrees in CSR entry order — the same per-row accumulation the
-    // single-device path's ones-vector csrmv performs (v * 1.0 == v).
-    const index_t* row_ptr = out.locals[static_cast<usize>(d)].row_ptr.data();
-    const real* values = out.locals[static_cast<usize>(d)].values.data();
-    real* dp = degs[static_cast<usize>(d)].data();
-    const auto nnzd = static_cast<double>(hc.values.size());
-    device::launch(
-        ctx, nl,
-        [=](index_t i) {
-          real acc = 0;
-          for (index_t p = row_ptr[i]; p < row_ptr[i + 1]; ++p) {
-            acc += values[p];
-          }
-          dp[i] = acc;
-        },
-        device::tagged("laplacian.normalize", nnzd,
-                       nnzd * (sizeof(real) + sizeof(index_t)),
-                       static_cast<double>(nl) * sizeof(real)));
-    degs[static_cast<usize>(d)].copy_to_host(std::span<real>(
-        host_deg.data() + part.begin(d), static_cast<usize>(nl)));
-  }
-  for (real di : host_deg) {
-    FASTSC_CHECK(di > 0,
-                 "zero-degree vertex: remove isolated nodes before "
-                 "normalizing (paper §IV.B)");
-  }
-  for (usize i = 0; i < host_deg.size(); ++i) {
-    out.inv_sqrt_degree[i] = 1.0 / std::sqrt(host_deg[i]);
-  }
-
-  // Full inv-sqrt-degree replica per device: the own segment is computed in
-  // place, every other segment arrives over the D2D mesh (each device
-  // broadcasts its slice to all peers — a one-time allgather).
-  for (index_t d = 0; d < parts; ++d) {
-    device::DeviceContext& ctx = group.device(static_cast<usize>(d));
-    isd[static_cast<usize>(d)] =
-        device::DeviceBuffer<real>(ctx, static_cast<usize>(n));
-    const index_t nl = part.size(d);
-    if (nl == 0) continue;
-    const real* dp = degs[static_cast<usize>(d)].data();
-    real* ip = isd[static_cast<usize>(d)].data() + part.begin(d);
-    device::launch(
-        ctx, nl, [=](index_t i) { ip[i] = 1.0 / std::sqrt(dp[i]); },
-        device::tagged("laplacian.scale"));
-  }
-  for (index_t d = 0; d < parts; ++d) {
-    const index_t nl = part.size(d);
-    if (nl == 0) continue;
-    for (index_t e = 0; e < parts; ++e) {
-      if (e == d) continue;
-      group.copy_peer(static_cast<usize>(d), static_cast<usize>(e),
-                      isd[static_cast<usize>(d)].data() + part.begin(d),
-                      isd[static_cast<usize>(e)].data() + part.begin(d),
-                      static_cast<usize>(nl), "d2d.isd_allgather");
-    }
-  }
-
-  // ScaleElements over each block, then mirror the structure to the host
-  // for the halo bookkeeping (values stay on the devices).
-  for (index_t d = 0; d < parts; ++d) {
-    device::DeviceContext& ctx = group.device(static_cast<usize>(d));
-    sparse::DeviceCsr& local = out.locals[static_cast<usize>(d)];
-    sparse::Csr& st = out.structure[static_cast<usize>(d)];
-    const index_t nl = part.size(d);
-    const index_t rb = part.begin(d);
-    st.rows = nl;
-    st.cols = n;
-    st.row_ptr.resize(static_cast<usize>(nl) + 1);
-    st.col_idx.resize(static_cast<usize>(local.nnz()));
-    local.row_ptr.copy_to_host(std::span<index_t>(st.row_ptr));
-    local.col_idx.copy_to_host(std::span<index_t>(st.col_idx));
-    if (opts.fuse_scale) continue;  // raw values; epilogue applies D^-1/2
-    if (nl == 0 || local.nnz() == 0) continue;
-    const index_t* row_ptr = local.row_ptr.data();
-    const index_t* col_idx = local.col_idx.data();
-    real* vals = local.values.data();
-    const real* ip = isd[static_cast<usize>(d)].data();
-    const auto nnzd = static_cast<double>(local.nnz());
-    device::launch(
-        ctx, nl,
-        [=](index_t i) {
-          for (index_t p = row_ptr[i]; p < row_ptr[i + 1]; ++p) {
-            vals[p] *= ip[rb + i] * ip[col_idx[p]];
-          }
-        },
-        device::tagged("laplacian.scale", 2.0 * nnzd,
-                       nnzd * (3.0 * sizeof(real) + 2.0 * sizeof(index_t)),
-                       nnzd * sizeof(real)));
-  }
-  if (opts.fuse_scale) out.isd_replicas = std::move(isd);
-  return out;
+  device::DeviceGroup group(ctx);
+  GroupNormalized g = sym_normalized_group(
+      group, std::span<sparse::DeviceCoo>(&w, 1),
+      sparse::whole_partition(w.rows), opts);
+  inv_sqrt_degree = std::move(g.isd[0]);
+  return std::move(g.blocks[0]);
 }
 
 }  // namespace fastsc::graph

@@ -4,9 +4,12 @@
 // its largest-algebraic eigenvectors equal the smallest eigenvectors of the
 // normalized Laplacian Ln = I - D^-1 W (the paper computes the largest of
 // D^-1 W for numerical stability).  The device path follows Algorithm 2:
-// degrees via SpMV with a ones vector, a ScaleElements kernel over the COO
-// entries, then coo2csr.
+// sort and compress the COO, degrees (the ones-vector SpMV, as row sums),
+// then a ScaleElements kernel over the entries.
 #pragma once
+
+#include <span>
+#include <vector>
 
 #include "device/device.h"
 #include "device/device_group.h"
@@ -48,25 +51,54 @@ namespace fastsc::graph {
 [[nodiscard]] sparse::Csr sym_normalized_host(
     const sparse::Coo& w, std::vector<real>& inv_sqrt_degree);
 
-/// Options for the device/sharded Algorithm 2 variants (mixed-precision
-/// ladder, DESIGN.md §13).
+/// Options for the device Algorithm 2 (mixed-precision ladder, DESIGN.md
+/// §13).
 struct NormalizeOptions {
-  /// Skip the ScaleElements pass and the second coo2csr compress: the
-  /// returned CSR holds the RAW similarity values and the caller applies
-  /// D^-1/2 inside the SpMV epilogue (device_csrmv_mp's fused_scale /
-  /// set_sharded_fused_scale).  The fused operator is numerically (not
-  /// bitwise) equal to pre-scaled values: the epilogue computes
+  /// Skip the ScaleElements pass: the returned CSR holds the RAW similarity
+  /// values and the caller applies D^-1/2 inside the SpMV epilogue
+  /// (device_csrmv_mp's fused_scale).  The fused operator is numerically
+  /// (not bitwise) equal to pre-scaled values: the epilogue computes
   /// isd_r * (sum w * (isd_c * x_c)) — bitwise identical to the 3-launch
   /// scale/spmv/scale sequence, associated differently from scaling w.
   bool fuse_scale = false;
   /// Precomputed weighted degrees (length rows; e.g. from the fused
-  /// similarity+degree build pass).  Skips the on-device ones-SpMV /
-  /// rowsum degree pass.  Must be the exact operator row sums.
+  /// similarity+degree build pass).  Skips the on-device degree pass.
+  /// Must be the exact operator row sums.
   const std::vector<real>* degrees = nullptr;
 };
 
-/// Device variant of sym_normalized_host: Algorithm 2 with the ScaleElements
-/// kernel scaling each COO entry by 1/sqrt(y_row * y_col).
+/// Output of Algorithm 2 over a DeviceGroup (sym_normalized_group).
+struct GroupNormalized {
+  /// Device d's normalized row block (rows = part.size(d), global column
+  /// indices), values resident on device d — raw values under
+  /// NormalizeOptions::fuse_scale.
+  std::vector<sparse::DeviceCsr> blocks;
+  /// Full-length 1/sqrt(d) on every device (the fused epilogue's scale).
+  std::vector<device::DeviceBuffer<real>> isd;
+  /// Host 1/sqrt(d_i), globally indexed (the embedding back-map needs it).
+  std::vector<real> inv_sqrt_degree;
+};
+
+/// Algorithm 2 over a DeviceGroup: device d turns `chunks[d]` — the COO of
+/// rows [part.begin(d), part.end(d)) with local row and global column
+/// indices, resident on device d — into its row block of
+/// S = D^-1/2 W D^-1/2: sort and compress the chunk, degrees as row sums
+/// (whole merge-path rows per worker), a zero-degree check on the
+/// host, 1/sqrt(d) on the device's own rows, an allgather of those segments
+/// over the D2D mesh ("d2d.isd_allgather"; nothing to gather for a group of
+/// one), and the ScaleElements kernel over the block's entries.  The chunks
+/// are sorted in place but keep their values, so a rerun over the same
+/// chunks rebuilds the same operator.  Every value is bitwise independent
+/// of the partition: per-row entry order survives the per-chunk sort (row
+/// ranges are disjoint) and the degree / scale arithmetic is the same
+/// expression on every device.
+[[nodiscard]] GroupNormalized sym_normalized_group(
+    device::DeviceGroup& group, std::span<sparse::DeviceCoo> chunks,
+    const sparse::RowPartition& part, const NormalizeOptions& opts = {});
+
+/// Algorithm 2 on one device: sym_normalized_group over a group of one,
+/// with `w` (any entry order; sorted in place, values kept) as the whole
+/// chunk.  Fills `inv_sqrt_degree` with the device's 1/sqrt(d_i).
 [[nodiscard]] sparse::DeviceCsr sym_normalized_device(
     device::DeviceContext& ctx, sparse::DeviceCoo& w,
     device::DeviceBuffer<real>& inv_sqrt_degree);
@@ -76,39 +108,5 @@ struct NormalizeOptions {
     device::DeviceContext& ctx, sparse::DeviceCoo& w,
     device::DeviceBuffer<real>& inv_sqrt_degree,
     const NormalizeOptions& opts);
-
-/// Output of the distributed Algorithm 2 (sym_normalized_sharded).
-struct ShardedNormalized {
-  /// Device d's normalized row block (rows = part.size(d), global column
-  /// indices), values resident on device d.
-  std::vector<sparse::DeviceCsr> locals;
-  /// Host structure mirrors of `locals` (row_ptr + col_idx; values empty) —
-  /// what sparse::shard_device_locals builds the halo bookkeeping from.
-  std::vector<sparse::Csr> structure;
-  /// Host 1/sqrt(d_i), globally indexed (the embedding back-map needs it).
-  std::vector<real> inv_sqrt_degree;
-  /// Per-device full-length 1/sqrt(d) replicas — filled only under
-  /// NormalizeOptions::fuse_scale (locals then hold RAW values); hand these
-  /// to sparse::set_sharded_fused_scale.
-  std::vector<device::DeviceBuffer<real>> isd_replicas;
-};
-
-/// Distributed Algorithm 2 over a DeviceGroup: each device sorts, converts,
-/// and scales its own row block of `w` (cut by `part`), so none of the
-/// normalization work serializes on the root the way the single-device
-/// variant does when reused for a group.  The inverse-sqrt-degree vector is
-/// allgathered device-to-device ("d2d.isd_allgather") because every block
-/// scales by the degree of remote column endpoints.  Every value is bitwise
-/// identical to sym_normalized_device's: per-row entry order survives the
-/// per-block sort (row ranges are disjoint) and the degree / scale
-/// arithmetic is expression-for-expression the same.
-[[nodiscard]] ShardedNormalized sym_normalized_sharded(
-    device::DeviceGroup& group, const sparse::Coo& w,
-    const sparse::RowPartition& part);
-
-/// As above with NormalizeOptions (fused epilogue / precomputed degrees).
-[[nodiscard]] ShardedNormalized sym_normalized_sharded(
-    device::DeviceGroup& group, const sparse::Coo& w,
-    const sparse::RowPartition& part, const NormalizeOptions& opts);
 
 }  // namespace fastsc::graph

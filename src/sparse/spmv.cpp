@@ -198,7 +198,7 @@ void device_csrmv(device::DeviceContext& ctx, const DeviceCsr& a, const real* x,
 
 void device_csrmv_mp(device::DeviceContext& ctx, const DeviceCsr& a,
                      ConstVecView x, VecView y, real alpha, real beta,
-                     const real* fused_scale) {
+                     const real* fused_scale, index_t row_offset) {
   const index_t* row_ptr = a.row_ptr.data();
   const index_t* col_idx = a.col_idx.data();
   const CsrValuesView w = a.values_view();
@@ -247,7 +247,8 @@ void device_csrmv_mp(device::DeviceContext& ctx, const DeviceCsr& a,
           const real t =
               alpha * acc +
               (beta == 0 ? 0 : beta * y.load(static_cast<usize>(r)));
-          y.store(static_cast<usize>(r), sc != nullptr ? sc[r] * t : t);
+          y.store(static_cast<usize>(r),
+                  sc != nullptr ? sc[row_offset + r] * t : t);
         }
       },
       csrmv_cost(sc != nullptr ? "spmv.fused_scale" : "spmv.csr", nnz,

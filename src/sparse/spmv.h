@@ -140,9 +140,15 @@ void device_csrmv(device::DeviceContext& ctx, const DeviceCsr& a, const real* x,
 /// the beta*y term too; the eigensolver only uses beta == 0.)  The s
 /// vector is modeled as cache-resident: its DRAM traffic is counted once
 /// (rows * 8 bytes), not per entry.
+///
+/// `row_offset` places a row block inside the global operator: row r of `a`
+/// is global row row_offset + r, so the epilogue scales it by
+/// s[row_offset + r] while columns (global indices) read s[col] — the shape
+/// a device's row shard multiplies with (sparse/shard.h).
 void device_csrmv_mp(device::DeviceContext& ctx, const DeviceCsr& a,
                      ConstVecView x, VecView y, real alpha = 1.0,
-                     real beta = 0.0, const real* fused_scale = nullptr);
+                     real beta = 0.0, const real* fused_scale = nullptr,
+                     index_t row_offset = 0);
 
 /// Alias of device_csrmv, kept for callers that name the balanced kernel.
 void device_csrmv_balanced(device::DeviceContext& ctx, const DeviceCsr& a,

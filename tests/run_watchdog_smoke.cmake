@@ -1,6 +1,6 @@
 # Watchdog smoke, run as a CTest via `cmake -P`:
-#   1. run a tiny two-device bench_table5_syn200 pipeline with a stream.hang
-#      fault (the stream worker wedges before its next op) under a heartbeat
+#   1. run a tiny two-device bench_table5_syn200 pipeline with a device.hang
+#      fault (a kernel launch wedges before it runs) under a heartbeat
 #      watchdog,
 #   2. require the run to finish with an exit code of 0 — the watchdog must
 #      convert the hang into an anytime result, not a wedged process,
@@ -21,16 +21,16 @@ file(MAKE_DIRECTORY "${WORKDIR}")
 set(trace_json "${WORKDIR}/trace.json")
 set(report_json "${WORKDIR}/report.json")
 
-# A single-device run issues no stream ops, so the run is sharded over two
-# devices: every sharded SpMV wave runs its halo exchange and row blocks
-# through per-device streams (~22 ops per wave here).  nth=300 wedges an op
-# of about the 14th of ~32 waves, once the basis holds the k vectors an
-# anytime cut needs; the watchdog cancels the eigensolve and its partial
-# Ritz pairs still feed k-means a full assignment.
+# Every kernel launch marks its device busy and beats the heartbeat when it
+# retires.  Over two devices a wave issues ~8 launches (CRC seal, halo
+# gather and scatter, row-block csrmv on each device); nth=150 wedges a
+# launch of about the 15th of ~32 waves, once the basis holds the k vectors
+# an anytime cut needs.  The watchdog cancels the eigensolve and its
+# partial Ritz pairs still feed k-means a full assignment.
 execute_process(
   COMMAND "${BENCH}"
           --n=400 --blocks=4 --k=4 --baselines=false --devices=2
-          --faults=site=stream.hang,nth=300
+          --faults=site=device.hang,nth=150
           --watchdog=heartbeat_ms=50,poll_ms=5
           --trace-out=${trace_json}
           --report-out=${report_json}

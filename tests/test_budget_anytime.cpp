@@ -183,6 +183,28 @@ TEST_F(BudgetAnytimeTest, ShardedVirtualBudgetTripsMidExchange) {
   EXPECT_EQ(b.budget.cancel_site, a.budget.cancel_site);
 }
 
+// A deadline that fires before the Lanczos basis holds nev vectors leaves
+// no partial Ritz pairs to keep; with anytime enabled the run enters
+// wrap-up and finishes the solve instead of throwing.
+TEST_F(BudgetAnytimeTest, EarlyEigensolverBudgetFinishesUnderWrapup) {
+  const data::SbmGraph g = easy_graph();
+  const SpectralConfig clean_cfg = base_config();
+  device::DeviceContext clean_ctx(1);
+  const SpectralResult clean =
+      spectral_cluster_graph(g.w, clean_cfg, &clean_ctx);
+
+  SpectralConfig cfg = base_config();
+  cfg.budget = cancel::RunBudget::parse("eigensolver.virtual=1e-9");
+  device::DeviceContext ctx(1);
+  const SpectralResult r = spectral_cluster_graph(g.w, cfg, &ctx);
+  EXPECT_TRUE(r.budget.expired);
+  EXPECT_TRUE(r.budget.anytime);
+  EXPECT_EQ(r.budget.expired_stage, kStageEigensolver);
+  ASSERT_EQ(r.labels.size(), static_cast<usize>(g.w.rows));
+  EXPECT_EQ(r.labels, clean.labels);
+  EXPECT_EQ(ctx.counters().live_bytes, 0u);
+}
+
 // anytime=0 turns a budget expiry into a hard CancelledError.
 TEST_F(BudgetAnytimeTest, AnytimeDisabledBudgetThrows) {
   const data::SbmGraph g = easy_graph();

@@ -186,27 +186,6 @@ TEST(ShardCsr, HaloIsExactlyTheOutOfRangeColumns) {
         EXPECT_LT(sh.halo[i], sp.part.end(static_cast<index_t>(e)));
       }
     }
-
-    // Interior/frontier rows partition the local rows, classified by
-    // whether every referenced column lies in the own range.
-    EXPECT_EQ(sh.interior_rows.size() + sh.frontier_rows.size(),
-              static_cast<usize>(sh.rows()));
-    for (const index_t r : sh.interior_rows) {
-      for (index_t e = a.row_ptr[static_cast<usize>(r)];
-           e < a.row_ptr[static_cast<usize>(r) + 1]; ++e) {
-        const index_t c = a.col_idx[static_cast<usize>(e)];
-        EXPECT_TRUE(c >= sh.row_begin && c < sh.row_end);
-      }
-    }
-    for (const index_t r : sh.frontier_rows) {
-      bool outside = false;
-      for (index_t e = a.row_ptr[static_cast<usize>(r)];
-           e < a.row_ptr[static_cast<usize>(r) + 1]; ++e) {
-        const index_t c = a.col_idx[static_cast<usize>(e)];
-        if (c < sh.row_begin || c >= sh.row_end) outside = true;
-      }
-      EXPECT_TRUE(outside) << "frontier row " << r << " has no halo column";
-    }
   }
 }
 

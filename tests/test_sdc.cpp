@@ -9,6 +9,7 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <cstring>
 #include <memory>
 #include <sstream>
 #include <string>
@@ -73,38 +74,49 @@ data::SbmGraph sdc_graph() {
 
 TEST_F(SdcTest, BitflipSweepDetectsAndRecoversEverySite) {
   const data::SbmGraph g = sdc_graph();
-  const core::SpectralConfig cfg = sdc_config();
+  // Every device count runs the same checked wave, so the sweep must
+  // detect and recover each site on a group of one and on sharded groups.
+  for (const index_t nd : {1, 2, 4}) {
+    SCOPED_TRACE("num_devices " + std::to_string(nd));
+    core::SpectralConfig cfg = sdc_config();
+    cfg.num_devices = nd;
 
-  fault::injector().set_recording(true);
-  const core::SpectralResult clean = core::spectral_cluster_graph(g.w, cfg);
-  std::vector<std::string> sites;
-  for (const auto& [site, stats] : fault::injector().sites_seen()) {
-    if (site.rfind("bitflip.", 0) == 0) sites.push_back(site);
-  }
-  fault::injector().set_recording(false);
-  ASSERT_EQ(clean.labels.size(), 600u);
+    fault::injector().set_recording(true);
+    const core::SpectralResult clean = core::spectral_cluster_graph(g.w, cfg);
+    std::vector<std::string> sites;
+    for (const auto& [site, stats] : fault::injector().sites_seen()) {
+      if (site.rfind("bitflip.", 0) == 0) sites.push_back(site);
+    }
+    fault::injector().set_recording(false);
+    ASSERT_EQ(clean.labels.size(), 600u);
+    EXPECT_EQ(clean.integrity.detected, 0u);
 
-  // The live-payload site family must actually be reachable in this
-  // pipeline shape — an empty sweep would vacuously pass.
-  for (const char* must : {"bitflip.csr.values", "bitflip.device.buffer",
-                           "bitflip.basis.column", "bitflip.kmeans.dist"}) {
-    EXPECT_NE(std::find(sites.begin(), sites.end(), must), sites.end())
-        << "site " << must << " never occurred; the sweep lost coverage";
-  }
+    // The live-payload site family must actually be reachable in this
+    // pipeline shape — an empty sweep would vacuously pass.
+    for (const char* must : {"bitflip.csr.values", "bitflip.device.buffer",
+                             "bitflip.basis.column", "bitflip.kmeans.dist"}) {
+      EXPECT_NE(std::find(sites.begin(), sites.end(), must), sites.end())
+          << "site " << must << " never occurred; the sweep lost coverage";
+    }
 
-  for (const std::string& site : sites) {
-    SCOPED_TRACE(site);
-    const std::uint64_t before = detected();
-    core::SpectralConfig faulted = cfg;
-    faulted.faults = fault::FaultPlan::parse("site=" + site + ",nth=1");
-    const core::SpectralResult r = core::spectral_cluster_graph(g.w, faulted);
-    // Detected somewhere (ABFT checksum, sentinel, or CRC frame)...
-    EXPECT_GE(detected(), before + 1) << "flip at " << site << " was silent";
-    // ...and recovered: the recompute / re-solve ladder lands on the same
-    // partition as the fault-free run.
-    ASSERT_EQ(r.labels.size(), clean.labels.size());
-    EXPECT_DOUBLE_EQ(metrics::adjusted_rand_index(r.labels, clean.labels),
-                     1.0);
+    for (const std::string& site : sites) {
+      SCOPED_TRACE(site);
+      const std::uint64_t before = detected();
+      core::SpectralConfig faulted = cfg;
+      faulted.faults = fault::FaultPlan::parse("site=" + site + ",nth=1");
+      const core::SpectralResult r =
+          core::spectral_cluster_graph(g.w, faulted);
+      // Detected somewhere (ABFT checksum, sentinel, or CRC frame)...
+      EXPECT_GE(detected(), before + 1) << "flip at " << site << " was silent";
+      // ...and recovered: the recompute / re-solve ladder lands on the same
+      // partition as the fault-free run, without leaving the group.
+      ASSERT_EQ(r.labels.size(), clean.labels.size());
+      EXPECT_DOUBLE_EQ(metrics::adjusted_rand_index(r.labels, clean.labels),
+                       1.0);
+      for (const core::DegradationEvent& e : r.degradation.events) {
+        EXPECT_NE(e.action, "single-device") << e.reason;
+      }
+    }
   }
 }
 
@@ -146,16 +158,33 @@ TEST_F(SdcTest, KmeansDistFlipIsRecomputedInPlaceOnTwoDevices) {
 
 TEST_F(SdcTest, PersistentCsrCorruptionEscalatesToResolve) {
   const data::SbmGraph g = sdc_graph();
-  const core::SpectralResult clean =
-      core::spectral_cluster_graph(g.w, sdc_config());
-  core::SpectralConfig cfg = sdc_config();
-  cfg.faults = fault::FaultPlan::parse("site=bitflip.csr.values,nth=1");
-  const core::SpectralResult r = core::spectral_cluster_graph(g.w, cfg);
-  // The stored matrix itself is corrupt, so the in-place recompute hits the
-  // same flipped value and the solve escalates to a ladder rung that
-  // rebuilds the operator from the pristine COO.
-  EXPECT_TRUE(r.degradation.degraded);
-  EXPECT_EQ(r.labels, clean.labels);
+  for (const index_t nd : {1, 2}) {
+    SCOPED_TRACE("num_devices " + std::to_string(nd));
+    core::SpectralConfig cfg = sdc_config();
+    cfg.num_devices = nd;
+    const core::SpectralResult clean = core::spectral_cluster_graph(g.w, cfg);
+    cfg.faults = fault::FaultPlan::parse("site=bitflip.csr.values,nth=1");
+    const core::SpectralResult r = core::spectral_cluster_graph(g.w, cfg);
+    // The stored matrix itself is corrupt, so the in-place recompute hits
+    // the same flipped value and the solve escalates to a ladder rung that
+    // rebuilds the operator from the unmodified similarity matrix — the
+    // same operator, bit for bit, as the clean run's.
+    EXPECT_TRUE(r.degradation.degraded);
+    bool saw_sync = false;
+    for (const core::DegradationEvent& e : r.degradation.events) {
+      if (e.action == "device-sync") saw_sync = true;
+    }
+    EXPECT_TRUE(saw_sync);
+    ASSERT_EQ(r.eigenvalues.size(), clean.eigenvalues.size());
+    EXPECT_EQ(std::memcmp(r.eigenvalues.data(), clean.eigenvalues.data(),
+                          clean.eigenvalues.size() * sizeof(real)),
+              0);
+    ASSERT_EQ(r.embedding.size(), clean.embedding.size());
+    EXPECT_EQ(std::memcmp(r.embedding.data(), clean.embedding.data(),
+                          clean.embedding.size() * sizeof(real)),
+              0);
+    EXPECT_EQ(r.labels, clean.labels);
+  }
 }
 
 TEST_F(SdcTest, DisablingSdcSkipsTheChecks) {

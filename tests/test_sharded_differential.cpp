@@ -12,6 +12,7 @@
 #include "common/precision.h"
 #include "common/rng.h"
 #include "core/spectral.h"
+#include "data/dti.h"
 #include "data/powerlaw.h"
 #include "data/sbm.h"
 #include "data/social.h"
@@ -88,7 +89,7 @@ TEST_P(ShardedSpmv, BitwiseEqualOnPowerlaw) {
 
 TEST_P(ShardedSpmv, BitwiseEqualWithHubAndEmptyRows) {
   // A hub row referencing every column plus interleaved empty rows: the
-  // halo paths and the interior/frontier split both get exercised hard.
+  // halo paths and the whole-row merge-path cut both get exercised hard.
   const index_t n = 240;
   Csr a(n, n);
   Rng rng(5);
@@ -131,28 +132,6 @@ TEST_P(ShardedSpmv, BitwiseEqualWithEmptyShards) {
   std::vector<real> y(static_cast<usize>(a.rows));
   sparse::sharded_csrmv(sp, x.data(), y.data());
   expect_bitwise_equal(y, want, "empty-shard csrmv");
-}
-
-TEST_P(ShardedSpmv, SpmmBitwiseEqual) {
-  const data::PowerlawGraph g =
-      data::make_powerlaw({.n = 420, .avg_degree = 7.0, .seed = 13});
-  const Csr a = sparse::coo_to_csr(g.w);
-  const index_t nvec = 3;
-  const std::vector<real> x =
-      random_vector(static_cast<usize>(nvec * a.cols), 17);
-
-  device::DeviceContext ctx(1);
-  sparse::DeviceCsr da(ctx, a);
-  device::DeviceBuffer<real> dx(ctx, std::span<const real>(x));
-  device::DeviceBuffer<real> dy(ctx, static_cast<usize>(nvec * a.rows));
-  sparse::device_csrmm(ctx, da, dx.data(), dy.data(), nvec);
-  const std::vector<real> want = dy.to_host();
-
-  DeviceGroup group = make_group(GetParam());
-  sparse::ShardedCsr sp = sparse::shard_csr(group, a);
-  std::vector<real> y(static_cast<usize>(nvec * a.rows));
-  sparse::sharded_csrmm(sp, x.data(), y.data(), nvec);
-  expect_bitwise_equal(y, want, "csrmm");
 }
 
 INSTANTIATE_TEST_SUITE_P(DeviceCounts, ShardedSpmv,
@@ -296,6 +275,74 @@ TEST(ShardedPipeline, EigenpairsBitwiseAcrossWorkerCounts) {
       EXPECT_EQ(std::memcmp(r.labels.data(), base.labels.data(),
                             base.labels.size() * sizeof(index_t)),
                 0);
+    }
+  }
+}
+
+// Points mode runs the same device pipeline: Algorithm 1 on the caller's
+// context, then the eigensolver and k-means over the group, so a small
+// DTI-like volume gives the same bits at every device count and rung.
+TEST(ShardedPipeline, PointsModeBitwiseAcrossDeviceCounts) {
+  data::DtiParams p;
+  p.nx = 10;
+  p.ny = 10;
+  p.nz = 8;
+  p.profile_dim = 12;
+  p.num_parcels = 6;
+  p.seed = 5;
+  const data::DtiVolume vol = data::make_dti_like(p);
+  for (const Precision rung : {Precision::kFp64, Precision::kFp32}) {
+    SpectralConfig cfg = pipeline_config(6, 1);
+    cfg.precision.base = rung;
+    const SpectralResult base = core::spectral_cluster_points(
+        vol.profiles.data(), vol.n, vol.d, vol.edges, cfg);
+    ASSERT_EQ(base.labels.size(), static_cast<usize>(vol.n));
+    EXPECT_EQ(base.device_counters.bytes_d2d, 0u);
+    for (const index_t nd : {2, 4}) {
+      SCOPED_TRACE(std::string(precision_name(rung)) + " num_devices=" +
+                   std::to_string(nd));
+      cfg.num_devices = nd;
+      const SpectralResult r = core::spectral_cluster_points(
+          vol.profiles.data(), vol.n, vol.d, vol.edges, cfg);
+      EXPECT_FALSE(r.degradation.degraded);
+      expect_bitwise_equal(r.eigenvalues, base.eigenvalues, "eigenvalues");
+      expect_bitwise_equal(r.embedding, base.embedding, "embedding");
+      ASSERT_EQ(r.labels.size(), base.labels.size());
+      EXPECT_EQ(std::memcmp(r.labels.data(), base.labels.data(),
+                            base.labels.size() * sizeof(index_t)),
+                0);
+      EXPECT_GT(r.device_counters.bytes_d2d, 0u);
+    }
+  }
+}
+
+// Caller-owned groups with several workers per device: each device's
+// csrmv hands its workers whole merge-path rows, so a hub-heavy powerlaw
+// graph gives the single-device bits at every devices x workers point.
+TEST(ShardedPipeline, WorkersPerDeviceGridMatchesSingleDevice) {
+  std::vector<index_t> old_of_new;
+  const sparse::Coo w = graph::largest_component(
+      data::make_powerlaw({.n = 1500, .avg_degree = 10.0, .seed = 3}).w,
+      old_of_new);
+  const SpectralConfig cfg = pipeline_config(4, 1);
+  const SpectralResult base = core::spectral_cluster_graph(w, cfg);
+  ASSERT_TRUE(base.eig_converged);
+  for (const usize nd : {2u, 4u}) {
+    for (const usize workers : {1u, 3u}) {
+      SCOPED_TRACE(std::to_string(nd) + " devices x " +
+                   std::to_string(workers) + " workers");
+      DeviceGroupConfig gc;
+      gc.num_devices = nd;
+      gc.workers_per_device = workers;
+      DeviceGroup group(gc);
+      const SpectralResult r = core::spectral_cluster_graph(w, cfg, group);
+      expect_bitwise_equal(r.eigenvalues, base.eigenvalues, "eigenvalues");
+      expect_bitwise_equal(r.embedding, base.embedding, "embedding");
+      ASSERT_EQ(r.labels.size(), base.labels.size());
+      EXPECT_EQ(std::memcmp(r.labels.data(), base.labels.data(),
+                            base.labels.size() * sizeof(index_t)),
+                0);
+      EXPECT_GT(r.device_counters.bytes_d2d, 0u);
     }
   }
 }

@@ -1,12 +1,17 @@
 #!/usr/bin/env bash
-# ThreadSanitizer pass over the concurrency-heavy parts of the tree: the
-# stream/event runtime (stream FIFOs, event fences, virtual clocks, the
-# pipeline executor) and the thread-safe StageClock.  Usage:
+# Sanitizer pass over the concurrency-heavy parts of the tree: the device
+# worker pools every kernel launch fans out to, the heartbeat watchdog's
+# monitor thread and the liveness feeds launches send it, the service
+# executors with their per-job governors, the observability layer, and the
+# full pipelines that drive them at several device and worker counts.  The
+# stream/event runtime keeps its own tests here until it is deleted.
+# `address` builds ASan + UBSan.  Usage:
 #
 #   tools/check_sanitize.sh [thread|address] [build-dir]
 #
-# Defaults to a TSan build in build-tsan/.  Exits non-zero if the build or
-# any sanitized test fails.
+# Defaults to a TSan build in build-threadsan/.  Run it on at least 4 cores:
+# races only show when the workers really run in parallel.  Exits non-zero
+# if the build or any sanitized test fails.
 set -euo pipefail
 
 SANITIZER="${1:-thread}"
@@ -21,14 +26,15 @@ case "${SANITIZER}" in
     ;;
 esac
 
-# The async runtime's regression surface: everything that crosses stream
-# threads plus the tests that drive full pipelines through it, and the
-# observability layer (trace recorder / metrics registry record from
-# stream and worker threads concurrently).  test_balance and test_hblas
-# exercise the merge-path balanced SpMV / SpMM kernels and the threaded
-# level-2 hblas paths across worker counts; test_powerlaw feeds them.
-# test_kmeans and test_seeding drive the k-means group sweep across device
-# and worker counts.
+# Everything that crosses threads plus the tests that drive full
+# pipelines through it, and the observability layer (trace recorder /
+# metrics registry record from worker threads concurrently).
+# test_balance and test_hblas exercise the merge-path balanced SpMV / SpMM
+# kernels and the threaded level-2 hblas paths across worker counts;
+# test_powerlaw feeds them.  test_laplacian runs Algorithm 2's merge-path
+# degree pass and test_rci the reverse-communication loop.  test_kmeans
+# and test_seeding drive the k-means group sweep across device and worker
+# counts.
 TESTS=(
   test_thread_pool
   test_stage_clock
@@ -56,6 +62,8 @@ TESTS=(
   test_powerlaw
   test_kmeans
   test_seeding
+  test_laplacian
+  test_rci
 )
 
 echo "== configuring ${SANITIZER}-sanitized build in ${BUILD_DIR} =="
