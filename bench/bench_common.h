@@ -75,8 +75,7 @@ struct CommonFlags {
         "hang-watchdog spec, e.g. heartbeat_ms=100,stall_restarts=5 "
         "(see src/common/cancel.h)");
     // Tracing must be on before the DeviceContext records its first event so
-    // the trace's virtual timeline is complete (check_trace.py recomputes
-    // the overlap counter from it and expects every interval).
+    // the trace's virtual timeline is complete from time zero.
     if (!f.trace_out.empty()) obs::trace().set_enabled(true);
     return f;
   }

@@ -6,9 +6,9 @@
 // the deterministic kernel cost model on, so the reported times are a pure
 // function of the partition and the transfer model — no host wall-clock
 // noise.  Per device count the bench prints the modeled compute time, the
-// PCIe staging time, the peer-to-peer exchange time, the overlapped
-// seconds, and the pipeline makespan (slowest device), plus the modeled
-// speedup over the single-device run.  The speedup points are published as
+// PCIe staging time, the peer-to-peer exchange time and the pipeline
+// makespan (slowest device), plus the modeled speedup over the
+// single-device run.  The speedup points are published as
 // gauges (scaling.speedup_2dev/4dev/8dev) so the scaling_smoke CTest and
 // the perf_regression gate can judge the curve from the metrics artifact
 // alone.
@@ -32,7 +32,6 @@ struct ScalingPoint {
   double kernel_seconds = 0;
   double pcie_seconds = 0;  // modeled H2D+D2H link time
   double d2d_seconds = 0;   // modeled peer-exchange link time
-  double overlap_seconds = 0;
   double pipeline_seconds = 0;  // slowest device's modeled makespan
   usize d2d_bytes = 0;
 };
@@ -57,17 +56,15 @@ ScalingPoint run_point(const sparse::Coo& w, index_t k, index_t devices,
   p.kernel_seconds = c.kernel_seconds;
   p.pcie_seconds = c.modeled_transfer_seconds - c.modeled_d2d_seconds;
   p.d2d_seconds = c.modeled_d2d_seconds;
-  p.overlap_seconds = c.overlapped_seconds;
   p.pipeline_seconds = group.max_modeled_pipeline_seconds();
   p.d2d_bytes = c.bytes_d2d;
   for (usize i = 0; i < group.size(); ++i) {
     const device::DeviceCounters ci = group.device(i).counters_snapshot();
     std::fprintf(stderr,
                  "[bench]   dev%zu busy=%.4fs kernel=%.4fs link=%.4fs "
-                 "(d2d=%.4fs) overlap=%.4fs\n",
+                 "(d2d=%.4fs)\n",
                  i, ci.modeled_pipeline_seconds(), ci.kernel_seconds,
-                 ci.modeled_transfer_seconds, ci.modeled_d2d_seconds,
-                 ci.overlapped_seconds);
+                 ci.modeled_transfer_seconds, ci.modeled_d2d_seconds);
   }
   // The run must stay correct while it scales; a wrong label count would
   // make every speedup number meaningless.
@@ -96,15 +93,14 @@ TextTable scaling_table(const std::string& dataset, const sparse::Coo& w,
   TextTable table("Modeled multi-device scaling on " + dataset +
                   " (n=" + std::to_string(w.rows) +
                   ", nnz=" + std::to_string(w.nnz()) + ")");
-  table.header({"Devices", "compute/s", "PCIe/s", "D2D/s", "overlap/s",
-                "pipeline/s", "speedup"});
+  table.header({"Devices", "compute/s", "PCIe/s", "D2D/s", "pipeline/s",
+                "speedup"});
   const double t1 = points.front().pipeline_seconds;
   for (const ScalingPoint& p : points) {
     table.row({TextTable::fmt(p.devices),
                TextTable::fmt_seconds(p.kernel_seconds),
                TextTable::fmt_seconds(p.pcie_seconds),
                TextTable::fmt_seconds(p.d2d_seconds),
-               TextTable::fmt_seconds(p.overlap_seconds),
                TextTable::fmt_seconds(p.pipeline_seconds),
                p.pipeline_seconds > 0
                    ? TextTable::fmt(t1 / p.pipeline_seconds, 2) + "x"

@@ -289,9 +289,9 @@ struct Governor::Impl {
   double best_residual = std::numeric_limits<double>::infinity();
   int stalled_restarts = 0;
 
-  // Liveness feeds — bare atomics, written by stream threads without mu.
+  // Liveness feeds — bare atomics, written by launching threads without mu.
   std::atomic<std::uint64_t> heartbeat_ticks{0};
-  std::atomic<int> busy_streams{0};
+  std::atomic<int> busy_devices{0};
 
   // Monitor thread (wall deadlines + heartbeat staleness).
   std::thread monitor;
@@ -431,7 +431,7 @@ struct Governor::Impl {
       check_budget_locked(/*include_virtual=*/false, counters, warn);
       if (cause == Cause::kNone && watchdog.heartbeat_timeout_ms > 0) {
         const auto tick = heartbeat_ticks.load(std::memory_order_relaxed);
-        const bool busy = busy_streams.load(std::memory_order_relaxed) > 0;
+        const bool busy = busy_devices.load(std::memory_order_relaxed) > 0;
         const auto now = Clock::now();
         if (tick != last_tick || !busy) {
           last_tick = tick;
@@ -460,8 +460,9 @@ Governor::~Governor() {
 }
 
 Governor& governor() {
-  // Leaked deliberately: stream threads may feed heartbeats during static
-  // destruction, after a function-local static would already be gone.
+  // Leaked deliberately: it must outlive every other static that may poll it
+  // or feed it heartbeats during static destruction (device contexts and
+  // their worker pools), whatever order they were constructed in.
   static Governor* instance = new Governor;
   return *instance;
 }
@@ -857,14 +858,14 @@ bool on_interrupted(std::string_view site) noexcept {
 
 void on_heartbeat() noexcept {
   // Kernel launches feed the launching thread's governor, so a service
-  // job's heartbeat watchdog watches its own launches; stream threads are
-  // never governor-bound and feed the process default.
+  // job's heartbeat watchdog watches its own launches; unbound threads feed
+  // the process default.
   current_governor().impl().heartbeat_ticks.fetch_add(
       1, std::memory_order_relaxed);
 }
 
-void on_stream_busy(bool busy) noexcept {
-  current_governor().impl().busy_streams.fetch_add(
+void on_device_busy(bool busy) noexcept {
+  current_governor().impl().busy_devices.fetch_add(
       busy ? 1 : -1, std::memory_order_relaxed);
 }
 

@@ -1,16 +1,16 @@
 // Cooperative cancellation, run budgets, and a hang watchdog.
 //
 // Long-running stages (IRLM restarts, CG iterations, Lloyd sweeps, thread-pool
-// chunks, stream work queues, similarity construction) poll a process-wide
-// governor at bounded intervals.  When nothing is armed — no budget, no
-// external token, no watchdog, no test instrumentation — every poll site
-// reduces to a single relaxed atomic load, the same discipline as
-// `fault::triggered` (see src/fault/fault.h).
+// chunks, similarity construction) poll a process-wide governor at bounded
+// intervals.  When nothing is armed — no budget, no external token, no
+// watchdog, no test instrumentation — every poll site reduces to a single
+// relaxed atomic load, the same discipline as `fault::triggered` (see
+// src/fault/fault.h).
 //
 // Three poll flavours, by how the caller can react:
 //   poll(site)     throws CancelledError; for sequential code that unwinds.
-//   pending(site)  never throws; for thread-pool workers and stream threads
-//                  that must not propagate exceptions through `run_workers`.
+//   pending(site)  never throws; for thread-pool workers that must not
+//                  propagate exceptions through `run_workers`.
 //   expired(site)  soft deadline check at an "anytime" boundary (e.g. a Lloyd
 //                  sweep): returns true when the caller should stop and keep
 //                  its best-so-far result.  Hard cancellations (external
@@ -46,8 +46,8 @@ namespace fastsc::cancel {
 /// Thrown when a poll site observes a cancellation request.  Deliberately
 /// *not* a device::DeviceError: the degradation ladder retries DeviceErrors
 /// on a lower rung, but a cancelled run must unwind, not retry.  Carries the
-/// same first-wins site annotation as DeviceError so a CancelledError raised
-/// inside a stream op keeps its site through the sticky-error rethrow.
+/// same first-wins site annotation as DeviceError so a CancelledError keeps
+/// the site that raised it as it unwinds through outer layers.
 class CancelledError : public std::runtime_error {
  public:
   explicit CancelledError(const std::string& what_arg)
@@ -173,8 +173,8 @@ struct WatchdogConfig {
   /// `lanczos.convergence` stall fault.
   int stall_restarts = 0;
   double stall_rtol = 1e-3;
-  /// Fire when the device is busy (a kernel launch or stream op in flight)
-  /// but none completed for this long.
+  /// Fire when the device is busy (a kernel launch in flight) but none
+  /// completed for this long.
   double heartbeat_timeout_ms = 0;
   /// Fire when a transfer's measured time exceeds this factor times its
   /// transfer-model estimate.
@@ -240,7 +240,7 @@ void on_poll(std::string_view site);               // may throw CancelledError
 [[nodiscard]] bool on_expired(std::string_view site);  // may throw
 [[nodiscard]] bool on_interrupted(std::string_view site) noexcept;
 void on_heartbeat() noexcept;
-void on_stream_busy(bool busy) noexcept;
+void on_device_busy(bool busy) noexcept;
 }  // namespace detail
 
 /// Deadline/cancellation governor.  One process-wide instance (`governor()`)
@@ -307,7 +307,7 @@ class Governor {
   friend bool detail::on_expired(std::string_view);
   friend bool detail::on_interrupted(std::string_view) noexcept;
   friend void detail::on_heartbeat() noexcept;
-  friend void detail::on_stream_busy(bool) noexcept;
+  friend void detail::on_device_busy(bool) noexcept;
 
   struct Impl;
   [[nodiscard]] Impl& impl() const { return *impl_; }
@@ -348,8 +348,8 @@ inline void poll(std::string_view site) {
   detail::on_poll(site);
 }
 
-/// Non-throwing poll for thread-pool workers / stream threads: true means
-/// "stop doing work"; the sequential coordinator surfaces the error.
+/// Non-throwing poll for thread-pool workers: true means "stop doing work";
+/// the sequential coordinator surfaces the error.
 [[nodiscard]] inline bool pending(std::string_view site) noexcept {
   if (detail::g_active.load(std::memory_order_relaxed) == 0) return false;
   return detail::on_pending(site);
@@ -373,12 +373,12 @@ inline void poll(std::string_view site) {
 }
 
 /// Device liveness feeds, driven by every kernel launch
-/// (device::LaunchLiveness) and stream op.  Deliberately *not* gated on
+/// (device::LaunchLiveness).  Deliberately *not* gated on
 /// g_active: the busy count must stay balanced across arm/disarm
 /// boundaries, and both are single relaxed fetch_adds — negligible next to
 /// a kernel launch.
 inline void heartbeat() noexcept { detail::on_heartbeat(); }
-inline void stream_busy(bool busy) noexcept { detail::on_stream_busy(busy); }
+inline void device_busy(bool busy) noexcept { detail::on_device_busy(busy); }
 
 /// Watchdog feeds with the disarmed-fast-path gate.
 inline void note_progress(double worst_residual) {

@@ -4,8 +4,8 @@
 // logger is for progress/diagnostic lines so that `bench > table.txt` stays
 // clean.  Level is controlled programmatically or by FASTSC_LOG=trace|debug|
 // info|warn|error|off.  Every line carries a monotonic timestamp (seconds
-// since process start) and a small per-thread id so interleaved stream /
-// worker output can be attributed; the ids match the wall-clock track ids
+// since process start) and a small per-thread id so interleaved worker
+// output can be attributed; the ids match the wall-clock track ids
 // in obs/trace.h traces.  The `trace` level additionally makes obs
 // ScopedSpan mirror span begin/end to stderr.
 #pragma once

@@ -16,10 +16,9 @@
 namespace fastsc {
 
 /// Accumulates wall time into named stages.  Thread-safe: the pipeline owns
-/// one clock and start()/stop()s its own sequential stages, while stream
-/// completion callbacks may add() modeled transfer time from worker threads
-/// concurrently.  The start/stop pair itself still assumes one driving
-/// thread.
+/// one clock and start()/stop()s its own sequential stages, while other
+/// threads may add() time concurrently.  The start/stop pair itself still
+/// assumes one driving thread.
 ///
 /// start() calls may nest: starting stage B while stage A runs *pauses* A,
 /// and the matching stop() resumes it, so each stage accumulates exclusive

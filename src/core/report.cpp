@@ -176,13 +176,7 @@ void write_device_counters(obs::JsonWriter& w,
   w.field("modeled_d2d_seconds", c.modeled_d2d_seconds);
   w.field("kernel_seconds", c.kernel_seconds);
   w.field("kernel_launches", std::uint64_t{c.kernel_launches});
-  w.field("overlapped_seconds", c.overlapped_seconds);
-  w.field("overlapped_h2d_seconds", c.overlapped_h2d_seconds);
-  w.field("overlapped_d2h_seconds", c.overlapped_d2h_seconds);
-  w.field("overlapped_d2d_seconds", c.overlapped_d2d_seconds);
   w.field("modeled_pipeline_seconds", c.modeled_pipeline_seconds());
-  w.field("async_copies", std::uint64_t{c.async_copies});
-  w.field("async_kernel_launches", std::uint64_t{c.async_kernel_launches});
   w.field("transfer_retries", std::uint64_t{c.transfer_retries});
   w.field("live_bytes", std::uint64_t{c.live_bytes});
   w.field("peak_bytes", std::uint64_t{c.peak_bytes});

@@ -202,8 +202,9 @@ struct SpectralConfig {
   /// Also settable process-wide through FASTSC_BUDGET.
   cancel::RunBudget budget{};
 
-  /// Hang watchdog: stalled-restart / stream-heartbeat / transfer-overrun
-  /// detection that fires the run's cancel token (off by default).
+  /// Hang watchdog: stalled-restart / kernel-launch heartbeat /
+  /// transfer-overrun detection that fires the run's cancel token (off by
+  /// default).
   cancel::WatchdogConfig watchdog{};
 
   /// External cancellation: pass CancelSource::token() and call

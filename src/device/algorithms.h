@@ -1,6 +1,6 @@
 // Thrust-like device algorithms.
 //
-// The paper leans on the Thrust library for sort / transform / scan style
+// The paper leans on the Thrust library for sort / transform / reduce style
 // primitives inside the k-means and graph-construction kernels; this header
 // provides the equivalents over DeviceBuffer storage, executed on the device
 // context's pool and metered as kernel time.
@@ -13,7 +13,6 @@
 #include <cmath>
 #include <vector>
 
-#include "common/error.h"
 #include "device/device.h"
 
 namespace fastsc::device {
@@ -143,112 +142,6 @@ template <class T>
   return reduce(ctx, in, n, T{0}, [](T a, T b) { return a + b; });
 }
 
-/// Index of the minimum element (first occurrence); -1 for empty input.
-template <class T>
-[[nodiscard]] index_t min_element_index(DeviceContext& ctx, const T* in,
-                                        index_t n) {
-  if (n <= 0) return -1;
-  struct Pair {
-    T value;
-    index_t index;
-  };
-  WallTimer t;
-  const auto workers = static_cast<index_t>(ctx.pool().worker_count());
-  std::vector<Pair> partials(static_cast<usize>(workers),
-                             Pair{in[0], index_t{0}});
-  const index_t chunk = (n + workers - 1) / workers;
-  std::function<void(usize)> job = [&](usize w) {
-    const index_t lo = static_cast<index_t>(w) * chunk;
-    const index_t hi = lo + chunk < n ? lo + chunk : n;
-    if (lo >= hi) return;
-    Pair best{in[lo], lo};
-    for (index_t i = lo + 1; i < hi; ++i) {
-      if (in[i] < best.value) best = Pair{in[i], i};
-    }
-    partials[w] = best;
-  };
-  if (workers == 1) {
-    job(0);
-  } else {
-    ctx.run_compute(job);
-  }
-  Pair best = partials[0];
-  for (const Pair& p : partials) {
-    if (p.value < best.value || (p.value == best.value && p.index < best.index)) {
-      best = p;
-    }
-  }
-  ctx.record_kernel(
-      t.seconds(), -1.0,
-      detail::algo_cost("algo.min_element", static_cast<double>(n),
-                        static_cast<double>(n) * sizeof(T),
-                        static_cast<double>(sizeof(index_t))));
-  return best.index;
-}
-
-/// Blocked parallel exclusive scan (prefix sums); returns the total.
-template <class T>
-T exclusive_scan(DeviceContext& ctx, const T* in, T* out, index_t n,
-                 T init = T{0}) {
-  if (n <= 0) return init;
-  WallTimer t;
-  const auto workers = static_cast<index_t>(ctx.pool().worker_count());
-  const index_t chunk = (n + workers - 1) / workers;
-  std::vector<T> block_sums(static_cast<usize>(workers), T{0});
-  // Pass 1: per-block local exclusive scans and block totals.
-  std::function<void(usize)> pass1 = [&](usize w) {
-    const index_t lo = static_cast<index_t>(w) * chunk;
-    const index_t hi = lo + chunk < n ? lo + chunk : n;
-    T acc = T{0};
-    for (index_t i = lo; i < hi; ++i) {
-      out[i] = acc;
-      acc += in[i];
-    }
-    if (lo < hi) block_sums[w] = acc;
-  };
-  // Scan of the block totals (small, serial).
-  // Pass 2: add each block's offset.
-  if (workers == 1) {
-    pass1(0);
-  } else {
-    ctx.run_compute(pass1);
-  }
-  std::vector<T> offsets(static_cast<usize>(workers), init);
-  T running = init;
-  for (usize w = 0; w < offsets.size(); ++w) {
-    offsets[w] = running;
-    running += block_sums[w];
-  }
-  std::function<void(usize)> pass2 = [&](usize w) {
-    const index_t lo = static_cast<index_t>(w) * chunk;
-    const index_t hi = lo + chunk < n ? lo + chunk : n;
-    const T off = offsets[w];
-    for (index_t i = lo; i < hi; ++i) out[i] += off;
-  };
-  if (workers == 1) {
-    pass2(0);
-  } else {
-    ctx.run_compute(pass2);
-  }
-  ctx.record_kernel(
-      t.seconds(), -1.0,
-      detail::algo_cost("algo.scan", 2.0 * static_cast<double>(n),
-                        static_cast<double>(n) * sizeof(T),
-                        static_cast<double>(n) * sizeof(T)));
-  return running;
-}
-
-/// Inclusive scan; returns the total.
-template <class T>
-T inclusive_scan(DeviceContext& ctx, const T* in, T* out, index_t n) {
-  const T total = exclusive_scan(ctx, in, out, n);
-  launch(ctx, n, [=](index_t i) { out[i] += in[i]; },
-         detail::algo_cfg("algo.scan", static_cast<double>(n),
-                          2.0 * static_cast<double>(n) * sizeof(T),
-                          static_cast<double>(n) * sizeof(T)));
-  return total;
-}
-
 /// Stable key-value sort by key (thrust::sort_by_key): per-worker chunks are
 /// sorted in parallel, then merged pairwise.
 template <class K, class V>
@@ -300,72 +193,6 @@ void sort_by_key(DeviceContext& ctx, K* keys, V* values, index_t n) {
   ctx.record_kernel(t.seconds(), -1.0,
                     detail::algo_cost("algo.sort_by_key", comparisons,
                                       pair_bytes, pair_bytes));
-}
-
-/// reduce_by_key over sorted keys: writes unique keys and per-key sums,
-/// returns the number of segments.  (thrust::reduce_by_key)
-template <class K, class V>
-index_t reduce_by_key(DeviceContext& ctx, const K* keys, const V* values,
-                      index_t n, K* out_keys, V* out_sums) {
-  if (n <= 0) return 0;
-  WallTimer t;
-  index_t seg = 0;
-  K current = keys[0];
-  V acc = values[0];
-  for (index_t i = 1; i < n; ++i) {
-    FASTSC_ASSERT(!(keys[i] < current));  // must be sorted
-    if (keys[i] == current) {
-      acc += values[i];
-    } else {
-      out_keys[seg] = current;
-      out_sums[seg] = acc;
-      ++seg;
-      current = keys[i];
-      acc = values[i];
-    }
-  }
-  out_keys[seg] = current;
-  out_sums[seg] = acc;
-  ++seg;
-  ctx.record_kernel(
-      t.seconds(), -1.0,
-      detail::algo_cost("algo.reduce_by_key", static_cast<double>(n),
-                        static_cast<double>(n) * (sizeof(K) + sizeof(V)),
-                        static_cast<double>(seg) * (sizeof(K) + sizeof(V))));
-  return seg;
-}
-
-/// Count elements satisfying pred.
-template <class T, class Pred>
-[[nodiscard]] index_t count_if(DeviceContext& ctx, const T* in, index_t n,
-                               const Pred& pred) {
-  if (n <= 0) return 0;
-  WallTimer t;
-  const auto workers = static_cast<index_t>(ctx.pool().worker_count());
-  std::vector<index_t> partials(static_cast<usize>(workers), 0);
-  const index_t chunk = (n + workers - 1) / workers;
-  std::function<void(usize)> job = [&](usize w) {
-    const index_t lo = static_cast<index_t>(w) * chunk;
-    const index_t hi = lo + chunk < n ? lo + chunk : n;
-    index_t c = 0;
-    for (index_t i = lo; i < hi; ++i) {
-      if (pred(in[i])) ++c;
-    }
-    partials[w] = c;
-  };
-  if (workers == 1) {
-    job(0);
-  } else {
-    ctx.run_compute(job);
-  }
-  index_t total = 0;
-  for (index_t p : partials) total += p;
-  ctx.record_kernel(
-      t.seconds(), -1.0,
-      detail::algo_cost("algo.count_if", static_cast<double>(n),
-                        static_cast<double>(n) * sizeof(T),
-                        static_cast<double>(sizeof(index_t))));
-  return total;
 }
 
 }  // namespace fastsc::device

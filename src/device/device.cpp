@@ -14,11 +14,6 @@ namespace fastsc::device {
 
 namespace {
 
-/// Metering target for the calling thread: a stream's clock inside a
-/// ClockScope, the context's host clock otherwise.  One slot suffices —
-/// a thread executes ops for at most one stream at a time.
-thread_local VirtualClock* t_current_clock = nullptr;
-
 /// The `device.hang` fault: a wedged launch spins until the watchdog (or any
 /// other cancellation) fires and then surfaces as a site-annotated
 /// CancelledError.  A wall cap bounds the spin so an unwatched hang still
@@ -43,99 +38,25 @@ void simulate_hang() {
 }  // namespace
 
 LaunchLiveness::LaunchLiveness() {
-  cancel::stream_busy(true);
+  cancel::device_busy(true);
   try {
     if (fault::triggered("device.hang")) simulate_hang();
   } catch (...) {
-    cancel::stream_busy(false);
+    cancel::device_busy(false);
     throw;
   }
 }
 
 LaunchLiveness::~LaunchLiveness() {
-  cancel::stream_busy(false);
+  cancel::device_busy(false);
   cancel::heartbeat();
-}
-
-// --- PinnedPool -------------------------------------------------------------
-
-PinnedPool::Block PinnedPool::acquire(usize bytes) {
-  std::lock_guard lock(mu_);
-  stats_.acquires += 1;
-  // Smallest free block that fits; avoids pinning a large block under a
-  // small recurring copy.
-  usize best = free_.size();
-  for (usize i = 0; i < free_.size(); ++i) {
-    if (free_[i].capacity() >= bytes &&
-        (best == free_.size() || free_[i].capacity() < free_[best].capacity())) {
-      best = i;
-    }
-  }
-  Block block;
-  if (best != free_.size()) {
-    stats_.reuses += 1;
-    stats_.allocated_bytes -= free_[best].capacity();
-    block = std::move(free_[best]);
-    free_.erase(free_.begin() + static_cast<std::ptrdiff_t>(best));
-  } else {
-    stats_.allocated_blocks += 1;
-  }
-  block.resize(bytes);
-  return block;
-}
-
-void PinnedPool::release(Block&& block) {
-  std::lock_guard lock(mu_);
-  stats_.allocated_bytes += block.capacity();
-  stats_.peak_allocated_bytes =
-      std::max(stats_.peak_allocated_bytes, stats_.allocated_bytes);
-  free_.push_back(std::move(block));
-}
-
-PinnedPool::Stats PinnedPool::stats() const {
-  std::lock_guard lock(mu_);
-  return stats_;
-}
-
-void PinnedPool::clear() {
-  std::lock_guard lock(mu_);
-  free_.clear();
-  stats_.allocated_bytes = 0;
-  stats_.allocated_blocks = 0;
 }
 
 // --- DeviceContext: metering + virtual timeline -----------------------------
 
-DeviceContext::ClockScope::ClockScope(VirtualClock& clock)
-    : previous_(t_current_clock) {
-  t_current_clock = &clock;
-}
-
-DeviceContext::ClockScope::~ClockScope() { t_current_clock = previous_; }
-
-VirtualClock& DeviceContext::current_clock_locked() {
-  return t_current_clock != nullptr ? *t_current_clock : host_clock_;
-}
-
-double DeviceContext::current_clock_now() const {
+double DeviceContext::virtual_now() const {
   std::lock_guard lock(meter_mu_);
-  return t_current_clock != nullptr ? t_current_clock->now : host_clock_.now;
-}
-
-void DeviceContext::sync_current_clock_to(double t) {
-  std::lock_guard lock(meter_mu_);
-  VirtualClock& clk = current_clock_locked();
-  clk.now = std::max(clk.now, t);
-}
-
-void DeviceContext::advance_clock_to(VirtualClock& clock, double floor) {
-  std::lock_guard lock(meter_mu_);
-  clock.now = std::max(clock.now, floor);
-}
-
-double DeviceContext::clock_now(const VirtualClock& clock) const {
-  std::lock_guard lock(meter_mu_);
-  return clock.now;
+  return virtual_now_;
 }
 
 DeviceCounters DeviceContext::counters_snapshot() const {
@@ -143,26 +64,14 @@ DeviceCounters DeviceContext::counters_snapshot() const {
   return counters_;
 }
 
-void DeviceContext::prune_intervals_locked() {
-  // A future copy starts at or after link_free_at_, a future kernel at or
-  // after compute_free_at_; intervals entirely behind the opposite frontier
-  // can never overlap new work and have already been paired with the past.
-  std::erase_if(copy_intervals_,
-                [this](const Interval& iv) { return iv.end <= compute_free_at_; });
-  std::erase_if(kernel_intervals_,
-                [this](const Interval& iv) { return iv.end <= link_free_at_; });
-}
-
 void DeviceContext::meter_transfer(usize bytes, double measured_seconds,
                                    CopyDir dir) {
   std::lock_guard lock(meter_mu_);
   const double modeled = dir == CopyDir::kD2d ? model_.d2d_seconds_for(bytes)
                                               : model_.seconds_for(bytes);
-  VirtualClock& clk = current_clock_locked();
-  const double begin = std::max(clk.now, link_free_at_);
+  const double begin = virtual_now_;
   const double end = begin + modeled;
-  clk.now = end;
-  link_free_at_ = end;
+  virtual_now_ = end;
 
   switch (dir) {
     case CopyDir::kH2d:
@@ -181,30 +90,10 @@ void DeviceContext::meter_transfer(usize bytes, double measured_seconds,
   }
   counters_.measured_transfer_seconds += measured_seconds;
   counters_.modeled_transfer_seconds += modeled;
-  if (t_current_clock != nullptr) counters_.async_copies += 1;
 
-  // Overlap against every kernel interval still near the frontier.  Kernel
-  // intervals are pairwise disjoint (one compute engine), so the sum is the
-  // measure of this window's intersection with kernel busy time — each
-  // overlap window counted exactly once.
-  for (const Interval& k : kernel_intervals_) {
-    const double ov = std::min(end, k.end) - std::max(begin, k.begin);
-    if (ov > 0) {
-      counters_.overlapped_seconds += ov;
-      switch (dir) {
-        case CopyDir::kH2d: counters_.overlapped_h2d_seconds += ov; break;
-        case CopyDir::kD2h: counters_.overlapped_d2h_seconds += ov; break;
-        case CopyDir::kD2d: counters_.overlapped_d2d_seconds += ov; break;
-      }
-    }
-  }
-  copy_intervals_.push_back(Interval{begin, end, dir});
-  prune_intervals_locked();
-
-  // Emit the *exact* interval the overlap accounting above used, on this
-  // device's virtual link track, so a trace consumer can recompute
-  // overlapped_seconds from the JSON (tools/check_trace.py does).
-  // Zero-length transfers carry no overlap information; skip them.
+  // Emit the exact span on this device's virtual link track; its compute
+  // track carries the kernels, and the two merged never overlap
+  // (tools/check_trace.py checks it).  Zero-length transfers are skipped.
   if (obs::trace_enabled() && end > begin) {
     obs::trace().complete(
         obs::kVirtualPid, link_tid_, copy_dir_name(dir), "transfer",
@@ -292,29 +181,12 @@ void DeviceContext::record_kernel(double seconds, double modeled_override,
   if (duration < 0) duration = seconds;
   {
     std::lock_guard lock(meter_mu_);
-    VirtualClock& clk = current_clock_locked();
-    const double begin = std::max(clk.now, compute_free_at_);
+    const double begin = virtual_now_;
     const double end = begin + duration;
-    clk.now = end;
-    compute_free_at_ = end;
+    virtual_now_ = end;
 
     counters_.kernel_seconds += duration;
     counters_.kernel_launches += 1;
-    if (t_current_clock != nullptr) counters_.async_kernel_launches += 1;
-
-    for (const Interval& c : copy_intervals_) {
-      const double ov = std::min(end, c.end) - std::max(begin, c.begin);
-      if (ov > 0) {
-        counters_.overlapped_seconds += ov;
-        switch (c.dir) {
-          case CopyDir::kH2d: counters_.overlapped_h2d_seconds += ov; break;
-          case CopyDir::kD2h: counters_.overlapped_d2h_seconds += ov; break;
-          case CopyDir::kD2d: counters_.overlapped_d2d_seconds += ov; break;
-        }
-      }
-    }
-    kernel_intervals_.push_back(Interval{begin, end, CopyDir::kH2d});
-    prune_intervals_locked();
 
     if (obs::trace_enabled() && end > begin) {
       obs::trace().complete(obs::kVirtualPid, compute_tid_, "kernel",
@@ -357,8 +229,7 @@ void DeviceContext::note_transfer_retry(std::string_view site,
   {
     std::lock_guard lock(meter_mu_);
     counters_.transfer_retries += 1;
-    VirtualClock& clk = current_clock_locked();
-    clk.now += backoff_seconds;
+    virtual_now_ += backoff_seconds;
   }
   obs::bump("fault.transfer_retry");
   obs::metrics().counter("fault.transfer_retry." + std::string(site)).add();

@@ -10,15 +10,12 @@
 //     TransferModel — this drives the Table VII reproduction,
 //   * kernels are launched over a (grid, block) decomposition and execute
 //     data-parallel on a worker thread pool; kernel wall time is metered,
-//   * the default stream is synchronous: launch() returns when the kernel
-//     has completed, matching the paper's use of the default CUDA stream,
-//   * asynchronous streams (device/stream.h) carry ordered work queues whose
-//     copies and kernels are attributed to a *virtual timeline*: each copy
-//     occupies the modeled PCIe link, each kernel occupies the compute
-//     engine, and the window where a transfer and a kernel coincide is
-//     accounted once as DeviceCounters::overlapped_seconds.  This is how the
-//     overlap ablation quantifies hiding Table VII's communication behind
-//     computation.
+//   * every operation is synchronous, like the paper's default CUDA stream:
+//     copy_h2d/copy_d2h and launch() return when the work has completed.
+//     A device runs one operation at a time, so its copies, kernels and
+//     retry backoffs are laid end to end on one virtual timeline; Table
+//     VII's communication time adds to compute rather than hiding behind
+//     it.
 //
 // On the evaluation machine the pool may have a single worker; the runtime
 // is still exercised end-to-end (decomposition, staging, accounting), which
@@ -57,15 +54,15 @@ using CopyDir = obs::TransferDir;
 }
 
 /// Base of the device error hierarchy.  Carries an optional originating
-/// site so sticky stream errors can surface *where* the first failure
-/// happened when rethrown from a later synchronize().
+/// site so an error rethrown by an outer layer (the bounded transfer retry,
+/// the degradation ladder) still says *where* the first failure happened.
 class DeviceError : public std::runtime_error {
  public:
   explicit DeviceError(const std::string& message)
       : std::runtime_error(message) {}
 
-  /// Record the failing site once (first annotation wins — the sticky
-  /// error keeps its original location even if re-annotated downstream).
+  /// Record the failing site once (first annotation wins — the error keeps
+  /// its original location even if re-annotated downstream).
   void annotate_site(const std::string& site) {
     if (site_.empty() && !site.empty()) {
       site_ = site;
@@ -144,7 +141,7 @@ class DataIntegrityError : public DeviceError {
 };
 
 /// Running totals kept by a DeviceContext.  Snapshot with
-/// DeviceContext::counters_snapshot() when streams may be in flight.
+/// DeviceContext::counters_snapshot() when other threads share the context.
 struct DeviceCounters {
   usize bytes_h2d = 0;
   usize bytes_d2h = 0;
@@ -165,91 +162,35 @@ struct DeviceCounters {
   /// supplied LaunchConfig::modeled_seconds).
   double kernel_seconds = 0;
   usize kernel_launches = 0;
-  /// Virtual-timeline seconds during which a PCIe transfer and a kernel were
-  /// in flight simultaneously.  Each overlap window is counted once (link
-  /// and compute engine are each serialized, so transfer intervals are
-  /// pairwise disjoint, as are kernel intervals), which makes
-  ///   modeled pipeline time = kernel_seconds + modeled_transfer_seconds
-  ///                           - overlapped_seconds
-  /// the busy-time of the two engines combined.  Split by copy direction so
-  /// benches can show which staging leg hid behind compute.
-  double overlapped_seconds = 0;
-  double overlapped_h2d_seconds = 0;
-  double overlapped_d2h_seconds = 0;
-  double overlapped_d2d_seconds = 0;
-  /// Operations issued through streams (subset of the totals above).
-  usize async_copies = 0;
-  usize async_kernel_launches = 0;
   /// Transient transfer faults absorbed by the bounded retry (each retry
-  /// also charges its backoff to the retrying clock).
+  /// also charges its backoff to the virtual timeline).
   usize transfer_retries = 0;
   /// Device-memory accounting.
   usize live_bytes = 0;
   usize peak_bytes = 0;
   usize total_allocations = 0;
 
-  /// kernel + modeled PCIe with every transfer/compute overlap counted once
-  /// — the modeled end-to-end busy time of the device.
+  /// kernel + modeled link time — the modeled end-to-end busy time of the
+  /// device, whose operations never overlap.
   [[nodiscard]] double modeled_pipeline_seconds() const noexcept {
-    return kernel_seconds + modeled_transfer_seconds - overlapped_seconds;
+    return kernel_seconds + modeled_transfer_seconds;
   }
 
   void reset() { *this = DeviceCounters{}; }
 };
 
-/// A virtual clock, in modeled seconds since context creation.  The host
-/// thread of control owns one (inside DeviceContext) and every Stream owns
-/// one; all are guarded by the context's metering mutex.
-struct VirtualClock {
-  double now = 0;
-};
-
-/// Recycling pool of host staging buffers — the stand-in for CUDA pinned
-/// (page-locked) memory.  Stream::copy_to_device_async snapshots the
-/// caller's data into a pool block at enqueue time, so the caller may reuse
-/// its buffer immediately; the block returns to the pool once the copy
-/// retires.  Thread-safe.
-class PinnedPool {
- public:
-  using Block = std::vector<unsigned char>;
-
-  struct Stats {
-    usize acquires = 0;        ///< total acquire() calls
-    usize reuses = 0;          ///< acquires served from the free list
-    usize allocated_blocks = 0;
-    usize allocated_bytes = 0;  ///< capacity currently owned by the pool
-    usize peak_allocated_bytes = 0;
-  };
-
-  /// A block with capacity >= bytes, sized to exactly `bytes`.
-  [[nodiscard]] Block acquire(usize bytes);
-
-  /// Return a block to the free list for reuse.
-  void release(Block&& block);
-
-  [[nodiscard]] Stats stats() const;
-
-  /// Drop all free blocks (cudaFreeHost equivalent).
-  void clear();
-
- private:
-  mutable std::mutex mu_;
-  std::vector<Block> free_;
-  Stats stats_;
-};
-
 /// Bounded retry-with-backoff for *transient* transfer errors
 /// (DeviceTransferError::transient()).  The backoff doubles per attempt and
-/// is charged to the retrying thread's virtual clock, so fault-injected
-/// runs stay deterministic on the modeled timeline.
+/// is charged to the device's virtual timeline, so fault-injected runs stay
+/// deterministic on the modeled timeline.
 struct TransferRetryPolicy {
   index_t max_retries = 3;
   double backoff_seconds = 25e-6;
 };
 
 /// A simulated GPU: an executor plus metering.  The metering and the
-/// virtual timeline are thread-safe so streams (device/stream.h) can retire
-/// work concurrently with the host; kernel execution itself is serialized
+/// virtual timeline are thread-safe so several host threads (the service
+/// executors) can share one context; kernel execution itself is serialized
 /// on the compute engine (one pool), like a single-SM-partition GPU.
 class DeviceContext {
  public:
@@ -306,13 +247,12 @@ class DeviceContext {
   }
 
   /// Meter one absorbed transient transfer fault: bump
-  /// DeviceCounters::transfer_retries, charge the backoff to the current
-  /// thread's virtual clock, and publish fault.transfer_retry counters.
+  /// DeviceCounters::transfer_retries, charge the backoff to the virtual
+  /// timeline, and publish fault.transfer_retry counters.
   void note_transfer_retry(std::string_view site, double backoff_seconds);
 
-  /// Direct counter access: safe while no stream work is in flight (the
-  /// historical single-threaded contract).  Prefer counters_snapshot()
-  /// around async regions.
+  /// Direct counter access: safe while no other thread meters on this
+  /// context.  Prefer counters_snapshot() when threads share it.
   [[nodiscard]] DeviceCounters& counters() noexcept { return counters_; }
   [[nodiscard]] const DeviceCounters& counters() const noexcept {
     return counters_;
@@ -329,20 +269,20 @@ class DeviceContext {
     return counters_snapshot().modeled_transfer_seconds;
   }
 
-  [[nodiscard]] PinnedPool& staging_pool() noexcept { return staging_pool_; }
+  /// End of the virtual timeline, in modeled seconds since context
+  /// creation: every copy, kernel and retry backoff so far, end to end.
+  [[nodiscard]] double virtual_now() const;
 
   /// Human-readable device description for Table I style output.
   [[nodiscard]] std::string description() const;
 
-  // --- metering hooks (used by DeviceBuffer, launch, and streams) ---------
+  // --- metering hooks (used by DeviceBuffer, the copy helpers, launch) ---
   //
-  // Each record_* call both updates the running totals and places the
-  // operation on the virtual timeline: copies occupy the PCIe link for
-  // their modeled duration, kernels occupy the compute engine for their
-  // measured (or overridden) duration.  The interval is anchored at the
-  // calling thread's clock — a stream's clock when invoked from inside a
-  // stream op (see ClockScope), the host clock otherwise — so overlap
-  // between concurrent streams and the host is attributed exactly once.
+  // Each record_* call both updates the running totals and appends the
+  // operation to the virtual timeline: a copy occupies it for its modeled
+  // link duration, a kernel for its measured (or overridden) duration.  The
+  // span starts where the previous operation ended, whichever thread issued
+  // it, and is traced on the device's link or compute track.
   //
   // Every call also feeds the cost-attribution registry (and the
   // thread-bound per-job registry, if any) with the *same* durations the
@@ -374,37 +314,9 @@ class DeviceContext {
   }
 
   /// Run a bulk job on the worker pool under the compute-engine lock.  All
-  /// device kernels funnel through here so concurrent streams never race on
-  /// the shared pool's dispatch state.
+  /// device kernels funnel through here so threads sharing the context never
+  /// race on the pool's dispatch state.
   void run_compute(const std::function<void(usize)>& job);
-
-  // --- virtual timeline plumbing (used by Stream/Event) -------------------
-
-  /// Route this thread's metering to `clock` for the scope's lifetime.
-  class ClockScope {
-   public:
-    explicit ClockScope(VirtualClock& clock);
-    ~ClockScope();
-    ClockScope(const ClockScope&) = delete;
-    ClockScope& operator=(const ClockScope&) = delete;
-
-   private:
-    VirtualClock* previous_;
-  };
-
-  /// The clock metering on this thread currently targets (host clock unless
-  /// inside a ClockScope).
-  [[nodiscard]] double current_clock_now() const;
-
-  /// Advance the current thread's clock to at least `t` (event wait,
-  /// stream synchronize join points).
-  void sync_current_clock_to(double t);
-
-  /// Advance `clock` to at least `floor` (op issue-time lower bound).
-  void advance_clock_to(VirtualClock& clock, double floor);
-
-  /// Read `clock` under the metering lock.
-  [[nodiscard]] double clock_now(const VirtualClock& clock) const;
 
   /// Trace-track ids of this device's virtual-timeline rows (within
   /// obs::kVirtualPid).  Default to the legacy single-device tracks
@@ -421,17 +333,9 @@ class DeviceContext {
   }
 
  private:
-  struct Interval {
-    double begin = 0;
-    double end = 0;
-    CopyDir dir = CopyDir::kH2d;  // copies only
-  };
-
   void meter_transfer(usize bytes, double measured_seconds, CopyDir dir);
   void attribute_transfer(const char* site, usize bytes, CopyDir dir);
   void attribute_kernel(const obs::KernelCost& cost, double duration);
-  [[nodiscard]] VirtualClock& current_clock_locked();
-  void prune_intervals_locked();
 
   ThreadPool pool_;
   TransferModel model_;
@@ -439,18 +343,9 @@ class DeviceContext {
   DeviceCounters counters_;
   usize memory_limit_bytes_ = 0;
 
-  mutable std::mutex meter_mu_;   // counters + timeline + clocks
+  mutable std::mutex meter_mu_;   // counters + virtual timeline
   std::mutex compute_mu_;         // the pool is a single compute engine
-  PinnedPool staging_pool_;
-
-  // Virtual timeline: per-resource frontier plus the recent busy intervals
-  // still able to overlap future work (older ones are pruned as the
-  // frontiers advance past them).
-  VirtualClock host_clock_;
-  double link_free_at_ = 0;
-  double compute_free_at_ = 0;
-  std::vector<Interval> copy_intervals_;
-  std::vector<Interval> kernel_intervals_;
+  double virtual_now_ = 0;        // end of the virtual timeline
   TransferRetryPolicy retry_;
   double kernel_bytes_per_sec_ = 0;
   double kernel_latency_seconds_ = 0;
@@ -621,8 +516,9 @@ struct LaunchConfig {
   /// Virtual-timeline duration override in seconds.  < 0 (default) uses the
   /// context's kernel cost model when set, else the measured wall time of
   /// the kernel body; >= 0 substitutes this duration both on the timeline
-  /// and in DeviceCounters::kernel_seconds, which lets tests build
-  /// deterministic overlap scenarios.
+  /// and in DeviceCounters::kernel_seconds, which lets tests and explicit
+  /// cost formulas (the shard gather/scatter kernels) charge deterministic
+  /// time.
   double modeled_seconds = -1.0;
 
   /// Attribution site for this launch (stable dotted lowercase identifier,
@@ -675,9 +571,8 @@ class LaunchLiveness {
 };
 
 /// Launch `kernel(i)` for every global thread id i in [0, n), blocking until
-/// completion (default-stream semantics; from inside a stream op this blocks
-/// only the stream, which is exactly a stream-ordered kernel launch).
-/// Kernel time is metered onto the calling thread's virtual clock.
+/// completion (default-stream semantics).  Kernel time is appended to the
+/// context's virtual timeline.
 template <class Kernel>
 void launch(DeviceContext& ctx, index_t n, const Kernel& kernel,
             LaunchConfig cfg = {}) {

@@ -69,12 +69,6 @@ void accumulate_counters(DeviceCounters& a, const DeviceCounters& b) {
   a.modeled_d2d_seconds += b.modeled_d2d_seconds;
   a.kernel_seconds += b.kernel_seconds;
   a.kernel_launches += b.kernel_launches;
-  a.overlapped_seconds += b.overlapped_seconds;
-  a.overlapped_h2d_seconds += b.overlapped_h2d_seconds;
-  a.overlapped_d2h_seconds += b.overlapped_d2h_seconds;
-  a.overlapped_d2d_seconds += b.overlapped_d2d_seconds;
-  a.async_copies += b.async_copies;
-  a.async_kernel_launches += b.async_kernel_launches;
   a.transfer_retries += b.transfer_retries;
   a.live_bytes += b.live_bytes;
   a.peak_bytes += b.peak_bytes;
@@ -95,12 +89,6 @@ DeviceCounters counters_delta(const DeviceCounters& after,
   d.modeled_d2d_seconds -= before.modeled_d2d_seconds;
   d.kernel_seconds -= before.kernel_seconds;
   d.kernel_launches -= before.kernel_launches;
-  d.overlapped_seconds -= before.overlapped_seconds;
-  d.overlapped_h2d_seconds -= before.overlapped_h2d_seconds;
-  d.overlapped_d2h_seconds -= before.overlapped_d2h_seconds;
-  d.overlapped_d2d_seconds -= before.overlapped_d2d_seconds;
-  d.async_copies -= before.async_copies;
-  d.async_kernel_launches -= before.async_kernel_launches;
   d.transfer_retries -= before.transfer_retries;
   return d;
 }

@@ -15,7 +15,6 @@
 //   device.hang         device::launch wedged-kernel simulation (spins until
 //                       the cancel watchdog fires; see common/cancel.h)
 //   copy.h2d/d2h        copy_h2d/copy_d2h (SpMV wave x/y segment staging)
-//   stream.h2d/d2h      Stream async copy ops
 //   d2d.*               DeviceGroup peer copies (d2d.halo, d2d.allreduce,
 //                       d2d.isd_allgather, d2d.centroid_bcast/reduce)
 //   lanczos.convergence SymLanczos restart check (simulated solver stall)

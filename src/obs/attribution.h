@@ -24,13 +24,13 @@
 //     on the calling thread, else "unattributed";
 //   * transfers: the innermost AttrSiteScope if set (a pipeline stage
 //     claiming its staging traffic), else the mechanism site the copy path
-//     passed ("device.h2d", "copy.d2h", "stream.h2d", ...).
+//     passed ("device.h2d", "copy.d2h", "d2d.halo", ...).
 //
 // Every DeviceContext owns one registry (context-lifetime totals, what the
 // benches report).  A second, per-job registry can be bound to the current
 // thread with AttrBindScope — the service binds one around each job so
 // fastsc_serve can emit one attribution table per job.  Bindings propagate
-// through ThreadPool bulk dispatch and stream op enqueue (ObsBindings).
+// through ThreadPool bulk dispatch (ObsBindings).
 #pragma once
 
 #include <cstdint>
@@ -218,7 +218,7 @@ class AttrBindScope {
 
 /// Snapshot of this thread's observability bindings, for propagation into
 /// helper threads that do work on the caller's behalf (ThreadPool bulk
-/// dispatch, stream op queues).
+/// dispatch).
 struct ObsBindings {
   AttributionRegistry* attribution = nullptr;
   TraceRecorder* trace = nullptr;

@@ -4,10 +4,10 @@
 // answers "when did it happen", the registry answers "how much, in total".
 // Instruments are created on first use, live for the registry's lifetime
 // (stable addresses — instrument handles may be cached), and are updated
-// lock-free with relaxed atomics, so hot paths (stream retirement, pool
-// recycling, kernel launches) can record without contention.  Snapshots
-// serialize to JSON for the benches' --metrics-out artifact and for
-// tools/check_trace.py's overlap cross-check.
+// lock-free with relaxed atomics, so hot paths (pool dispatch, kernel
+// launches) can record without contention.  Snapshots serialize to JSON for
+// the benches' --metrics-out artifact and for tools/check_trace.py's gauge
+// assertions.
 #pragma once
 
 #include <atomic>

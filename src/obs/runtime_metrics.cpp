@@ -19,30 +19,11 @@ void publish_device_counters(const device::DeviceCounters& c,
   set("modeled_d2d_seconds", c.modeled_d2d_seconds);
   set("kernel_seconds", c.kernel_seconds);
   set("kernel_launches", static_cast<double>(c.kernel_launches));
-  set("overlapped_seconds", c.overlapped_seconds);
-  set("overlapped_h2d_seconds", c.overlapped_h2d_seconds);
-  set("overlapped_d2h_seconds", c.overlapped_d2h_seconds);
-  set("overlapped_d2d_seconds", c.overlapped_d2d_seconds);
   set("modeled_pipeline_seconds", c.modeled_pipeline_seconds());
-  set("async_copies", static_cast<double>(c.async_copies));
-  set("async_kernel_launches", static_cast<double>(c.async_kernel_launches));
   set("transfer_retries", static_cast<double>(c.transfer_retries));
   set("live_bytes", static_cast<double>(c.live_bytes));
   set("peak_bytes", static_cast<double>(c.peak_bytes));
   set("total_allocations", static_cast<double>(c.total_allocations));
-}
-
-void publish_pinned_pool(const device::PinnedPool::Stats& s,
-                         MetricsRegistry& registry,
-                         const std::string& prefix) {
-  const auto set = [&](const char* name, double v) {
-    registry.set_gauge(prefix + name, v);
-  };
-  set("acquires", static_cast<double>(s.acquires));
-  set("reuses", static_cast<double>(s.reuses));
-  set("allocated_blocks", static_cast<double>(s.allocated_blocks));
-  set("allocated_bytes", static_cast<double>(s.allocated_bytes));
-  set("peak_allocated_bytes", static_cast<double>(s.peak_allocated_bytes));
 }
 
 void publish_thread_pool(const ThreadPool& pool, MetricsRegistry& registry,
@@ -56,7 +37,6 @@ void publish_thread_pool(const ThreadPool& pool, MetricsRegistry& registry,
 void publish_device_context(device::DeviceContext& ctx,
                             MetricsRegistry& registry) {
   publish_device_counters(ctx.counters_snapshot(), registry);
-  publish_pinned_pool(ctx.staging_pool().stats(), registry);
   publish_thread_pool(ctx.pool(), registry);
 }
 

@@ -2,20 +2,19 @@
 //
 // The paper's evaluation is entirely observability — per-stage wall times
 // (Tables III-VI) and the communication/computation split (Table VII) — and
-// the async runtime's overlap claims need per-event inspection, not just
-// end-of-run aggregates.  This recorder collects spans and counter samples
+// the device timeline needs per-event inspection, not just end-of-run
+// aggregates.  This recorder collects spans and counter samples
 // from any thread and writes the JSON that chrome://tracing and
 // https://ui.perfetto.dev load directly.
 //
 // Two timebases, rendered as two "processes" in the trace viewer:
-//  * pid kWallPid — real wall-clock spans (pipeline stages, executor nodes,
-//    solver waves), one track per thread (tids from small_thread_id()).
 //  * pid kVirtualPid — the device runtime's *virtual* timeline: every H2D /
-//    D2H copy occupies the modeled-PCIe-link track and every kernel the
-//    compute-engine track, with the exact begin/end the overlap accounting
-//    in DeviceContext used.  Summing pairwise overlap between the two
-//    tracks reproduces DeviceCounters::overlapped_seconds bit-for-bit
-//    (tools/check_trace.py and tests/test_trace.cpp verify this).
+//    D2H / D2D copy is a span on the device's modeled-link track and every
+//    kernel a span on its compute-engine track, at the exact begin/end
+//    DeviceContext metered.  A device runs one operation at a time, so its
+//    two tracks merged are pairwise disjoint and their durations sum to
+//    DeviceCounters::modeled_pipeline_seconds() (tools/check_trace.py and
+//    tests/test_trace.cpp verify this).
 //
 // Enablement: FASTSC_TRACE=1 at startup, set_enabled(), or a
 // TraceEnableScope (SpectralConfig::trace routes through one).  When
@@ -124,7 +123,7 @@ class TraceRecorder {
 
   /// Attach a human-readable name to a (pid, tid) track; written as
   /// trace-viewer metadata.  Cheap and always recorded (once per thread),
-  /// so stream threads can register themselves before tracing turns on.
+  /// so worker threads can register themselves before tracing turns on.
   void name_track(std::uint32_t pid, std::uint32_t tid, std::string name);
 
   [[nodiscard]] usize event_count() const;

@@ -212,8 +212,8 @@ struct Service::Impl {
     // Per-job observability: device work mirrors into a job-local
     // attribution registry, and — when artifacts were requested — into a
     // job-local trace recorder tee'd at the process-wide one so the global
-    // timeline stays complete.  Both ride ObsBindings into pool workers and
-    // stream threads alongside the governor.
+    // timeline stays complete.  Both ride ObsBindings into pool workers
+    // alongside the governor.
     obs::AttributionRegistry job_attr;
     if (ctx != nullptr) job_attr.set_roofline(ctx->attribution().roofline());
     obs::AttrBindScope attr_bind(&job_attr);

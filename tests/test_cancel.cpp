@@ -299,11 +299,11 @@ TEST_F(CancelTest, HeartbeatWatchdogFiresOnStaleBusyStreams) {
   w.heartbeat_timeout_ms = 30;
   w.poll_interval_ms = 5;
   governor().arm(RunBudget{}, w, CancelToken{}, nullptr);
-  stream_busy(true);  // a stream op "starts" and never heartbeats again
+  device_busy(true);  // a kernel launch "starts" and never heartbeats again
   for (int i = 0; i < 200 && !governor().cancel_requested(); ++i) {
     std::this_thread::sleep_for(std::chrono::milliseconds(5));
   }
-  stream_busy(false);
+  device_busy(false);
   EXPECT_TRUE(governor().cancel_requested());
   EXPECT_EQ(governor().report().reason, "watchdog.heartbeat");
 }

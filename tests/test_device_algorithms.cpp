@@ -3,7 +3,6 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <cmath>
 #include <cstring>
 #include <numeric>
 #include <vector>
@@ -93,39 +92,6 @@ TEST_P(DeviceAlgorithms, ReduceEmptyReturnsInit) {
             7.0);
 }
 
-TEST_P(DeviceAlgorithms, MinElementIndexFindsFirstMinimum) {
-  std::vector<double> host{5, 3, 1, 4, 1, 9};
-  DeviceBuffer<double> dev(ctx_, std::span<const double>(host));
-  EXPECT_EQ(min_element_index(ctx_, dev.data(), 6), 2);
-  EXPECT_EQ(min_element_index(ctx_, dev.data(), 0), -1);
-}
-
-TEST_P(DeviceAlgorithms, ExclusiveScanMatchesSerial) {
-  Rng rng(7);
-  const index_t n = 1000;
-  std::vector<double> host(static_cast<usize>(n));
-  for (double& v : host) v = std::floor(rng.uniform() * 10);
-  DeviceBuffer<double> in(ctx_, std::span<const double>(host));
-  DeviceBuffer<double> out(ctx_, static_cast<usize>(n));
-  const double total = exclusive_scan(ctx_, in.data(), out.data(), n);
-  const auto h = out.to_host();
-  double acc = 0;
-  for (index_t i = 0; i < n; ++i) {
-    EXPECT_DOUBLE_EQ(h[static_cast<usize>(i)], acc);
-    acc += host[static_cast<usize>(i)];
-  }
-  EXPECT_DOUBLE_EQ(total, acc);
-}
-
-TEST_P(DeviceAlgorithms, InclusiveScanMatchesSerial) {
-  std::vector<double> host{1, 2, 3, 4};
-  DeviceBuffer<double> in(ctx_, std::span<const double>(host));
-  DeviceBuffer<double> out(ctx_, 4);
-  const double total = inclusive_scan(ctx_, in.data(), out.data(), 4);
-  EXPECT_EQ(out.to_host(), (std::vector<double>{1, 3, 6, 10}));
-  EXPECT_DOUBLE_EQ(total, 10.0);
-}
-
 TEST_P(DeviceAlgorithms, SortByKeyMatchesStdStableSort) {
   Rng rng(11);
   const index_t n = 5000;
@@ -162,35 +128,6 @@ TEST_P(DeviceAlgorithms, SortByKeyHandlesTinyInputs) {
   sort_by_key(ctx_, k.data(), v.data(), 1);
   EXPECT_EQ(k.to_host()[0], 5);
   sort_by_key(ctx_, k.data(), v.data(), 0);  // no-op
-}
-
-TEST_P(DeviceAlgorithms, ReduceByKeySegments) {
-  std::vector<index_t> keys{0, 0, 2, 2, 2, 5};
-  std::vector<double> vals{1, 2, 3, 4, 5, 6};
-  DeviceBuffer<index_t> dk(ctx_, std::span<const index_t>(keys));
-  DeviceBuffer<double> dv(ctx_, std::span<const double>(vals));
-  DeviceBuffer<index_t> ok(ctx_, 6);
-  DeviceBuffer<double> ov(ctx_, 6);
-  const index_t segs = reduce_by_key(ctx_, dk.data(), dv.data(), 6, ok.data(),
-                                     ov.data());
-  ASSERT_EQ(segs, 3);
-  const auto hk = ok.to_host();
-  const auto hv = ov.to_host();
-  EXPECT_EQ(hk[0], 0);
-  EXPECT_DOUBLE_EQ(hv[0], 3);
-  EXPECT_EQ(hk[1], 2);
-  EXPECT_DOUBLE_EQ(hv[1], 12);
-  EXPECT_EQ(hk[2], 5);
-  EXPECT_DOUBLE_EQ(hv[2], 6);
-}
-
-TEST_P(DeviceAlgorithms, CountIf) {
-  std::vector<index_t> host(1000);
-  for (index_t i = 0; i < 1000; ++i) host[static_cast<usize>(i)] = i % 3;
-  DeviceBuffer<index_t> dev(ctx_, std::span<const index_t>(host));
-  EXPECT_EQ(count_if(ctx_, dev.data(), 1000,
-                     [](index_t v) { return v == 0; }),
-            334);
 }
 
 INSTANTIATE_TEST_SUITE_P(WorkerCounts, DeviceAlgorithms,

@@ -108,21 +108,25 @@ TEST(MetricsRegistry, ClearEmptiesTheRegistry) {
   EXPECT_EQ(reg.counter("a").value(), 0);  // fresh instrument after clear
 }
 
+// A device runs one operation at a time, so the only pipeline gauge is the
+// serial sum of kernel and link time; no overlap credit is subtracted.
 TEST(RuntimeMetrics, PublishDeviceCountersExposesOverlapGauges) {
   device::DeviceCounters c;
   c.bytes_h2d = 1000;
   c.kernel_seconds = 2.5;
-  c.overlapped_seconds = 0.25;
-  c.overlapped_h2d_seconds = 0.25;
+  c.modeled_transfer_seconds = 0.25;
   MetricsRegistry reg;
   publish_device_counters(c, reg);
   EXPECT_DOUBLE_EQ(reg.gauge("device.bytes_h2d").value(), 1000.0);
   EXPECT_DOUBLE_EQ(reg.gauge("device.kernel_seconds").value(), 2.5);
-  EXPECT_DOUBLE_EQ(reg.gauge("device.overlapped_seconds").value(), 0.25);
-  EXPECT_DOUBLE_EQ(reg.gauge("device.overlapped_h2d_seconds").value(), 0.25);
-  EXPECT_DOUBLE_EQ(reg.gauge("device.overlapped_d2h_seconds").value(), 0.0);
+  EXPECT_DOUBLE_EQ(reg.gauge("device.modeled_transfer_seconds").value(),
+                   0.25);
+  EXPECT_DOUBLE_EQ(reg.gauge("device.modeled_pipeline_seconds").value(),
+                   2.75);
 }
 
+// The context publishes its counters and its worker pool, nothing else:
+// 16 device gauges plus 2 thread-pool gauges.
 TEST(RuntimeMetrics, PublishDeviceContextCoversAllThreeSources) {
   device::DeviceContext ctx(1);
   device::DeviceBuffer<double> buf(ctx, 64);
@@ -135,8 +139,7 @@ TEST(RuntimeMetrics, PublishDeviceContextCoversAllThreeSources) {
                    64.0 * sizeof(double));
   EXPECT_GE(reg.gauge("device.kernel_launches").value(), 1.0);
   EXPECT_DOUBLE_EQ(reg.gauge("thread_pool.workers").value(), 1.0);
-  // Pinned-pool gauges exist even when the synchronous path never staged.
-  EXPECT_GE(reg.gauge("pinned_pool.acquires").value(), 0.0);
+  EXPECT_EQ(reg.instrument_count(), 18u);
 }
 
 }  // namespace

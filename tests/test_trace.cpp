@@ -1,7 +1,8 @@
 // Tests for the trace recorder: disabled fast path, span/counter emission,
 // concurrent recording, JSON shape, and the contract the trace_check CTest
-// leans on — the virtual-timeline intervals in the trace reproduce
-// DeviceCounters::overlapped_seconds when recomputed pairwise.
+// leans on — a device's virtual link and compute spans, merged, are
+// pairwise disjoint and sum to DeviceCounters::modeled_pipeline_seconds(),
+// also when several host threads share the context.
 #include "obs/trace.h"
 
 #include <gtest/gtest.h>
@@ -12,10 +13,10 @@
 #include <sstream>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "device/device.h"
-#include "device/executor.h"
 #include "obs/metrics.h"
 
 namespace fastsc::obs {
@@ -127,69 +128,33 @@ TEST(Trace, EnableScopeRestoresPreviousState) {
   EXPECT_FALSE(trace_enabled());
 }
 
-/// Pairwise link-x-compute overlap from the virtual-timeline events, the
-/// same sum DeviceContext accumulates incrementally (and the recomputation
-/// tools/check_trace.py performs on the JSON).
-double recompute_overlap_seconds(const std::vector<TraceEvent>& events) {
-  std::vector<std::pair<double, double>> link;
-  std::vector<std::pair<double, double>> compute;
+/// One device's virtual spans (its link and compute tracks merged), sorted
+/// by begin, in microseconds.
+std::vector<std::pair<double, double>> device_spans(
+    const std::vector<TraceEvent>& events, const device::DeviceContext& ctx) {
+  std::vector<std::pair<double, double>> spans;
   for (const TraceEvent& e : events) {
     if (e.phase != 'X' || e.pid != kVirtualPid) continue;
-    const std::pair<double, double> iv{e.ts_us, e.ts_us + e.dur_us};
-    if (e.tid == kLinkTid) link.push_back(iv);
-    if (e.tid == kComputeTid) compute.push_back(iv);
+    if (e.tid != ctx.link_tid() && e.tid != ctx.compute_tid()) continue;
+    spans.emplace_back(e.ts_us, e.ts_us + e.dur_us);
   }
-  double total_us = 0;
-  for (const auto& [cb, ce] : link) {
-    for (const auto& [kb, ke] : compute) {
-      const double ov = std::min(ce, ke) - std::max(cb, kb);
-      if (ov > 0) total_us += ov;
-    }
-  }
-  return total_us * 1e-6;
+  std::sort(spans.begin(), spans.end());
+  return spans;
 }
 
-TEST(Trace, ExecutorOverlapMatchesDeviceCounters) {
-  device::TransferModel model;
-  model.bandwidth_bytes_per_sec = 1e6;
-  model.efficiency = 1.0;
-  model.latency_seconds = 0;
-  device::DeviceContext ctx(1, model);
-  device::PipelineExecutor exec(ctx, 2);
-  device::DeviceBuffer<unsigned char> buf_a(ctx, 500000);
-  device::DeviceBuffer<unsigned char> buf_b(ctx, 500000);
-  std::vector<unsigned char> host(500000, 0);
-
-  const TraceEnableScope on(true);
-  trace().clear();
-  using Exec = device::PipelineExecutor;
-  // Double buffering: tile B uploads over [0, 0.5] on the link while a
-  // kernel occupies the compute engine over [0, 1].
-  exec.add(Exec::kTransferStream, "h2d-b", [&] {
-    device::copy_h2d(ctx, buf_b.data(), host.data(), host.size());
-  });
-  exec.add(Exec::kComputeStream, "kernel-a", [&] {
-    device::launch(
-        ctx, 1, [p = buf_a.data()](index_t) { p[0] = 1; },
-        device::LaunchConfig{.modeled_seconds = 1.0});
-  });
-  exec.run();
-
-  const device::DeviceCounters c = ctx.counters_snapshot();
-  ASSERT_DOUBLE_EQ(c.overlapped_seconds, 0.5);
-  const std::vector<TraceEvent> events = trace().snapshot();
-  EXPECT_NEAR(recompute_overlap_seconds(events), c.overlapped_seconds, 1e-9);
-
-  // The wall timeline carries the executor node spans alongside.
-  bool saw_h2d_node = false;
-  bool saw_kernel_node = false;
-  for (const TraceEvent& e : events) {
-    if (e.pid != kWallPid) continue;
-    if (e.name == "h2d-b") saw_h2d_node = true;
-    if (e.name == "kernel-a") saw_kernel_node = true;
+/// A device runs one operation at a time: its spans never overlap, and
+/// their durations add up to the counters' modeled busy time.
+void expect_serial_timeline(const std::vector<std::pair<double, double>>& spans,
+                            const device::DeviceCounters& c) {
+  double busy_us = 0;
+  for (usize i = 0; i < spans.size(); ++i) {
+    busy_us += spans[i].second - spans[i].first;
+    if (i > 0) {
+      ASSERT_GE(spans[i].first, spans[i - 1].second - 1e-6)
+          << "span " << i << " overlaps its predecessor";
+    }
   }
-  EXPECT_TRUE(saw_h2d_node);
-  EXPECT_TRUE(saw_kernel_node);
+  EXPECT_NEAR(busy_us * 1e-6, c.modeled_pipeline_seconds(), 1e-9);
 }
 
 // Two service jobs can hold TraceEnableScope with overlapping, non-nested
@@ -284,8 +249,62 @@ TEST(Trace, SequentialDeviceWorkProducesNoOverlap) {
   device::launch(ctx, 1024, [p = buf.data()](index_t i) { p[i] *= 2; });
   buf.copy_to_host(host);
   const device::DeviceCounters c = ctx.counters_snapshot();
-  const std::vector<TraceEvent> events = trace().snapshot();
-  EXPECT_NEAR(recompute_overlap_seconds(events), c.overlapped_seconds, 1e-9);
+  expect_serial_timeline(device_spans(trace().snapshot(), ctx), c);
+}
+
+// The service pattern: two host threads copy and launch concurrently on one
+// shared context.  Each operation still lands on the one virtual timeline
+// after the previous one, whichever thread issued it.
+TEST(Trace, SharedContextTimelineStaysSerialAcrossThreads) {
+  device::DeviceContext ctx(2);
+  const TraceEnableScope on(true);
+  trace().clear();
+  constexpr usize kElems = 512;
+  constexpr int kRounds = 40;
+  constexpr int kThreads = 2;
+  constexpr double kKernelSeconds = 1e-5;
+  std::atomic<bool> go{false};
+  std::vector<std::thread> threads;
+  for (int t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&] {
+      device::DeviceBuffer<double> buf(ctx, kElems);
+      std::vector<double> host(kElems, 1.0);
+      while (!go.load()) std::this_thread::yield();
+      for (int r = 0; r < kRounds; ++r) {
+        device::copy_h2d(ctx, buf.data(), host.data(), kElems);
+        device::launch(
+            ctx, static_cast<index_t>(kElems),
+            [p = buf.data()](index_t i) { p[i] += 1; },
+            device::LaunchConfig{.modeled_seconds = kKernelSeconds});
+        device::copy_d2h(ctx, host.data(), buf.data(), kElems);
+      }
+    });
+  }
+  go.store(true);
+  for (std::thread& t : threads) t.join();
+
+  // The counters hold both threads' work, exactly.
+  const device::DeviceCounters c = ctx.counters_snapshot();
+  const usize ops = static_cast<usize>(kThreads) * kRounds;
+  const usize bytes = kElems * sizeof(double);
+  EXPECT_EQ(c.transfers_h2d, ops);
+  EXPECT_EQ(c.transfers_d2h, ops);
+  EXPECT_EQ(c.bytes_h2d, ops * bytes);
+  EXPECT_EQ(c.bytes_d2h, ops * bytes);
+  EXPECT_EQ(c.kernel_launches, ops);
+  EXPECT_NEAR(c.kernel_seconds, static_cast<double>(ops) * kKernelSeconds,
+              1e-12);
+  EXPECT_NEAR(c.modeled_transfer_seconds,
+              2.0 * static_cast<double>(ops) *
+                  ctx.transfer_model().seconds_for(bytes),
+              1e-12);
+
+  // One span per operation, pairwise disjoint, ending where the timeline
+  // ends, and summing to the modeled busy time.
+  const auto spans = device_spans(trace().snapshot(), ctx);
+  ASSERT_EQ(spans.size(), 3 * ops);
+  expect_serial_timeline(spans, c);
+  EXPECT_NEAR(spans.back().second * 1e-6, ctx.virtual_now(), 1e-9);
 }
 
 }  // namespace

@@ -3,8 +3,7 @@
 # worker pools every kernel launch fans out to, the heartbeat watchdog's
 # monitor thread and the liveness feeds launches send it, the service
 # executors with their per-job governors, the observability layer, and the
-# full pipelines that drive them at several device and worker counts.  The
-# stream/event runtime keeps its own tests here until it is deleted.
+# full pipelines that drive them at several device and worker counts.
 # `address` builds ASan + UBSan.  Usage:
 #
 #   tools/check_sanitize.sh [thread|address] [build-dir]
@@ -40,8 +39,6 @@ TESTS=(
   test_stage_clock
   test_device
   test_device_algorithms
-  test_stream
-  test_executor
   test_spectral_pipeline
   test_trace
   test_metrics_registry

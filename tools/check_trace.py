@@ -4,21 +4,17 @@
 Checks, in order:
   1. Schema: top-level object with a "traceEvents" list; every event has
      name/ph/ts/pid/tid; 'X' (complete) events carry a non-negative dur.
-  2. Track discipline: on each virtual-device track (pid 2; device i owns
-     link tid 2i+1 and compute tid 2i+2, so a single device keeps the
-     historical tids 1 and 2) the spans are pairwise disjoint — every
-     simulated link and compute engine is serialized, so any overlap within
-     one of those tracks means the emitter is broken.  On wall-clock tracks
-     (pid 1, one tid per thread) spans must be properly nested or disjoint.
-  3. Counter series: every fault.* / degrade.* / service.* / cache.* /
+  2. Track discipline: on wall-clock tracks (pid 1, one tid per thread)
+     spans must be properly nested or disjoint.
+  3. Serial devices: on the virtual timeline (pid 2) device i owns link
+     tid 2i+1 and compute tid 2i+2 (a single device keeps tids 1 and 2).
+     A device runs one operation at a time, so each device's link and
+     compute spans, merged, must be pairwise disjoint; any overlap means
+     the emitter or the device runtime is broken.
+  4. Counter series: every fault.* / degrade.* / service.* / cache.* /
      d2d.* counter ('C') sample is numeric, non-negative, and
      non-decreasing by timestamp — the emitters publish cumulative registry
      values, so a dip means double-reset.
-  4. Optional cross-check (--metrics metrics.json): recompute the
-     transfer-x-kernel overlap from the virtual-timeline intervals — summed
-     over every device's (link, compute) track pair — and compare it
-     against the device.overlapped_seconds gauge (and the h2d/d2h/d2d
-     splits) published by the run, within --tolerance.
   5. Optional presence check (--expect-counter NAME, repeatable): fail if
      the trace carries no counter samples with that name.  The form
      "NAME>=MIN" additionally requires the final sampled value to reach
@@ -49,7 +45,7 @@ Checks, in order:
 Exit status 0 on success; 1 with a message on the first failure.
 
 Usage:
-  check_trace.py trace.json [--metrics metrics.json] [--tolerance 1e-9]
+  check_trace.py trace.json [--metrics metrics.json]
                  [--expect-counter fault.transfer_retry]
                  [--expect-gauge-ratio "a.max/b.max>=2"]
                  [--expect-gauge "service.warm_vs_cold_ari>=1"]
@@ -64,8 +60,6 @@ import sys
 
 WALL_PID = 1
 VIRTUAL_PID = 2
-LINK_TID = 1
-COMPUTE_TID = 2
 
 
 def fail(msg):
@@ -123,30 +117,44 @@ def spans_by_track(events):
     return tracks
 
 
+EPS_US = 1e-6  # one trace tick (traces are in microseconds)
+
+
 def check_track_discipline(tracks):
-    eps = 1e-6  # one trace tick (traces are in microseconds)
     for (pid, tid), spans in tracks.items():
         if pid == VIRTUAL_PID:
-            # Serialized engine: strictly disjoint.
-            for (b0, e0, n0), (b1, e1, n1) in zip(spans, spans[1:]):
-                if b1 < e0 - eps:
-                    fail(f"virtual track {pid}:{tid}: '{n1}' "
-                         f"[{b1:.3f},{e1:.3f}) overlaps '{n0}' "
-                         f"[{b0:.3f},{e0:.3f})")
-        else:
-            # Wall-clock thread: nested-or-disjoint (a stage span contains
-            # its inner spmv spans).  Sorted by (begin, end); maintain a
-            # stack of open enclosing spans.
-            stack = []
-            for b, e, n in spans:
-                while stack and stack[-1][1] <= b + eps:
-                    stack.pop()
-                if stack and e > stack[-1][1] + eps:
-                    pb, pe, pn = stack[-1]
-                    fail(f"wall track {pid}:{tid}: '{n}' [{b:.3f},{e:.3f}) "
-                         f"straddles '{pn}' [{pb:.3f},{pe:.3f}) — neither "
-                         f"nested nor disjoint")
-                stack.append((b, e, n))
+            continue  # check_serial_devices
+        # Wall-clock thread: nested-or-disjoint (a stage span contains its
+        # inner spmv spans).  Sorted by (begin, end); maintain a stack of
+        # open enclosing spans.
+        stack = []
+        for b, e, n in spans:
+            while stack and stack[-1][1] <= b + EPS_US:
+                stack.pop()
+            if stack and e > stack[-1][1] + EPS_US:
+                pb, pe, pn = stack[-1]
+                fail(f"wall track {pid}:{tid}: '{n}' [{b:.3f},{e:.3f}) "
+                     f"straddles '{pn}' [{pb:.3f},{pe:.3f}) — neither "
+                     f"nested nor disjoint")
+            stack.append((b, e, n))
+
+
+def check_serial_devices(tracks):
+    """Merge each device's link (tid 2i+1) and compute (tid 2i+2) spans and
+    require them pairwise disjoint.  Returns the number of devices seen."""
+    devices = {}
+    for (pid, tid), spans in tracks.items():
+        if pid == VIRTUAL_PID:
+            devices.setdefault((tid - 1) // 2, []).extend(
+                (b, e, n, tid) for b, e, n in spans)
+    for dev, spans in sorted(devices.items()):
+        spans.sort(key=lambda s: (s[0], s[1]))
+        for (b0, e0, n0, t0), (b1, e1, n1, t1) in zip(spans, spans[1:]):
+            if b1 < e0 - EPS_US:
+                fail(f"device {dev}: '{n1}' [{b1:.3f},{e1:.3f}) on tid {t1} "
+                     f"overlaps '{n0}' [{b0:.3f},{e0:.3f}) on tid {t0}; a "
+                     f"device runs one operation at a time")
+    return len(devices)
 
 
 def check_monotonic(tracks):
@@ -227,53 +235,6 @@ def check_expected_counters(series, names):
         if final < minimum:
             fail(f"counter '{name}' final value {final} < required "
                  f"{minimum}")
-
-
-def recompute_overlap_seconds(tracks):
-    """Pairwise link-x-compute intersection, mirroring DeviceContext's
-    incremental accounting (each copy/kernel interval pair counted once).
-    A DeviceGroup gives device i the tids (2i+1, 2i+2), so overlap is only
-    counted between a link track and its own device's compute track, then
-    summed across devices."""
-    total = 0.0
-    split = {"h2d": 0.0, "d2h": 0.0, "d2d": 0.0}
-    for (pid, tid), link in tracks.items():
-        if pid != VIRTUAL_PID or tid % 2 != 1:
-            continue
-        compute = tracks.get((VIRTUAL_PID, tid + 1), [])
-        for cb, ce, cname in link:
-            for kb, ke, _ in compute:
-                ov = min(ce, ke) - max(cb, kb)
-                if ov > 0:
-                    total += ov
-                    if cname in split:
-                        split[cname] += ov
-    scale = 1e-6  # trace is in microseconds, counters in seconds
-    return (total * scale, split["h2d"] * scale, split["d2h"] * scale,
-            split["d2d"] * scale)
-
-
-def check_against_metrics(tracks, metrics_path, tolerance):
-    with open(metrics_path, "r", encoding="utf-8") as f:
-        metrics = json.load(f)
-    gauges = metrics.get("gauges", {})
-    want = gauges.get("device.overlapped_seconds")
-    if want is None:
-        fail(f"{metrics_path} has no device.overlapped_seconds gauge")
-    total, h2d, d2h, d2d = recompute_overlap_seconds(tracks)
-    checks = [("device.overlapped_seconds", want, total)]
-    for key, got in (("device.overlapped_h2d_seconds", h2d),
-                     ("device.overlapped_d2h_seconds", d2h),
-                     ("device.overlapped_d2d_seconds", d2d)):
-        if key in gauges:
-            checks.append((key, gauges[key], got))
-    for key, want, got in checks:
-        if abs(want - got) > tolerance:
-            fail(f"{key}: counter says {want!r} but trace recomputes "
-                 f"{got!r} (|diff| = {abs(want - got):g} > {tolerance:g})")
-    print(f"check_trace: overlap cross-check OK "
-          f"(total {total:.9f}s, h2d {h2d:.9f}s, d2h {d2h:.9f}s, "
-          f"d2d {d2d:.9f}s)")
 
 
 def check_gauge_ratios(metrics_path, specs):
@@ -369,7 +330,7 @@ MODEL_FIELDS = ("flops", "bytes_read", "bytes_written", "kernel_seconds",
 
 
 def check_report_attribution(report_path, seconds_tol):
-    """Validate the run report's attribution section (check #8)."""
+    """Validate the run report's attribution section (check #9)."""
     with open(report_path, "r", encoding="utf-8") as f:
         report = json.load(f)
     attr = report.get("attribution")
@@ -446,10 +407,8 @@ def main():
                     help="trace JSON written with --trace-out (optional "
                          "when only --report is being validated)")
     ap.add_argument("--metrics",
-                    help="metrics JSON written with --metrics-out; "
-                         "cross-check overlapped_seconds against the trace")
-    ap.add_argument("--tolerance", type=float, default=1e-9,
-                    help="absolute tolerance for the overlap cross-check")
+                    help="metrics JSON written with --metrics-out, for the "
+                         "--expect-gauge* and --expect-bytes-ratio checks")
     ap.add_argument("--expect-counter", action="append", default=[],
                     metavar="NAME[>=MIN]",
                     help="fail unless a counter series with this name is "
@@ -488,11 +447,10 @@ def main():
     tracks = spans_by_track(events)
     check_monotonic(tracks)
     check_track_discipline(tracks)
+    devices = check_serial_devices(tracks)
     series = counter_series(events)
     fault_series = check_counter_series(series)
     check_expected_counters(series, args.expect_counter)
-    if args.metrics:
-        check_against_metrics(tracks, args.metrics, args.tolerance)
     check_gauge_ratios(args.metrics, args.expect_gauge_ratio)
     check_gauges(args.metrics, args.expect_gauge)
     check_bytes_ratios(args.metrics, args.expect_bytes_ratio)
@@ -502,7 +460,8 @@ def main():
           f"{phases.get('C', 0)} counter samples in {len(series)} series "
           f"of which {fault_series} fault/degrade, "
           f"{phases.get('M', 0)} metadata records); "
-          f"{n_spans} spans well-formed")
+          f"{n_spans} spans well-formed, {devices} device timeline(s) "
+          f"serial")
     sys.exit(0)
 
 
