@@ -180,6 +180,11 @@ namespace {
 // the _par entry points fall back to the serial kernels.
 constexpr index_t kParMinWork = 1 << 14;
 
+// The same cut for gemm_par, in multiply-adds (m * n * k): a pool dispatch
+// costs tens of microseconds, about what the serial kernel needs for this
+// much work.
+constexpr index_t kGemmParMinWork = 1 << 16;
+
 // Claimed chunk for the dynamically-scheduled level-1 loops: big enough to
 // amortize the atomic claim, small enough to rebalance a skewed tail.
 constexpr index_t kParGrain = 4096;
@@ -242,6 +247,26 @@ void gemv_t_par(index_t m, index_t n, real alpha, const real* a, index_t lda,
       const real* row = a + i * lda;
       for (index_t j = j0; j < j1; ++j) y[j] += s2 * row[j];
     }
+  });
+}
+
+void gemm_par(index_t m, index_t n, index_t k, real alpha, const real* a,
+              index_t lda, const real* b, index_t ldb, real beta, real* c,
+              index_t ldc) {
+  if (m * n * k < kGemmParMinWork) {
+    gemm(m, n, k, alpha, a, lda, b, ldb, beta, c, ldc);
+    return;
+  }
+  ThreadPool& pool = default_thread_pool();
+  const auto slices = static_cast<index_t>(pool.worker_count());
+  // The serial kernel accumulates each C element over l = 0..k-1 in order,
+  // whatever its column blocking, so running it on a column slice computes
+  // exactly the serial bits for that slice.
+  parallel_for(pool, index_t{0}, slices, [&](index_t s) {
+    const index_t j0 = (n * s) / slices;
+    const index_t j1 = (n * (s + 1)) / slices;
+    if (j0 == j1) return;
+    gemm(m, j1 - j0, k, alpha, a, lda, b + j0, ldb, beta, c + j0, ldc);
   });
 }
 

@@ -2,7 +2,10 @@
 //
 // Stands in for OpenBLAS in the paper's stack: ARPACK's CPU-side iteration
 // (TakeStep / FindEigenvectors) runs its dense updates through these
-// routines.  Two quality tiers are provided where it matters:
+// routines.  Three tiers are provided where it matters:
+//   * gemm_par    — gemm with its output columns split across the default
+//                   pool; the thick-restart compaction and Ritz extraction
+//                   run here, bitwise equal to gemm at any worker count,
 //   * gemm        — cache-blocked with an i-k-j inner ordering (vectorizable),
 //   * gemm_naive  — textbook triple loop, used by the "python-like" baseline
 //                   to model an unoptimized BLAS build (DESIGN.md §2).
@@ -67,11 +70,14 @@ void gemm_nt_naive(index_t m, index_t n, index_t k, real alpha, const real* a,
 //
 // Parallel variants over the process-default ThreadPool (common/par.h),
 // used by the blocked CGS2 reorthogonalization where a single level-2 call
-// spans the whole Lanczos basis.  Deterministic for a fixed worker count:
-// reductions fold per-worker partials in worker order, and every output
-// element is written by exactly one worker.  Inputs below an internal
-// work threshold run the serial kernels, so these are safe drop-ins at
-// any size.
+// spans the whole Lanczos basis, and by the thick restart and Ritz
+// extraction (gemm_par).  Every output element is written by exactly one
+// worker with the serial kernel's summation order, so axpy_par, gemv_par,
+// gemv_t_par and gemm_par are bitwise equal to their serial kernels at any
+// worker count; dot_par folds per-worker partials in worker order and is
+// deterministic for a fixed worker count.  Inputs below an internal work
+// threshold run the serial kernels, so these are safe drop-ins at any
+// size.  Like every par.h loop they are all-or-throw under a hard cancel.
 
 /// Parallel dot (per-worker partials combined in worker order).
 [[nodiscard]] real dot_par(index_t n, const real* x, const real* y);
@@ -87,5 +93,11 @@ void gemv_par(index_t m, index_t n, real alpha, const real* a, index_t lda,
 /// and sweeps all rows of A over it (unit-stride inner loop, race-free).
 void gemv_t_par(index_t m, index_t n, real alpha, const real* a, index_t lda,
                 const real* x, real beta, real* y);
+
+/// Parallel gemm: each worker runs the blocked gemm on one contiguous slice
+/// of output columns, so C is memcmp-equal to gemm's.
+void gemm_par(index_t m, index_t n, index_t k, real alpha, const real* a,
+              index_t lda, const real* b, index_t ldb, real beta, real* c,
+              index_t ldc);
 
 }  // namespace fastsc::hblas

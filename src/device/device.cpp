@@ -224,6 +224,26 @@ void DeviceContext::record_free(usize bytes) noexcept {
       counters_.live_bytes >= bytes ? counters_.live_bytes - bytes : 0;
 }
 
+void DeviceContext::absorb_books(const DeviceContext& other) {
+  const DeviceCounters c = other.counters_snapshot();
+  {
+    std::lock_guard lock(meter_mu_);
+    counters_.bytes_h2d += c.bytes_h2d;
+    counters_.bytes_d2h += c.bytes_d2h;
+    counters_.bytes_d2d += c.bytes_d2d;
+    counters_.transfers_h2d += c.transfers_h2d;
+    counters_.transfers_d2h += c.transfers_d2h;
+    counters_.transfers_d2d += c.transfers_d2d;
+    counters_.measured_transfer_seconds += c.measured_transfer_seconds;
+    counters_.modeled_transfer_seconds += c.modeled_transfer_seconds;
+    counters_.modeled_d2d_seconds += c.modeled_d2d_seconds;
+    counters_.kernel_seconds += c.kernel_seconds;
+    counters_.kernel_launches += c.kernel_launches;
+    counters_.transfer_retries += c.transfer_retries;
+  }
+  attribution_.absorb(other.attribution());
+}
+
 void DeviceContext::note_transfer_retry(std::string_view site,
                                         double backoff_seconds) {
   {

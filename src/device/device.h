@@ -305,6 +305,12 @@ class DeviceContext {
   void record_alloc(usize bytes);
   void record_free(usize bytes) noexcept;
 
+  /// Fold `other`'s traffic, engine time and attribution into this
+  /// context's books, so reports read from this context cover work that ran
+  /// on `other` (a transient DeviceGroup's device).  Memory gauges and the
+  /// virtual timeline stay this context's own.
+  void absorb_books(const DeviceContext& other);
+
   /// Context-lifetime cost attribution (per-site bytes/flops/seconds).
   [[nodiscard]] obs::AttributionRegistry& attribution() noexcept {
     return attribution_;

@@ -103,23 +103,7 @@ DeviceCounters DeviceGroup::rollup_counters() const {
 
 obs::SiteStats DeviceGroup::rollup_attribution() const {
   obs::SiteStats total;
-  for (const auto& ctx : contexts_) {
-    const obs::SiteStats t = ctx->attribution().totals();
-    total.kernel_launches += t.kernel_launches;
-    total.transfers_h2d += t.transfers_h2d;
-    total.transfers_d2h += t.transfers_d2h;
-    total.transfers_d2d += t.transfers_d2d;
-    total.bytes_h2d += t.bytes_h2d;
-    total.bytes_d2h += t.bytes_d2h;
-    total.bytes_d2d += t.bytes_d2d;
-    total.flops += t.flops;
-    total.bytes_read += t.bytes_read;
-    total.bytes_written += t.bytes_written;
-    total.kernel_seconds += t.kernel_seconds;
-    total.transfer_seconds += t.transfer_seconds;
-    total.scalar_bytes += t.scalar_bytes;
-    total.scalar_weighted += t.scalar_weighted;
-  }
+  for (const auto& ctx : contexts_) total += ctx->attribution().totals();
   return total;
 }
 

@@ -12,7 +12,8 @@
 //     multiply_output() and calls step() again;
 //   * the CPU-side work per restart is one dense m x m symmetric
 //     eigen-decomposition plus an (l x m)(m x n) basis compaction GEMM —
-//     the O(m^3) + O(n m^2) terms of the paper's Eq. 10;
+//     the O(m^3) + O(n m^2) terms of the paper's Eq. 10 — and the GEMM,
+//     like the Ritz extraction, runs on every core (hblas::gemm_par);
 //   * restarting uses the thick-restart formulation (Wu & Simon 2000),
 //     which is algebraically equivalent to ARPACK's implicit QR restart
 //     with exact shifts for symmetric matrices, and numerically more robust.
@@ -39,8 +40,10 @@ enum class EigWhich {
   kSmallestMagnitude,  // "SM" — converges slowly without shift-invert
 };
 
-/// Dense-kernel tier for the CPU-side restart work; the python-like baseline
-/// models an unoptimized BLAS build with kNaive (DESIGN.md §2).
+/// Dense-kernel tier for the CPU-side restart work: kBlocked runs the basis
+/// products through hblas::gemm_par; the python-like baseline models an
+/// unoptimized BLAS build with the serial textbook kNaive (DESIGN.md §2).
+/// On finite input both give the same bits.
 enum class DenseTier { kBlocked, kNaive };
 
 /// Reorthogonalization policy for the Lanczos expansion.
@@ -268,6 +271,7 @@ class SymLanczos {
   std::vector<real> w_;   // matvec result / working vector, length n
   std::vector<real> c_;   // CGS2 coefficient scratch, length ncv + 1
   std::vector<real> warm_m_;  // (nkept+1) x nkept projection during refresh
+  std::vector<real> vnew_;    // l x n restart compaction target (kBlocked)
   index_t j_ = 0;         // current Lanczos step
   index_t nkept_ = 0;     // thick-restart kept count (arrowhead column)
   real beta_last_ = 0;    // coupling of v_m to the basis

@@ -139,22 +139,7 @@ std::vector<SiteReport> AttributionRegistry::report() const {
 SiteStats AttributionRegistry::totals() const {
   std::lock_guard lock(mu_);
   SiteStats t;
-  for (const auto& [name, s] : sites_) {
-    t.kernel_launches += s.kernel_launches;
-    t.transfers_h2d += s.transfers_h2d;
-    t.transfers_d2h += s.transfers_d2h;
-    t.transfers_d2d += s.transfers_d2d;
-    t.bytes_h2d += s.bytes_h2d;
-    t.bytes_d2h += s.bytes_d2h;
-    t.bytes_d2d += s.bytes_d2d;
-    t.flops += s.flops;
-    t.bytes_read += s.bytes_read;
-    t.bytes_written += s.bytes_written;
-    t.kernel_seconds += s.kernel_seconds;
-    t.transfer_seconds += s.transfer_seconds;
-    t.scalar_bytes += s.scalar_bytes;
-    t.scalar_weighted += s.scalar_weighted;
-  }
+  for (const auto& [name, s] : sites_) t += s;
   return t;
 }
 
@@ -166,6 +151,16 @@ usize AttributionRegistry::site_count() const {
 void AttributionRegistry::clear() {
   std::lock_guard lock(mu_);
   sites_.clear();
+}
+
+void AttributionRegistry::absorb(const AttributionRegistry& other) {
+  std::map<std::string, SiteStats, std::less<>> theirs;
+  {
+    std::lock_guard lock(other.mu_);
+    theirs = other.sites_;
+  }
+  std::lock_guard lock(mu_);
+  for (const auto& [name, stats] : theirs) sites_[name] += stats;
 }
 
 AttrSiteScope::AttrSiteScope(const char* site) : previous_(t_site) {

@@ -121,6 +121,24 @@ struct SiteStats {
   [[nodiscard]] double total_seconds() const noexcept {
     return kernel_seconds + transfer_seconds;
   }
+
+  SiteStats& operator+=(const SiteStats& o) noexcept {
+    kernel_launches += o.kernel_launches;
+    transfers_h2d += o.transfers_h2d;
+    transfers_d2h += o.transfers_d2h;
+    transfers_d2d += o.transfers_d2d;
+    bytes_h2d += o.bytes_h2d;
+    bytes_d2h += o.bytes_d2h;
+    bytes_d2d += o.bytes_d2d;
+    flops += o.flops;
+    bytes_read += o.bytes_read;
+    bytes_written += o.bytes_written;
+    kernel_seconds += o.kernel_seconds;
+    transfer_seconds += o.transfer_seconds;
+    scalar_bytes += o.scalar_bytes;
+    scalar_weighted += o.scalar_weighted;
+    return *this;
+  }
 };
 
 /// One row of an attribution report, with the derived roofline columns.
@@ -167,6 +185,9 @@ class AttributionRegistry {
 
   [[nodiscard]] usize site_count() const;
   void clear();
+
+  /// Add every site of `other` into this registry.
+  void absorb(const AttributionRegistry& other);
 
  private:
   mutable std::mutex mu_;

@@ -294,7 +294,7 @@ TEST_F(CancelTest, TransferOverrunWatchdogFires) {
             std::string::npos);
 }
 
-TEST_F(CancelTest, HeartbeatWatchdogFiresOnStaleBusyStreams) {
+TEST_F(CancelTest, HeartbeatWatchdogFiresOnStaleBusyDevices) {
   WatchdogConfig w;
   w.heartbeat_timeout_ms = 30;
   w.poll_interval_ms = 5;

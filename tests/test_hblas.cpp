@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
 #include <limits>
 #include <tuple>
 #include <vector>
@@ -16,6 +17,11 @@ std::vector<real> random_vec(usize n, Rng& rng) {
   std::vector<real> v(n);
   for (real& x : v) x = rng.uniform() - 0.5;
   return v;
+}
+
+bool same_bits(const std::vector<real>& a, const std::vector<real>& b) {
+  return a.size() == b.size() &&
+         std::memcmp(a.data(), b.data(), a.size() * sizeof(real)) == 0;
 }
 
 TEST(Hblas, DotBasics) {
@@ -172,9 +178,7 @@ TEST_P(HblasPar, GemvMatchesSerial) {
        static_cast<index_t>(n), x.data(), 0.5, y1.data());
   gemv_par(static_cast<index_t>(m), static_cast<index_t>(n), 2.0, a.data(),
            static_cast<index_t>(n), x.data(), 0.5, y2.data());
-  for (usize i = 0; i < m; ++i) {
-    EXPECT_NEAR(y2[i], y1[i], 1e-12 * (1.0 + std::fabs(y1[i]))) << i;
-  }
+  EXPECT_TRUE(same_bits(y1, y2));  // each row keeps the serial dot order
 }
 
 TEST_P(HblasPar, GemvTMatchesSerial) {
@@ -189,9 +193,7 @@ TEST_P(HblasPar, GemvTMatchesSerial) {
          static_cast<index_t>(n), x.data(), 1.0, y1.data());
   gemv_t_par(static_cast<index_t>(m), static_cast<index_t>(n), -1.0, a.data(),
              static_cast<index_t>(n), x.data(), 1.0, y2.data());
-  for (usize i = 0; i < n; ++i) {
-    EXPECT_NEAR(y2[i], y1[i], 1e-12 * (1.0 + std::fabs(y1[i]))) << i;
-  }
+  EXPECT_TRUE(same_bits(y1, y2));  // each column keeps the serial row order
 }
 
 INSTANTIATE_TEST_SUITE_P(Sizes, HblasPar,
@@ -208,6 +210,52 @@ TEST(HblasPar, GemvBetaZeroOverwritesGarbage) {
   gemv_t_par(1, 2, 1.0, a, 2, x, 0.0, z);
   EXPECT_DOUBLE_EQ(z[0], 3.0);
   EXPECT_DOUBLE_EQ(z[1], 6.0);
+}
+
+TEST(HblasPar, GemmMatchesSerialExactly) {
+  struct Shape {
+    index_t m, n, k;
+  };
+  // The Lanczos restart and Ritz shapes (dti, powerlaw, service), then
+  // skinny outputs with fewer columns than pool workers and a ragged n.
+  const Shape shapes[] = {{96, 4096, 129}, {64, 4096, 129}, {14, 19999, 20},
+                          {15, 1300, 21},  {300, 1, 300},   {300, 3, 300},
+                          {100, 9, 100},   {16, 4097, 33}};
+  Rng rng(91);
+  for (const Shape& sh : shapes) {
+    for (const index_t pad : {index_t{0}, index_t{5}}) {
+      const index_t lda = sh.k + pad;
+      const index_t ldb = sh.n + 2 * pad;
+      const index_t ldc = sh.n + 3 * pad;
+      const auto a = random_vec(static_cast<usize>(sh.m * lda), rng);
+      const auto b = random_vec(static_cast<usize>(sh.k * ldb), rng);
+      const auto c0 = random_vec(static_cast<usize>(sh.m * ldc), rng);
+      for (const real beta : {0.0, 0.3, 1.0}) {
+        auto serial = c0;
+        auto par = c0;
+        gemm(sh.m, sh.n, sh.k, 1.3, a.data(), lda, b.data(), ldb, beta,
+             serial.data(), ldc);
+        gemm_par(sh.m, sh.n, sh.k, 1.3, a.data(), lda, b.data(), ldb, beta,
+                 par.data(), ldc);
+        EXPECT_TRUE(same_bits(serial, par))
+            << sh.m << "x" << sh.n << "x" << sh.k << " pad " << pad
+            << " beta " << beta;
+      }
+    }
+  }
+  // beta = 0 overwrites C without reading it: a NaN-filled C is garbage.
+  const index_t m = 96;
+  const index_t n = 4096;
+  const index_t k = 129;
+  const auto a = random_vec(static_cast<usize>(m * k), rng);
+  const auto b = random_vec(static_cast<usize>(k * n), rng);
+  std::vector<real> serial(static_cast<usize>(m * n),
+                           std::numeric_limits<real>::quiet_NaN());
+  auto par = serial;
+  gemm(m, n, k, 1.0, a.data(), k, b.data(), n, 0.0, serial.data(), n);
+  gemm_par(m, n, k, 1.0, a.data(), k, b.data(), n, 0.0, par.data(), n);
+  EXPECT_TRUE(same_bits(serial, par));
+  for (const real v : par) ASSERT_FALSE(std::isnan(v));
 }
 
 TEST(Hblas, GemmBetaZeroOverwritesGarbage) {

@@ -2,7 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <cstring>
 #include <vector>
 
 #include "common/rng.h"
@@ -399,6 +401,54 @@ TEST(Lanczos, NaiveDenseTierGivesSameAnswers) {
   for (usize i = 0; i < 4; ++i) {
     EXPECT_NEAR(blocked.eigenvalues[i], naive.eigenvalues[i], 1e-9);
   }
+}
+
+TEST(Lanczos, ParallelRestartMatchesNaiveTierBitwise) {
+  // The blocked tier runs the restart compaction and the Ritz extraction on
+  // every pool worker (hblas::gemm_par); the naive tier is the serial
+  // textbook loop.  Both keep each element's summation order, so a solve
+  // through dozens of restarts must agree bit for bit.
+  const index_t n = 6000;
+  Rng rng(29);
+  struct Entry {
+    index_t i, j;
+    real v;
+  };
+  std::vector<Entry> entries;
+  for (index_t i = 0; i < n; ++i) {
+    entries.push_back({i, i, rng.uniform(0, 2)});
+    for (int t = 0; t < 3; ++t) {
+      const auto j = static_cast<index_t>(
+          rng.uniform_index(static_cast<std::uint64_t>(n)));
+      const real v = rng.uniform(-0.5, 0.5);
+      entries.push_back({i, j, v});
+      entries.push_back({j, i, v});
+    }
+  }
+  const auto matvec = [&](const real* x, real* y) {
+    std::fill(y, y + n, 0.0);
+    for (const Entry& e : entries) y[e.i] += e.v * x[e.j];
+  };
+  LanczosConfig cfg;
+  cfg.n = n;
+  cfg.nev = 16;
+  cfg.ncv = 33;
+  const SymEigResult blocked = solve_symmetric(cfg, matvec);
+  cfg.dense_tier = DenseTier::kNaive;
+  const SymEigResult naive = solve_symmetric(cfg, matvec);
+  ASSERT_TRUE(blocked.converged && naive.converged);
+  EXPECT_GE(blocked.stats.restart_count, 20);
+  EXPECT_EQ(blocked.stats.restart_count, naive.stats.restart_count);
+  EXPECT_EQ(blocked.stats.matvec_count, naive.stats.matvec_count);
+  ASSERT_EQ(blocked.eigenvalues.size(), naive.eigenvalues.size());
+  ASSERT_EQ(blocked.eigenvectors.size(), naive.eigenvectors.size());
+  EXPECT_EQ(std::memcmp(blocked.eigenvalues.data(), naive.eigenvalues.data(),
+                        blocked.eigenvalues.size() * sizeof(real)),
+            0);
+  EXPECT_EQ(std::memcmp(blocked.eigenvectors.data(),
+                        naive.eigenvectors.data(),
+                        blocked.eigenvectors.size() * sizeof(real)),
+            0);
 }
 
 }  // namespace

@@ -110,7 +110,7 @@ TEST(MetricsRegistry, ClearEmptiesTheRegistry) {
 
 // A device runs one operation at a time, so the only pipeline gauge is the
 // serial sum of kernel and link time; no overlap credit is subtracted.
-TEST(RuntimeMetrics, PublishDeviceCountersExposesOverlapGauges) {
+TEST(RuntimeMetrics, PublishDeviceCountersExposesPipelineGauge) {
   device::DeviceCounters c;
   c.bytes_h2d = 1000;
   c.kernel_seconds = 2.5;
@@ -127,7 +127,7 @@ TEST(RuntimeMetrics, PublishDeviceCountersExposesOverlapGauges) {
 
 // The context publishes its counters and its worker pool, nothing else:
 // 16 device gauges plus 2 thread-pool gauges.
-TEST(RuntimeMetrics, PublishDeviceContextCoversAllThreeSources) {
+TEST(RuntimeMetrics, PublishDeviceContextCoversBothSources) {
   device::DeviceContext ctx(1);
   device::DeviceBuffer<double> buf(ctx, 64);
   std::vector<double> host(64, 1.0);

@@ -354,5 +354,31 @@ TEST_F(SdcTest, CleanPipelinedRunReportsZeroDetections) {
             2u * static_cast<std::uint64_t>(r.kmeans_iterations));
 }
 
+TEST_F(SdcTest, StagedCrcDetectsFlipsPastTheFirstSlice) {
+  // n = 9000 stages x as three CRC slices (4096 + 4096 + 808 scalars).  Six
+  // flips at successive waves land on pseudo-random elements across the
+  // slices; each must fail its slice's CRC and re-upload clean.
+  data::SbmParams p;
+  p.block_sizes = data::equal_blocks(9000, 3);
+  p.p_in = 0.01;
+  p.p_out = 0.0005;
+  p.seed = 19;
+  const data::SbmGraph g = data::make_sbm(p);
+  const core::SpectralConfig cfg = sdc_config();
+  const core::SpectralResult clean = core::spectral_cluster_graph(g.w, cfg);
+  ASSERT_EQ(clean.integrity.detected, 0u);
+  for (int nth = 1; nth <= 6; ++nth) {
+    SCOPED_TRACE("nth " + std::to_string(nth));
+    core::SpectralConfig faulted = cfg;
+    faulted.faults = fault::FaultPlan::parse(
+        "site=bitflip.device.buffer,nth=" + std::to_string(nth));
+    const std::uint64_t before = counter("sdc.detected.device.buffer");
+    const core::SpectralResult r = core::spectral_cluster_graph(g.w, faulted);
+    EXPECT_EQ(counter("sdc.detected.device.buffer"), before + 1);
+    EXPECT_EQ(r.integrity.detected, 1u);
+    EXPECT_EQ(r.labels, clean.labels);
+  }
+}
+
 }  // namespace
 }  // namespace fastsc

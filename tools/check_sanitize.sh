@@ -31,7 +31,8 @@ esac
 # test_balance and test_hblas exercise the merge-path balanced SpMV / SpMM
 # kernels and the threaded level-2 hblas paths across worker counts;
 # test_powerlaw feeds them.  test_laplacian runs Algorithm 2's merge-path
-# degree pass and test_rci the reverse-communication loop.  test_kmeans
+# degree pass, test_rci the reverse-communication loop and test_lanczos
+# the thick restart whose basis products fan out over the pool.  test_kmeans
 # and test_seeding drive the k-means group sweep across device and worker
 # counts.
 TESTS=(
@@ -61,6 +62,7 @@ TESTS=(
   test_seeding
   test_laplacian
   test_rci
+  test_lanczos
 )
 
 echo "== configuring ${SANITIZER}-sanitized build in ${BUILD_DIR} =="
