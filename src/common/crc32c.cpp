@@ -1,6 +1,5 @@
 #include "common/crc32c.h"
 
-#include <algorithm>
 #include <array>
 
 namespace fastsc {
@@ -52,17 +51,6 @@ std::uint32_t crc32c(const void* data, usize len, std::uint32_t seed) {
     crc = t[0][(crc ^ *p) & 0xFFu] ^ (crc >> 8);
   }
   return ~crc;
-}
-
-usize crc32c_slice_count(usize len, usize slice) noexcept {
-  return len <= slice ? 1 : (len + slice - 1) / slice;
-}
-
-std::uint32_t crc32c_slice(const void* data, usize len, usize slice,
-                           usize s) {
-  const usize lo = s * slice;
-  const usize hi = std::min(len, lo + slice);
-  return crc32c(static_cast<const unsigned char*>(data) + lo, hi - lo);
 }
 
 }  // namespace fastsc

@@ -3,8 +3,7 @@
 // Used by the SDC defense layer to seal byte payloads whose corruption the
 // numeric ABFT checks cannot see: serialized LanczosCheckpoint blobs,
 // ResultCache entries, and staged host<->device transfer buffers (every
-// eigensolver wave compares the slice CRCs of its staged x on the device
-// with those of the host source).  Portable table-driven
+// eigensolver wave CRCs its staged x twice).  Portable table-driven
 // slice-by-8 software implementation; no hardware CRC intrinsics.
 #pragma once
 
@@ -18,14 +17,5 @@ namespace fastsc {
 /// crc32c(b, n) == crc32c(b + k, n - k, crc32c(b, k)).
 [[nodiscard]] std::uint32_t crc32c(const void* data, usize len,
                                    std::uint32_t seed = 0);
-
-/// Fixed-slice CRC32C, for comparing two copies of a buffer slice by slice
-/// on several threads: `len` bytes cut into crc32c_slice_count(len, slice)
-/// slices of `slice` > 0 bytes, the last one ragged, and crc32c_slice seals
-/// slice s.  A buffer of at most one slice (an empty one included) is a
-/// single slice whose CRC is crc32c(data, len).
-[[nodiscard]] usize crc32c_slice_count(usize len, usize slice) noexcept;
-[[nodiscard]] std::uint32_t crc32c_slice(const void* data, usize len,
-                                         usize slice, usize s);
 
 }  // namespace fastsc

@@ -106,19 +106,7 @@ AttributionReport collect_attribution(const device::DeviceGroup& group) {
   std::map<std::string, obs::SiteStats> merged;
   for (usize i = 0; i < group.size(); ++i) {
     for (const obs::SiteReport& r : group.device(i).attribution().report()) {
-      obs::SiteStats& s = merged[r.site];
-      s.kernel_launches += r.stats.kernel_launches;
-      s.transfers_h2d += r.stats.transfers_h2d;
-      s.transfers_d2h += r.stats.transfers_d2h;
-      s.transfers_d2d += r.stats.transfers_d2d;
-      s.bytes_h2d += r.stats.bytes_h2d;
-      s.bytes_d2h += r.stats.bytes_d2h;
-      s.bytes_d2d += r.stats.bytes_d2d;
-      s.flops += r.stats.flops;
-      s.bytes_read += r.stats.bytes_read;
-      s.bytes_written += r.stats.bytes_written;
-      s.kernel_seconds += r.stats.kernel_seconds;
-      s.transfer_seconds += r.stats.transfer_seconds;
+      merged[r.site] += r.stats;
     }
   }
   a.sites.reserve(merged.size());

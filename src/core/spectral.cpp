@@ -1,7 +1,6 @@
 #include "core/spectral.h"
 
 #include <algorithm>
-#include <array>
 #include <cmath>
 #include <exception>
 #include <functional>
@@ -15,7 +14,6 @@
 #include "common/crc32c.h"
 #include "common/error.h"
 #include "common/log.h"
-#include "common/par.h"
 #include "common/validation.h"
 #include "common/timer.h"
 #include "device/device_group.h"
@@ -308,31 +306,6 @@ void run_stage(SpectralResult& result, const char* stage, const char* site,
   result.clock.stop();
 }
 
-/// Scalars per slice of the per-wave host checks: the transfer CRC, the
-/// ABFT sums and the RCI sentinel sums.  Slice boundaries depend only on
-/// the vector length, so every check gives the same bits at any worker
-/// count.
-constexpr index_t kCheckSlice = 4096;
-
-/// Three sums over [0, n): `partial(lo, hi)` sums one kCheckSlice slice,
-/// the slices run on the default pool, and their partials fold in slice
-/// order.  A vector of one slice or less is summed inline.
-template <class Partial>
-std::array<double, 3> fold_slices(index_t n, const Partial& partial) {
-  if (n <= kCheckSlice) return partial(index_t{0}, n);
-  const index_t slices = (n + kCheckSlice - 1) / kCheckSlice;
-  std::vector<std::array<double, 3>> parts(static_cast<usize>(slices));
-  parallel_for(index_t{0}, slices, [&](index_t s) {
-    parts[static_cast<usize>(s)] =
-        partial(s * kCheckSlice, std::min(n, (s + 1) * kCheckSlice));
-  });
-  std::array<double, 3> sum = parts[0];
-  for (usize s = 1; s < parts.size(); ++s) {
-    for (usize i = 0; i < sum.size(); ++i) sum[i] += parts[s][i];
-  }
-  return sum;
-}
-
 /// One reverse-communication wave (paper Algorithm 3): y = S x for the
 /// solver's host vector x, written to host y (both length n).  `basis` is
 /// the Lanczos basis size at this wave.  A wave reports detected corruption
@@ -397,6 +370,7 @@ void run_rci(const SpectralConfig& cfg, index_t n, const EigWave& wave,
     result.integrity.events.push_back("lanczos.sentinel: " + why);
     throw device::DataIntegrityError("RCI sentinel tripped: " + why);
   };
+  const auto un = static_cast<usize>(n);
 
   index_t resumes = 0;
   bool abandoned = false;
@@ -414,16 +388,14 @@ void run_rci(const SpectralConfig& cfg, index_t n, const EigWave& wave,
         if (sentinels_on) {
           obs::sdc_note_check();
           ++result.integrity.checks;
-          const auto [x2, y2, xy] =
-              fold_slices(n, [&](index_t lo, index_t hi) {
-                std::array<double, 3> acc{};
-                for (index_t i = lo; i < hi; ++i) {
-                  acc[0] += x[i] * x[i];
-                  acc[1] += y[i] * y[i];
-                  acc[2] += x[i] * y[i];
-                }
-                return acc;
-              });
+          double x2 = 0;
+          double y2 = 0;
+          double xy = 0;
+          for (usize i = 0; i < un; ++i) {
+            x2 += x[i] * x[i];
+            y2 += y[i] * y[i];
+            xy += x[i] * y[i];
+          }
           const double one = (1 + tol_scale * (1e-6 + 8 * (eps_q + eps_m)));
           if (!(y2 <= one * one * x2)) {
             trip("||y|| exceeds the operator norm bound");
@@ -728,14 +700,10 @@ void eigensolve_group(device::DeviceGroup& group, SimilaritySource& src,
   const usize bw = bytes_per_scalar(basis_p);
 
   // Seal on every device's staged x segment: the device-buffer bitflip
-  // site, then (when enabled) a CRC frame — the device copy is re-hashed
-  // slice by slice in one device launch, the host source by the default
-  // pool, and the slice CRCs must all match, so a flipped device bit is
-  // caught before any kernel consumes it.  A mismatch throws *transient*
-  // and the retry re-runs the idempotent upload.
-  const usize crc_slice = static_cast<usize>(kCheckSlice) * bw;
-  std::vector<std::uint32_t> dev_crcs;
-  std::vector<std::uint32_t> host_crcs;
+  // site, then (when enabled) a CRC frame — the device copy is re-hashed by
+  // a device kernel and compared byte-for-byte against the host source, so
+  // a flipped device bit is caught before any kernel consumes it.  A
+  // mismatch throws *transient* and the retry re-runs the idempotent upload.
   sparse::StageCheck seal;
   seal.site = transfer_crc ? "sdc.h2d" : nullptr;
   seal.check = [&](usize d, unsigned char* dev, const unsigned char* host,
@@ -757,29 +725,20 @@ void eigensolve_group(device::DeviceGroup& group, SimilaritySource& src,
         break;
     }
     if (!transfer_crc) return;
-    const usize slices = crc32c_slice_count(bytes, crc_slice);
-    dev_crcs.resize(slices);
-    host_crcs.resize(slices);
+    std::uint32_t dev_crc = 0;
     {
       obs::AttrSiteScope crc_site("sdc.crc");
-      std::uint32_t* out = dev_crcs.data();
+      std::uint32_t* out = &dev_crc;
       const unsigned char* src_bytes = dev;
       device::launch(
-          group.device(d), static_cast<index_t>(slices),
-          [=](index_t s) {
-            out[s] = crc32c_slice(src_bytes, bytes, crc_slice,
-                                  static_cast<usize>(s));
-          },
+          group.device(d), 1,
+          [=](index_t) { *out = crc32c(src_bytes, bytes); },
           device::tagged("sdc.crc", static_cast<double>(bytes) / 8.0,
                          static_cast<double>(bytes), 4.0));
     }
     obs::sdc_note_check();
     ++result.integrity.checks;
-    parallel_for(index_t{0}, static_cast<index_t>(slices), [&](index_t s) {
-      host_crcs[static_cast<usize>(s)] =
-          crc32c_slice(host, bytes, crc_slice, static_cast<usize>(s));
-    });
-    if (dev_crcs != host_crcs) {
+    if (dev_crc != crc32c(host, bytes)) {
       obs::sdc_note_detected("device.buffer",
                              "staged x CRC mismatch after H2D");
       ++result.integrity.detected;
@@ -806,17 +765,14 @@ void eigensolve_group(device::DeviceGroup& group, SimilaritySource& src,
       if (!abft_spmv) break;
       obs::sdc_note_check();
       ++result.integrity.checks;
-      const auto [cx, ysum, ynorm1] =
-          fold_slices(n, [&](index_t lo, index_t hi) {
-            std::array<double, 3> acc{};
-            for (index_t i = lo; i < hi; ++i) {
-              acc[0] += static_cast<double>(abft_colsum[i]) *
-                        quantize(x[i], basis_p);
-              acc[1] += y[i];
-              acc[2] += std::abs(static_cast<double>(y[i]));
-            }
-            return acc;
-          });
+      double cx = 0;
+      double ysum = 0;
+      double ynorm1 = 0;
+      for (usize i = 0; i < un; ++i) {
+        cx += static_cast<double>(abft_colsum[i]) * quantize(x[i], basis_p);
+        ysum += y[i];
+        ynorm1 += std::abs(static_cast<double>(y[i]));
+      }
       const double tol =
           tol_scale *
           (eps64 * 64 *
@@ -1163,22 +1119,20 @@ SpectralResult on_devices(const SpectralConfig& config,
     gc.num_devices = static_cast<usize>(config.num_devices);
     gc.model = ctx.transfer_model();
     device::DeviceGroup group(gc);
-    const auto fold_books = [&] {
-      for (usize d = 0; d < group.size(); ++d) {
-        ctx.absorb_books(group.device(d));
+    struct FoldBooks {
+      device::DeviceContext& into;
+      const device::DeviceGroup& from;
+      ~FoldBooks() {
+        for (usize d = 0; d < from.size(); ++d) {
+          into.absorb_books(from.device(d));
+        }
       }
-    };
+    } fold{ctx, group};
     try {
-      SpectralResult result = run(group, reason);
-      fold_books();
-      return result;
+      return run(group, reason);
     } catch (const device::DeviceError& e) {
-      fold_books();
       if (!config.degradation.enabled) throw;
       reason = e.what();
-    } catch (...) {
-      fold_books();
-      throw;
     }
   }
   device::DeviceGroup group(ctx);

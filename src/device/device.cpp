@@ -224,22 +224,30 @@ void DeviceContext::record_free(usize bytes) noexcept {
       counters_.live_bytes >= bytes ? counters_.live_bytes - bytes : 0;
 }
 
+void accumulate_counters(DeviceCounters& a, const DeviceCounters& b) {
+  a.bytes_h2d += b.bytes_h2d;
+  a.bytes_d2h += b.bytes_d2h;
+  a.bytes_d2d += b.bytes_d2d;
+  a.transfers_h2d += b.transfers_h2d;
+  a.transfers_d2h += b.transfers_d2h;
+  a.transfers_d2d += b.transfers_d2d;
+  a.measured_transfer_seconds += b.measured_transfer_seconds;
+  a.modeled_transfer_seconds += b.modeled_transfer_seconds;
+  a.modeled_d2d_seconds += b.modeled_d2d_seconds;
+  a.kernel_seconds += b.kernel_seconds;
+  a.kernel_launches += b.kernel_launches;
+  a.transfer_retries += b.transfer_retries;
+  a.live_bytes += b.live_bytes;
+  a.peak_bytes += b.peak_bytes;
+  a.total_allocations += b.total_allocations;
+}
+
 void DeviceContext::absorb_books(const DeviceContext& other) {
-  const DeviceCounters c = other.counters_snapshot();
+  DeviceCounters c = other.counters_snapshot();
+  c.live_bytes = c.peak_bytes = c.total_allocations = 0;  // gauges stay ours
   {
     std::lock_guard lock(meter_mu_);
-    counters_.bytes_h2d += c.bytes_h2d;
-    counters_.bytes_d2h += c.bytes_d2h;
-    counters_.bytes_d2d += c.bytes_d2d;
-    counters_.transfers_h2d += c.transfers_h2d;
-    counters_.transfers_d2h += c.transfers_d2h;
-    counters_.transfers_d2d += c.transfers_d2d;
-    counters_.measured_transfer_seconds += c.measured_transfer_seconds;
-    counters_.modeled_transfer_seconds += c.modeled_transfer_seconds;
-    counters_.modeled_d2d_seconds += c.modeled_d2d_seconds;
-    counters_.kernel_seconds += c.kernel_seconds;
-    counters_.kernel_launches += c.kernel_launches;
-    counters_.transfer_retries += c.transfer_retries;
+    accumulate_counters(counters_, c);
   }
   attribution_.absorb(other.attribution());
 }

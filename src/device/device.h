@@ -171,13 +171,21 @@ struct DeviceCounters {
   usize total_allocations = 0;
 
   /// kernel + modeled link time — the modeled end-to-end busy time of the
-  /// device, whose operations never overlap.
+  /// device, whose operations never overlap.  On a context that absorbed a
+  /// transient group's books (DeviceContext::absorb_books) it also sums
+  /// those devices' busy times, which ran side by side, so it can exceed
+  /// DeviceContext::virtual_now().
   [[nodiscard]] double modeled_pipeline_seconds() const noexcept {
     return kernel_seconds + modeled_transfer_seconds;
   }
 
   void reset() { *this = DeviceCounters{}; }
 };
+
+/// Sum `b` into `a` field by field (used by the group rollup, by
+/// DeviceContext::absorb_books and by tests asserting the conservation law
+/// independently).
+void accumulate_counters(DeviceCounters& a, const DeviceCounters& b);
 
 /// Bounded retry-with-backoff for *transient* transfer errors
 /// (DeviceTransferError::transient()).  The backoff doubles per attempt and
@@ -308,7 +316,9 @@ class DeviceContext {
   /// Fold `other`'s traffic, engine time and attribution into this
   /// context's books, so reports read from this context cover work that ran
   /// on `other` (a transient DeviceGroup's device).  Memory gauges and the
-  /// virtual timeline stay this context's own.
+  /// virtual timeline stay this context's own.  The absorbed link seconds
+  /// land at once in modeled_transfer_seconds_now(), the virtual-budget
+  /// clock of any other job sharing this context.
   void absorb_books(const DeviceContext& other);
 
   /// Context-lifetime cost attribution (per-site bytes/flops/seconds).

@@ -57,24 +57,6 @@ void DeviceGroup::note_peer_traffic(usize bytes) {
   obs::bump("d2d.bytes", static_cast<std::int64_t>(bytes));
 }
 
-void accumulate_counters(DeviceCounters& a, const DeviceCounters& b) {
-  a.bytes_h2d += b.bytes_h2d;
-  a.bytes_d2h += b.bytes_d2h;
-  a.bytes_d2d += b.bytes_d2d;
-  a.transfers_h2d += b.transfers_h2d;
-  a.transfers_d2h += b.transfers_d2h;
-  a.transfers_d2d += b.transfers_d2d;
-  a.measured_transfer_seconds += b.measured_transfer_seconds;
-  a.modeled_transfer_seconds += b.modeled_transfer_seconds;
-  a.modeled_d2d_seconds += b.modeled_d2d_seconds;
-  a.kernel_seconds += b.kernel_seconds;
-  a.kernel_launches += b.kernel_launches;
-  a.transfer_retries += b.transfer_retries;
-  a.live_bytes += b.live_bytes;
-  a.peak_bytes += b.peak_bytes;
-  a.total_allocations += b.total_allocations;
-}
-
 DeviceCounters counters_delta(const DeviceCounters& after,
                               const DeviceCounters& before) {
   DeviceCounters d = after;

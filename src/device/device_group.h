@@ -137,10 +137,6 @@ class DeviceGroup {
   std::vector<DeviceContext*> contexts_;
 };
 
-/// Sum `b` into `a` field by field (used by the rollup and by tests
-/// asserting the conservation law independently).
-void accumulate_counters(DeviceCounters& a, const DeviceCounters& b);
-
 /// Difference of two counter snapshots — per-run accounting at every device
 /// count.  Traffic and engine-time fields are subtracted; the memory gauges
 /// (live/peak bytes, total allocations) keep the `after` snapshot's absolute

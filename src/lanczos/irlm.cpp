@@ -519,10 +519,6 @@ void SymLanczos::finalize(const std::vector<real>& theta,
   }
   final_y_ = y;
   phase_ = end_phase;
-  // The restart buffer is idle from here on; Ritz extraction allocates its
-  // own output, so holding both would raise the solve's peak memory.
-  vnew_.clear();
-  vnew_.shrink_to_fit();
 }
 
 SymLanczos::Action SymLanczos::restart_or_finish() {
@@ -597,19 +593,15 @@ SymLanczos::Action SymLanczos::restart_or_finish() {
       g[static_cast<usize>(i * m + p)] = y[static_cast<usize>(p * m + col)];
     }
   }
-  const usize ln = static_cast<usize>(l) * static_cast<usize>(n);
+  std::vector<real> vnew(static_cast<usize>(l) * static_cast<usize>(n));
   if (config_.dense_tier == DenseTier::kBlocked) {
-    // beta = 0 overwrites every element, so the buffer is reused unzeroed.
-    vnew_.resize(ln);
     hblas::gemm_par(l, n, m, 1.0, g.data(), m, v_.data(), n, 0.0,
-                    vnew_.data(), n);
-    std::copy(vnew_.begin(), vnew_.end(), v_.begin());
+                    vnew.data(), n);
   } else {
-    std::vector<real> vnew(ln);
     hblas::gemm_naive(l, n, m, 1.0, g.data(), m, v_.data(), n, 0.0,
                       vnew.data(), n);
-    std::copy(vnew.begin(), vnew.end(), v_.begin());
   }
+  std::copy(vnew.begin(), vnew.end(), v_.begin());
   // The residual vector v_m becomes the continuation vector at row l.
   hblas::copy(n, v_row(m), v_row(l));
 
@@ -680,8 +672,6 @@ SymLanczos::Action SymLanczos::abandon() {
     final_order_.push_back(col);
   }
   phase_ = Phase::kFailed;
-  vnew_.clear();  // idle from here on, as in finalize()
-  vnew_.shrink_to_fit();
   stats_.restart_seconds += restart_timer.seconds();
   obs::metrics().counter("lanczos.abandons").add();
   return Action::kFailed;

@@ -271,7 +271,6 @@ class SymLanczos {
   std::vector<real> w_;   // matvec result / working vector, length n
   std::vector<real> c_;   // CGS2 coefficient scratch, length ncv + 1
   std::vector<real> warm_m_;  // (nkept+1) x nkept projection during refresh
-  std::vector<real> vnew_;    // l x n restart compaction target (kBlocked)
   index_t j_ = 0;         // current Lanczos step
   index_t nkept_ = 0;     // thick-restart kept count (arrowhead column)
   real beta_last_ = 0;    // coupling of v_m to the basis

@@ -67,42 +67,5 @@ TEST(Crc32c, SeedChainsIncrementalUpdates) {
   }
 }
 
-TEST(Crc32c, SliceCrcsLocalizeAFlippedBit) {
-  constexpr usize kSlice = 4096;
-  const std::vector<unsigned char> clean = random_bytes(3 * kSlice + 123, 7);
-  const usize slices = crc32c_slice_count(clean.size(), kSlice);
-  ASSERT_EQ(slices, 4u);
-  std::vector<std::uint32_t> sealed(slices);
-  for (usize s = 0; s < slices; ++s) {
-    sealed[s] = crc32c_slice(clean.data(), clean.size(), kSlice, s);
-  }
-  // First byte, last byte of a full slice, first byte of the next slice,
-  // last byte of the ragged tail.
-  for (const usize at : {usize{0}, kSlice - 1, kSlice, clean.size() - 1}) {
-    for (const int bit : {0, 7}) {
-      std::vector<unsigned char> bytes = clean;
-      bytes[at] ^= static_cast<unsigned char>(1u << bit);
-      for (usize s = 0; s < slices; ++s) {
-        const bool changed =
-            crc32c_slice(bytes.data(), bytes.size(), kSlice, s) != sealed[s];
-        EXPECT_EQ(changed, s == at / kSlice)
-            << "byte " << at << " bit " << bit << " slice " << s;
-      }
-    }
-  }
-}
-
-TEST(Crc32c, OneSliceOrLessIsTheWholeBufferCrc) {
-  constexpr usize kSlice = 4096;
-  const std::vector<unsigned char> bytes = random_bytes(kSlice, 11);
-  for (const usize len : {usize{0}, usize{1}, kSlice - 1, kSlice}) {
-    ASSERT_EQ(crc32c_slice_count(len, kSlice), 1u) << len;
-    EXPECT_EQ(crc32c_slice(bytes.data(), len, kSlice, 0),
-              crc32c(bytes.data(), len))
-        << len;
-  }
-  EXPECT_EQ(crc32c_slice_count(kSlice + 1, kSlice), 2u);
-}
-
 }  // namespace
 }  // namespace fastsc

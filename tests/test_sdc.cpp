@@ -354,10 +354,10 @@ TEST_F(SdcTest, CleanPipelinedRunReportsZeroDetections) {
             2u * static_cast<std::uint64_t>(r.kmeans_iterations));
 }
 
-TEST_F(SdcTest, StagedCrcDetectsFlipsPastTheFirstSlice) {
-  // n = 9000 stages x as three CRC slices (4096 + 4096 + 808 scalars).  Six
-  // flips at successive waves land on pseudo-random elements across the
-  // slices; each must fail its slice's CRC and re-upload clean.
+TEST_F(SdcTest, StagedCrcDetectsFlipsAcrossALongVector) {
+  // n = 9000 scalars of staged x.  Six flips at successive waves land on
+  // pseudo-random elements across the vector; each must fail the staged
+  // CRC and re-upload clean.
   data::SbmParams p;
   p.block_sizes = data::equal_blocks(9000, 3);
   p.p_in = 0.01;
