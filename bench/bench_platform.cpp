@@ -6,6 +6,7 @@
 
 #include "common/cli.h"
 #include "common/table.h"
+#include "common/thread_pool.h"
 #include "device/device.h"
 
 int main(int argc, char** argv) {
@@ -37,6 +38,10 @@ int main(int argc, char** argv) {
   ours.header({"Component", "Value"});
   ours.row({"Host hardware threads",
             std::to_string(std::thread::hardware_concurrency())});
+  // The cores the measurements ran on: the default pool is sized from this
+  // process's CPU affinity mask, which a taskset or cpuset can narrow.
+  ours.row({"Host pool workers (affinity mask)",
+            std::to_string(default_thread_pool().worker_count())});
   ours.row({"Simulated device", ctx.description()});
   ours.row({"Device workers", std::to_string(ctx.pool().worker_count())});
   ours.row({"Modeled PCIe bandwidth",

@@ -1,5 +1,6 @@
-// Micro benchmark: SpMV throughput across sparse formats (COO/CSR/CSC/BSR)
-// and the device csrmv — backing the paper's §IV.A format discussion.
+// Micro benchmark: SpMV throughput of host COO and CSR and the device csrmv,
+// backing the paper's §IV.A format discussion with the formats the pipeline
+// runs (Algorithm 2 builds COO and converts it to CSR for Algorithm 3).
 #include <benchmark/benchmark.h>
 
 #include <map>
@@ -18,8 +19,6 @@ using namespace fastsc;
 struct Fixture {
   sparse::Coo coo;
   sparse::Csr csr;
-  sparse::Csc csc;
-  sparse::Bsr bsr;
   std::vector<real> x, y;
 
   explicit Fixture(index_t n) {
@@ -30,8 +29,6 @@ struct Fixture {
     const data::SbmGraph g = data::make_sbm(p);
     coo = g.w;
     csr = sparse::coo_to_csr(coo);
-    csc = sparse::csr_to_csc(csr);
-    bsr = sparse::csr_to_bsr(csr, 4);
     x.assign(static_cast<usize>(n), 1.0);
     y.assign(static_cast<usize>(n), 0.0);
     Rng rng(7);
@@ -62,24 +59,6 @@ void BM_SpmvCoo(benchmark::State& state) {
     benchmark::DoNotOptimize(f.y.data());
   }
   state.SetItemsProcessed(state.iterations() * f.coo.nnz());
-}
-
-void BM_SpmvCsc(benchmark::State& state) {
-  Fixture& f = fixture(state.range(0));
-  for (auto _ : state) {
-    sparse::csc_mv(f.csc, f.x.data(), f.y.data());
-    benchmark::DoNotOptimize(f.y.data());
-  }
-  state.SetItemsProcessed(state.iterations() * f.csc.nnz());
-}
-
-void BM_SpmvBsr(benchmark::State& state) {
-  Fixture& f = fixture(state.range(0));
-  for (auto _ : state) {
-    sparse::bsr_mv(f.bsr, f.x.data(), f.y.data());
-    benchmark::DoNotOptimize(f.y.data());
-  }
-  state.SetItemsProcessed(state.iterations() * f.csr.nnz());
 }
 
 void BM_SpmvDeviceCsr(benchmark::State& state) {
@@ -160,8 +139,6 @@ void BM_Coo2CsrDevice(benchmark::State& state) {
 
 BENCHMARK(BM_SpmvCsr)->Arg(1000)->Arg(8000);
 BENCHMARK(BM_SpmvCoo)->Arg(1000)->Arg(8000);
-BENCHMARK(BM_SpmvCsc)->Arg(1000)->Arg(8000);
-BENCHMARK(BM_SpmvBsr)->Arg(1000)->Arg(8000);
 BENCHMARK(BM_SpmvDeviceCsr)->Arg(1000)->Arg(8000);
 BENCHMARK(BM_SpmvDeviceCsrSkewed)->Arg(1000)->Arg(8000);
 BENCHMARK(BM_SpmvDeviceCsrSkewedBalanced)->Arg(1000)->Arg(8000);

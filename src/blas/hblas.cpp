@@ -39,20 +39,6 @@ void copy(index_t n, const real* x, real* y) noexcept {
   if (n > 0) std::memcpy(y, x, static_cast<usize>(n) * sizeof(real));
 }
 
-index_t iamax(index_t n, const real* x) noexcept {
-  if (n <= 0) return -1;
-  index_t best = 0;
-  real best_abs = std::fabs(x[0]);
-  for (index_t i = 1; i < n; ++i) {
-    const real a = std::fabs(x[i]);
-    if (a > best_abs) {
-      best_abs = a;
-      best = i;
-    }
-  }
-  return best;
-}
-
 void gemv(index_t m, index_t n, real alpha, const real* a, index_t lda,
           const real* x, real beta, real* y) noexcept {
   for (index_t i = 0; i < m; ++i) {
@@ -185,27 +171,7 @@ constexpr index_t kParMinWork = 1 << 14;
 // much work.
 constexpr index_t kGemmParMinWork = 1 << 16;
 
-// Claimed chunk for the dynamically-scheduled level-1 loops: big enough to
-// amortize the atomic claim, small enough to rebalance a skewed tail.
-constexpr index_t kParGrain = 4096;
-
 }  // namespace
-
-real dot_par(index_t n, const real* x, const real* y) {
-  if (n < kParMinWork) return dot(n, x, y);
-  return parallel_reduce(
-      index_t{0}, n, real{0}, [&](index_t i) { return x[i] * y[i]; },
-      [](real a, real b) { return a + b; });
-}
-
-void axpy_par(index_t n, real alpha, const real* x, real* y) {
-  if (n < kParMinWork) {
-    axpy(n, alpha, x, y);
-    return;
-  }
-  parallel_for(index_t{0}, n, kParGrain,
-               [&](index_t i) { y[i] += alpha * x[i]; });
-}
 
 void gemv_par(index_t m, index_t n, real alpha, const real* a, index_t lda,
               const real* x, real beta, real* y) {

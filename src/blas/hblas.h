@@ -31,9 +31,6 @@ void scal(index_t n, real alpha, real* x) noexcept;
 /// y = x
 void copy(index_t n, const real* x, real* y) noexcept;
 
-/// Index of the element with the largest |x[i]| (first on ties); -1 if empty.
-[[nodiscard]] index_t iamax(index_t n, const real* x) noexcept;
-
 /// y = alpha * A @ x + beta * y, A is m x n row-major with leading dim lda.
 void gemv(index_t m, index_t n, real alpha, const real* a, index_t lda,
           const real* x, real beta, real* y) noexcept;
@@ -72,18 +69,11 @@ void gemm_nt_naive(index_t m, index_t n, index_t k, real alpha, const real* a,
 // used by the blocked CGS2 reorthogonalization where a single level-2 call
 // spans the whole Lanczos basis, and by the thick restart and Ritz
 // extraction (gemm_par).  Every output element is written by exactly one
-// worker with the serial kernel's summation order, so axpy_par, gemv_par,
-// gemv_t_par and gemm_par are bitwise equal to their serial kernels at any
-// worker count; dot_par folds per-worker partials in worker order and is
-// deterministic for a fixed worker count.  Inputs below an internal work
-// threshold run the serial kernels, so these are safe drop-ins at any
-// size.  Like every par.h loop they are all-or-throw under a hard cancel.
-
-/// Parallel dot (per-worker partials combined in worker order).
-[[nodiscard]] real dot_par(index_t n, const real* x, const real* y);
-
-/// Parallel y += alpha * x.
-void axpy_par(index_t n, real alpha, const real* x, real* y);
+// worker with the serial kernel's summation order, so each kernel is
+// bitwise equal to its serial counterpart at any worker count.  Inputs
+// below an internal work threshold run the serial kernels, so these are
+// safe drop-ins at any size.  Like every par.h loop they are all-or-throw
+// under a hard cancel.
 
 /// Parallel gemv: rows of A are independent dots, split across workers.
 void gemv_par(index_t m, index_t n, real alpha, const real* a, index_t lda,

@@ -1,11 +1,13 @@
-// Data-parallel loop primitives over a ThreadPool.
+// Data-parallel loop over a ThreadPool.
 //
 // parallel_for splits [begin, end) into one contiguous chunk per worker —
 // the same owner-computes decomposition the paper's CUDA kernels use (one
 // logical GPU thread per row / edge / data point, scheduled in blocks).
+// There is deliberately no host reduction here: a fold over per-worker
+// partials would change its bits with the worker count.  Reductions fold
+// fixed-size blocks in order instead (device::reduce).
 #pragma once
 
-#include <atomic>
 #include <functional>
 
 #include "common/cancel.h"
@@ -71,90 +73,6 @@ void parallel_for(ThreadPool& pool, index_t begin, index_t end, const Body& body
 template <class Body>
 void parallel_for(index_t begin, index_t end, const Body& body) {
   parallel_for(default_thread_pool(), begin, end, body);
-}
-
-/// Chunked (dynamic) scheduling variant: workers claim consecutive chunks
-/// of `grain` iterations from a shared counter instead of taking one big
-/// contiguous slice each, so loops whose per-iteration cost is imbalanced
-/// stop paying the slowest-chunk tail.  Chunks stay contiguous, so the
-/// per-chunk locality of the owner-computes split is preserved; only the
-/// chunk-to-worker assignment becomes nondeterministic (the body must not
-/// care which worker runs it, same contract as above).  grain <= 0 falls
-/// back to the default owner-computes split.
-template <class Body>
-void parallel_for(ThreadPool& pool, index_t begin, index_t end, index_t grain,
-                  const Body& body) {
-  if (grain <= 0) {
-    parallel_for(pool, begin, end, body);
-    return;
-  }
-  const index_t n = end - begin;
-  if (n <= 0) return;
-  const auto workers = static_cast<index_t>(pool.worker_count());
-  if (workers == 1 || n <= grain) {
-    par_detail::run_cancellable(begin, end, body);
-    par_detail::surface_interrupt();
-    return;
-  }
-  std::atomic<index_t> next{begin};
-  std::function<void(usize)> job = [&](usize) {
-    for (;;) {
-      const index_t lo = next.fetch_add(grain, std::memory_order_relaxed);
-      if (lo >= end) return;
-      const index_t hi = lo + grain < end ? lo + grain : end;
-      par_detail::run_cancellable(lo, hi, body);
-    }
-  };
-  pool.run_workers(job);
-  par_detail::surface_interrupt();
-}
-
-/// Chunked parallel_for on the process-default pool.
-template <class Body>
-void parallel_for(index_t begin, index_t end, index_t grain,
-                  const Body& body) {
-  parallel_for(default_thread_pool(), begin, end, grain, body);
-}
-
-/// Reduce body(i) over [begin, end) with `combine`, starting from `init`.
-/// combine must be associative; per-worker partials are combined in worker
-/// order so the result is deterministic for a fixed worker count.
-template <class T, class Body, class Combine>
-T parallel_reduce(ThreadPool& pool, index_t begin, index_t end, T init,
-                  const Body& body, const Combine& combine) {
-  const index_t n = end - begin;
-  if (n <= 0) return init;
-  const auto workers = static_cast<index_t>(pool.worker_count());
-  if (workers == 1) {
-    T acc = init;
-    par_detail::run_cancellable(begin, end,
-                                [&](index_t i) { acc = combine(acc, body(i)); });
-    par_detail::surface_interrupt();
-    return acc;
-  }
-  const index_t chunk = (n + workers - 1) / workers;
-  std::vector<T> partials(static_cast<usize>(workers), init);
-  std::function<void(usize)> job = [&](usize w) {
-    const index_t lo = begin + static_cast<index_t>(w) * chunk;
-    const index_t hi = lo + chunk < end ? lo + chunk : end;
-    T acc = init;
-    par_detail::run_cancellable(lo, hi,
-                                [&](index_t i) { acc = combine(acc, body(i)); });
-    partials[w] = acc;
-  };
-  pool.run_workers(job);
-  // A stopped worker leaves a truncated partial; the poll below throws before
-  // the combined value can escape.
-  par_detail::surface_interrupt();
-  T acc = init;
-  for (const T& p : partials) acc = combine(acc, p);
-  return acc;
-}
-
-template <class T, class Body, class Combine>
-T parallel_reduce(index_t begin, index_t end, T init, const Body& body,
-                  const Combine& combine) {
-  return parallel_reduce(default_thread_pool(), begin, end, init, body, combine);
 }
 
 }  // namespace fastsc

@@ -68,11 +68,6 @@ void StageClock::stop() {
   timer_.reset();
 }
 
-void StageClock::add(std::string_view stage, double seconds) {
-  std::lock_guard lock(mu_);
-  entry_locked(stage).seconds += seconds;
-}
-
 double StageClock::seconds(std::string_view stage) const {
   std::lock_guard lock(mu_);
   for (const Entry& e : entries_) {

@@ -15,10 +15,10 @@
 
 namespace fastsc {
 
-/// Accumulates wall time into named stages.  Thread-safe: the pipeline owns
-/// one clock and start()/stop()s its own sequential stages, while other
-/// threads may add() time concurrently.  The start/stop pair itself still
-/// assumes one driving thread.
+/// Accumulates wall time into named stages.  The pipeline owns one clock
+/// and start()/stop()s its own sequential stages from one driving thread.
+/// Every member locks, so another thread may read or copy the clock while
+/// the stages run.
 ///
 /// start() calls may nest: starting stage B while stage A runs *pauses* A,
 /// and the matching stop() resumes it, so each stage accumulates exclusive
@@ -42,10 +42,6 @@ class StageClock {
   /// Stop the innermost running stage, adding its elapsed time, and resume
   /// the stage it preempted (if any).  No-op when nothing is running.
   void stop();
-
-  /// Add externally measured seconds to a stage (e.g. modeled PCIe time).
-  /// Safe to call from any thread, including while another stage runs.
-  void add(std::string_view stage, double seconds);
 
   /// Accumulated seconds for a stage; 0 if the stage never ran.
   [[nodiscard]] double seconds(std::string_view stage) const;

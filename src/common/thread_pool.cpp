@@ -1,5 +1,7 @@
 #include "common/thread_pool.h"
 
+#include <sched.h>
+
 #include <algorithm>
 
 #include "common/cancel.h"
@@ -7,11 +9,24 @@
 
 namespace fastsc {
 
-ThreadPool::ThreadPool(usize workers) {
-  usize n = workers;
-  if (n == 0) {
-    n = std::max<usize>(1, std::thread::hardware_concurrency());
+namespace {
+
+/// CPUs the calling thread may run on.  A taskset or cpuset limit shows in
+/// the affinity mask but not in hardware_concurrency(), and a pool larger
+/// than the mask only time-slices its workers.
+usize affinity_cpu_count() {
+  cpu_set_t set;
+  CPU_ZERO(&set);
+  if (sched_getaffinity(0, sizeof(set), &set) == 0 && CPU_COUNT(&set) > 0) {
+    return static_cast<usize>(CPU_COUNT(&set));
   }
+  return std::max<usize>(1, std::thread::hardware_concurrency());
+}
+
+}  // namespace
+
+ThreadPool::ThreadPool(usize workers) {
+  const usize n = workers == 0 ? affinity_cpu_count() : workers;
   // Worker 0 is the calling thread; spawn n-1 helpers.
   threads_.reserve(n - 1);
   for (usize i = 1; i < n; ++i) {

@@ -32,7 +32,9 @@ namespace fastsc {
 
 class ThreadPool {
  public:
-  /// Create a pool with `workers` threads; 0 means hardware_concurrency.
+  /// Create a pool with `workers` threads; 0 means one per CPU in the
+  /// calling thread's affinity mask (hardware_concurrency if that is
+  /// unavailable).
   explicit ThreadPool(usize workers = 0);
   ~ThreadPool();
 
@@ -80,7 +82,8 @@ class ThreadPool {
   std::atomic<std::uint64_t> jobs_dispatched_{0};
 };
 
-/// Process-wide default pool (sized to hardware concurrency).
+/// Process-wide default pool, sized like ThreadPool(0) from the affinity
+/// mask of the thread that first asks for it.
 ThreadPool& default_thread_pool();
 
 }  // namespace fastsc

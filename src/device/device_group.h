@@ -1,14 +1,14 @@
 // DeviceGroup: N simulated devices with a modeled peer-to-peer link.
 //
-// The paper runs on a single K20c; its natural scale-out (and ROADMAP's top
-// open item) is the multi-GPU design of Sgherzi et al. (arXiv:2201.07498):
-// 1-D row-partitioned operators, halo/allgather exchange of the dense
-// vector, and allreduce for the small reductions.  This module supplies the
-// runtime half of that design:
+// The paper runs on a single K20c; its natural scale-out is the multi-GPU
+// design of Sgherzi et al. (arXiv:2201.07498): 1-D row-partitioned
+// operators, halo/allgather exchange of the dense vector, and allreduce for
+// the small reductions.  This module supplies the runtime half of that
+// design:
 //
 //   * each device is a full DeviceContext — its own arena accounting,
-//     streams, counters, attribution registry, and virtual timeline, with
-//     trace tracks (2i+1, 2i+2) inside obs::kVirtualPid so all N timelines
+//     counters, attribution registry, and virtual timeline, with trace
+//     tracks (2i+1, 2i+2) inside obs::kVirtualPid so all N timelines
 //     coexist in one trace;
 //   * peer copies (copy_peer) move bytes device-to-device without touching
 //     the host, metered on the *destination* context's link engine for the

@@ -4,8 +4,6 @@
 #include <cmath>
 #include <numeric>
 
-#include "common/error.h"
-
 namespace fastsc::sparse {
 
 void sort_and_merge(Coo& coo) {
@@ -78,164 +76,6 @@ Coo csr_to_coo(const Csr& csr) {
     }
   }
   return coo;
-}
-
-Csc csr_to_csc(const Csr& csr) {
-  csr.validate();
-  Csc csc(csr.rows, csr.cols);
-  const usize nnz = csr.values.size();
-  csc.row_idx.resize(nnz);
-  csc.values.resize(nnz);
-  for (index_t c : csr.col_idx) {
-    csc.col_ptr[static_cast<usize>(c) + 1] += 1;
-  }
-  for (usize c = 0; c < static_cast<usize>(csr.cols); ++c) {
-    csc.col_ptr[c + 1] += csc.col_ptr[c];
-  }
-  std::vector<index_t> cursor(csc.col_ptr.begin(), csc.col_ptr.end() - 1);
-  for (index_t r = 0; r < csr.rows; ++r) {
-    for (index_t p = csr.row_ptr[static_cast<usize>(r)];
-         p < csr.row_ptr[static_cast<usize>(r) + 1]; ++p) {
-      const auto c = static_cast<usize>(csr.col_idx[static_cast<usize>(p)]);
-      const auto dst = static_cast<usize>(cursor[c]++);
-      csc.row_idx[dst] = r;
-      csc.values[dst] = csr.values[static_cast<usize>(p)];
-    }
-  }
-  return csc;
-}
-
-Csr csc_to_csr(const Csc& csc) {
-  csc.validate();
-  Csr csr(csc.rows, csc.cols);
-  const usize nnz = csc.values.size();
-  csr.col_idx.resize(nnz);
-  csr.values.resize(nnz);
-  for (index_t r : csc.row_idx) {
-    csr.row_ptr[static_cast<usize>(r) + 1] += 1;
-  }
-  for (usize r = 0; r < static_cast<usize>(csc.rows); ++r) {
-    csr.row_ptr[r + 1] += csr.row_ptr[r];
-  }
-  std::vector<index_t> cursor(csr.row_ptr.begin(), csr.row_ptr.end() - 1);
-  for (index_t c = 0; c < csc.cols; ++c) {
-    for (index_t p = csc.col_ptr[static_cast<usize>(c)];
-         p < csc.col_ptr[static_cast<usize>(c) + 1]; ++p) {
-      const auto r = static_cast<usize>(csc.row_idx[static_cast<usize>(p)]);
-      const auto dst = static_cast<usize>(cursor[r]++);
-      csr.col_idx[dst] = c;
-      csr.values[dst] = csc.values[static_cast<usize>(p)];
-    }
-  }
-  return csr;
-}
-
-Bsr csr_to_bsr(const Csr& csr, index_t block_size) {
-  FASTSC_CHECK(block_size >= 1, "block size must be positive");
-  csr.validate();
-  Bsr bsr;
-  bsr.rows = csr.rows;
-  bsr.cols = csr.cols;
-  bsr.block_size = block_size;
-  bsr.block_rows = (csr.rows + block_size - 1) / block_size;
-  bsr.block_cols = (csr.cols + block_size - 1) / block_size;
-  bsr.block_row_ptr.assign(static_cast<usize>(bsr.block_rows) + 1, 0);
-
-  // Pass 1: count distinct block columns per block row.
-  std::vector<index_t> last_seen(static_cast<usize>(bsr.block_cols), -1);
-  for (index_t br = 0; br < bsr.block_rows; ++br) {
-    index_t count = 0;
-    const index_t r_lo = br * block_size;
-    const index_t r_hi = std::min(r_lo + block_size, csr.rows);
-    for (index_t r = r_lo; r < r_hi; ++r) {
-      for (index_t p = csr.row_ptr[static_cast<usize>(r)];
-           p < csr.row_ptr[static_cast<usize>(r) + 1]; ++p) {
-        const index_t bc = csr.col_idx[static_cast<usize>(p)] / block_size;
-        if (last_seen[static_cast<usize>(bc)] != br) {
-          last_seen[static_cast<usize>(bc)] = br;
-          ++count;
-        }
-      }
-    }
-    bsr.block_row_ptr[static_cast<usize>(br) + 1] =
-        bsr.block_row_ptr[static_cast<usize>(br)] + count;
-  }
-  const index_t nblocks = bsr.block_row_ptr.back();
-  bsr.block_col_idx.assign(static_cast<usize>(nblocks), 0);
-  bsr.values.assign(static_cast<usize>(nblocks) *
-                        static_cast<usize>(block_size) *
-                        static_cast<usize>(block_size),
-                    0.0);
-
-  // Pass 2: assign block slots (sorted by block column) and scatter values.
-  std::vector<index_t> slot_of_block(static_cast<usize>(bsr.block_cols), -1);
-  std::fill(last_seen.begin(), last_seen.end(), -1);
-  for (index_t br = 0; br < bsr.block_rows; ++br) {
-    const index_t base = bsr.block_row_ptr[static_cast<usize>(br)];
-    index_t next = base;
-    const index_t r_lo = br * block_size;
-    const index_t r_hi = std::min(r_lo + block_size, csr.rows);
-    // Collect distinct block columns in this block row.
-    std::vector<index_t> bcols;
-    for (index_t r = r_lo; r < r_hi; ++r) {
-      for (index_t p = csr.row_ptr[static_cast<usize>(r)];
-           p < csr.row_ptr[static_cast<usize>(r) + 1]; ++p) {
-        const index_t bc = csr.col_idx[static_cast<usize>(p)] / block_size;
-        if (last_seen[static_cast<usize>(bc)] != br) {
-          last_seen[static_cast<usize>(bc)] = br;
-          bcols.push_back(bc);
-        }
-      }
-    }
-    std::sort(bcols.begin(), bcols.end());
-    for (index_t bc : bcols) {
-      bsr.block_col_idx[static_cast<usize>(next)] = bc;
-      slot_of_block[static_cast<usize>(bc)] = next;
-      ++next;
-    }
-    FASTSC_ASSERT(next == bsr.block_row_ptr[static_cast<usize>(br) + 1]);
-    for (index_t r = r_lo; r < r_hi; ++r) {
-      for (index_t p = csr.row_ptr[static_cast<usize>(r)];
-           p < csr.row_ptr[static_cast<usize>(r) + 1]; ++p) {
-        const index_t c = csr.col_idx[static_cast<usize>(p)];
-        const index_t bc = c / block_size;
-        const index_t slot = slot_of_block[static_cast<usize>(bc)];
-        const index_t local =
-            (r - r_lo) * block_size + (c - bc * block_size);
-        bsr.values[static_cast<usize>(slot) * static_cast<usize>(block_size) *
-                       static_cast<usize>(block_size) +
-                   static_cast<usize>(local)] +=
-            csr.values[static_cast<usize>(p)];
-      }
-    }
-  }
-  return bsr;
-}
-
-Csr bsr_to_csr(const Bsr& bsr) {
-  bsr.validate();
-  Coo coo(bsr.rows, bsr.cols);
-  const index_t b = bsr.block_size;
-  for (index_t br = 0; br < bsr.block_rows; ++br) {
-    for (index_t s = bsr.block_row_ptr[static_cast<usize>(br)];
-         s < bsr.block_row_ptr[static_cast<usize>(br) + 1]; ++s) {
-      const index_t bc = bsr.block_col_idx[static_cast<usize>(s)];
-      const real* block =
-          bsr.values.data() + static_cast<usize>(s) * static_cast<usize>(b) *
-                                  static_cast<usize>(b);
-      for (index_t i = 0; i < b; ++i) {
-        const index_t r = br * b + i;
-        if (r >= bsr.rows) break;
-        for (index_t j = 0; j < b; ++j) {
-          const index_t c = bc * b + j;
-          if (c >= bsr.cols) break;
-          const real v = block[i * b + j];
-          if (v != 0) coo.push(r, c, v);
-        }
-      }
-    }
-  }
-  return coo_to_csr(coo);
 }
 
 Csr dense_to_csr(index_t rows, index_t cols, const real* dense, real drop_tol) {

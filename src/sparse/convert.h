@@ -1,13 +1,10 @@
 // Conversions between sparse formats.
 //
 // coo_to_csr is the cusparseXcoo2csr step of the paper's Algorithm 2; the
-// other conversions back the "other formats are also supported" claim and
-// give the SpMV format-comparison bench its inputs.
+// dense conversions give the tests their reference matrices.
 #pragma once
 
-#include "sparse/bsr.h"
 #include "sparse/coo.h"
-#include "sparse/csc.h"
 #include "sparse/csr.h"
 
 namespace fastsc::sparse {
@@ -22,18 +19,6 @@ void sort_and_merge(Coo& coo);
 
 /// CSR -> COO (rows expanded from the prefix sums).
 [[nodiscard]] Coo csr_to_coo(const Csr& csr);
-
-/// CSR -> CSC (equivalently: CSR of the transpose).
-[[nodiscard]] Csc csr_to_csc(const Csr& csr);
-
-/// CSC -> CSR.
-[[nodiscard]] Csr csc_to_csr(const Csc& csc);
-
-/// CSR -> BSR with the given block size (zero-padded partial blocks).
-[[nodiscard]] Bsr csr_to_bsr(const Csr& csr, index_t block_size);
-
-/// BSR -> CSR (drops stored zeros introduced by padding).
-[[nodiscard]] Csr bsr_to_csr(const Bsr& bsr);
 
 /// Dense row-major -> CSR, keeping entries with |v| > drop_tol.
 [[nodiscard]] Csr dense_to_csr(index_t rows, index_t cols, const real* dense,

@@ -22,14 +22,26 @@ std::vector<real> row_sums(const Csr& a) {
 }
 
 Csr transpose(const Csr& a) {
-  const Csc csc = csr_to_csc(a);
-  // The CSC of A holds exactly the CSR of A^T with rows/cols swapped.
-  Csr t;
-  t.rows = a.cols;
-  t.cols = a.rows;
-  t.row_ptr = csc.col_ptr;
-  t.col_idx = csc.row_idx;
-  t.values = csc.values;
+  a.validate();
+  // Counting sort on columns: column c of A becomes row c of A^T, and rows
+  // are visited in order, so every row of the result is column-sorted.
+  Csr t(a.cols, a.rows);
+  t.col_idx.resize(a.col_idx.size());
+  t.values.resize(a.values.size());
+  for (index_t c : a.col_idx) t.row_ptr[static_cast<usize>(c) + 1] += 1;
+  for (usize c = 0; c < static_cast<usize>(a.cols); ++c) {
+    t.row_ptr[c + 1] += t.row_ptr[c];
+  }
+  std::vector<index_t> cursor(t.row_ptr.begin(), t.row_ptr.end() - 1);
+  for (index_t r = 0; r < a.rows; ++r) {
+    for (index_t p = a.row_ptr[static_cast<usize>(r)];
+         p < a.row_ptr[static_cast<usize>(r) + 1]; ++p) {
+      const auto c = static_cast<usize>(a.col_idx[static_cast<usize>(p)]);
+      const auto dst = static_cast<usize>(cursor[c]++);
+      t.col_idx[dst] = r;
+      t.values[dst] = a.values[static_cast<usize>(p)];
+    }
+  }
   return t;
 }
 
@@ -61,12 +73,6 @@ std::vector<real> diagonal(const Csr& a) {
   return d;
 }
 
-real frobenius_norm(const Csr& a) {
-  real acc = 0;
-  for (real v : a.values) acc += v * v;
-  return std::sqrt(acc);
-}
-
 real inf_norm(const Csr& a) {
   real best = 0;
   for (index_t r = 0; r < a.rows; ++r) {
@@ -80,24 +86,6 @@ real inf_norm(const Csr& a) {
   return best;
 }
 
-Csr drop_small(const Csr& a, real tol) {
-  Csr out(a.rows, a.cols);
-  out.col_idx.reserve(a.col_idx.size());
-  out.values.reserve(a.values.size());
-  for (index_t r = 0; r < a.rows; ++r) {
-    for (index_t p = a.row_ptr[static_cast<usize>(r)];
-         p < a.row_ptr[static_cast<usize>(r) + 1]; ++p) {
-      if (std::fabs(a.values[static_cast<usize>(p)]) > tol) {
-        out.col_idx.push_back(a.col_idx[static_cast<usize>(p)]);
-        out.values.push_back(a.values[static_cast<usize>(p)]);
-      }
-    }
-    out.row_ptr[static_cast<usize>(r) + 1] =
-        static_cast<index_t>(out.values.size());
-  }
-  return out;
-}
-
 Csr symmetrize(const Csr& a) {
   FASTSC_CHECK(a.rows == a.cols, "symmetrize requires a square matrix");
   Coo acc = csr_to_coo(a);
@@ -109,14 +97,6 @@ Csr symmetrize(const Csr& a) {
   for (real& v : acc.values) v *= 0.5;
   sort_and_merge(acc);
   return coo_to_csr(acc);
-}
-
-index_t empty_row_count(const Csr& a) {
-  index_t count = 0;
-  for (index_t r = 0; r < a.rows; ++r) {
-    if (a.row_nnz(r) == 0) ++count;
-  }
-  return count;
 }
 
 }  // namespace fastsc::sparse

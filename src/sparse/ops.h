@@ -20,19 +20,10 @@ namespace fastsc::sparse {
 /// Stored diagonal (0 where absent); square matrices only.
 [[nodiscard]] std::vector<real> diagonal(const Csr& a);
 
-/// Frobenius norm of stored values.
-[[nodiscard]] real frobenius_norm(const Csr& a);
-
 /// Infinity norm (max absolute row sum).
 [[nodiscard]] real inf_norm(const Csr& a);
 
-/// Remove entries with |v| <= tol; keeps structure sorted if it was sorted.
-[[nodiscard]] Csr drop_small(const Csr& a, real tol);
-
 /// Symmetrize: (A + A^T) / 2.
 [[nodiscard]] Csr symmetrize(const Csr& a);
-
-/// Number of rows with zero stored entries (isolated graph nodes).
-[[nodiscard]] index_t empty_row_count(const Csr& a);
 
 }  // namespace fastsc::sparse

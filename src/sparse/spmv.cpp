@@ -72,42 +72,6 @@ void coo_mv(const Coo& a, const real* x, real* y, real alpha, real beta) {
   }
 }
 
-void csc_mv(const Csc& a, const real* x, real* y, real alpha, real beta) {
-  host_beta_prologue(a.rows, beta, y);
-  for (index_t c = 0; c < a.cols; ++c) {
-    const real s = alpha * x[c];
-    if (s == 0) continue;
-    for (index_t p = a.col_ptr[static_cast<usize>(c)];
-         p < a.col_ptr[static_cast<usize>(c) + 1]; ++p) {
-      y[a.row_idx[static_cast<usize>(p)]] +=
-          s * a.values[static_cast<usize>(p)];
-    }
-  }
-}
-
-void bsr_mv(const Bsr& a, const real* x, real* y, real alpha, real beta) {
-  const index_t b = a.block_size;
-  host_beta_prologue(a.rows, beta, y);
-  for (index_t br = 0; br < a.block_rows; ++br) {
-    const index_t r_lo = br * b;
-    const index_t r_hi = std::min(r_lo + b, a.rows);
-    for (index_t s = a.block_row_ptr[static_cast<usize>(br)];
-         s < a.block_row_ptr[static_cast<usize>(br) + 1]; ++s) {
-      const index_t c_lo = a.block_col_idx[static_cast<usize>(s)] * b;
-      const index_t c_hi = std::min(c_lo + b, a.cols);
-      const real* block = a.values.data() +
-                          static_cast<usize>(s) * static_cast<usize>(b) *
-                              static_cast<usize>(b);
-      for (index_t r = r_lo; r < r_hi; ++r) {
-        real acc = 0;
-        const real* brow = block + (r - r_lo) * b;
-        for (index_t c = c_lo; c < c_hi; ++c) acc += brow[c - c_lo] * x[c];
-        y[r] += alpha * acc;
-      }
-    }
-  }
-}
-
 DeviceCsr::DeviceCsr(device::DeviceContext& ctx, const Csr& host)
     : rows(host.rows),
       cols(host.cols),
@@ -344,153 +308,6 @@ void device_coo2csr(device::DeviceContext& ctx, const DeviceCoo& coo,
                     [](index_t c) { return c; });
   device::transform(ctx, coo.values.data(), out.values.data(), nnz,
                     [](real v) { return v; });
-}
-
-DeviceCsc::DeviceCsc(device::DeviceContext& ctx, const Csc& host)
-    : rows(host.rows),
-      cols(host.cols),
-      col_ptr(ctx, std::span<const index_t>(host.col_ptr)),
-      row_idx(ctx, std::span<const index_t>(host.row_idx)),
-      values(ctx, std::span<const real>(host.values)) {}
-
-Csc DeviceCsc::to_host() const {
-  Csc out;
-  out.rows = rows;
-  out.cols = cols;
-  out.col_ptr = col_ptr.to_host();
-  out.row_idx = row_idx.to_host();
-  out.values = values.to_host();
-  return out;
-}
-
-DeviceBsr::DeviceBsr(device::DeviceContext& ctx, const Bsr& host)
-    : rows(host.rows),
-      cols(host.cols),
-      block_size(host.block_size),
-      block_rows(host.block_rows),
-      block_cols(host.block_cols),
-      block_row_ptr(ctx, std::span<const index_t>(host.block_row_ptr)),
-      block_col_idx(ctx, std::span<const index_t>(host.block_col_idx)),
-      values(ctx, std::span<const real>(host.values)) {}
-
-Bsr DeviceBsr::to_host() const {
-  Bsr out;
-  out.rows = rows;
-  out.cols = cols;
-  out.block_size = block_size;
-  out.block_rows = block_rows;
-  out.block_cols = block_cols;
-  out.block_row_ptr = block_row_ptr.to_host();
-  out.block_col_idx = block_col_idx.to_host();
-  out.values = values.to_host();
-  return out;
-}
-
-void device_cscmv(device::DeviceContext& ctx, const DeviceCsc& a, const real* x,
-                  real* y, real alpha, real beta) {
-  const index_t rows = a.rows;
-  const index_t cols = a.cols;
-  // Scale/clear the output first.
-  obs::AttrSiteScope attr_site("spmv.csc");
-  if (beta == 0) {
-    device::fill(ctx, y, rows, real{0});
-  } else if (beta != 1) {
-    device::launch(ctx, rows, [=](index_t i) { y[i] *= beta; },
-                   device::tagged("spmv.csc", static_cast<double>(rows),
-                                  rows * static_cast<double>(sizeof(real)),
-                                  rows * static_cast<double>(sizeof(real))));
-  }
-  if (a.nnz() == 0 || alpha == 0) {
-    return;
-  }
-  const index_t* col_ptr = a.col_ptr.data();
-  const index_t* row_idx = a.row_idx.data();
-  const real* values = a.values.data();
-
-  // Column-parallel scatter: each worker accumulates into a private output
-  // slice, then a row-parallel reduction folds the partials into y (the
-  // deterministic stand-in for GPU atomics).
-  WallTimer t;
-  const double nnz = static_cast<double>(a.nnz());
-  const obs::KernelCost scatter_cost{
-      "spmv.csc", 2.0 * nnz,
-      nnz * (2.0 * sizeof(real) + sizeof(index_t)) +
-          (cols + 1.0) * sizeof(index_t),
-      nnz * static_cast<double>(sizeof(real))};
-  const auto workers = static_cast<index_t>(ctx.pool().worker_count());
-  if (workers == 1) {
-    for (index_t c = 0; c < cols; ++c) {
-      const real s = alpha * x[c];
-      if (s == 0) continue;
-      for (index_t p = col_ptr[c]; p < col_ptr[c + 1]; ++p) {
-        y[row_idx[p]] += s * values[p];
-      }
-    }
-    ctx.record_kernel(t.seconds(), -1.0, scatter_cost);
-    return;
-  }
-  std::vector<real> partials(
-      static_cast<usize>(workers) * static_cast<usize>(rows), 0.0);
-  const index_t chunk = (cols + workers - 1) / workers;
-  std::function<void(usize)> job = [&](usize w) {
-    const index_t lo = static_cast<index_t>(w) * chunk;
-    const index_t hi = lo + chunk < cols ? lo + chunk : cols;
-    real* part = partials.data() + static_cast<index_t>(w) * rows;
-    for (index_t c = lo; c < hi; ++c) {
-      const real s = alpha * x[c];
-      if (s == 0) continue;
-      for (index_t p = col_ptr[c]; p < col_ptr[c + 1]; ++p) {
-        part[row_idx[p]] += s * values[p];
-      }
-    }
-  };
-  ctx.run_compute(job);
-  ctx.record_kernel(t.seconds(), -1.0, scatter_cost);
-  const double reduce_reads =
-      static_cast<double>(workers) * rows * sizeof(real);
-  device::launch(ctx, rows,
-                 [&partials, y, workers, rows](index_t i) {
-                   real acc = 0;
-                   for (index_t w = 0; w < workers; ++w) {
-                     acc += partials[w * rows + i];
-                   }
-                   y[i] += acc;
-                 },
-                 device::tagged("spmv.csc_reduce",
-                                static_cast<double>(workers) * rows,
-                                reduce_reads,
-                                rows * static_cast<double>(sizeof(real))));
-}
-
-void device_bsrmv(device::DeviceContext& ctx, const DeviceBsr& a, const real* x,
-                  real* y, real alpha, real beta) {
-  const index_t b = a.block_size;
-  const index_t* block_row_ptr = a.block_row_ptr.data();
-  const index_t* block_col_idx = a.block_col_idx.data();
-  const real* values = a.values.data();
-  const index_t rows = a.rows;
-  const index_t cols = a.cols;
-  const double nblk = static_cast<double>(a.block_col_idx.size());
-  const double blk2 = static_cast<double>(b) * b;
-  device::LaunchConfig bsr_cfg = device::tagged(
-      "spmv.bsr", 2.0 * nblk * blk2,
-      nblk * (blk2 + static_cast<double>(b)) * sizeof(real) +
-          nblk * sizeof(index_t) + (a.block_rows + 1.0) * sizeof(index_t),
-      rows * static_cast<double>(sizeof(real)));
-  device::launch(ctx, a.block_rows, [=](index_t br) {
-    const index_t r_lo = br * b;
-    const index_t r_hi = r_lo + b < rows ? r_lo + b : rows;
-    for (index_t r = r_lo; r < r_hi; ++r) {
-      real acc = 0;
-      for (index_t s = block_row_ptr[br]; s < block_row_ptr[br + 1]; ++s) {
-        const index_t c_lo = block_col_idx[s] * b;
-        const index_t c_hi = c_lo + b < cols ? c_lo + b : cols;
-        const real* brow = values + s * b * b + (r - r_lo) * b;
-        for (index_t c = c_lo; c < c_hi; ++c) acc += brow[c - c_lo] * x[c];
-      }
-      y[r] = alpha * acc + (beta == 0 ? 0 : beta * y[r]);
-    }
-  }, bsr_cfg);
 }
 
 void device_sort_coo(device::DeviceContext& ctx, DeviceCoo& coo) {

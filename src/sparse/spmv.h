@@ -3,15 +3,13 @@
 // device_csrmv is the cusparseDcsrmv stand-in driving the paper's Algorithm
 // 3: the eigensolver's reverse-communication loop hands a vector to the
 // device, the device multiplies by D^-1 W in CSR, and the result goes back.
-// Host variants cover all four formats for the baselines and the format-
+// The host CSR and COO variants serve the baselines and the format-
 // comparison bench.
 #pragma once
 
 #include "common/precision.h"
 #include "device/device.h"
-#include "sparse/bsr.h"
 #include "sparse/coo.h"
-#include "sparse/csc.h"
 #include "sparse/csr.h"
 
 namespace fastsc::sparse {
@@ -22,12 +20,6 @@ void csr_mv(const Csr& a, const real* x, real* y, real alpha = 1.0,
             real beta = 0.0);
 
 void coo_mv(const Coo& a, const real* x, real* y, real alpha = 1.0,
-            real beta = 0.0);
-
-void csc_mv(const Csc& a, const real* x, real* y, real alpha = 1.0,
-            real beta = 0.0);
-
-void bsr_mv(const Bsr& a, const real* x, real* y, real alpha = 1.0,
             real beta = 0.0);
 
 // ---- device-resident CSR and SpMV -----------------------------------------
@@ -173,51 +165,5 @@ void device_coo2csr(device::DeviceContext& ctx, const DeviceCoo& coo,
 /// Sort device COO entries by (row, col) in place (thrust::sort_by_key
 /// equivalent; preparation for device_coo2csr).
 void device_sort_coo(device::DeviceContext& ctx, DeviceCoo& coo);
-
-/// CSC matrix living in device memory.
-struct DeviceCsc {
-  index_t rows = 0;
-  index_t cols = 0;
-  device::DeviceBuffer<index_t> col_ptr;
-  device::DeviceBuffer<index_t> row_idx;
-  device::DeviceBuffer<real> values;
-
-  DeviceCsc() = default;
-  DeviceCsc(device::DeviceContext& ctx, const Csc& host);
-  [[nodiscard]] index_t nnz() const noexcept {
-    return static_cast<index_t>(values.size());
-  }
-  [[nodiscard]] Csc to_host() const;
-};
-
-/// BSR matrix living in device memory.
-struct DeviceBsr {
-  index_t rows = 0;
-  index_t cols = 0;
-  index_t block_size = 1;
-  index_t block_rows = 0;
-  index_t block_cols = 0;
-  device::DeviceBuffer<index_t> block_row_ptr;
-  device::DeviceBuffer<index_t> block_col_idx;
-  device::DeviceBuffer<real> values;
-
-  DeviceBsr() = default;
-  DeviceBsr(device::DeviceContext& ctx, const Bsr& host);
-  [[nodiscard]] index_t block_count() const noexcept {
-    return static_cast<index_t>(block_col_idx.size());
-  }
-  [[nodiscard]] Bsr to_host() const;
-};
-
-/// y = alpha * A @ x + beta * y for device CSC.  Column-parallel scatter
-/// with per-worker partial outputs reduced at the end (the CPU-simulated
-/// equivalent of cuSPARSE's atomics-based cscmv).
-void device_cscmv(device::DeviceContext& ctx, const DeviceCsc& a, const real* x,
-                  real* y, real alpha = 1.0, real beta = 0.0);
-
-/// y = alpha * A @ x + beta * y for device BSR; one logical thread per
-/// block row (cusparseDbsrmv).
-void device_bsrmv(device::DeviceContext& ctx, const DeviceBsr& a, const real* x,
-                  real* y, real alpha = 1.0, real beta = 0.0);
 
 }  // namespace fastsc::sparse

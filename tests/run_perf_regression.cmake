@@ -6,8 +6,10 @@
 #      tools/check_bench_regression.py under the per-metric tolerances in
 #      tools/bench_tolerances.json — all suites must pass,
 #   3. self-test the gate: re-judge the fresh spmv snapshot with
-#      --degrade spmv.wave_max_nnz=2.0 and require that the checker FAILS
-#      (a gate that cannot fail protects nothing).
+#      --degrade spmv.wave_max_nnz=2.0, and judge the fresh service snapshot
+#      against a copy of its baseline with one injected key the program does
+#      not emit; require that the checker FAILS both times (a gate that
+#      cannot fail protects nothing).
 #
 # Expected -D definitions: SPMV_BENCH (bench_spmv_balance), SERVICE_BENCH
 # (bench_service), SCALING_BENCH (bench_scaling_devices), PRECISION_BENCH
@@ -97,5 +99,23 @@ if(rc EQUAL 0)
   message(FATAL_ERROR "gate self-test failed: a 2x-degraded "
           "spmv.wave_max_nnz passed the regression check")
 endif()
-message(STATUS "perf regression gate OK: both suites within tolerance and "
-        "the degraded self-test fails as required")
+
+# Gate self-test: a baseline key absent from the fresh snapshot (a metric the
+# program stopped emitting) must fail the check by name.
+file(READ "${BASELINES}/BENCH_service.json" service_baseline)
+string(JSON stale_baseline SET "${service_baseline}" counters
+       "selftest.stale_counter" "1")
+set(stale_baseline_file "${WORKDIR}/stale_service_baseline.json")
+file(WRITE "${stale_baseline_file}" "${stale_baseline}")
+execute_process(
+  COMMAND "${PYTHON}" "${CHECKER}" --suite service
+          --baseline "${stale_baseline_file}" --fresh "${service_fresh}"
+          --tolerances "${TOLERANCES}"
+  RESULT_VARIABLE rc OUTPUT_VARIABLE out ERROR_VARIABLE err)
+message(STATUS "${out}${err}")
+if(rc EQUAL 0 OR NOT "${out}${err}" MATCHES "selftest\\.stale_counter")
+  message(FATAL_ERROR "gate self-test failed: a baseline key missing from "
+          "the fresh snapshot passed the regression check")
+endif()
+message(STATUS "perf regression gate OK: all suites within tolerance and "
+        "both self-tests fail as required")

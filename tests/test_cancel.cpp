@@ -373,28 +373,6 @@ TEST_F(CancelTest, ParallelForCompletesThroughSoftExpiry) {
   EXPECT_TRUE(expired("after.loop"));  // deadline still visible to the caller
 }
 
-TEST_F(CancelTest, ParallelReduceNeverLeaksTruncatedPartials) {
-  const index_t n = 4 * 4096 * static_cast<index_t>(
-                                   default_thread_pool().worker_count());
-  // Clean run for the expected value.
-  const auto sum = [&](index_t lo, index_t hi) {
-    return parallel_reduce(
-        lo, hi, index_t{0}, [](index_t i) { return i % 7; },
-        [](index_t a, index_t b) { return a + b; });
-  };
-  const index_t expect = sum(0, n);
-  governor().set_trip("par.chunk", 2);
-  // Either the reduce completes with the exact value (trip landed after the
-  // last chunk) or it throws — a truncated partial sum must never escape.
-  try {
-    const index_t got = sum(0, n);
-    EXPECT_EQ(got, expect);
-  } catch (const CancelledError&) {
-  }
-  governor().clear_trip();
-  governor().reset_for_test();
-}
-
 // --- RAII scopes ------------------------------------------------------------
 
 TEST_F(CancelTest, RunScopeArmsAndDisarms) {

@@ -69,12 +69,6 @@ TEST(Hblas, CopyCopies) {
   EXPECT_DOUBLE_EQ(y[2], 3.0);
 }
 
-TEST(Hblas, IamaxFindsLargestMagnitude) {
-  const real x[] = {1, -7, 3};
-  EXPECT_EQ(iamax(3, x), 1);
-  EXPECT_EQ(iamax(0, x), -1);
-}
-
 TEST(Hblas, GemvMatchesManual) {
   // A = [[1,2],[3,4],[5,6]], x = [1,1]
   const real a[] = {1, 2, 3, 4, 5, 6};
@@ -139,32 +133,10 @@ INSTANTIATE_TEST_SUITE_P(
                       std::make_tuple(128, 1, 100),
                       std::make_tuple(1, 200, 64)));
 
-// Threaded host kernels: must agree with their serial counterparts closely
-// enough for the CGS2 reorthogonalization to be interchangeable (parallel
-// summation reorders additions, hence NEAR rather than EQ for reductions),
-// across sizes below and above the parallel-dispatch threshold.
+// Threaded host kernels: bitwise equal to their serial counterparts, so the
+// CGS2 reorthogonalization gives the same bits at any worker count, across
+// sizes below and above the parallel-dispatch threshold.
 class HblasPar : public ::testing::TestWithParam<int> {};
-
-TEST_P(HblasPar, DotMatchesSerial) {
-  const auto n = static_cast<usize>(GetParam());
-  Rng rng(n * 31 + 1);
-  const auto x = random_vec(n, rng);
-  const auto y = random_vec(n, rng);
-  const real serial = dot(static_cast<index_t>(n), x.data(), y.data());
-  const real par = dot_par(static_cast<index_t>(n), x.data(), y.data());
-  EXPECT_NEAR(par, serial, 1e-12 * (1.0 + std::fabs(serial)));
-}
-
-TEST_P(HblasPar, AxpyMatchesSerialExactly) {
-  const auto n = static_cast<usize>(GetParam());
-  Rng rng(n * 31 + 2);
-  const auto x = random_vec(n, rng);
-  auto y1 = random_vec(n, rng);
-  auto y2 = y1;
-  axpy(static_cast<index_t>(n), 1.7, x.data(), y1.data());
-  axpy_par(static_cast<index_t>(n), 1.7, x.data(), y2.data());
-  EXPECT_EQ(y1, y2);  // element-wise op: no reassociation, bitwise match
-}
 
 TEST_P(HblasPar, GemvMatchesSerial) {
   const auto n = static_cast<usize>(GetParam());

@@ -399,7 +399,7 @@ TEST_P(MetricInvariance, SymmetricAndRelabelInvariant) {
 INSTANTIATE_TEST_SUITE_P(Seeds, MetricInvariance, ::testing::Range(0, 6));
 
 // ---------------------------------------------------------------------------
-// Format-conversion chain: COO -> CSR -> CSC -> CSR -> BSR -> CSR preserves
+// Conversion chain: COO -> CSR -> transpose twice -> COO -> CSR preserves
 // the matrix exactly (as dense) for random inputs.
 // ---------------------------------------------------------------------------
 
@@ -416,8 +416,8 @@ TEST_P(ConversionChain, LongChainIsLossless) {
   }
   sparse::sort_and_merge(coo);
   const sparse::Csr c1 = sparse::coo_to_csr(coo);
-  const sparse::Csr c2 = sparse::csc_to_csr(sparse::csr_to_csc(c1));
-  const sparse::Csr c3 = sparse::bsr_to_csr(sparse::csr_to_bsr(c2, 4));
+  const sparse::Csr c2 = sparse::transpose(sparse::transpose(c1));
+  const sparse::Csr c3 = sparse::coo_to_csr(sparse::csr_to_coo(c2));
   std::vector<real> d1(static_cast<usize>(n) * static_cast<usize>(n));
   std::vector<real> d3(d1.size());
   sparse::csr_to_dense(c1, d1.data());
@@ -428,19 +428,19 @@ TEST_P(ConversionChain, LongChainIsLossless) {
 INSTANTIATE_TEST_SUITE_P(Seeds, ConversionChain, ::testing::Range(0, 6));
 
 // ---------------------------------------------------------------------------
-// Randomized format round trips on rectangular matrices with empty rows,
-// empty columns, duplicate entries, and BSR block sizes that do not divide
-// the dimensions.  The dense accumulation of the raw pushes is the ground
-// truth for every representation.
+// Randomized format round trips and transposes on rectangular matrices with
+// empty rows, empty columns and duplicate entries; the second grid axis is
+// the period of the injected duplicates.  The dense accumulation of the raw
+// pushes is the ground truth for every representation.
 // ---------------------------------------------------------------------------
 
 class SparseRoundTrip
     : public ::testing::TestWithParam<std::tuple<int, int>> {};
 
 TEST_P(SparseRoundTrip, EveryFormatPreservesTheMatrix) {
-  const auto [seed, block_size] = GetParam();
+  const auto [seed, dup_period] = GetParam();
   Rng rng(static_cast<std::uint64_t>(seed) * 101 + 7);
-  const index_t rows = 29, cols = 41;  // deliberately not block-divisible
+  const index_t rows = 29, cols = 41;
   std::vector<real> dense(static_cast<usize>(rows) * static_cast<usize>(cols),
                           0.0);
   sparse::Coo coo(rows, cols);
@@ -453,7 +453,7 @@ TEST_P(SparseRoundTrip, EveryFormatPreservesTheMatrix) {
     const real v = rng.uniform(0.1, 1.0);
     coo.push(i, j, v);
     dense[static_cast<usize>(i * cols + j)] += v;
-    if (e % 5 == 0) {  // inject duplicates for sort_and_merge to coalesce
+    if (e % dup_period == 0) {  // duplicates for sort_and_merge to coalesce
       coo.push(i, j, v);
       dense[static_cast<usize>(i * cols + j)] += v;
     }
@@ -487,12 +487,27 @@ TEST_P(SparseRoundTrip, EveryFormatPreservesTheMatrix) {
   EXPECT_EQ(coo2.col_idx, coo.col_idx);
   EXPECT_EQ(coo2.values, coo.values);
 
-  // CSR <-> CSC.
-  expect_dense(sparse::csc_to_csr(sparse::csr_to_csc(csr)), "csr<->csc");
+  // Transpose: entry (j, i) of A^T is entry (i, j) of A, the empty rows of
+  // A become empty columns and vice versa.
+  const sparse::Csr t = sparse::transpose(csr);
+  ASSERT_EQ(t.rows, cols);
+  ASSERT_EQ(t.cols, rows);
+  EXPECT_NO_THROW(t.validate());
+  std::vector<real> dt(dense.size());
+  sparse::csr_to_dense(t, dt.data());
+  for (index_t i = 0; i < rows; ++i) {
+    for (index_t j = 0; j < cols; ++j) {
+      ASSERT_NEAR(dt[static_cast<usize>(j * rows + i)],
+                  dense[static_cast<usize>(i * cols + j)], 1e-13)
+          << "transpose at (" << j << ", " << i << ")";
+    }
+  }
 
-  // CSR <-> BSR with a non-divisible tail block (29 % block, 41 % block).
-  const sparse::Bsr bsr = sparse::csr_to_bsr(csr, block_size);
-  expect_dense(sparse::bsr_to_csr(bsr), "csr<->bsr");
+  // Transposing twice restores the column-sorted CSR exactly.
+  const sparse::Csr tt = sparse::transpose(t);
+  EXPECT_EQ(tt.row_ptr, csr.row_ptr);
+  EXPECT_EQ(tt.col_idx, csr.col_idx);
+  EXPECT_EQ(tt.values, csr.values);
 
   // Dense round trip keeps the nnz structure (no spurious entries).
   const sparse::Csr redensed = sparse::dense_to_csr(rows, cols, dense.data());
@@ -510,10 +525,14 @@ TEST(SparseRoundTrip, EmptyMatrixSurvivesEveryConversion) {
   const sparse::Csr csr = sparse::coo_to_csr(coo);
   EXPECT_EQ(csr.values.size(), 0u);
   EXPECT_EQ(sparse::csr_to_coo(csr).values.size(), 0u);
-  EXPECT_EQ(sparse::csc_to_csr(sparse::csr_to_csc(csr)).values.size(), 0u);
-  const sparse::Csr back = sparse::bsr_to_csr(sparse::csr_to_bsr(csr, 4));
+  const sparse::Csr t = sparse::transpose(csr);
+  EXPECT_EQ(t.rows, 9);
+  EXPECT_EQ(t.cols, 6);
+  EXPECT_EQ(t.values.size(), 0u);
+  const sparse::Csr back = sparse::transpose(t);
   EXPECT_EQ(back.rows, 6);
   EXPECT_EQ(back.cols, 9);
+  EXPECT_EQ(back.row_ptr, csr.row_ptr);
   EXPECT_EQ(back.values.size(), 0u);
 }
 

@@ -1,10 +1,9 @@
 #include <gtest/gtest.h>
 
-#include "sparse/bsr.h"
 #include "sparse/convert.h"
 #include "sparse/coo.h"
-#include "sparse/csc.h"
 #include "sparse/csr.h"
+#include "sparse/ops.h"
 
 namespace fastsc::sparse {
 namespace {
@@ -94,36 +93,15 @@ TEST(Csr, HasSortedRowsDetection) {
   EXPECT_TRUE(csr.has_sorted_rows());
 }
 
-TEST(Csc, ValidateWorks) {
-  const Csc csc = csr_to_csc(coo_to_csr(small_coo()));
-  EXPECT_NO_THROW(csc.validate());
-  EXPECT_EQ(csc.nnz(), 4);
-}
-
-TEST(Bsr, ValidateWorks) {
-  const Bsr bsr = csr_to_bsr(coo_to_csr(small_coo()), 2);
-  EXPECT_NO_THROW(bsr.validate());
-  EXPECT_EQ(bsr.block_size, 2);
-  EXPECT_EQ(bsr.block_rows, 2);
-}
-
-TEST(Bsr, ValidateCatchesBadBlockMath) {
-  Bsr bsr = csr_to_bsr(coo_to_csr(small_coo()), 2);
-  bsr.block_rows = 5;
-  EXPECT_THROW(bsr.validate(), std::invalid_argument);
-}
-
 TEST(EmptyMatrices, AllFormatsHandleZeroNnz) {
   Coo coo(4, 4);
   EXPECT_NO_THROW(coo.validate());
   const Csr csr = coo_to_csr(coo);
   EXPECT_EQ(csr.nnz(), 0);
   EXPECT_NO_THROW(csr.validate());
-  const Csc csc = csr_to_csc(csr);
-  EXPECT_NO_THROW(csc.validate());
-  const Bsr bsr = csr_to_bsr(csr, 2);
-  EXPECT_NO_THROW(bsr.validate());
-  EXPECT_EQ(bsr.block_count(), 0);
+  const Csr t = transpose(csr);
+  EXPECT_NO_THROW(t.validate());
+  EXPECT_EQ(t.nnz(), 0);
 }
 
 }  // namespace

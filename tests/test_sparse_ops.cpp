@@ -78,26 +78,7 @@ TEST(SparseOps, DiagonalExtraction) {
   EXPECT_EQ(d, (std::vector<real>{1, 0, 5}));
 }
 
-TEST(SparseOps, FrobeniusNorm) {
-  EXPECT_NEAR(frobenius_norm(example()),
-              std::sqrt(1.0 + 4 + 9 + 16 + 25), 1e-12);
-}
-
 TEST(SparseOps, InfNorm) { EXPECT_DOUBLE_EQ(inf_norm(example()), 9.0); }
-
-TEST(SparseOps, DropSmallRemovesEntries) {
-  const Csr dropped = drop_small(example(), 2.5);
-  EXPECT_EQ(dropped.nnz(), 3);  // |v| > 2.5 keeps the 3, 4 and 5 entries
-  EXPECT_NO_THROW(dropped.validate());
-}
-
-TEST(SparseOps, DropSmallKeepsLargeEntries) {
-  const Csr dropped = drop_small(example(), 2.5);
-  EXPECT_DOUBLE_EQ(dropped.at(1, 2), 3);
-  EXPECT_DOUBLE_EQ(dropped.at(2, 0), 4);
-  EXPECT_DOUBLE_EQ(dropped.at(2, 2), 5);
-  EXPECT_DOUBLE_EQ(dropped.at(0, 1), 0);
-}
 
 TEST(SparseOps, SymmetrizeAveragesWithTranspose) {
   Coo coo(2, 2);
@@ -106,13 +87,6 @@ TEST(SparseOps, SymmetrizeAveragesWithTranspose) {
   EXPECT_DOUBLE_EQ(s.at(0, 1), 2.0);
   EXPECT_DOUBLE_EQ(s.at(1, 0), 2.0);
   EXPECT_TRUE(is_symmetric(s));
-}
-
-TEST(SparseOps, EmptyRowCount) {
-  EXPECT_EQ(empty_row_count(example()), 0);
-  Coo coo(4, 4);
-  coo.push(0, 1, 1.0);
-  EXPECT_EQ(empty_row_count(coo_to_csr(coo)), 3);
 }
 
 TEST(SparseOps, RandomSymmetrizeIsSymmetric) {

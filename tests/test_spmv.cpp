@@ -48,8 +48,6 @@ TEST_P(SpmvFormats, AllFormatsMatchDenseReference) {
   Rng rng(static_cast<std::uint64_t>(rows * 7919 + cols * 31 + nnz));
   const Coo coo = random_coo(rows, cols, nnz, rng);
   const Csr csr = coo_to_csr(coo);
-  const Csc csc = csr_to_csc(csr);
-  const Bsr bsr = csr_to_bsr(csr, 3);
 
   std::vector<real> x(static_cast<usize>(cols));
   for (real& v : x) v = rng.uniform() - 0.5;
@@ -72,12 +70,6 @@ TEST_P(SpmvFormats, AllFormatsMatchDenseReference) {
     y = y0;
     coo_mv(coo, x.data(), y.data(), alpha, beta);
     check(y, "coo");
-    y = y0;
-    csc_mv(csc, x.data(), y.data(), alpha, beta);
-    check(y, "csc");
-    y = y0;
-    bsr_mv(bsr, x.data(), y.data(), alpha, beta);
-    check(y, "bsr");
   }
 }
 
@@ -90,15 +82,13 @@ INSTANTIATE_TEST_SUITE_P(
                       std::make_tuple(200, 200, 2000)));
 
 // Regression for the shared beta prologue: with beta == 0 the output must be
-// pure overwrite — poisoning y with NaN beforehand must not leak through any
-// of the four host formats (0 * NaN = NaN would propagate if an
-// implementation multiplied instead of clearing).
+// pure overwrite — poisoning y with NaN beforehand must not leak through
+// either host format (0 * NaN = NaN would propagate if an implementation
+// multiplied instead of clearing).
 TEST(HostSpmvBetaPrologue, BetaZeroIgnoresPoisonedOutput) {
   Rng rng(57);
   const Coo coo = random_coo(40, 40, 250, rng);
   const Csr csr = coo_to_csr(coo);
-  const Csc csc = csr_to_csc(csr);
-  const Bsr bsr = csr_to_bsr(csr, 3);
 
   std::vector<real> x(40);
   for (real& v : x) v = rng.uniform() - 0.5;
@@ -116,8 +106,6 @@ TEST(HostSpmvBetaPrologue, BetaZeroIgnoresPoisonedOutput) {
   };
   check([&](real* y) { csr_mv(csr, x.data(), y, 2.0, 0.0); }, "csr");
   check([&](real* y) { coo_mv(coo, x.data(), y, 2.0, 0.0); }, "coo");
-  check([&](real* y) { csc_mv(csc, x.data(), y, 2.0, 0.0); }, "csc");
-  check([&](real* y) { bsr_mv(bsr, x.data(), y, 2.0, 0.0); }, "bsr");
 }
 
 class DeviceSparse : public ::testing::TestWithParam<int> {
@@ -200,73 +188,6 @@ TEST_P(DeviceSparse, SortCooOrdersByRowCol) {
   EXPECT_EQ(sorted.row_idx, (std::vector<index_t>{0, 1, 3, 3}));
   EXPECT_EQ(sorted.col_idx, (std::vector<index_t>{2, 1, 0, 1}));
   EXPECT_EQ(sorted.values, (std::vector<real>{2.0, 4.0, 3.0, 1.0}));
-}
-
-TEST_P(DeviceSparse, DeviceCscmvMatchesHost) {
-  Rng rng(37);
-  const Coo coo = random_coo(90, 70, 800, rng);
-  const Csc csc = csr_to_csc(coo_to_csr(coo));
-  DeviceCsc dev(ctx_, csc);
-
-  std::vector<real> x(70), y0(90);
-  for (real& v : x) v = rng.uniform(-1, 1);
-  for (real& v : y0) v = rng.uniform(-1, 1);
-
-  for (const auto& [alpha, beta] :
-       {std::pair<real, real>{1, 0}, {2.0, 0.5}, {-1, 1}}) {
-    std::vector<real> expect = y0;
-    csc_mv(csc, x.data(), expect.data(), alpha, beta);
-
-    device::DeviceBuffer<real> dx(ctx_, std::span<const real>(x));
-    device::DeviceBuffer<real> dy(ctx_, std::span<const real>(y0));
-    device_cscmv(ctx_, dev, dx.data(), dy.data(), alpha, beta);
-    const auto got = dy.to_host();
-    for (usize i = 0; i < got.size(); ++i) {
-      EXPECT_NEAR(got[i], expect[i], 1e-10)
-          << "alpha=" << alpha << " beta=" << beta;
-    }
-  }
-}
-
-TEST_P(DeviceSparse, DeviceBsrmvMatchesHost) {
-  Rng rng(41);
-  const Coo coo = random_coo(85, 85, 700, rng);
-  for (index_t bs : {1, 3, 4}) {
-    const Bsr bsr = csr_to_bsr(coo_to_csr(coo), bs);
-    DeviceBsr dev(ctx_, bsr);
-
-    std::vector<real> x(85), y0(85);
-    for (real& v : x) v = rng.uniform(-1, 1);
-    for (real& v : y0) v = rng.uniform(-1, 1);
-
-    std::vector<real> expect = y0;
-    bsr_mv(bsr, x.data(), expect.data(), 1.5, 0.25);
-
-    device::DeviceBuffer<real> dx(ctx_, std::span<const real>(x));
-    device::DeviceBuffer<real> dy(ctx_, std::span<const real>(y0));
-    device_bsrmv(ctx_, dev, dx.data(), dy.data(), 1.5, 0.25);
-    const auto got = dy.to_host();
-    for (usize i = 0; i < got.size(); ++i) {
-      EXPECT_NEAR(got[i], expect[i], 1e-10) << "block size " << bs;
-    }
-  }
-}
-
-TEST_P(DeviceSparse, DeviceCscBsrRoundTrip) {
-  Rng rng(43);
-  const Coo coo = random_coo(40, 30, 200, rng);
-  const Csc csc = csr_to_csc(coo_to_csr(coo));
-  DeviceCsc dcsc(ctx_, csc);
-  const Csc csc_back = dcsc.to_host();
-  EXPECT_EQ(csc_back.col_ptr, csc.col_ptr);
-  EXPECT_EQ(csc_back.values, csc.values);
-
-  const Bsr bsr = csr_to_bsr(coo_to_csr(coo), 4);
-  DeviceBsr dbsr(ctx_, bsr);
-  const Bsr bsr_back = dbsr.to_host();
-  EXPECT_EQ(bsr_back.block_row_ptr, bsr.block_row_ptr);
-  EXPECT_EQ(bsr_back.values, bsr.values);
-  EXPECT_EQ(dbsr.block_count(), bsr.block_count());
 }
 
 INSTANTIATE_TEST_SUITE_P(WorkerCounts, DeviceSparse, ::testing::Values(1, 4));

@@ -5,7 +5,6 @@
 #include <chrono>
 #include <string>
 #include <thread>
-#include <vector>
 
 namespace fastsc {
 namespace {
@@ -95,25 +94,26 @@ TEST(StageClock, ResumingAccumulates) {
   EXPECT_GT(clock.seconds("x"), first);
 }
 
-TEST(StageClock, AddInjectsExternalTime) {
-  StageClock clock;
-  clock.add("modeled", 1.5);
-  clock.add("modeled", 0.5);
-  EXPECT_DOUBLE_EQ(clock.seconds("modeled"), 2.0);
-}
-
 TEST(StageClock, TotalIsSumOfStages) {
   StageClock clock;
-  clock.add("a", 1.0);
-  clock.add("b", 2.0);
-  EXPECT_DOUBLE_EQ(clock.total_seconds(), 3.0);
+  clock.start("a");
+  spin_ms(2);
+  clock.stop();
+  clock.start("b");
+  spin_ms(2);
+  clock.stop();
+  EXPECT_GT(clock.seconds("a"), 0.0);
+  EXPECT_GT(clock.seconds("b"), 0.0);
+  EXPECT_DOUBLE_EQ(clock.total_seconds(),
+                   clock.seconds("a") + clock.seconds("b"));
 }
 
 TEST(StageClock, StagesInFirstStartOrder) {
   StageClock clock;
-  clock.add("third", 0);
-  clock.add("first", 0);
-  clock.add("third", 1);
+  for (const char* stage : {"third", "first", "third"}) {
+    clock.start(stage);
+    clock.stop();
+  }
   const auto names = clock.stages();
   ASSERT_EQ(names.size(), 2u);
   EXPECT_EQ(names[0], "third");
@@ -122,7 +122,9 @@ TEST(StageClock, StagesInFirstStartOrder) {
 
 TEST(StageClock, ClearRemovesEverything) {
   StageClock clock;
-  clock.add("a", 1.0);
+  clock.start("a");
+  spin_ms(1);
+  clock.stop();
   clock.clear();
   EXPECT_EQ(clock.total_seconds(), 0.0);
   EXPECT_TRUE(clock.stages().empty());
@@ -137,46 +139,24 @@ TEST(StageClock, DoubleStopIsHarmless) {
   EXPECT_DOUBLE_EQ(clock.seconds("a"), t);
 }
 
-TEST(StageClock, ConcurrentAddsFromWorkerThreadsAllLand) {
-  // The async runtime calls add() from stream threads while the pipeline
-  // drives start()/stop() from its own thread; every modeled second must be
-  // accounted and no entry lost to a race.
-  StageClock clock;
-  constexpr int kThreads = 8;
-  constexpr int kAddsPerThread = 500;
-  std::vector<std::thread> workers;
-  workers.reserve(kThreads);
-  for (int w = 0; w < kThreads; ++w) {
-    workers.emplace_back([&clock, w] {
-      const std::string mine = "worker-" + std::to_string(w % 2);
-      for (int i = 0; i < kAddsPerThread; ++i) {
-        clock.add("pcie", 0.001);
-        clock.add(mine, 0.002);
-      }
-    });
-  }
-  clock.start("driver");
-  spin_ms(5);
-  clock.stop();
-  for (std::thread& t : workers) t.join();
-  EXPECT_NEAR(clock.seconds("pcie"), 0.001 * kThreads * kAddsPerThread, 1e-9);
-  EXPECT_NEAR(clock.seconds("worker-0") + clock.seconds("worker-1"),
-              0.002 * kThreads * kAddsPerThread, 1e-9);
-  EXPECT_GT(clock.seconds("driver"), 0.0);
-}
-
 TEST(StageClock, CopyAndMovePreserveRecordedTimes) {
   StageClock clock;
-  clock.add("a", 1.25);
+  clock.start("a");
+  spin_ms(1);
+  clock.stop();
+  const double first = clock.seconds("a");
   StageClock copied(clock);
-  EXPECT_DOUBLE_EQ(copied.seconds("a"), 1.25);
-  copied.add("a", 0.25);
-  EXPECT_DOUBLE_EQ(copied.seconds("a"), 1.5);
-  EXPECT_DOUBLE_EQ(clock.seconds("a"), 1.25);  // deep copy, not shared
+  EXPECT_DOUBLE_EQ(copied.seconds("a"), first);
+  copied.start("a");
+  spin_ms(1);
+  copied.stop();
+  const double second = copied.seconds("a");
+  EXPECT_GT(second, first);
+  EXPECT_DOUBLE_EQ(clock.seconds("a"), first);  // deep copy, not shared
   StageClock moved(std::move(copied));
-  EXPECT_DOUBLE_EQ(moved.seconds("a"), 1.5);
+  EXPECT_DOUBLE_EQ(moved.seconds("a"), second);
   clock = moved;
-  EXPECT_DOUBLE_EQ(clock.seconds("a"), 1.5);
+  EXPECT_DOUBLE_EQ(clock.seconds("a"), second);
 }
 
 }  // namespace

@@ -1,6 +1,7 @@
 #include "common/thread_pool.h"
 
 #include <gtest/gtest.h>
+#include <sched.h>
 
 #include <atomic>
 #include <numeric>
@@ -84,6 +85,27 @@ TEST(ThreadPool, DefaultPoolIsSingleton) {
   EXPECT_GE(default_thread_pool().worker_count(), 1u);
 }
 
+// A default-sized pool must not outnumber the CPUs its creating thread may
+// run on (taskset, cpusets), or its workers only time-slice those CPUs.
+TEST(ThreadPool, DefaultSizeFollowsAffinityMask) {
+  usize workers = 0;
+  std::thread pinned([&] {
+    cpu_set_t mask;
+    CPU_ZERO(&mask);
+    ASSERT_EQ(sched_getaffinity(0, sizeof(mask), &mask), 0);
+    int cpu = 0;
+    while (cpu < CPU_SETSIZE && !CPU_ISSET(cpu, &mask)) ++cpu;
+    ASSERT_LT(cpu, CPU_SETSIZE);
+    cpu_set_t one;
+    CPU_ZERO(&one);
+    CPU_SET(cpu, &one);
+    ASSERT_EQ(sched_setaffinity(0, sizeof(one), &one), 0);
+    workers = ThreadPool(0).worker_count();
+  });
+  pinned.join();
+  EXPECT_EQ(workers, 1u);
+}
+
 TEST(ParallelFor, CoversRangeExactlyOnce) {
   ThreadPool pool(4);
   const index_t n = 10007;
@@ -107,70 +129,6 @@ TEST(ParallelFor, NonZeroBegin) {
   parallel_for(pool, index_t{10}, index_t{20},
                [&](index_t i) { sum.fetch_add(i); });
   EXPECT_EQ(sum.load(), 145);  // 10 + ... + 19
-}
-
-TEST(ParallelForGrain, ChunkedScheduleVisitsEveryIndexOnce) {
-  ThreadPool pool(4);
-  const index_t n = 10000;
-  std::vector<std::atomic<int>> hits(static_cast<usize>(n));
-  parallel_for(pool, index_t{0}, n, index_t{64},
-               [&](index_t i) { hits[static_cast<usize>(i)].fetch_add(1); });
-  for (auto& h : hits) EXPECT_EQ(h.load(), 1);
-}
-
-TEST(ParallelForGrain, NonPositiveGrainFallsBackToOwnerComputes) {
-  ThreadPool pool(3);
-  std::atomic<index_t> sum{0};
-  parallel_for(pool, index_t{10}, index_t{110}, index_t{0},
-               [&](index_t i) { sum.fetch_add(i); });
-  EXPECT_EQ(sum.load(), (10 + 109) * 100 / 2);
-}
-
-TEST(ParallelForGrain, GrainLargerThanRangeRunsSerial) {
-  ThreadPool pool(4);
-  std::atomic<index_t> sum{0};
-  parallel_for(pool, index_t{0}, index_t{7}, index_t{1000},
-               [&](index_t i) { sum.fetch_add(i); });
-  EXPECT_EQ(sum.load(), 21);
-}
-
-TEST(ParallelForGrain, EmptyRangeDoesNothing) {
-  ThreadPool pool(2);
-  int calls = 0;
-  parallel_for(pool, index_t{5}, index_t{5}, index_t{8},
-               [&](index_t) { ++calls; });
-  EXPECT_EQ(calls, 0);
-}
-
-TEST(ParallelReduce, SumsCorrectly) {
-  ThreadPool pool(4);
-  const index_t n = 100000;
-  const auto sum = parallel_reduce(
-      pool, index_t{0}, n, index_t{0}, [](index_t i) { return i; },
-      [](index_t a, index_t b) { return a + b; });
-  EXPECT_EQ(sum, n * (n - 1) / 2);
-}
-
-TEST(ParallelReduce, EmptyRangeReturnsInit) {
-  ThreadPool pool(2);
-  const auto result = parallel_reduce(
-      pool, index_t{3}, index_t{3}, index_t{-7}, [](index_t i) { return i; },
-      [](index_t a, index_t b) { return a + b; });
-  EXPECT_EQ(result, -7);
-}
-
-TEST(ParallelReduce, MaxReduction) {
-  ThreadPool pool(4);
-  std::vector<double> data(5000);
-  for (usize i = 0; i < data.size(); ++i) {
-    data[i] = static_cast<double>((i * 37) % 1000);
-  }
-  data[1234] = 5000.0;
-  const double m = parallel_reduce(
-      pool, index_t{0}, static_cast<index_t>(data.size()), 0.0,
-      [&](index_t i) { return data[static_cast<usize>(i)]; },
-      [](double a, double b) { return a > b ? a : b; });
-  EXPECT_EQ(m, 5000.0);
 }
 
 }  // namespace

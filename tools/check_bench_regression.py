@@ -17,11 +17,16 @@ machines, so it holds the line on *modeled* quantities (worst-wave nnz,
 rejection rate, hit ratio) that are deterministic for pinned flags, and
 merely narrates the noisy ones.
 
+Every counter and gauge in the baseline must also be in the fresh
+snapshot, gated or not: a key the program no longer emits is a stale
+baseline entry, and the check fails until it is removed.
+
 --degrade NAME=FACTOR multiplies the fresh value by FACTOR before judging;
 the perf_regression ctest uses it to prove the gate actually fails when the
 SpMV balance regresses 2x.
 
-Exit status: 0 all gated metrics pass, 1 any failure or missing metric.
+Exit status: 0 all gated metrics pass, 1 any failure, missing metric or
+stale baseline key.
 
 Usage:
   check_bench_regression.py --suite spmv_balance \
@@ -123,6 +128,10 @@ def main():
 
     base = load_metrics(args.baseline)
     fresh = load_metrics(args.fresh)
+    stale = sorted(set(base) - set(fresh))
+    if stale:
+        fail(f"baseline {args.baseline} holds metrics absent from the fresh "
+             f"snapshot (remove the stale keys): {', '.join(stale)}")
     degrades = parse_degrades(args.degrade)
     unknown = set(degrades) - set(rules)
     if unknown:
