@@ -198,8 +198,9 @@ struct PrecisionPolicy {
   /// i.e. the run is bitwise-identical to the pre-precision pipeline.
   [[nodiscard]] bool all_fp64() const noexcept;
 
-  /// Whether the fused D^{-1/2}-epilogue SpMV / similarity+degree passes
-  /// are active under this policy.
+  /// Whether the fused D^{-1/2}-epilogue SpMV and the degree sweep over the
+  /// similarity matrix (graph::similarity_degrees) are active under this
+  /// policy.
   [[nodiscard]] bool fused() const noexcept;
 
   /// The policy with every stage forced to fp64 (the ladder's bottom rung;

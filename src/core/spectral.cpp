@@ -514,10 +514,11 @@ void meter_cgs2_wave(device::DeviceGroup& group,
 }
 
 /// The similarity matrix W as the eigensolver stage's input.  `host` is W
-/// in its original entry order — what the fp64 refinement, the N > 1 row
-/// bucketing and the host rung read — downloaded at most once; `dev` is the
-/// root device's copy, which a group of one normalizes in place (sorted,
-/// values kept), so every ladder rung rebuilds the same operator from it.
+/// — what the fp64 refinement, the N > 1 row bucketing and the host rung
+/// read — downloaded at most once; `dev` is the root device's copy, which a
+/// group of one normalizes directly.  Algorithm 2 only reads W, so both
+/// copies keep the build's entry order and every ladder rung rebuilds the
+/// same operator.
 struct SimilaritySource {
   explicit SimilaritySource(device::DeviceContext& r,
                             const sparse::Coo* h = nullptr)
@@ -535,7 +536,7 @@ struct SimilaritySource {
     }
     return *host;
   }
-  sparse::DeviceCoo& device_w() {
+  const sparse::DeviceCoo& device_w() {
     if (!dev) dev.emplace(root, *host);  // H2D, metered
     return *dev;
   }
@@ -589,9 +590,9 @@ void eigensolve_group(device::DeviceGroup& group, SimilaritySource& src,
   // buckets the host copy by row block and uploads each chunk to its owner.
   std::vector<sparse::Coo> host_chunks;
   std::vector<sparse::DeviceCoo> dev_chunks;
-  std::span<sparse::DeviceCoo> chunks;
+  std::span<const sparse::DeviceCoo> chunks;
   if (P == 1) {
-    chunks = std::span<sparse::DeviceCoo>(&src.device_w(), 1);
+    chunks = std::span<const sparse::DeviceCoo>(&src.device_w(), 1);
   } else {
     host_chunks = sparse::bucket_rows(src.host_w(), part);
     dev_chunks.reserve(P);
@@ -906,9 +907,6 @@ sparse::RowPartition eigensolver_stage(device::DeviceGroup& group,
       eigensolve_host(src.host_w(), cfg, result);
       return;
     }
-    // W's original entry order feeds the row bucketing and the fp64
-    // refinement; take it before a group of one sorts the root's copy.
-    if (group.size() > 1 || refines(cfg.precision)) (void)src.host_w();
     part = eig_partition(group, src, result.n, cfg);
     run_to_completion([&] {
       reset_eig_result(result);
@@ -1148,8 +1146,7 @@ SpectralResult cluster_points_on(device::DeviceGroup& group,
                                  const std::string& reason) {
   const auto body = [&](SpectralResult& result) {
     SimilaritySource src(ctx);
-    std::vector<real> fused_degrees;
-    bool have_degrees = false;
+    std::vector<real> degrees;
     const auto build_on_host = [&] {
       src.host_storage =
           baseline::similarity_loop(x, n, d, sym, config.similarity);
@@ -1166,33 +1163,31 @@ SpectralResult cluster_points_on(device::DeviceGroup& group,
           // device.
           src.host_storage = graph::build_similarity_device_chunked(
               ctx, x, n, d, sym, config.similarity,
-              config.similarity_chunk_edges);
+              config.similarity_chunk_edges, sim_p);
           src.host = &src.host_storage;
           src.dev.emplace(ctx, src.host_storage);
-        } else if (config.precision.fused() || sim_p != Precision::kFp64) {
-          // Fused Algorithm 1 + degree pass (DESIGN.md §13): similarity
-          // values quantize to the rung on store, and the operator row sums
-          // come out of the same edge sweep so Algorithm 2 skips its
-          // degree pass.
-          src.dev.emplace(graph::build_similarity_device_fused_degrees(
-              ctx, x, n, d, sym, config.similarity, fused_degrees, sim_p));
-          have_degrees = true;
         } else {
-          src.dev.emplace(graph::build_similarity_device(ctx, x, n, d, sym,
-                                                         config.similarity));
+          src.dev.emplace(graph::build_similarity_device(
+              ctx, x, n, d, sym, config.similarity, sim_p));
+        }
+        if (config.precision.fused() || sim_p != Precision::kFp64) {
+          // Narrow or fused rungs (DESIGN.md §13): the degrees come from a
+          // sweep over the quantized W, so Algorithm 2 skips its degree
+          // pass.
+          degrees = graph::similarity_degrees(ctx, *src.dev);
         }
       } catch (const device::DeviceError& e) {
         if (!pol.enabled || !pol.allow_host_fallback) throw;
         note_degradation(result, kStageSimilarity, "host-similarity",
                          e.what());
         src.dev.reset();
-        have_degrees = false;
+        degrees.clear();
         obs::AttrSiteScope rung_site("fallback.host_similarity");
         build_on_host();
       }
     });
     const sparse::RowPartition part = eigensolver_stage(
-        group, src, config, result, have_degrees ? &fused_degrees : nullptr);
+        group, src, config, result, degrees.empty() ? nullptr : &degrees);
     run_stage(result, kStageKmeans, "stage.kmeans",
               [&] { kmeans_stage(group, part.cuts, config, result); });
   };

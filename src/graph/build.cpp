@@ -17,10 +17,7 @@ namespace {
 /// strictly positive degrees so D^-1 exists (paper §IV.B assumes D_ii > 0).
 constexpr real kSimilarityFloor = 1e-8;
 
-real clamp_sim(real v, bool clamp) {
-  if (!clamp) return v;
-  return v > kSimilarityFloor ? v : kSimilarityFloor;
-}
+real clamp_sim(real v) { return v > kSimilarityFloor ? v : kSimilarityFloor; }
 }  // namespace
 
 EdgeList build_epsilon_edges_3d(const real* positions, index_t n, real eps) {
@@ -78,186 +75,140 @@ sparse::Coo build_similarity_host(const real* x, index_t n, index_t d,
     const real s = similarity_precomputed(
         rows + i * d, rows + j * d, norms[static_cast<usize>(i)],
         norms[static_cast<usize>(j)], d, params);
-    coo.values[static_cast<usize>(e)] = clamp_sim(s, clamp_nonpositive);
+    coo.values[static_cast<usize>(e)] = clamp_nonpositive ? clamp_sim(s) : s;
   }
   return coo;
 }
+
+namespace {
+
+/// Algorithm 1's resident state: X centered in place and each row's norm.
+struct DevicePoints {
+  device::DeviceBuffer<real> x;
+  device::DeviceBuffer<real> norm;
+};
+
+/// Algorithm 1, steps 1-5: transfer X, then kernel compute_average (thread
+/// i averages row i; zeros unless the measure centers) and kernel
+/// update_data (thread i centers row i and takes its norm).
+DevicePoints upload_points(device::DeviceContext& ctx, const real* x,
+                           index_t n, index_t d,
+                           const SimilarityParams& params) {
+  DevicePoints pts;
+  pts.x = device::DeviceBuffer<real>(
+      ctx, std::span<const real>(
+               x, static_cast<usize>(n) * static_cast<usize>(d)));
+  device::DeviceBuffer<real> dev_avg(ctx, static_cast<usize>(n));
+  pts.norm = device::DeviceBuffer<real>(ctx, static_cast<usize>(n));
+  real* xp = pts.x.data();
+  real* avg = dev_avg.data();
+  real* nrm = pts.norm.data();
+  if (params.measure == SimilarityMeasure::kCrossCorrelation) {
+    device::launch(ctx, n, [=](index_t i) {
+      const real* row = xp + i * d;
+      real mean = 0;
+      for (index_t l = 0; l < d; ++l) mean += row[l];
+      avg[i] = mean / static_cast<real>(d);
+    });
+  } else {
+    device::fill(ctx, avg, n, real{0});
+  }
+  device::launch(ctx, n, [=](index_t i) {
+    real* row = xp + i * d;
+    const real mean = avg[i];
+    real acc = 0;
+    for (index_t l = 0; l < d; ++l) {
+      row[l] -= mean;
+      acc += row[l] * row[l];
+    }
+    nrm[i] = std::sqrt(acc);
+  });
+  return pts;
+}
+
+/// Algorithm 1, step 6: kernel compute_similarity — thread e turns edge
+/// (u[e], v[e]) into val[e], clamped to the similarity floor and quantized
+/// through `prec` on store (the identity at fp64).
+void compute_similarity(device::DeviceContext& ctx, const DevicePoints& pts,
+                        index_t d, const SimilarityParams& params,
+                        const index_t* up, const index_t* vp, real* val,
+                        index_t count, Precision prec) {
+  const real* xp = pts.x.data();
+  const real* nrm = pts.norm.data();
+  const SimilarityParams p = params;
+  const auto m = static_cast<double>(count);
+  const auto bps = static_cast<double>(bytes_per_scalar(prec));
+  const double rbytes = m * (2.0 * d * sizeof(real) + 2.0 * sizeof(index_t));
+  const double wbytes = m * bps;
+  device::LaunchConfig cfg =
+      device::tagged("graph.similarity", 3.0 * m * d, rbytes, wbytes);
+  const double rscalar = m * 2.0 * d * sizeof(real);
+  cfg.bytes_per_scalar =
+      (rscalar * sizeof(real) + wbytes * bps) / (rscalar + wbytes);
+  device::launch(ctx, count, [=](index_t e) {
+    const index_t i = up[e];
+    const index_t j = vp[e];
+    const real s = similarity_precomputed(xp + i * d, xp + j * d, nrm[i],
+                                          nrm[j], d, p);
+    val[e] = quantize(clamp_sim(s), prec);
+  }, cfg);
+}
+
+}  // namespace
 
 sparse::DeviceCoo build_similarity_device(device::DeviceContext& ctx,
                                           const real* x, index_t n, index_t d,
                                           const EdgeList& edges,
                                           const SimilarityParams& params,
-                                          bool clamp_nonpositive) {
+                                          Precision value_precision) {
   const index_t nnz = edges.size();
   obs::AttrSiteScope attr_site("graph.similarity");
-
-  // Algorithm 1, step 1: transfer the input data X and the edge list E.
-  device::DeviceBuffer<real> dev_x(
-      ctx, std::span<const real>(
-               x, static_cast<usize>(n) * static_cast<usize>(d)));
-  device::DeviceBuffer<index_t> dev_u(ctx, std::span<const index_t>(edges.u));
-  device::DeviceBuffer<index_t> dev_v(ctx, std::span<const index_t>(edges.v));
-
-  // Step 2: per-point statistic vectors.
-  device::DeviceBuffer<real> dev_avg(ctx, static_cast<usize>(n));
-  device::DeviceBuffer<real> dev_norm(ctx, static_cast<usize>(n));
-  // Step 3: nnz-length value vector.
-  device::DeviceBuffer<real> dev_val(ctx, static_cast<usize>(nnz));
-
-  real* xp = dev_x.data();
-  real* avg = dev_avg.data();
-  real* nrm = dev_norm.data();
-  const bool center = params.measure == SimilarityMeasure::kCrossCorrelation;
-
-  // Step 4: kernel compute_average — thread i averages row i.
-  if (center) {
-    device::launch(ctx, n, [=](index_t i) {
-      const real* row = xp + i * d;
-      real mean = 0;
-      for (index_t l = 0; l < d; ++l) mean += row[l];
-      avg[i] = mean / static_cast<real>(d);
-    });
-  } else {
-    device::fill(ctx, avg, n, real{0});
-  }
-
-  // Step 5: kernel update_data — thread i centers row i and takes its norm.
-  device::launch(ctx, n, [=](index_t i) {
-    real* row = xp + i * d;
-    const real mean = avg[i];
-    real acc = 0;
-    for (index_t l = 0; l < d; ++l) {
-      row[l] -= mean;
-      acc += row[l] * row[l];
-    }
-    nrm[i] = std::sqrt(acc);
-  });
-
-  // Step 6: kernel compute_similarity — thread e handles edge e.
-  const index_t* up = dev_u.data();
-  const index_t* vp = dev_v.data();
-  real* val = dev_val.data();
-  const SimilarityParams p = params;
-  const bool clamp = clamp_nonpositive;
-  device::launch(ctx, nnz, [=](index_t e) {
-    const index_t i = up[e];
-    const index_t j = vp[e];
-    const real s = similarity_precomputed(xp + i * d, xp + j * d, nrm[i],
-                                          nrm[j], d, p);
-    val[e] = clamp_sim(s, clamp);
-  }, device::tagged("graph.similarity",
-                    3.0 * static_cast<double>(nnz) * d,
-                    static_cast<double>(nnz) *
-                        (2.0 * d * sizeof(real) + 2.0 * sizeof(index_t)),
-                    static_cast<double>(nnz) * sizeof(real)));
-
-  // Step 7: the edge list plus val form the COO matrix on the device.
+  const DevicePoints pts = upload_points(ctx, x, n, d, params);
+  // Transfer the edge list E; with the nnz-length value vector it forms
+  // the COO matrix on the device.
   sparse::DeviceCoo coo;
   coo.rows = n;
   coo.cols = n;
-  coo.row_idx = std::move(dev_u);
-  coo.col_idx = std::move(dev_v);
-  coo.values = std::move(dev_val);
+  coo.row_idx = device::DeviceBuffer<index_t>(
+      ctx, std::span<const index_t>(edges.u));
+  coo.col_idx = device::DeviceBuffer<index_t>(
+      ctx, std::span<const index_t>(edges.v));
+  coo.values = device::DeviceBuffer<real>(ctx, static_cast<usize>(nnz));
+  compute_similarity(ctx, pts, d, params, coo.row_idx.data(),
+                     coo.col_idx.data(), coo.values.data(), nnz,
+                     value_precision);
   return coo;
 }
 
-sparse::DeviceCoo build_similarity_device_fused_degrees(
-    device::DeviceContext& ctx, const real* x, index_t n, index_t d,
-    const EdgeList& edges, const SimilarityParams& params,
-    std::vector<real>& degrees, Precision value_precision,
-    bool clamp_nonpositive) {
-  const index_t nnz = edges.size();
+std::vector<real> similarity_degrees(device::DeviceContext& ctx,
+                                     const sparse::DeviceCoo& w) {
+  const index_t n = w.rows;
+  const index_t nnz = w.nnz();
   obs::AttrSiteScope attr_site("graph.similarity");
-
-  device::DeviceBuffer<real> dev_x(
-      ctx, std::span<const real>(
-               x, static_cast<usize>(n) * static_cast<usize>(d)));
-  device::DeviceBuffer<index_t> dev_u(ctx, std::span<const index_t>(edges.u));
-  device::DeviceBuffer<index_t> dev_v(ctx, std::span<const index_t>(edges.v));
-  device::DeviceBuffer<real> dev_avg(ctx, static_cast<usize>(n));
-  device::DeviceBuffer<real> dev_norm(ctx, static_cast<usize>(n));
-  device::DeviceBuffer<real> dev_val(ctx, static_cast<usize>(nnz));
-
-  real* xp = dev_x.data();
-  real* avg = dev_avg.data();
-  real* nrm = dev_norm.data();
-  const bool center = params.measure == SimilarityMeasure::kCrossCorrelation;
-  if (center) {
-    device::launch(ctx, n, [=](index_t i) {
-      const real* row = xp + i * d;
-      real mean = 0;
-      for (index_t l = 0; l < d; ++l) mean += row[l];
-      avg[i] = mean / static_cast<real>(d);
-    });
-  } else {
-    device::fill(ctx, avg, n, real{0});
-  }
-  device::launch(ctx, n, [=](index_t i) {
-    real* row = xp + i * d;
-    const real mean = avg[i];
-    real acc = 0;
-    for (index_t l = 0; l < d; ++l) {
-      row[l] -= mean;
-      acc += row[l] * row[l];
-    }
-    nrm[i] = std::sqrt(acc);
-  });
-
-  // compute_similarity with the value quantized through the target storage
-  // width on store (quantize is the identity at fp64, so the fp64 run is
-  // bitwise the unfused kernel).
-  const index_t* up = dev_u.data();
-  const index_t* vp = dev_v.data();
-  real* val = dev_val.data();
-  const SimilarityParams p = params;
-  const bool clamp = clamp_nonpositive;
-  const Precision prec = value_precision;
-  const auto bps = static_cast<double>(bytes_per_scalar(prec));
-  {
-    const double nnzd = static_cast<double>(nnz);
-    const double rbytes =
-        nnzd * (2.0 * d * sizeof(real) + 2.0 * sizeof(index_t));
-    const double wbytes = nnzd * bps;
-    device::LaunchConfig cfg =
-        device::tagged("graph.similarity", 3.0 * nnzd * d, rbytes, wbytes);
-    const double rscalar = nnzd * 2.0 * d * sizeof(real);
-    cfg.bytes_per_scalar =
-        (rscalar * sizeof(real) + wbytes * bps) / (rscalar + wbytes);
-    device::launch(ctx, nnz, [=](index_t e) {
-      const index_t i = up[e];
-      const index_t j = vp[e];
-      const real s = similarity_precomputed(xp + i * d, xp + j * d, nrm[i],
-                                            nrm[j], d, p);
-      val[e] = quantize(clamp_sim(s, clamp), prec);
-    }, cfg);
-  }
-
-  // Fused degree pass: a fixed number of contiguous edge spans accumulate
-  // span-partial degree rows (each span thread owns its row — no cross-
-  // thread writes), then a fold in ascending span order.  The span count is
-  // a constant, NOT the worker count, so every degree bit is machine- and
+  // A fixed number of contiguous entry spans accumulate span-partial degree
+  // rows (each span thread owns its row — no cross-thread writes), then a
+  // fold in ascending span order.  The span count is a constant, NOT the
+  // worker count, so every degree bit is machine- and
   // device-count-independent.
-  constexpr index_t kFusedDegreeSpans = 64;
-  const index_t spans = std::min<index_t>(kFusedDegreeSpans,
-                                          std::max<index_t>(nnz, 1));
+  constexpr index_t kDegreeSpans = 64;
+  const index_t spans =
+      std::min<index_t>(kDegreeSpans, std::max<index_t>(nnz, 1));
   device::DeviceBuffer<real> partial(
       ctx, static_cast<usize>(spans) * static_cast<usize>(n));
   device::DeviceBuffer<real> deg(ctx, static_cast<usize>(n));
   device::fill(ctx, partial.data(), spans * n, real{0});
   real* pp = partial.data();
+  const index_t* rows = w.row_idx.data();
+  const real* val = w.values.data();
   {
-    const double nnzd = static_cast<double>(nnz);
-    device::LaunchConfig cfg = device::tagged(
-        "graph.degree_fused", nnzd, nnzd * (bps + sizeof(index_t)),
-        nnzd * sizeof(real));
-    cfg.bytes_per_scalar =
-        (nnzd * bps * bps + nnzd * 8.0 * 8.0) / (nnzd * bps + nnzd * 8.0);
+    const auto m = static_cast<double>(nnz);
     device::launch(ctx, spans, [=](index_t s) {
       const index_t b = s * nnz / spans;
       const index_t e1 = (s + 1) * nnz / spans;
       real* mine = pp + s * n;
-      for (index_t e = b; e < e1; ++e) mine[up[e]] += val[e];
-    }, cfg);
+      for (index_t e = b; e < e1; ++e) mine[rows[e]] += val[e];
+    }, device::tagged("graph.degree", m, m * (sizeof(real) + sizeof(index_t)),
+                      m * sizeof(real)));
   }
   real* dp = deg.data();
   {
@@ -266,19 +217,12 @@ sparse::DeviceCoo build_similarity_device_fused_degrees(
       real acc = 0;
       for (index_t s = 0; s < spans; ++s) acc += pp[s * n + i];
       dp[i] = acc;
-    }, device::tagged("graph.degree_fused", work, work * sizeof(real),
+    }, device::tagged("graph.degree", work, work * sizeof(real),
                       static_cast<double>(n) * sizeof(real)));
   }
-  degrees.resize(static_cast<usize>(n));
+  std::vector<real> degrees(static_cast<usize>(n));
   deg.copy_to_host(std::span<real>(degrees));
-
-  sparse::DeviceCoo coo;
-  coo.rows = n;
-  coo.cols = n;
-  coo.row_idx = std::move(dev_u);
-  coo.col_idx = std::move(dev_v);
-  coo.values = std::move(dev_val);
-  return coo;
+  return degrees;
 }
 
 sparse::Coo build_similarity_device_chunked(device::DeviceContext& ctx,
@@ -286,50 +230,17 @@ sparse::Coo build_similarity_device_chunked(device::DeviceContext& ctx,
                                             index_t d, const EdgeList& edges,
                                             const SimilarityParams& params,
                                             index_t chunk_edges,
-                                            bool clamp_nonpositive) {
+                                            Precision value_precision) {
   FASTSC_CHECK(chunk_edges >= 1, "chunk size must be positive");
   const index_t nnz = edges.size();
   obs::AttrSiteScope attr_site("graph.similarity");
-
-  // Resident state: X (centered in place) and the per-point statistics —
-  // the same prologue as Algorithm 1.
-  device::DeviceBuffer<real> dev_x(
-      ctx, std::span<const real>(
-               x, static_cast<usize>(n) * static_cast<usize>(d)));
-  device::DeviceBuffer<real> dev_avg(ctx, static_cast<usize>(n));
-  device::DeviceBuffer<real> dev_norm(ctx, static_cast<usize>(n));
-  real* xp = dev_x.data();
-  real* avg = dev_avg.data();
-  real* nrm = dev_norm.data();
-  const bool center = params.measure == SimilarityMeasure::kCrossCorrelation;
-  if (center) {
-    device::launch(ctx, n, [=](index_t i) {
-      const real* row = xp + i * d;
-      real mean = 0;
-      for (index_t l = 0; l < d; ++l) mean += row[l];
-      avg[i] = mean / static_cast<real>(d);
-    });
-  } else {
-    device::fill(ctx, avg, n, real{0});
-  }
-  device::launch(ctx, n, [=](index_t i) {
-    real* row = xp + i * d;
-    const real mean = avg[i];
-    real acc = 0;
-    for (index_t l = 0; l < d; ++l) {
-      row[l] -= mean;
-      acc += row[l] * row[l];
-    }
-    nrm[i] = std::sqrt(acc);
-  });
+  const DevicePoints pts = upload_points(ctx, x, n, d, params);
 
   // Streaming state: one chunk of (u, v, val) at a time.
   sparse::Coo out(n, n);
   out.reserve(nnz);
   std::vector<real> host_vals(static_cast<usize>(
       std::min<index_t>(chunk_edges, std::max<index_t>(nnz, 1))));
-  const SimilarityParams p = params;
-  const bool clamp = clamp_nonpositive;
   for (index_t start = 0; start < nnz; start += chunk_edges) {
     // One poll per streamed chunk: bounded work between polls is one chunk's
     // H2D + kernel + D2H.  Similarity has no partial result, so this throws
@@ -343,20 +254,8 @@ sparse::Coo build_similarity_device_chunked(device::DeviceContext& ctx,
         ctx, std::span<const index_t>(edges.v.data() + start,
                                       static_cast<usize>(count)));
     device::DeviceBuffer<real> dev_val(ctx, static_cast<usize>(count));
-    const index_t* up = dev_u.data();
-    const index_t* vp = dev_v.data();
-    real* val = dev_val.data();
-    device::launch(ctx, count, [=](index_t e) {
-      const index_t i = up[e];
-      const index_t j = vp[e];
-      const real s = similarity_precomputed(xp + i * d, xp + j * d, nrm[i],
-                                            nrm[j], d, p);
-      val[e] = clamp_sim(s, clamp);
-    }, device::tagged("graph.similarity",
-                      3.0 * static_cast<double>(count) * d,
-                      static_cast<double>(count) *
-                          (2.0 * d * sizeof(real) + 2.0 * sizeof(index_t)),
-                      static_cast<double>(count) * sizeof(real)));
+    compute_similarity(ctx, pts, d, params, dev_u.data(), dev_v.data(),
+                       dev_val.data(), count, value_precision);
     dev_val.copy_to_host(
         std::span<real>(host_vals.data(), static_cast<usize>(count)));
     for (index_t e = 0; e < count; ++e) {

@@ -7,6 +7,8 @@
 // assemble a COO similarity matrix on the device.
 #pragma once
 
+#include <vector>
+
 #include "device/device.h"
 #include "graph/grid_index.h"
 #include "graph/similarity.h"
@@ -37,44 +39,41 @@ namespace fastsc::graph {
                                                 bool clamp_nonpositive = true);
 
 /// Device implementation of Algorithm 1.  Transfers X and E, runs the three
-/// kernels, and returns the COO similarity matrix resident on the device
-/// (row-sorted iff the edge list was row-sorted).
+/// kernels, and returns the COO similarity matrix resident on the device,
+/// in the edge list's entry order.  Non-positive similarities are clamped
+/// to the host builder's floor.  `value_precision` below fp64 quantizes
+/// each similarity on store (RNE through the narrow width, held in fp64
+/// storage): the similarity rung of the mixed-precision ladder (DESIGN.md
+/// §13).  At fp64 the store is exact.
 [[nodiscard]] sparse::DeviceCoo build_similarity_device(
     device::DeviceContext& ctx, const real* x, index_t n, index_t d,
     const EdgeList& edges, const SimilarityParams& params,
-    bool clamp_nonpositive = true);
-
-/// Fused Algorithm 1 + degree pass (mixed-precision ladder, DESIGN.md §13):
-/// builds the device COO like build_similarity_device and computes the
-/// weighted degrees d_i = sum_j W_ij in the same build stage, without first
-/// materializing a CSR — a span-partial edge sweep (kFusedDegreeSpans fixed
-/// contiguous spans, each folded in ascending span order) replaces the
-/// degree pass of Algorithm 2.  The span count is fixed so the fold order —
-/// and hence every degree bit — is independent of the worker count and of
-/// the device count (every device count consumes the same host vector).
-/// Note the fold order differs from CSR entry order, so fused-build degrees
-/// are numerically (not bitwise) equal to the unfused path's.
-///
-/// `value_precision` below fp64 quantizes each similarity on store (RNE
-/// through the narrow width; degrees then accumulate the *quantized*
-/// values in fp64, keeping d_i an exact row sum of the operator actually
-/// used).  `degrees` is filled with the host vector (length n).
-[[nodiscard]] sparse::DeviceCoo build_similarity_device_fused_degrees(
-    device::DeviceContext& ctx, const real* x, index_t n, index_t d,
-    const EdgeList& edges, const SimilarityParams& params,
-    std::vector<real>& degrees, Precision value_precision = Precision::kFp64,
-    bool clamp_nonpositive = true);
+    Precision value_precision = Precision::kFp64);
 
 /// Out-of-core variant of Algorithm 1 for edge lists that exceed the device
 /// memory budget (the paper's K20c has 5 GB; the DTI edge list alone is
 /// ~100 MB and the nnz-length value vector rides along).  X and the
 /// per-point statistics stay resident; the edge list streams through the
-/// device in chunks of `chunk_edges`, and the finished COO accumulates on
-/// the host.  Results are bit-identical to build_similarity_device.
+/// device in chunks of `chunk_edges` through the same kernel, and the
+/// finished COO accumulates on the host.  Results are bit-identical to
+/// build_similarity_device at the same `value_precision`.
 [[nodiscard]] sparse::Coo build_similarity_device_chunked(
     device::DeviceContext& ctx, const real* x, index_t n, index_t d,
     const EdgeList& edges, const SimilarityParams& params,
-    index_t chunk_edges, bool clamp_nonpositive = true);
+    index_t chunk_edges, Precision value_precision = Precision::kFp64);
+
+/// Weighted degrees d_i = sum_j W_ij of a device similarity matrix, as a
+/// host vector: a sweep over W's entries in 64 fixed contiguous spans, each
+/// accumulating its own partial degree row, then a fold in ascending span
+/// order.  The span count is fixed, so every degree bit is independent of
+/// the worker count and of the device count, and it depends on W's entry
+/// order only, not on how W was built.  The fold order differs from CSR
+/// entry order, so these degrees are numerically (not bitwise) equal to
+/// Algorithm 2's row sums.  The pipeline runs it on narrow or fused
+/// precision rungs and hands the result to Algorithm 2
+/// (NormalizeOptions::degrees), which then skips its degree pass.
+[[nodiscard]] std::vector<real> similarity_degrees(
+    device::DeviceContext& ctx, const sparse::DeviceCoo& w);
 
 /// k-nearest-neighbor graph (union rule: i~j if i in knn(j) OR j in knn(i)),
 /// brute-force O(n^2 d) with a bounded per-row heap; returns symmetric COO.

@@ -66,27 +66,44 @@ sparse::Csr sym_normalized_laplacian(const sparse::Coo& w) {
   return sparse::coo_to_csr(l);
 }
 
+namespace {
+
+/// Launch `row(r)` for every row r of `a`.  Each worker owns whole rows of
+/// the merge-path cut, so hub rows do not serialize the pass, and a row's
+/// entries are visited in entry order by one thread.
+template <class Row>
+void for_each_row(device::DeviceContext& ctx, const sparse::DeviceCsr& a,
+                  const Row& row, const device::LaunchConfig& cfg) {
+  const sparse::MergePathPartition mp = sparse::merge_path_partition(
+      a.row_ptr.data(), 0, a.rows,
+      static_cast<index_t>(ctx.pool().worker_count()));
+  const index_t* cut = mp.span_row.data();
+  device::launch(
+      ctx, mp.spans,
+      [=](index_t s) {
+        for (index_t r = cut[s]; r < cut[s + 1]; ++r) row(r);
+      },
+      cfg);
+}
+
+}  // namespace
+
 sparse::DeviceCsr normalized_rw_device(device::DeviceContext& ctx,
-                                       sparse::DeviceCoo& w) {
+                                       const sparse::DeviceCoo& w) {
   FASTSC_CHECK(w.rows == w.cols, "similarity matrix must be square");
-  // Default bucket for this routine; the sort/compress helpers inside carry
-  // their own sparse.* sites which take precedence.
   obs::AttrSiteScope attr_site("laplacian.normalize");
   const index_t n = w.rows;
-  const index_t nnz = w.nnz();
 
   // The paper's Algorithm 2 performs the degree SpMV with cusparseDcsrmv,
-  // which needs a CSR view of W first: sort the COO by (row, col) and
-  // compress.
-  sparse::device_sort_coo(ctx, w);
-  sparse::DeviceCsr w_csr;
-  sparse::device_coo2csr(ctx, w, w_csr);
+  // which needs a CSR view of W first.
+  sparse::DeviceCsr out;
+  sparse::device_coo2csr(ctx, w, out);
 
   // Step 1-2: ones vector, y = W * 1 (y_i = d_ii).
   device::DeviceBuffer<real> ones(ctx, static_cast<usize>(n));
   device::DeviceBuffer<real> y(ctx, static_cast<usize>(n));
   device::fill(ctx, ones.data(), n, real{1});
-  sparse::device_csrmv(ctx, w_csr, ones.data(), y.data());
+  sparse::device_csrmv(ctx, out, ones.data(), y.data());
 
   // Degree positivity check (downloads n doubles; one-off).
   {
@@ -98,19 +115,19 @@ sparse::DeviceCsr normalized_rw_device(device::DeviceContext& ctx,
     }
   }
 
-  // Step 3: ScaleElements — thread e scales COO entry e by 1 / y[row].
-  const index_t* rows = w.row_idx.data();
-  real* vals = w.values.data();
+  // Step 3: ScaleElements — row r's entries are divided by y[r].
+  const index_t* rp = out.row_ptr.data();
+  real* vals = out.values.data();
   const real* yp = y.data();
-  device::launch(ctx, nnz, [=](index_t e) { vals[e] /= yp[rows[e]]; },
-                 device::tagged("laplacian.scale", static_cast<double>(nnz),
-                                static_cast<double>(nnz) *
-                                    (sizeof(real) + sizeof(index_t)),
-                                static_cast<double>(nnz) * sizeof(real)));
-
-  // Step 4-5: compress row indices -> CSR of D^-1 W.
-  sparse::DeviceCsr out;
-  sparse::device_coo2csr(ctx, w, out);
+  const auto nnz = static_cast<double>(out.nnz());
+  for_each_row(
+      ctx, out,
+      [=](index_t r) {
+        for (index_t p = rp[r]; p < rp[r + 1]; ++p) vals[p] /= yp[r];
+      },
+      device::tagged("laplacian.scale", nnz,
+                     nnz * sizeof(real) + n * (sizeof(real) + sizeof(index_t)),
+                     nnz * sizeof(real)));
   return out;
 }
 
@@ -136,27 +153,21 @@ sparse::Csr sym_normalized_host(const sparse::Coo& w,
 namespace {
 
 /// Degrees y_r = sum_j W_rj of a CSR row block: Algorithm 2's ones-vector
-/// SpMV without the ones vector.  Each worker owns whole rows of the
-/// merge-path cut, so hub rows do not serialize the pass, and each row sums
-/// in entry order — bitwise the csrmv against ones (w * 1.0 == w) at every
-/// worker count and partition.
+/// SpMV without the ones vector.  Each row sums in entry order — bitwise
+/// the csrmv against ones (w * 1.0 == w) at every worker count and
+/// partition.
 void row_sums(device::DeviceContext& ctx, const sparse::DeviceCsr& a,
               real* y) {
   const index_t* rp = a.row_ptr.data();
   const real* v = a.values.data();
-  const sparse::MergePathPartition mp = sparse::merge_path_partition(
-      rp, 0, a.rows, static_cast<index_t>(ctx.pool().worker_count()));
-  const index_t* cut = mp.span_row.data();
   const auto nnz = static_cast<double>(a.nnz());
   const auto rows = static_cast<double>(a.rows);
-  device::launch(
-      ctx, mp.spans,
-      [=](index_t s) {
-        for (index_t r = cut[s]; r < cut[s + 1]; ++r) {
-          real acc = 0;
-          for (index_t p = rp[r]; p < rp[r + 1]; ++p) acc += v[p];
-          y[r] = acc;
-        }
+  for_each_row(
+      ctx, a,
+      [=](index_t r) {
+        real acc = 0;
+        for (index_t p = rp[r]; p < rp[r + 1]; ++p) acc += v[p];
+        y[r] = acc;
       },
       device::tagged("laplacian.normalize", nnz,
                      nnz * sizeof(real) + (rows + 1) * sizeof(index_t),
@@ -166,7 +177,7 @@ void row_sums(device::DeviceContext& ctx, const sparse::DeviceCsr& a,
 }  // namespace
 
 GroupNormalized sym_normalized_group(device::DeviceGroup& group,
-                                     std::span<sparse::DeviceCoo> chunks,
+                                     std::span<const sparse::DeviceCoo> chunks,
                                      const sparse::RowPartition& part,
                                      const NormalizeOptions& opts) {
   const usize P = group.size();
@@ -185,18 +196,17 @@ GroupNormalized sym_normalized_group(device::DeviceGroup& group,
   std::vector<device::DeviceBuffer<real>> y(P);
   for (usize d = 0; d < P; ++d) {
     device::DeviceContext& ctx = group.device(d);
-    sparse::DeviceCoo& chunk = chunks[d];
+    const sparse::DeviceCoo& chunk = chunks[d];
     const index_t rb = part.begin(static_cast<index_t>(d));
     const index_t nl = part.size(static_cast<index_t>(d));
     FASTSC_CHECK(chunk.rows == nl && chunk.cols == n,
                  "COO chunk shape disagrees with the partition");
-    sparse::device_sort_coo(ctx, chunk);
     sparse::device_coo2csr(ctx, chunk, out.blocks[d]);
     if (nl == 0) continue;
     const std::span<real> seg(deg.data() + rb, static_cast<usize>(nl));
     if (opts.degrees != nullptr) {
-      // Degrees from the fused similarity+degree pass: one metered upload
-      // replaces the ones vector and the degree SpMV.
+      // Precomputed degrees (graph::similarity_degrees): one metered upload
+      // replaces the degree pass.
       std::copy_n(opts.degrees->data() + rb, seg.size(), seg.data());
       y[d] = device::DeviceBuffer<real>(ctx, std::span<const real>(seg));
       continue;
@@ -238,43 +248,45 @@ GroupNormalized sym_normalized_group(device::DeviceGroup& group,
   }
   if (opts.fuse_scale) return out;  // raw values; the epilogue scales
 
-  // ScaleElements: thread e scales the block's entry e by
-  // isd[row] * isd[col].  The compressed copy is scaled, so the chunk keeps
-  // its raw values.
+  // ScaleElements: row r's entries are scaled by isd[row] * isd[col].
   for (usize d = 0; d < P; ++d) {
     device::DeviceContext& ctx = group.device(d);
-    const sparse::DeviceCoo& chunk = chunks[d];
-    const index_t nnz = chunk.nnz();
-    const index_t* rows = chunk.row_idx.data();
-    const index_t* cols = chunk.col_idx.data();
+    const sparse::DeviceCsr& blk = out.blocks[d];
+    const index_t* rp = blk.row_ptr.data();
+    const index_t* cols = blk.col_idx.data();
     real* vals = out.blocks[d].values.data();
     const real* isd = out.isd[d].data();
     const index_t rb = part.begin(static_cast<index_t>(d));
-    device::launch(
-        ctx, nnz,
-        [=](index_t e) { vals[e] *= isd[rb + rows[e]] * isd[cols[e]]; },
+    const auto nnz = static_cast<double>(blk.nnz());
+    for_each_row(
+        ctx, blk,
+        [=](index_t r) {
+          for (index_t p = rp[r]; p < rp[r + 1]; ++p) {
+            vals[p] *= isd[rb + r] * isd[cols[p]];
+          }
+        },
         device::tagged("laplacian.scale", 2.0 * nnz,
-                       static_cast<double>(nnz) *
-                           (3.0 * sizeof(real) + 2.0 * sizeof(index_t)),
-                       static_cast<double>(nnz) * sizeof(real)));
+                       nnz * (3.0 * sizeof(real) + sizeof(index_t)) +
+                           (blk.rows + 1.0) * sizeof(index_t),
+                       nnz * sizeof(real)));
   }
   return out;
 }
 
 sparse::DeviceCsr sym_normalized_device(
-    device::DeviceContext& ctx, sparse::DeviceCoo& w,
+    device::DeviceContext& ctx, const sparse::DeviceCoo& w,
     device::DeviceBuffer<real>& inv_sqrt_degree) {
   return sym_normalized_device(ctx, w, inv_sqrt_degree, NormalizeOptions{});
 }
 
 sparse::DeviceCsr sym_normalized_device(
-    device::DeviceContext& ctx, sparse::DeviceCoo& w,
+    device::DeviceContext& ctx, const sparse::DeviceCoo& w,
     device::DeviceBuffer<real>& inv_sqrt_degree,
     const NormalizeOptions& opts) {
   FASTSC_CHECK(w.rows == w.cols, "similarity matrix must be square");
   device::DeviceGroup group(ctx);
   GroupNormalized g = sym_normalized_group(
-      group, std::span<sparse::DeviceCoo>(&w, 1),
+      group, std::span<const sparse::DeviceCoo>(&w, 1),
       sparse::whole_partition(w.rows), opts);
   inv_sqrt_degree = std::move(g.isd[0]);
   return std::move(g.blocks[0]);

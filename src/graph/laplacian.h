@@ -4,8 +4,10 @@
 // its largest-algebraic eigenvectors equal the smallest eigenvectors of the
 // normalized Laplacian Ln = I - D^-1 W (the paper computes the largest of
 // D^-1 W for numerical stability).  The device path follows Algorithm 2:
-// sort and compress the COO, degrees (the ones-vector SpMV, as row sums),
-// then a ScaleElements kernel over the entries.
+// compress the COO (sparse::device_coo2csr, which folds the paper's sort
+// into a stable counting pass), degrees (the ones-vector SpMV, as row
+// sums), then a ScaleElements kernel over the CSR rows.  W itself is only
+// read.
 #pragma once
 
 #include <span>
@@ -33,12 +35,12 @@ namespace fastsc::graph {
 /// Host: symmetric normalized Laplacian Lsym = I - D^-1/2 W D^-1/2 as CSR.
 [[nodiscard]] sparse::Csr sym_normalized_laplacian(const sparse::Coo& w);
 
-/// Device (Algorithm 2): from a device COO W (row-sorted), produce the CSR
-/// of D^-1 W on the device.  Steps: ones vector; y = W * 1 via csrmv;
-/// ScaleElements kernel (each thread scales one COO entry by 1/y_row);
-/// cusparseXcoo2csr.  Throws if a zero degree is found.
-[[nodiscard]] sparse::DeviceCsr normalized_rw_device(device::DeviceContext& ctx,
-                                                     sparse::DeviceCoo& w);
+/// Device (Algorithm 2): from a device COO W in any entry order, produce
+/// the CSR of D^-1 W on the device, W untouched.  Steps: coo2csr; ones
+/// vector; y = W * 1 via csrmv; ScaleElements kernel (row r's entries
+/// divided by y_r).  Throws if a zero degree is found.
+[[nodiscard]] sparse::DeviceCsr normalized_rw_device(
+    device::DeviceContext& ctx, const sparse::DeviceCoo& w);
 
 /// Host: the symmetric operator S = D^-1/2 W D^-1/2.
 ///
@@ -61,9 +63,9 @@ struct NormalizeOptions {
   /// isd_r * (sum w * (isd_c * x_c)) — bitwise identical to the 3-launch
   /// scale/spmv/scale sequence, associated differently from scaling w.
   bool fuse_scale = false;
-  /// Precomputed weighted degrees (length rows; e.g. from the fused
-  /// similarity+degree build pass).  Skips the on-device degree pass.
-  /// Must be the exact operator row sums.
+  /// Precomputed weighted degrees (length rows; e.g. from
+  /// graph::similarity_degrees).  Skips the on-device degree pass.  Must be
+  /// the row sums of the operator's own values.
   const std::vector<real>* degrees = nullptr;
 };
 
@@ -81,31 +83,31 @@ struct GroupNormalized {
 
 /// Algorithm 2 over a DeviceGroup: device d turns `chunks[d]` — the COO of
 /// rows [part.begin(d), part.end(d)) with local row and global column
-/// indices, resident on device d — into its row block of
-/// S = D^-1/2 W D^-1/2: sort and compress the chunk, degrees as row sums
-/// (whole merge-path rows per worker), a zero-degree check on the
+/// indices, resident on device d, in any entry order — into its row block
+/// of S = D^-1/2 W D^-1/2: compress the chunk (device_coo2csr), degrees as
+/// row sums (whole merge-path rows per worker), a zero-degree check on the
 /// host, 1/sqrt(d) on the device's own rows, an allgather of those segments
 /// over the D2D mesh ("d2d.isd_allgather"; nothing to gather for a group of
-/// one), and the ScaleElements kernel over the block's entries.  The chunks
-/// are sorted in place but keep their values, so a rerun over the same
-/// chunks rebuilds the same operator.  Every value is bitwise independent
-/// of the partition: per-row entry order survives the per-chunk sort (row
-/// ranges are disjoint) and the degree / scale arithmetic is the same
-/// expression on every device.
+/// one), and the ScaleElements kernel over the block's rows.  The chunks
+/// are only read, so a rerun over the same chunks rebuilds the same
+/// operator.  Every value is bitwise independent of the partition: each
+/// row's stable (row, col) entry order is the same in every chunk that
+/// holds it, and the degree / scale arithmetic is the same expression on
+/// every device.
 [[nodiscard]] GroupNormalized sym_normalized_group(
-    device::DeviceGroup& group, std::span<sparse::DeviceCoo> chunks,
+    device::DeviceGroup& group, std::span<const sparse::DeviceCoo> chunks,
     const sparse::RowPartition& part, const NormalizeOptions& opts = {});
 
 /// Algorithm 2 on one device: sym_normalized_group over a group of one,
-/// with `w` (any entry order; sorted in place, values kept) as the whole
-/// chunk.  Fills `inv_sqrt_degree` with the device's 1/sqrt(d_i).
+/// with `w` (any entry order; only read) as the whole chunk.  Fills
+/// `inv_sqrt_degree` with the device's 1/sqrt(d_i).
 [[nodiscard]] sparse::DeviceCsr sym_normalized_device(
-    device::DeviceContext& ctx, sparse::DeviceCoo& w,
+    device::DeviceContext& ctx, const sparse::DeviceCoo& w,
     device::DeviceBuffer<real>& inv_sqrt_degree);
 
 /// As above with NormalizeOptions (fused epilogue / precomputed degrees).
 [[nodiscard]] sparse::DeviceCsr sym_normalized_device(
-    device::DeviceContext& ctx, sparse::DeviceCoo& w,
+    device::DeviceContext& ctx, const sparse::DeviceCoo& w,
     device::DeviceBuffer<real>& inv_sqrt_degree,
     const NormalizeOptions& opts);
 

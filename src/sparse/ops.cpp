@@ -4,7 +4,6 @@
 #include <cmath>
 
 #include "common/error.h"
-#include "sparse/convert.h"
 
 namespace fastsc::sparse {
 
@@ -84,19 +83,6 @@ real inf_norm(const Csr& a) {
     best = std::max(best, acc);
   }
   return best;
-}
-
-Csr symmetrize(const Csr& a) {
-  FASTSC_CHECK(a.rows == a.cols, "symmetrize requires a square matrix");
-  Coo acc = csr_to_coo(a);
-  const Csr t = transpose(a);
-  const Coo tc = csr_to_coo(t);
-  acc.row_idx.insert(acc.row_idx.end(), tc.row_idx.begin(), tc.row_idx.end());
-  acc.col_idx.insert(acc.col_idx.end(), tc.col_idx.begin(), tc.col_idx.end());
-  acc.values.insert(acc.values.end(), tc.values.begin(), tc.values.end());
-  for (real& v : acc.values) v *= 0.5;
-  sort_and_merge(acc);
-  return coo_to_csr(acc);
 }
 
 }  // namespace fastsc::sparse

@@ -1,4 +1,8 @@
-// Structural and numeric operations on sparse matrices.
+// Structural and numeric operations on host CSR matrices.  No pipeline
+// path calls them: they are the reference kernels that tests check results
+// against (row sums, diagonal, symmetry, infinity norm; is_symmetric needs
+// transpose).  The pipeline symmetrizes edge lists (graph::symmetrized),
+// never a CSR, so there is no CSR symmetrize.
 #pragma once
 
 #include <vector>
@@ -22,8 +26,5 @@ namespace fastsc::sparse {
 
 /// Infinity norm (max absolute row sum).
 [[nodiscard]] real inf_norm(const Csr& a);
-
-/// Symmetrize: (A + A^T) / 2.
-[[nodiscard]] Csr symmetrize(const Csr& a);
 
 }  // namespace fastsc::sparse

@@ -1,11 +1,10 @@
 #include "sparse/spmv.h"
 
 #include <algorithm>
-#include <cmath>
+#include <utility>
+#include <vector>
 
 #include "common/error.h"
-#include "device/algorithms.h"
-#include "obs/attribution.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
 #include "sparse/balance.h"
@@ -273,70 +272,79 @@ void device_coo2csr(device::DeviceContext& ctx, const DeviceCoo& coo,
   out.values_f32 = device::DeviceBuffer<float>();
   out.values_b16 = device::DeviceBuffer<std::uint16_t>();
   const index_t nnz = coo.nnz();
-  out.row_ptr = device::DeviceBuffer<index_t>(
-      ctx, static_cast<usize>(coo.rows) + 1);
+  const index_t rows = coo.rows;
+  out.row_ptr =
+      device::DeviceBuffer<index_t>(ctx, static_cast<usize>(rows) + 1);
   out.col_idx = device::DeviceBuffer<index_t>(ctx, static_cast<usize>(nnz));
   out.values = device::DeviceBuffer<real>(ctx, static_cast<usize>(nnz));
 
   const index_t* rows_in = coo.row_idx.data();
+  const index_t* cols_in = coo.col_idx.data();
+  const real* vals_in = coo.values.data();
   index_t* row_ptr = out.row_ptr.data();
-  const index_t n_rows = coo.rows;
-
-  // Each thread r finds the first entry with row >= r by binary search over
-  // the sorted row-index array — the standard GPU coo2csr formulation.
-  obs::AttrSiteScope attr_site("sparse.coo2csr");
-  const double probes = std::ceil(std::log2(static_cast<double>(nnz) + 2.0));
+  index_t* cols_out = out.col_idx.data();
+  real* vals_out = out.values.data();
+  // At least one span, so that row_ptr[rows] is written even with no rows.
+  const index_t spans = std::max<index_t>(
+      1, std::min<index_t>(
+             rows, static_cast<index_t>(ctx.pool().worker_count())));
+  // Modeled as the GPU formulation: one histogram read and one scatter read
+  // of the row indices, one read and one write of every (col, value).
+  const double entry_bytes = sizeof(index_t) + sizeof(real);
   device::launch(
-      ctx, n_rows + 1,
-      [=](index_t r) {
-        index_t lo = 0, hi = nnz;
-        while (lo < hi) {
-          const index_t mid = lo + (hi - lo) / 2;
-          if (rows_in[mid] < r) {
-            lo = mid + 1;
-          } else {
-            hi = mid;
+      ctx, spans,
+      [=](index_t s) {
+        const index_t r0 = s * rows / spans;
+        const index_t r1 = (s + 1) * rows / spans;
+        // Counting pass: entries of earlier rows, then one count per row.
+        std::vector<index_t> next(static_cast<usize>(r1 - r0) + 1, 0);
+        index_t before = 0;
+        for (index_t e = 0; e < nnz; ++e) {
+          const index_t r = rows_in[e];
+          if (r < r0) {
+            ++before;
+          } else if (r < r1) {
+            ++next[static_cast<usize>(r - r0) + 1];
           }
         }
-        row_ptr[r] = lo;
+        next[0] = before;
+        for (index_t r = r0; r < r1; ++r) {
+          const auto i = static_cast<usize>(r - r0);
+          next[i + 1] += next[i];
+          row_ptr[r] = next[i];
+        }
+        if (r1 == rows) row_ptr[rows] = next.back();
+        // Scatter in entry order: each row keeps its entries' COO order.
+        for (index_t e = 0; e < nnz; ++e) {
+          const index_t r = rows_in[e];
+          if (r < r0 || r >= r1) continue;
+          const index_t p = next[static_cast<usize>(r - r0)]++;
+          cols_out[p] = cols_in[e];
+          vals_out[p] = vals_in[e];
+        }
+        // Stable column sort of the rows that are out of order.
+        std::vector<std::pair<index_t, real>> row;
+        for (index_t r = r0; r < r1; ++r) {
+          const index_t b = row_ptr[r];
+          const index_t e = next[static_cast<usize>(r - r0)];
+          if (std::is_sorted(cols_out + b, cols_out + e)) continue;
+          row.clear();
+          for (index_t p = b; p < e; ++p) {
+            row.emplace_back(cols_out[p], vals_out[p]);
+          }
+          std::stable_sort(row.begin(), row.end(),
+                           [](const auto& x, const auto& y) {
+                             return x.first < y.first;
+                           });
+          for (index_t p = b; p < e; ++p) {
+            cols_out[p] = row[static_cast<usize>(p - b)].first;
+            vals_out[p] = row[static_cast<usize>(p - b)].second;
+          }
+        }
       },
-      device::tagged("sparse.coo2csr", (n_rows + 1.0) * probes,
-                     (n_rows + 1.0) * probes * sizeof(index_t),
-                     (n_rows + 1.0) * sizeof(index_t)));
-
-  device::transform(ctx, coo.col_idx.data(), out.col_idx.data(), nnz,
-                    [](index_t c) { return c; });
-  device::transform(ctx, coo.values.data(), out.values.data(), nnz,
-                    [](real v) { return v; });
-}
-
-void device_sort_coo(device::DeviceContext& ctx, DeviceCoo& coo) {
-  const index_t nnz = coo.nnz();
-  if (nnz <= 1) return;
-  obs::AttrSiteScope attr_site("sparse.sort_coo");
-  device::DeviceBuffer<index_t> keys(ctx, static_cast<usize>(nnz));
-  device::DeviceBuffer<index_t> perm(ctx, static_cast<usize>(nnz));
-  const index_t cols = coo.cols;
-  const index_t* rows_in = coo.row_idx.data();
-  const index_t* cols_in = coo.col_idx.data();
-  index_t* keyp = keys.data();
-  device::launch(
-      ctx, nnz,
-      [=](index_t e) { keyp[e] = rows_in[e] * cols + cols_in[e]; },
-      device::tagged("sparse.sort_coo", 2.0 * nnz, 2.0 * nnz * sizeof(index_t),
-                     static_cast<double>(nnz) * sizeof(index_t)));
-  device::sequence(ctx, perm.data(), nnz, index_t{0});
-  device::sort_by_key(ctx, keys.data(), perm.data(), nnz);
-
-  device::DeviceBuffer<index_t> rows_out(ctx, static_cast<usize>(nnz));
-  device::DeviceBuffer<index_t> cols_out(ctx, static_cast<usize>(nnz));
-  device::DeviceBuffer<real> vals_out(ctx, static_cast<usize>(nnz));
-  device::gather(ctx, perm.data(), coo.row_idx.data(), rows_out.data(), nnz);
-  device::gather(ctx, perm.data(), coo.col_idx.data(), cols_out.data(), nnz);
-  device::gather(ctx, perm.data(), coo.values.data(), vals_out.data(), nnz);
-  coo.row_idx = std::move(rows_out);
-  coo.col_idx = std::move(cols_out);
-  coo.values = std::move(vals_out);
+      device::tagged("sparse.coo2csr", static_cast<double>(nnz),
+                     nnz * (2.0 * sizeof(index_t) + entry_bytes),
+                     nnz * entry_bytes + (rows + 1.0) * sizeof(index_t)));
 }
 
 }  // namespace fastsc::sparse

@@ -157,13 +157,16 @@ void device_csrmm(device::DeviceContext& ctx, const DeviceCsr& a,
                   const real* x, real* y, index_t nvec, real alpha = 1.0,
                   real beta = 0.0);
 
-/// cusparseXcoo2csr: compress sorted device COO row indices into row_ptr.
-/// Requires row_idx sorted ascending; col order within a row is preserved.
+/// The paper's sort + cusparseXcoo2csr in one launch: compress a device
+/// COO in any entry order into a CSR ordered by (row, col), entries with
+/// equal (row, col) kept in COO order — exactly what a stable sort by
+/// (row, col) followed by coo2csr gives.  `coo` is only read.  Worker s
+/// owns the row range [s * rows / S, (s + 1) * rows / S): it counts its
+/// rows' entries over the whole COO, scatters them in entry order (a
+/// stable counting pass by row), then stable-sorts by column each of its
+/// rows that is out of order.  The output depends on the input alone,
+/// never on the worker count.  Row indices must lie in [0, rows).
 void device_coo2csr(device::DeviceContext& ctx, const DeviceCoo& coo,
                     DeviceCsr& out);
-
-/// Sort device COO entries by (row, col) in place (thrust::sort_by_key
-/// equivalent; preparation for device_coo2csr).
-void device_sort_coo(device::DeviceContext& ctx, DeviceCoo& coo);
 
 }  // namespace fastsc::sparse

@@ -4,7 +4,6 @@
 
 #include <cmath>
 
-#include "common/rng.h"
 #include "sparse/convert.h"
 
 namespace fastsc::sparse {
@@ -79,27 +78,6 @@ TEST(SparseOps, DiagonalExtraction) {
 }
 
 TEST(SparseOps, InfNorm) { EXPECT_DOUBLE_EQ(inf_norm(example()), 9.0); }
-
-TEST(SparseOps, SymmetrizeAveragesWithTranspose) {
-  Coo coo(2, 2);
-  coo.push(0, 1, 4.0);
-  const Csr s = symmetrize(coo_to_csr(coo));
-  EXPECT_DOUBLE_EQ(s.at(0, 1), 2.0);
-  EXPECT_DOUBLE_EQ(s.at(1, 0), 2.0);
-  EXPECT_TRUE(is_symmetric(s));
-}
-
-TEST(SparseOps, RandomSymmetrizeIsSymmetric) {
-  Rng rng(55);
-  Coo coo(30, 30);
-  for (int e = 0; e < 200; ++e) {
-    coo.push(static_cast<index_t>(rng.uniform_index(30)),
-             static_cast<index_t>(rng.uniform_index(30)),
-             rng.uniform() - 0.5);
-  }
-  sort_and_merge(coo);
-  EXPECT_TRUE(is_symmetric(symmetrize(coo_to_csr(coo)), 1e-12));
-}
 
 }  // namespace
 }  // namespace fastsc::sparse

@@ -2,12 +2,17 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <cstring>
 #include <limits>
+#include <numeric>
 #include <tuple>
+#include <utility>
 #include <vector>
 
 #include "common/rng.h"
+#include "graph/laplacian.h"
 #include "sparse/convert.h"
 
 namespace fastsc::sparse {
@@ -176,18 +181,120 @@ TEST_P(DeviceSparse, Coo2CsrMatchesHostConversion) {
   EXPECT_EQ(got.values, host.values);
 }
 
-TEST_P(DeviceSparse, SortCooOrdersByRowCol) {
+TEST_P(DeviceSparse, Coo2CsrOrdersByRowCol) {
   Coo coo(4, 4);
   coo.push(3, 1, 1.0);
   coo.push(0, 2, 2.0);
   coo.push(3, 0, 3.0);
   coo.push(1, 1, 4.0);
   DeviceCoo dcoo(ctx_, coo);
-  device_sort_coo(ctx_, dcoo);
-  const Coo sorted = dcoo.to_host();
-  EXPECT_EQ(sorted.row_idx, (std::vector<index_t>{0, 1, 3, 3}));
-  EXPECT_EQ(sorted.col_idx, (std::vector<index_t>{2, 1, 0, 1}));
-  EXPECT_EQ(sorted.values, (std::vector<real>{2.0, 4.0, 3.0, 1.0}));
+  DeviceCsr dcsr;
+  device_coo2csr(ctx_, dcoo, dcsr);
+  const Csr got = dcsr.to_host();
+  EXPECT_EQ(got.row_ptr, (std::vector<index_t>{0, 1, 2, 2, 4}));
+  EXPECT_EQ(got.col_idx, (std::vector<index_t>{2, 1, 0, 1}));
+  EXPECT_EQ(got.values, (std::vector<real>{2.0, 4.0, 3.0, 1.0}));
+}
+
+TEST_P(DeviceSparse, Coo2CsrHandlesTinyInputs) {
+  // No rows, no entries, and fewer rows than workers.
+  for (const index_t rows : {0, 3}) {
+    DeviceCoo dcoo(ctx_, Coo(rows, rows));
+    DeviceCsr dcsr;
+    device_coo2csr(ctx_, dcoo, dcsr);
+    EXPECT_EQ(dcsr.to_host().row_ptr,
+              std::vector<index_t>(static_cast<usize>(rows) + 1, 0));
+  }
+  Coo one(1, 5);
+  one.push(0, 4, 1.0);
+  one.push(0, 2, 2.0);
+  one.push(0, 4, 3.0);
+  DeviceCoo dcoo(ctx_, one);
+  DeviceCsr dcsr;
+  device_coo2csr(ctx_, dcoo, dcsr);
+  const Csr got = dcsr.to_host();
+  EXPECT_EQ(got.row_ptr, (std::vector<index_t>{0, 3}));
+  EXPECT_EQ(got.col_idx, (std::vector<index_t>{2, 4, 4}));
+  EXPECT_EQ(got.values, (std::vector<real>{2.0, 1.0, 3.0}));
+}
+
+TEST_P(DeviceSparse, Coo2CsrMatchesStableSortOfShuffledInput) {
+  // Shuffled entries, repeated (row, col) pairs and empty rows: the CSR
+  // must be the stable sort by (row, col), repeats in their COO order.
+  Rng rng(37);
+  const index_t rows = 60;
+  const index_t cols = 40;
+  Coo coo(rows, cols);
+  for (index_t e = 0; e < 3000; ++e) {
+    index_t r = static_cast<index_t>(rng.uniform_index(rows));
+    if (r % 7 == 3) r = 0;  // rows 3, 10, 17, ... stay empty
+    coo.push(r, static_cast<index_t>(rng.uniform_index(cols)),
+             rng.uniform() - 0.5);
+  }
+  std::vector<usize> order(coo.values.size());
+  std::iota(order.begin(), order.end(), usize{0});
+  std::stable_sort(order.begin(), order.end(), [&](usize a, usize b) {
+    return std::pair(coo.row_idx[a], coo.col_idx[a]) <
+           std::pair(coo.row_idx[b], coo.col_idx[b]);
+  });
+  std::vector<index_t> row_ptr(static_cast<usize>(rows) + 1, 0);
+  std::vector<index_t> col_idx;
+  std::vector<real> values;
+  for (const usize e : order) {
+    ++row_ptr[static_cast<usize>(coo.row_idx[e]) + 1];
+    col_idx.push_back(coo.col_idx[e]);
+    values.push_back(coo.values[e]);
+  }
+  for (usize r = 0; r < static_cast<usize>(rows); ++r) {
+    row_ptr[r + 1] += row_ptr[r];
+  }
+
+  DeviceCoo dcoo(ctx_, coo);
+  DeviceCsr dcsr;
+  device_coo2csr(ctx_, dcoo, dcsr);
+  const Csr got = dcsr.to_host();
+  EXPECT_EQ(got.row_ptr, row_ptr);
+  EXPECT_EQ(got.col_idx, col_idx);
+  ASSERT_EQ(got.values.size(), values.size());
+  EXPECT_EQ(std::memcmp(got.values.data(), values.data(),
+                        values.size() * sizeof(real)),
+            0);
+}
+
+TEST_P(DeviceSparse, SymNormalizedLeavesCooUnchanged) {
+  // A shuffled symmetric W: Algorithm 2 reads it and must not reorder or
+  // rescale it.
+  Rng rng(41);
+  const index_t n = 80;
+  Coo w(n, n);
+  for (index_t i = 0; i < n; ++i) {
+    const index_t j = (i + 1) % n;
+    const real v = rng.uniform() + 0.5;
+    w.push(j, i, v);
+    w.push(i, j, v);
+  }
+  for (index_t e = 0; e < 300; ++e) {
+    const auto i = static_cast<index_t>(rng.uniform_index(n));
+    const auto j = static_cast<index_t>(rng.uniform_index(n));
+    const real v = rng.uniform() + 0.5;
+    w.push(j, i, v);
+    w.push(i, j, v);
+  }
+  DeviceCoo dw(ctx_, w);
+  device::DeviceBuffer<real> isd;
+  (void)graph::sym_normalized_device(ctx_, dw, isd);
+  const Coo after = dw.to_host();
+  const usize nnz = w.values.size();
+  ASSERT_EQ(after.values.size(), nnz);
+  EXPECT_EQ(std::memcmp(after.row_idx.data(), w.row_idx.data(),
+                        nnz * sizeof(index_t)),
+            0);
+  EXPECT_EQ(std::memcmp(after.col_idx.data(), w.col_idx.data(),
+                        nnz * sizeof(index_t)),
+            0);
+  EXPECT_EQ(
+      std::memcmp(after.values.data(), w.values.data(), nnz * sizeof(real)),
+      0);
 }
 
 INSTANTIATE_TEST_SUITE_P(WorkerCounts, DeviceSparse, ::testing::Values(1, 4));

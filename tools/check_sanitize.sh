@@ -34,7 +34,9 @@ esac
 # degree pass, test_rci the reverse-communication loop and test_lanczos
 # the thick restart whose basis products fan out over the pool.  test_kmeans
 # and test_seeding drive the k-means group sweep across device and worker
-# counts.
+# counts.  test_spmv runs the counting-sort coo2csr launch (each worker
+# scans the whole COO and writes only its own rows) and test_graph_build
+# the shared Algorithm 1 similarity kernel, both on the pool.
 TESTS=(
   test_thread_pool
   test_stage_clock
@@ -63,6 +65,8 @@ TESTS=(
   test_laplacian
   test_rci
   test_lanczos
+  test_spmv
+  test_graph_build
 )
 
 echo "== configuring ${SANITIZER}-sanitized build in ${BUILD_DIR} =="
