@@ -119,14 +119,13 @@ RungRun run_rung(const Dataset& ds, const std::string& rung, index_t devices,
   // the bytes each kernel streams), so the speedup gauge measures the
   // ladder's byte savings, not host wall-clock noise.
   {
-    device::DeviceGroupConfig gc;
-    gc.num_devices = 1;
-    gc.modeled_compute_bytes_per_sec = compute_rate;
-    device::DeviceGroup group(gc);
-    r.result = core::spectral_cluster_graph(ds.w, cfg, group);
-    r.pipeline_seconds = group.max_modeled_pipeline_seconds();
+    device::DeviceContext root(1);
+    root.set_kernel_cost_model(compute_rate,
+                               bench::kModeledLaunchLatencySeconds);
+    r.result = core::spectral_cluster_graph(ds.w, cfg, &root);
+    r.pipeline_seconds = root.counters_snapshot().modeled_pipeline_seconds();
     r.matvecs = std::max<index_t>(1, r.result.eig_stats.matvec_count);
-    for (const obs::SiteReport& s : group.device(0).attribution().report()) {
+    for (const obs::SiteReport& s : root.attribution().report()) {
       if (!is_spmv_site(s.site)) continue;
       r.spmv_seconds += s.stats.total_seconds();
       const double bps = s.stats.bytes_per_scalar();
@@ -135,13 +134,16 @@ RungRun run_rung(const Dataset& ds, const std::string& rung, index_t devices,
     }
   }
   {
-    device::DeviceGroupConfig gc;
-    gc.num_devices = static_cast<usize>(devices);
-    gc.modeled_compute_bytes_per_sec = compute_rate;
-    device::DeviceGroup group(gc);
+    device::DeviceContext root(1);
+    root.set_kernel_cost_model(compute_rate,
+                               bench::kModeledLaunchLatencySeconds);
+    cfg.num_devices = devices;
     const core::SpectralResult sharded =
-        core::spectral_cluster_graph(ds.w, cfg, group);
-    r.sharded_seconds = group.max_modeled_pipeline_seconds();
+        core::spectral_cluster_graph(ds.w, cfg, &root);
+    bench::check_no_single_device_rung(sharded);
+    r.sharded_seconds =
+        device::DeviceGroup(root, static_cast<usize>(devices))
+            .max_modeled_pipeline_seconds();
     r.sharded_labels_match =
         sharded.labels.size() == r.result.labels.size() &&
         std::memcmp(sharded.labels.data(), r.result.labels.data(),

@@ -178,6 +178,20 @@ inline core::BackendRuns run_points_backends(
   return runs;
 }
 
+/// Launch latency of the deterministic kernel cost model the modeled
+/// benches install (DeviceContext::set_kernel_cost_model).
+inline constexpr double kModeledLaunchLatencySeconds = 5.0e-6;
+
+/// Fail unless `r` ran on every device it asked for: a run that fell back
+/// to the caller's context alone (degradation action "single-device")
+/// would pass one device's books off as a group's.
+inline void check_no_single_device_rung(const core::SpectralResult& r) {
+  for (const core::DegradationEvent& e : r.degradation.events) {
+    FASTSC_CHECK(e.action != "single-device",
+                 "multi-device run fell back to one device: " + e.reason);
+  }
+}
+
 /// Speedup summary of the device backend over each baseline, per stage.
 inline TextTable speedup_table(const core::BackendRuns& runs) {
   TextTable table("Device speedup per stage on " + runs.dataset);
@@ -260,7 +274,8 @@ inline void write_observability_artifacts(const CommonFlags& flags,
 
 /// Write the RunReport JSON if --report-out was given.  When a context is
 /// supplied, the report carries the attribution section (per-site costs +
-/// device-counter totals) that tools/check_trace.py --report validates.
+/// device-counter totals of the context and its peers) that
+/// tools/check_trace.py --report validates.
 inline void maybe_write_run_report(const CommonFlags& flags,
                                    const std::string& bench,
                                    std::vector<core::BackendRuns> datasets,
@@ -272,26 +287,6 @@ inline void maybe_write_run_report(const CommonFlags& flags,
   report.datasets = std::move(datasets);
   report.tables = std::move(tables);
   if (ctx != nullptr) report.attribution = core::collect_attribution(*ctx);
-  if (core::write_run_report_json_file(report, flags.report_out)) {
-    std::fprintf(stderr, "[bench] wrote run report to %s\n",
-                 flags.report_out.c_str());
-  }
-}
-
-/// Group variant: the attribution section merges every device's registry
-/// (core::collect_attribution(DeviceGroup)), so the report's exact-sum
-/// invariants span the whole group.
-inline void maybe_write_run_report(const CommonFlags& flags,
-                                   const std::string& bench,
-                                   std::vector<core::BackendRuns> datasets,
-                                   std::vector<TextTable> tables,
-                                   const device::DeviceGroup& group) {
-  if (flags.report_out.empty()) return;
-  core::RunReport report;
-  report.bench = bench;
-  report.datasets = std::move(datasets);
-  report.tables = std::move(tables);
-  report.attribution = core::collect_attribution(group);
   if (core::write_run_report_json_file(report, flags.report_out)) {
     std::fprintf(stderr, "[bench] wrote run report to %s\n",
                  flags.report_out.c_str());

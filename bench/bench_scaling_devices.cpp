@@ -2,13 +2,13 @@
 // story extended to N simulated devices.
 //
 // For each dataset (a DBLP-scale social graph and a power-law graph) the
-// full sharded pipeline runs on DeviceGroups of 1, 2, 4, and 8 devices with
-// the deterministic kernel cost model on, so the reported times are a pure
-// function of the partition and the transfer model — no host wall-clock
-// noise.  Per device count the bench prints the modeled compute time, the
-// PCIe staging time, the peer-to-peer exchange time and the pipeline
-// makespan (slowest device), plus the modeled speedup over the
-// single-device run.  The speedup points are published as
+// full sharded pipeline runs on 1, 2, 4, and 8 devices (a fresh root
+// context and its peers) with the deterministic kernel cost model on, so
+// the reported times are a pure function of the partition and the transfer
+// model — no host wall-clock noise.  Per device count the bench prints the
+// modeled compute time, the PCIe staging time, the peer-to-peer exchange
+// time and the pipeline makespan (slowest device), plus the modeled
+// speedup over the single-device run.  The speedup points are published as
 // gauges (scaling.speedup_2dev/4dev/8dev) so the scaling_smoke CTest and
 // the perf_regression gate can judge the curve from the metrics artifact
 // alone.
@@ -36,19 +36,26 @@ struct ScalingPoint {
   usize d2d_bytes = 0;
 };
 
-ScalingPoint run_point(const sparse::Coo& w, index_t k, index_t devices,
-                       double compute_rate, std::uint64_t seed) {
-  device::DeviceGroupConfig gc;
-  gc.num_devices = static_cast<usize>(devices);
-  gc.modeled_compute_bytes_per_sec = compute_rate;
-  device::DeviceGroup group(gc);
-
+core::SpectralConfig scaling_config(index_t k, index_t devices,
+                                    std::uint64_t seed) {
   core::SpectralConfig cfg;
   cfg.num_clusters = k;
   cfg.backend = core::Backend::kDevice;
+  cfg.num_devices = devices;
   cfg.seed = seed;
-  const core::SpectralResult r =
-      core::spectral_cluster_graph(w, cfg, group);
+  return cfg;
+}
+
+ScalingPoint run_point(const sparse::Coo& w, index_t k, index_t devices,
+                       double compute_rate, std::uint64_t seed) {
+  // A fresh root per point; its peers inherit the cost model.
+  device::DeviceContext root(1);
+  root.set_kernel_cost_model(compute_rate,
+                             bench::kModeledLaunchLatencySeconds);
+  const core::SpectralResult r = core::spectral_cluster_graph(
+      w, scaling_config(k, devices, seed), &root);
+  bench::check_no_single_device_rung(r);
+  const device::DeviceGroup group(root, static_cast<usize>(devices));
 
   ScalingPoint p;
   p.devices = devices;
@@ -159,9 +166,10 @@ int main(int argc, char** argv) {
   }
 
   // Suppress tracing during the timing loops: every run_point builds a
-  // fresh group whose virtual clocks restart at zero, so replays on the
-  // same trace tids would overlap and break the track discipline the smoke
-  // check asserts.  Only the final instrumented run below is traced.
+  // fresh root context whose devices' virtual clocks restart at zero, so
+  // replays on the same trace tids would overlap and break the track
+  // discipline the smoke check asserts.  Only the final instrumented run
+  // below is traced.
   const bool tracing = obs::trace_enabled();
   if (tracing) obs::trace().set_enabled(false);
 
@@ -179,23 +187,21 @@ int main(int argc, char** argv) {
   }
   bench::print_tables(tables);
 
-  // One final instrumented group run so the artifacts carry a rollup of the
-  // per-device books (device.* gauges = group totals) and, when tracing,
-  // the per-device track discipline the smoke check asserts.
+  // One final instrumented 4-device run so the artifacts carry a rollup of
+  // the per-device books (device.* gauges = the root and its peers) and,
+  // when tracing, the per-device track discipline the smoke check asserts.
   {
     if (tracing) obs::trace().set_enabled(true);
-    device::DeviceGroupConfig gc;
-    gc.num_devices = 4;
-    gc.modeled_compute_bytes_per_sec = compute_rate;
-    device::DeviceGroup group(gc);
-    core::SpectralConfig cfg;
-    cfg.num_clusters = flags.k;
-    cfg.backend = core::Backend::kDevice;
-    cfg.seed = flags.seed;
+    device::DeviceContext root(1);
+    root.set_kernel_cost_model(compute_rate,
+                               bench::kModeledLaunchLatencySeconds);
+    core::SpectralConfig cfg = scaling_config(flags.k, 4, flags.seed);
     cfg.trace = obs::trace_enabled();
-    (void)core::spectral_cluster_graph(datasets[0].w, cfg, group);
-    obs::publish_device_counters(group.rollup_counters(), obs::metrics());
-    bench::maybe_write_run_report(flags, "scaling_devices", {}, tables, group);
+    bench::check_no_single_device_rung(
+        core::spectral_cluster_graph(datasets[0].w, cfg, &root));
+    obs::publish_device_context(root, obs::metrics());
+    bench::maybe_write_run_report(flags, "scaling_devices", {}, tables,
+                                  &root);
   }
 
   if (!flags.trace_out.empty() &&

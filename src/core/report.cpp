@@ -4,7 +4,6 @@
 #include <ostream>
 
 #include "common/log.h"
-#include "device/device_group.h"
 #include "metrics/cut.h"
 #include "metrics/external.h"
 #include "obs/json.h"
@@ -93,29 +92,19 @@ AttributionReport collect_attribution(const device::DeviceContext& ctx) {
   AttributionReport a;
   a.present = true;
   a.roofline = ctx.attribution().roofline();
-  a.sites = ctx.attribution().report();
-  a.totals = ctx.attribution().totals();
-  a.device_totals = ctx.counters();
-  return a;
-}
-
-AttributionReport collect_attribution(const device::DeviceGroup& group) {
-  AttributionReport a;
-  a.present = true;
-  a.roofline = group.device(0).attribution().roofline();
   std::map<std::string, obs::SiteStats> merged;
-  for (usize i = 0; i < group.size(); ++i) {
-    for (const obs::SiteReport& r : group.device(i).attribution().report()) {
+  for (const device::DeviceContext* d : ctx.devices()) {
+    for (const obs::SiteReport& r : d->attribution().report()) {
       merged[r.site] += r.stats;
     }
+    a.totals += d->attribution().totals();
+    device::accumulate_counters(a.device_totals, d->counters_snapshot());
   }
   a.sites.reserve(merged.size());
   for (const auto& [site, stats] : merged) {
     a.sites.push_back({site, stats, obs::arithmetic_intensity(stats),
                        obs::roofline_utilization(stats, a.roofline)});
   }
-  a.totals = group.rollup_attribution();
-  a.device_totals = group.rollup_counters();
   return a;
 }
 

@@ -17,10 +17,6 @@
 #include "obs/attribution.h"
 #include "sparse/csr.h"
 
-namespace fastsc::device {
-class DeviceGroup;
-}  // namespace fastsc::device
-
 namespace fastsc::core {
 
 /// One dataset's worth of backend results keyed by backend.
@@ -53,9 +49,9 @@ struct BackendRuns {
     const BackendRuns& runs, const std::vector<index_t>& ground_truth,
     const sparse::Csr& w);
 
-/// Attribution section of a run report: the per-site cost rows from one
-/// DeviceContext's AttributionRegistry, the roofline ceilings they were
-/// scored against, and the context-lifetime DeviceCounters totals the
+/// Attribution section of a run report: the per-site cost rows of one
+/// DeviceContext and every peer it has made, the roofline ceilings they
+/// were scored against, and the lifetime DeviceCounters totals the
 /// per-site sums must reproduce (tools/check_trace.py --report verifies
 /// bytes exactly and seconds to 1e-6).
 struct AttributionReport {
@@ -63,19 +59,15 @@ struct AttributionReport {
   obs::RooflineModel roofline;
   std::vector<obs::SiteReport> sites;   ///< sorted by site name
   obs::SiteStats totals;                ///< sum over every site
-  device::DeviceCounters device_totals; ///< context totals (cross-check)
+  device::DeviceCounters device_totals; ///< devices' rollup (cross-check)
 };
 
-/// Snapshot the context's attribution registry + counters into a section.
+/// Snapshot the attribution registries + counters of `ctx` and its peers
+/// (DeviceContext::devices()) into a section: per-site rows merged by site
+/// name (stats summed, roofline columns scored against the context's
+/// model), device_totals the devices' counter rollup.
 [[nodiscard]] AttributionReport collect_attribution(
     const device::DeviceContext& ctx);
-
-/// Group variant: merge every device's per-site rows by site name (stats
-/// summed, roofline columns recomputed against device 0's model) so the
-/// exact-sum invariants check_trace.py --report enforces hold across the
-/// whole group, with device_totals = rollup_counters().
-[[nodiscard]] AttributionReport collect_attribution(
-    const device::DeviceGroup& group);
 
 /// Per-site cost table: launches, bytes, flops, seconds, intensity, and
 /// roofline utilization — one row per site plus a totals row.

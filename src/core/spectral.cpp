@@ -360,8 +360,7 @@ void run_rci(const SpectralConfig& cfg, index_t n, const EigWave& wave,
   // roundoff.  No checksum storage — these catch corruption classes a
   // wave's own checks can miss (a flipped structure index, a torn
   // recurrence), on every device count.
-  const bool sentinels_on = cfg.sdc.enabled && cfg.sdc.sentinels;
-  const double tol_scale = static_cast<double>(cfg.sdc.tolerance_scale);
+  const bool sentinels_on = cfg.sdc.enabled;
   const double eps_q = rung_eps(basis_p);  // basis staging quantization
   const double eps_m = rung_eps(spmv_p);   // matrix storage quantization
   const auto trip = [&](const std::string& why) {
@@ -396,14 +395,14 @@ void run_rci(const SpectralConfig& cfg, index_t n, const EigWave& wave,
             y2 += y[i] * y[i];
             xy += x[i] * y[i];
           }
-          const double one = (1 + tol_scale * (1e-6 + 8 * (eps_q + eps_m)));
+          const double one = 1 + (1e-6 + 8 * (eps_q + eps_m));
           if (!(y2 <= one * one * x2)) {
             trip("||y|| exceeds the operator norm bound");
           } else if (!(std::abs(xy) <= one * x2)) {
             trip("Rayleigh quotient outside the operator's numerical range");
           }
           const real drift = prob.Solver().orthogonality_drift();
-          if (!(drift <= tol_scale * (1e-8 + 64 * eps_q))) {
+          if (!(drift <= 1e-8 + 64 * eps_q)) {
             trip("CGS2 basis orthogonality drift " + std::to_string(drift));
           }
         }
@@ -449,7 +448,7 @@ void run_rci(const SpectralConfig& cfg, index_t n, const EigWave& wave,
     // non-finite) means the tridiagonal recurrence itself was corrupted.
     obs::sdc_note_check();
     ++result.integrity.checks;
-    const double slack = tol_scale * (1e-6 + 64 * (eps_q + eps_m));
+    const double slack = 1e-6 + 64 * (eps_q + eps_m);
     for (const real ev : result.eigenvalues) {
       if (!(std::abs(ev) <= 1 + slack)) {
         trip("Ritz value " + std::to_string(ev) + " outside [-1, 1]");
@@ -629,10 +628,10 @@ void eigensolve_group(device::DeviceGroup& group, SimilaritySource& src,
   // sums its own rows on the device; the partials fold on the host in
   // device order.  Every wave then verifies sum(y) == <c, x> up to
   // accumulation roundoff.
-  const bool abft_spmv = cfg.sdc.enabled && cfg.sdc.abft_spmv;
+  const bool sdc_on = cfg.sdc.enabled;
   const auto un = static_cast<usize>(n);
   std::vector<real> abft_colsum;
-  if (abft_spmv) {
+  if (sdc_on) {
     obs::AttrSiteScope abft_site("sdc.checksum");
     abft_colsum.assign(un, 0);
     std::vector<real> partial(un);
@@ -694,8 +693,6 @@ void eigensolve_group(device::DeviceGroup& group, SimilaritySource& src,
   // The transfer CRC is an exact byte compare of the staged x at every
   // rung; the ABFT checksum's only rung term is the basis quantization of
   // the staged x/y (the colsums already hold the quantized matrix values).
-  const bool transfer_crc = cfg.sdc.enabled && cfg.sdc.transfer_crc;
-  const double tol_scale = static_cast<double>(cfg.sdc.tolerance_scale);
   const double eps64 = std::numeric_limits<double>::epsilon() / 2;
   const double eps_q = rung_eps(basis_p);
   const usize bw = bytes_per_scalar(basis_p);
@@ -706,7 +703,7 @@ void eigensolve_group(device::DeviceGroup& group, SimilaritySource& src,
   // a flipped device bit is caught before any kernel consumes it.  A
   // mismatch throws *transient* and the retry re-runs the idempotent upload.
   sparse::StageCheck seal;
-  seal.site = transfer_crc ? "sdc.h2d" : nullptr;
+  seal.site = sdc_on ? "sdc.h2d" : nullptr;
   seal.check = [&](usize d, unsigned char* dev, const unsigned char* host,
                    usize bytes) {
     const usize count = bytes / bw;
@@ -725,7 +722,7 @@ void eigensolve_group(device::DeviceGroup& group, SimilaritySource& src,
                                    count);
         break;
     }
-    if (!transfer_crc) return;
+    if (!sdc_on) return;
     std::uint32_t dev_crc = 0;
     {
       obs::AttrSiteScope crc_site("sdc.crc");
@@ -763,7 +760,7 @@ void eigensolve_group(device::DeviceGroup& group, SimilaritySource& src,
       // In-flight basis corruption: the product on its way back into the
       // host-side recurrence.
       fault::corrupt_scalars("bitflip.basis.column", y, un);
-      if (!abft_spmv) break;
+      if (!sdc_on) break;
       obs::sdc_note_check();
       ++result.integrity.checks;
       double cx = 0;
@@ -775,11 +772,10 @@ void eigensolve_group(device::DeviceGroup& group, SimilaritySource& src,
         ynorm1 += std::abs(static_cast<double>(y[i]));
       }
       const double tol =
-          tol_scale *
-          (eps64 * 64 *
-               std::sqrt(static_cast<double>(nnz) + static_cast<double>(un)) *
-               (std::abs(cx) + ynorm1) +
-           2 * eps_q * ynorm1 + 1e-300);
+          eps64 * 64 *
+              std::sqrt(static_cast<double>(nnz) + static_cast<double>(un)) *
+              (std::abs(cx) + ynorm1) +
+          2 * eps_q * ynorm1 + 1e-300;
       if (std::abs(ysum - cx) <= tol) break;
       obs::sdc_note_detected(
           "spmv.wave", "|sum(y) - <c,x>| = " +
@@ -940,7 +936,6 @@ void kmeans_stage_run(device::DeviceGroup& group,
       kc.precision = cfg.precision.resolve(PrecisionStage::kKmeans);
       kc.record_inertia = cfg.record_kmeans_inertia;
       kc.abft = cfg.sdc.enabled && cfg.sdc.abft_kmeans;
-      kc.abft_tolerance_scale = cfg.sdc.tolerance_scale;
       const auto run_device = [&] {
         const kmeans::KmeansResult res =
             kmeans::kmeans_group(group, cuts, emb, n, k, kc);
@@ -1044,27 +1039,17 @@ void kmeans_stage(device::DeviceGroup& group, std::span<const index_t> cuts,
 /// The run skeleton both entry points share: trace and fault scopes, the
 /// cancellation governor (armed only when a budget, watchdog or token is
 /// configured; virtual-now is the devices' transfer timeline), the device
-/// counter delta and the budget report around `body`.  `sim_ctx` is the
-/// caller's context when Algorithm 1 ran there outside the group (points
-/// mode over more than one device); its books count toward the run.  A
-/// non-empty `single_device_reason` records the multi-device failure this
-/// run replaces.
+/// counter delta and the budget report around `body`.  A non-empty
+/// `single_device_reason` records the multi-device failure this run
+/// replaces.
 template <class Body>
 SpectralResult run_pipeline(const SpectralConfig& config, index_t n,
                             device::DeviceGroup& group,
-                            device::DeviceContext* sim_ctx,
                             const std::string& single_device_reason,
                             Body&& body) {
   // Snapshots under the meter mutex: with fastsc::Service, other jobs may
-  // be metering the caller's context concurrently.
-  const auto counters_now = [&] {
-    device::DeviceCounters c = group.rollup_counters();
-    if (sim_ctx != nullptr) {
-      device::accumulate_counters(c, sim_ctx->counters_snapshot());
-    }
-    return c;
-  };
-  const device::DeviceCounters counters_before = counters_now();
+  // be metering the same devices concurrently.
+  const device::DeviceCounters counters_before = group.rollup_counters();
   const obs::TraceEnableScope trace_scope(config.trace);
   std::optional<fault::ArmScope> fault_scope;
   if (!config.faults.empty()) fault_scope.emplace(config.faults);
@@ -1077,11 +1062,8 @@ SpectralResult run_pipeline(const SpectralConfig& config, index_t n,
   if (budget.enabled() || config.watchdog.enabled() ||
       config.cancel_token.valid()) {
     cancel_scope.emplace(budget, config.watchdog, config.cancel_token,
-                         [&group, sim_ctx] {
-                           return group.modeled_transfer_seconds_now() +
-                                  (sim_ctx != nullptr
-                                       ? sim_ctx->modeled_transfer_seconds_now()
-                                       : 0.0);
+                         [&group] {
+                           return group.modeled_transfer_seconds_now();
                          });
   }
 
@@ -1096,36 +1078,21 @@ SpectralResult run_pipeline(const SpectralConfig& config, index_t n,
   if (cancel::Governor& gov = cancel::current_governor(); gov.armed()) {
     result.budget = gov.report();
   }
-  result.device_counters = device::counters_delta(counters_now(),
+  result.device_counters = device::counters_delta(group.rollup_counters(),
                                                   counters_before);
   return result;
 }
 
-/// Run `run(group, reason)` over config.num_devices devices.  More than one
-/// builds a transient group inheriting the caller's transfer model, whose
-/// books fold into the caller's context however the run ends, so reports
-/// read from that context cover every device; a permanent device error
-/// there reruns the whole pipeline on the caller's context as a group of
-/// one (degradation action "single-device").  A group of one borrows the
-/// caller's context.
+/// Run `run(group, reason)` over config.num_devices devices: the caller's
+/// context and its peers.  A permanent device error on more than one
+/// device reruns the whole pipeline on the caller's context alone
+/// (degradation action "single-device").
 template <class Run>
 SpectralResult on_devices(const SpectralConfig& config,
                           device::DeviceContext& ctx, Run&& run) {
   std::string reason;
   if (config.backend == Backend::kDevice && config.num_devices > 1) {
-    device::DeviceGroupConfig gc;
-    gc.num_devices = static_cast<usize>(config.num_devices);
-    gc.model = ctx.transfer_model();
-    device::DeviceGroup group(gc);
-    struct FoldBooks {
-      device::DeviceContext& into;
-      const device::DeviceGroup& from;
-      ~FoldBooks() {
-        for (usize d = 0; d < from.size(); ++d) {
-          into.absorb_books(from.device(d));
-        }
-      }
-    } fold{ctx, group};
+    device::DeviceGroup group(ctx, static_cast<usize>(config.num_devices));
     try {
       return run(group, reason);
     } catch (const device::DeviceError& e) {
@@ -1137,13 +1104,13 @@ SpectralResult on_devices(const SpectralConfig& config,
   return run(group, reason);
 }
 
-/// Steps 1-4 on `group`, with Algorithm 1 on `ctx`.
-SpectralResult cluster_points_on(device::DeviceGroup& group,
-                                 device::DeviceContext& ctx, const real* x,
+/// Steps 1-4 on `group`, with Algorithm 1 on device 0.
+SpectralResult cluster_points_on(device::DeviceGroup& group, const real* x,
                                  index_t n, index_t d,
                                  const graph::EdgeList& sym,
                                  const SpectralConfig& config,
                                  const std::string& reason) {
+  device::DeviceContext& ctx = group.root();
   const auto body = [&](SpectralResult& result) {
     SimilaritySource src(ctx);
     std::vector<real> degrees;
@@ -1191,8 +1158,7 @@ SpectralResult cluster_points_on(device::DeviceGroup& group,
     run_stage(result, kStageKmeans, "stage.kmeans",
               [&] { kmeans_stage(group, part.cuts, config, result); });
   };
-  device::DeviceContext* sim_ctx = &group.root() == &ctx ? nullptr : &ctx;
-  return run_pipeline(config, n, group, sim_ctx, reason, body);
+  return run_pipeline(config, n, group, reason, body);
 }
 
 /// Steps 2-4 of the graph `w` on `group`.
@@ -1210,7 +1176,7 @@ SpectralResult cluster_graph_on(device::DeviceGroup& group,
     run_stage(result, kStageKmeans, "stage.kmeans",
               [&] { kmeans_stage(group, part.cuts, config, result); });
   };
-  return run_pipeline(config, w.rows, group, nullptr, reason, body);
+  return run_pipeline(config, w.rows, group, reason, body);
 }
 
 void check_graph_input(const sparse::Coo& w, const SpectralConfig& config) {
@@ -1256,12 +1222,11 @@ SpectralResult spectral_cluster_points(const real* x, index_t n, index_t d,
     check_index_range(edges.u, n, "edge endpoint");
     check_index_range(edges.v, n, "edge endpoint");
   }
-  device::DeviceContext& ctx = resolve_ctx(ctx_in);
   const graph::EdgeList sym = graph::symmetrized(edges);
-  return on_devices(config, ctx,
+  return on_devices(config, resolve_ctx(ctx_in),
                     [&](device::DeviceGroup& group, const std::string& why) {
-                      return cluster_points_on(group, ctx, x, n, d, sym,
-                                               config, why);
+                      return cluster_points_on(group, x, n, d, sym, config,
+                                               why);
                     });
 }
 
@@ -1273,13 +1238,6 @@ SpectralResult spectral_cluster_graph(const sparse::Coo& w,
                     [&](device::DeviceGroup& group, const std::string& why) {
                       return cluster_graph_on(group, w, config, why);
                     });
-}
-
-SpectralResult spectral_cluster_graph(const sparse::Coo& w,
-                                      const SpectralConfig& config,
-                                      device::DeviceGroup& group) {
-  check_graph_input(w, config);
-  return cluster_graph_on(group, w, config, "");
 }
 
 }  // namespace fastsc::core

@@ -28,7 +28,6 @@
 #include "common/precision.h"
 #include "common/stage_clock.h"
 #include "device/device.h"
-#include "device/device_group.h"
 #include "fault/fault.h"
 #include "graph/grid_index.h"
 #include "graph/similarity.h"
@@ -90,14 +89,11 @@ struct DegradationReport {
 /// recompute-block -> fp64 re-solve rung -> device-sync -> host through the
 /// existing degradation ladder via DataIntegrityError.
 struct SdcPolicy {
-  bool enabled = true;       ///< master switch for the in-run checks below
-  bool abft_spmv = true;     ///< checksum-verify every eigensolver SpMV wave
+  /// Master switch for the in-run checks: the SpMV wave checksum, the RCI
+  /// sentinels, the staged-transfer CRC and (with abft_kmeans) the k-means
+  /// checksum.
+  bool enabled = true;
   bool abft_kmeans = true;   ///< checksum-verify the k-means distance GEMM
-  bool sentinels = true;     ///< RCI invariant sentinels
-  bool transfer_crc = true;  ///< CRC staged H2D vectors in the RCI loop
-  /// Multiplies every derived detection tolerance; raise above 1 to loosen
-  /// the checks (e.g. experimental kernels with reordered accumulation).
-  real tolerance_scale = 1;
 };
 
 /// What the SDC layer saw during one run (mirrored into the sdc.* counter
@@ -131,15 +127,16 @@ struct SpectralConfig {
 
   /// Number of simulated devices for Steps 2-4 (device backend, points and
   /// graph mode).  Every count runs the same pipeline over a DeviceGroup
-  /// (sparse/shard.h): 1 (default) is a group of one that borrows the
-  /// caller's context; > 1 builds a transient group, row-shards the
-  /// operator (halo-exchanged SpMV waves, metered CGS2 allreduce) and the
-  /// k-means points.  Points mode builds the similarity matrix (Step 1) on
-  /// the caller's context either way.  Eigenpairs, embedding and labels are
-  /// byte-identical for every value of this knob (DESIGN.md §12).  On a
-  /// permanent device error the device rungs cannot absorb, a run over
-  /// more than one device reruns on the caller's context as a group of one
-  /// when degradation.enabled (action "single-device").
+  /// (device/device_group.h) whose device 0 is the caller's context, which
+  /// also runs Algorithm 1 in points mode; > 1 adds the context's peers
+  /// 1..num_devices-1 (made on first use, kept for its lifetime, configured
+  /// like it and running on its pool), row-shards the operator
+  /// (halo-exchanged SpMV waves, metered CGS2 allreduce) and the k-means
+  /// points.  Eigenpairs, embedding and labels are byte-identical for every
+  /// value of this knob (DESIGN.md §12).  On a permanent device error the
+  /// device rungs cannot absorb, a run over more than one device reruns on
+  /// the caller's context alone when degradation.enabled (action
+  /// "single-device").
   index_t num_devices = 1;
 
   /// Mixed-precision ladder for the device hot path (DESIGN.md §13).  The
@@ -293,14 +290,5 @@ struct SpectralResult {
 [[nodiscard]] SpectralResult spectral_cluster_graph(
     const sparse::Coo& w, const SpectralConfig& config,
     device::DeviceContext* ctx = nullptr);
-
-/// As above on a caller-owned group (config.num_devices is ignored; the
-/// group's size wins): counters and attribution land on the group's
-/// contexts, and SpectralResult::device_counters holds the group rollup
-/// delta.  There is no caller context to fall back to, so a permanent
-/// device error the device rungs cannot absorb propagates.
-[[nodiscard]] SpectralResult spectral_cluster_graph(
-    const sparse::Coo& w, const SpectralConfig& config,
-    device::DeviceGroup& group);
 
 }  // namespace fastsc::core

@@ -52,6 +52,80 @@ LaunchLiveness::~LaunchLiveness() {
   cancel::heartbeat();
 }
 
+// --- DeviceContext: configuration and peers ---------------------------------
+
+DeviceContext::DeviceContext(usize workers, TransferModel model)
+    : owned_pool_(std::make_unique<ThreadPool>(workers)),
+      pool_(owned_pool_.get()),
+      model_(model) {
+  attribution_.set_roofline(obs::make_roofline(
+      model_.bandwidth_bytes_per_sec * model_.efficiency));
+}
+
+DeviceContext::DeviceContext(DeviceContext& root, usize index)
+    : pool_(root.pool_),
+      model_(root.model_),
+      memory_limit_bytes_(root.memory_limit_bytes_),
+      retry_(root.retry_),
+      kernel_bytes_per_sec_(root.kernel_bytes_per_sec_),
+      kernel_latency_seconds_(root.kernel_latency_seconds_),
+      link_tid_(static_cast<std::uint32_t>(2 * index + 1)),
+      compute_tid_(static_cast<std::uint32_t>(2 * index + 2)) {
+  attribution_.set_roofline(root.attribution_.roofline());
+}
+
+void DeviceContext::set_memory_limit(usize bytes) {
+  memory_limit_bytes_ = bytes;
+  std::lock_guard lock(peers_mu_);
+  for (const auto& p : peers_) p->memory_limit_bytes_ = bytes;
+}
+
+void DeviceContext::set_transfer_model(TransferModel m) {
+  model_ = m;
+  attribution_.set_roofline(obs::make_roofline(
+      model_.bandwidth_bytes_per_sec * model_.efficiency));
+  std::lock_guard lock(peers_mu_);
+  for (const auto& p : peers_) {
+    p->model_ = m;
+    p->attribution_.set_roofline(attribution_.roofline());
+  }
+}
+
+void DeviceContext::set_kernel_cost_model(double bytes_per_sec,
+                                          double latency_seconds) {
+  kernel_bytes_per_sec_ = bytes_per_sec;
+  kernel_latency_seconds_ = latency_seconds;
+  std::lock_guard lock(peers_mu_);
+  for (const auto& p : peers_) {
+    p->kernel_bytes_per_sec_ = bytes_per_sec;
+    p->kernel_latency_seconds_ = latency_seconds;
+  }
+}
+
+void DeviceContext::set_transfer_retry(TransferRetryPolicy p) {
+  retry_ = p;
+  std::lock_guard lock(peers_mu_);
+  for (const auto& peer : peers_) peer->retry_ = p;
+}
+
+DeviceContext& DeviceContext::peer(usize i) {
+  FASTSC_CHECK(i >= 1, "device 0 is the context itself, not a peer");
+  std::lock_guard lock(peers_mu_);
+  while (peers_.size() < i) {
+    // The constructor is private, so no make_unique.
+    peers_.push_back(std::unique_ptr<DeviceContext>(
+        new DeviceContext(*this, peers_.size() + 1)));
+  }
+  return *peers_[i - 1];
+}
+
+std::vector<const DeviceContext*> DeviceContext::devices() const {
+  std::lock_guard lock(peers_mu_);
+  std::vector<const DeviceContext*> out{this};
+  for (const auto& p : peers_) out.push_back(p.get());
+  return out;
+}
+
 // --- DeviceContext: metering + virtual timeline -----------------------------
 
 double DeviceContext::virtual_now() const {
@@ -242,16 +316,6 @@ void accumulate_counters(DeviceCounters& a, const DeviceCounters& b) {
   a.total_allocations += b.total_allocations;
 }
 
-void DeviceContext::absorb_books(const DeviceContext& other) {
-  DeviceCounters c = other.counters_snapshot();
-  c.live_bytes = c.peak_bytes = c.total_allocations = 0;  // gauges stay ours
-  {
-    std::lock_guard lock(meter_mu_);
-    accumulate_counters(counters_, c);
-  }
-  attribution_.absorb(other.attribution());
-}
-
 void DeviceContext::note_transfer_retry(std::string_view site,
                                         double backoff_seconds) {
   {
@@ -268,12 +332,12 @@ void DeviceContext::note_transfer_retry(std::string_view site,
 
 void DeviceContext::run_compute(const std::function<void(usize)>& job) {
   std::lock_guard lock(compute_mu_);
-  pool_.run_workers(job);
+  pool_->run_workers(job);
 }
 
 std::string DeviceContext::description() const {
   std::ostringstream os;
-  os << "fastsc simulated device: " << pool_.worker_count()
+  os << "fastsc simulated device: " << pool_->worker_count()
      << " worker thread(s), modeled PCIe "
      << model_.bandwidth_bytes_per_sec / 1e9 << " GB/s x "
      << model_.efficiency << " efficiency, "

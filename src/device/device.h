@@ -24,6 +24,7 @@
 
 #include <cstring>
 #include <functional>
+#include <memory>
 #include <mutex>
 #include <span>
 #include <string>
@@ -171,10 +172,10 @@ struct DeviceCounters {
   usize total_allocations = 0;
 
   /// kernel + modeled link time — the modeled end-to-end busy time of the
-  /// device, whose operations never overlap.  On a context that absorbed a
-  /// transient group's books (DeviceContext::absorb_books) it also sums
-  /// those devices' busy times, which ran side by side, so it can exceed
-  /// DeviceContext::virtual_now().
+  /// device, whose operations never overlap, so on one context it never
+  /// exceeds DeviceContext::virtual_now() (which adds retry backoffs).  A
+  /// sum over several devices (DeviceGroup::rollup_counters) adds busy
+  /// times that ran side by side.
   [[nodiscard]] double modeled_pipeline_seconds() const noexcept {
     return kernel_seconds + modeled_transfer_seconds;
   }
@@ -182,9 +183,9 @@ struct DeviceCounters {
   void reset() { *this = DeviceCounters{}; }
 };
 
-/// Sum `b` into `a` field by field (used by the group rollup, by
-/// DeviceContext::absorb_books and by tests asserting the conservation law
-/// independently).
+/// Sum `b` into `a` field by field (used by the group rollup, the reports
+/// over a context and its peers, and by tests asserting the conservation
+/// law independently).
 void accumulate_counters(DeviceCounters& a, const DeviceCounters& b);
 
 /// Bounded retry-with-backoff for *transient* transfer errors
@@ -200,44 +201,41 @@ struct TransferRetryPolicy {
 /// virtual timeline are thread-safe so several host threads (the service
 /// executors) can share one context; kernel execution itself is serialized
 /// on the compute engine (one pool), like a single-SM-partition GPU.
+///
+/// A context is also device 0 of every DeviceGroup built on it
+/// (device/device_group.h).  Devices 1..N-1 are its peers: full contexts
+/// with their own books and timeline, created on first use and kept for
+/// the context's lifetime, configured like it and running their kernels on
+/// its pool.
 class DeviceContext {
  public:
   /// workers == 0 selects hardware concurrency.
-  explicit DeviceContext(usize workers = 0, TransferModel model = {})
-      : pool_(workers), model_(model) {
-    attribution_.set_roofline(obs::make_roofline(
-        model_.bandwidth_bytes_per_sec * model_.efficiency));
-  }
+  explicit DeviceContext(usize workers = 0, TransferModel model = {});
 
   /// Device-memory budget in bytes; 0 = unlimited.  The paper's K20c has
   /// 5 GB — set this to study out-of-core behaviour (the chunked builders
-  /// in graph/build.h stay within any budget).
-  void set_memory_limit(usize bytes) noexcept { memory_limit_bytes_ = bytes; }
+  /// in graph/build.h stay within any budget).  Applies to each peer too.
+  void set_memory_limit(usize bytes);
   [[nodiscard]] usize memory_limit() const noexcept {
     return memory_limit_bytes_;
   }
 
-  [[nodiscard]] ThreadPool& pool() noexcept { return pool_; }
+  /// The worker pool kernels run on; a peer's is its root's.
+  [[nodiscard]] ThreadPool& pool() noexcept { return *pool_; }
   [[nodiscard]] const TransferModel& transfer_model() const noexcept {
     return model_;
   }
-  void set_transfer_model(TransferModel m) {
-    model_ = m;
-    attribution_.set_roofline(obs::make_roofline(
-        model_.bandwidth_bytes_per_sec * model_.efficiency));
-  }
+  /// Also sets the model of each peer.
+  void set_transfer_model(TransferModel m);
 
   /// Deterministic kernel cost model: while `bytes_per_sec` > 0, a kernel
   /// recorded without an explicit modeled duration is charged
   /// `latency_seconds + (bytes_read + bytes_written) / bytes_per_sec`
   /// instead of its measured wall time, so modeled timelines (the
   /// DeviceGroup speedup curves) are a pure function of the work, not of
-  /// host noise.  0 (default) keeps measured kernel wall time.
-  void set_kernel_cost_model(double bytes_per_sec,
-                             double latency_seconds) noexcept {
-    kernel_bytes_per_sec_ = bytes_per_sec;
-    kernel_latency_seconds_ = latency_seconds;
-  }
+  /// host noise.  0 (default) keeps measured kernel wall time.  Also sets
+  /// the model of each peer.
+  void set_kernel_cost_model(double bytes_per_sec, double latency_seconds);
 
   /// Modeled duration of a kernel touching `bytes_touched` bytes under the
   /// cost model, or -1 (measure wall time) when the model is off.  Feed to
@@ -249,7 +247,8 @@ class DeviceContext {
     return kernel_latency_seconds_ + bytes_touched / kernel_bytes_per_sec_;
   }
 
-  void set_transfer_retry(TransferRetryPolicy p) noexcept { retry_ = p; }
+  /// Also sets the policy of each peer.
+  void set_transfer_retry(TransferRetryPolicy p);
   [[nodiscard]] const TransferRetryPolicy& transfer_retry() const noexcept {
     return retry_;
   }
@@ -313,13 +312,15 @@ class DeviceContext {
   void record_alloc(usize bytes);
   void record_free(usize bytes) noexcept;
 
-  /// Fold `other`'s traffic, engine time and attribution into this
-  /// context's books, so reports read from this context cover work that ran
-  /// on `other` (a transient DeviceGroup's device).  Memory gauges and the
-  /// virtual timeline stay this context's own.  The absorbed link seconds
-  /// land at once in modeled_transfer_seconds_now(), the virtual-budget
-  /// clock of any other job sharing this context.
-  void absorb_books(const DeviceContext& other);
+  /// Device i >= 1 of every DeviceGroup on this context.  Created on first
+  /// use with this context's transfer model, memory limit, retry policy and
+  /// kernel cost model, tracing on tracks (2i+1, 2i+2), running its kernels
+  /// on this context's pool; every later call returns the same object.
+  [[nodiscard]] DeviceContext& peer(usize i);
+
+  /// This context followed by every peer made so far, in device order: the
+  /// devices whose books a report on this context covers.
+  [[nodiscard]] std::vector<const DeviceContext*> devices() const;
 
   /// Context-lifetime cost attribution (per-site bytes/flops/seconds).
   [[nodiscard]] obs::AttributionRegistry& attribution() noexcept {
@@ -335,25 +336,24 @@ class DeviceContext {
   void run_compute(const std::function<void(usize)>& job);
 
   /// Trace-track ids of this device's virtual-timeline rows (within
-  /// obs::kVirtualPid).  Default to the legacy single-device tracks
-  /// (kLinkTid / kComputeTid); DeviceGroup assigns device i the pair
-  /// (2i+1, 2i+2) so per-device timelines stay disjoint in one trace.
-  void set_trace_tids(std::uint32_t link_tid,
-                      std::uint32_t compute_tid) noexcept {
-    link_tid_ = link_tid;
-    compute_tid_ = compute_tid;
-  }
+  /// obs::kVirtualPid): (kLinkTid, kComputeTid) = (1, 2) for a context,
+  /// (2i+1, 2i+2) for its peer i, so per-device timelines stay disjoint in
+  /// one trace.
   [[nodiscard]] std::uint32_t link_tid() const noexcept { return link_tid_; }
   [[nodiscard]] std::uint32_t compute_tid() const noexcept {
     return compute_tid_;
   }
 
  private:
+  /// Peer `index` of `root`.
+  DeviceContext(DeviceContext& root, usize index);
+
   void meter_transfer(usize bytes, double measured_seconds, CopyDir dir);
   void attribute_transfer(const char* site, usize bytes, CopyDir dir);
   void attribute_kernel(const obs::KernelCost& cost, double duration);
 
-  ThreadPool pool_;
+  std::unique_ptr<ThreadPool> owned_pool_;  // null on a peer
+  ThreadPool* pool_;
   TransferModel model_;
   obs::AttributionRegistry attribution_;
   DeviceCounters counters_;
@@ -367,6 +367,10 @@ class DeviceContext {
   double kernel_latency_seconds_ = 0;
   std::uint32_t link_tid_ = obs::kLinkTid;
   std::uint32_t compute_tid_ = obs::kComputeTid;
+
+  // Declared last so the peers go before the pool they run on.
+  mutable std::mutex peers_mu_;
+  std::vector<std::unique_ptr<DeviceContext>> peers_;  // peer i at [i - 1]
 };
 
 /// Process-wide default device (lazy-constructed), like cudaSetDevice(0).

@@ -7,35 +7,10 @@
 
 namespace fastsc::device {
 
-DeviceGroup::DeviceGroup(const DeviceGroupConfig& config) : config_(config) {
-  FASTSC_CHECK(config_.num_devices >= 1,
-               "a device group needs at least one device");
-  const usize workers =
-      config_.workers_per_device == 0 ? 1 : config_.workers_per_device;
-  owned_.reserve(config_.num_devices);
-  for (usize i = 0; i < config_.num_devices; ++i) {
-    auto ctx = std::make_unique<DeviceContext>(workers, config_.model);
-    if (config_.memory_limit_bytes != 0) {
-      ctx->set_memory_limit(config_.memory_limit_bytes);
-    }
-    if (config_.modeled_compute_bytes_per_sec > 0) {
-      ctx->set_kernel_cost_model(config_.modeled_compute_bytes_per_sec,
-                                 config_.modeled_launch_latency_seconds);
-    }
-    // Device i's virtual timeline lives on tracks (2i+1, 2i+2); device 0
-    // keeps the legacy single-device pair (kLinkTid, kComputeTid) = (1, 2).
-    ctx->set_trace_tids(static_cast<std::uint32_t>(2 * i + 1),
-                        static_cast<std::uint32_t>(2 * i + 2));
-    contexts_.push_back(ctx.get());
-    owned_.push_back(std::move(ctx));
-  }
-}
-
-DeviceGroup::DeviceGroup(DeviceContext& root) : contexts_{&root} {
-  config_.num_devices = 1;
-  config_.workers_per_device = root.pool().worker_count();
-  config_.model = root.transfer_model();
-  config_.memory_limit_bytes = root.memory_limit();
+DeviceGroup::DeviceGroup(DeviceContext& root, usize num_devices)
+    : contexts_{&root} {
+  FASTSC_CHECK(num_devices >= 1, "a device group needs at least one device");
+  for (usize i = 1; i < num_devices; ++i) contexts_.push_back(&root.peer(i));
 }
 
 void DeviceGroup::model_peer_transfer(usize src, usize dst, usize bytes,

@@ -6,10 +6,13 @@
 // the small reductions.  This module supplies the runtime half of that
 // design:
 //
-//   * each device is a full DeviceContext — its own arena accounting,
-//     counters, attribution registry, and virtual timeline, with trace
-//     tracks (2i+1, 2i+2) inside obs::kVirtualPid so all N timelines
-//     coexist in one trace;
+//   * device 0 is the caller's DeviceContext and device i >= 1 is that
+//     context's peer i (DeviceContext::peer): a full context with its own
+//     arena accounting, counters, attribution registry and virtual
+//     timeline, trace tracks (2i+1, 2i+2) inside obs::kVirtualPid, and the
+//     root's configuration and worker pool.  Peers outlive the group, so
+//     every group on one context reuses them and each device's books stay
+//     where its work ran;
 //   * peer copies (copy_peer) move bytes device-to-device without touching
 //     the host, metered on the *destination* context's link engine for the
 //     TransferModel's D2D duration (distinct bandwidth/latency from PCIe);
@@ -23,45 +26,21 @@
 #pragma once
 
 #include <cstring>
-#include <memory>
 #include <vector>
 
 #include "common/error.h"
 #include "common/timer.h"
 #include "common/types.h"
 #include "device/device.h"
-#include "device/transfer_model.h"
 
 namespace fastsc::device {
 
-struct DeviceGroupConfig {
-  usize num_devices = 1;
-  /// Worker threads per device pool.  The default keeps every device's
-  /// kernel numerics serial-deterministic; the host machine's parallelism
-  /// is spent across devices, not within one.
-  usize workers_per_device = 1;
-  TransferModel model{};
-  /// Per-device memory budget in bytes; 0 = unlimited.
-  usize memory_limit_bytes = 0;
-
-  /// Deterministic kernel cost model, installed on every device context
-  /// (DeviceContext::set_kernel_cost_model) when > 0: kernels are charged
-  /// launch latency + bytes touched / rate, so modeled speedup curves are a
-  /// pure function of the partition, not of host wall-clock noise.  0 keeps
-  /// measured kernel wall time.
-  double modeled_compute_bytes_per_sec = 0;
-  double modeled_launch_latency_seconds = 5.0e-6;
-};
-
 class DeviceGroup {
  public:
-  explicit DeviceGroup(const DeviceGroupConfig& config = {});
-
-  /// A group of one that borrows the caller's context as device 0: no new
-  /// contexts or pools, and the context keeps its workers, transfer model,
-  /// trace tracks and counters.  This is how a one-device run executes the
-  /// pipeline's group stages.  `root` must outlive the group.
-  explicit DeviceGroup(DeviceContext& root);
+  /// `root` as device 0 and its peers 1..num_devices-1 (created on first
+  /// use, then reused).  A group of one touches no peer state.  `root`
+  /// must outlive the group.
+  explicit DeviceGroup(DeviceContext& root, usize num_devices = 1);
 
   DeviceGroup(const DeviceGroup&) = delete;
   DeviceGroup& operator=(const DeviceGroup&) = delete;
@@ -75,13 +54,10 @@ class DeviceGroup {
     FASTSC_CHECK(i < contexts_.size(), "device index out of range");
     return *contexts_[i];
   }
-  /// Device 0: owns full-size staging (seeding, normalization) and is the
-  /// fold target of every allreduce.
+  /// Device 0, the caller's context: runs Algorithm 1, owns full-size
+  /// staging (seeding, normalization) and is the fold target of every
+  /// allreduce.
   [[nodiscard]] DeviceContext& root() { return device(0); }
-
-  [[nodiscard]] const DeviceGroupConfig& config() const noexcept {
-    return config_;
-  }
 
   /// cudaMemcpyPeer: copy `count` elements from device `src` memory into
   /// device `dst` memory.  Metered on the destination's link engine with
@@ -132,8 +108,6 @@ class DeviceGroup {
   /// scaling_smoke monotonicity check reads these).
   void note_peer_traffic(usize bytes);
 
-  DeviceGroupConfig config_;
-  std::vector<std::unique_ptr<DeviceContext>> owned_;
   std::vector<DeviceContext*> contexts_;
 };
 

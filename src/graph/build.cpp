@@ -185,42 +185,56 @@ std::vector<real> similarity_degrees(device::DeviceContext& ctx,
   const index_t n = w.rows;
   const index_t nnz = w.nnz();
   obs::AttrSiteScope attr_site("graph.similarity");
-  // A fixed number of contiguous entry spans accumulate span-partial degree
-  // rows (each span thread owns its row — no cross-thread writes), then a
-  // fold in ascending span order.  The span count is a constant, NOT the
-  // worker count, so every degree bit is machine- and
-  // device-count-independent.
+  // A row's degree folds, in ascending span order, its partial sums over a
+  // fixed number of contiguous entry spans.  The span count is a constant,
+  // NOT the worker count, so every degree bit is machine- and
+  // device-count-independent.  Each row block scans the COO in entry order
+  // (as sparse::device_coo2csr does) with three values per row: the running
+  // degree, the current span's partial and that span's index.  A span with
+  // no entry of the row would only add an exact +0.0, so skipping it keeps
+  // the bits of a fold over every span.
   constexpr index_t kDegreeSpans = 64;
   const index_t spans =
       std::min<index_t>(kDegreeSpans, std::max<index_t>(nnz, 1));
-  device::DeviceBuffer<real> partial(
-      ctx, static_cast<usize>(spans) * static_cast<usize>(n));
-  device::DeviceBuffer<real> deg(ctx, static_cast<usize>(n));
-  device::fill(ctx, partial.data(), spans * n, real{0});
+  const auto un = static_cast<usize>(n);
+  device::DeviceBuffer<real> deg(ctx, un);
+  device::DeviceBuffer<real> partial(ctx, un);
+  device::DeviceBuffer<index_t> span_of(ctx, un);
+  real* dp = deg.data();
   real* pp = partial.data();
+  index_t* sp = span_of.data();
   const index_t* rows = w.row_idx.data();
   const real* val = w.values.data();
-  {
-    const auto m = static_cast<double>(nnz);
-    device::launch(ctx, spans, [=](index_t s) {
-      const index_t b = s * nnz / spans;
-      const index_t e1 = (s + 1) * nnz / spans;
-      real* mine = pp + s * n;
-      for (index_t e = b; e < e1; ++e) mine[rows[e]] += val[e];
-    }, device::tagged("graph.degree", m, m * (sizeof(real) + sizeof(index_t)),
-                      m * sizeof(real)));
-  }
-  real* dp = deg.data();
-  {
-    const double work = static_cast<double>(spans) * static_cast<double>(n);
-    device::launch(ctx, n, [=](index_t i) {
-      real acc = 0;
-      for (index_t s = 0; s < spans; ++s) acc += pp[s * n + i];
-      dp[i] = acc;
-    }, device::tagged("graph.degree", work, work * sizeof(real),
-                      static_cast<double>(n) * sizeof(real)));
-  }
-  std::vector<real> degrees(static_cast<usize>(n));
+  const index_t blocks = std::max<index_t>(
+      1, std::min<index_t>(
+             n, static_cast<index_t>(ctx.pool().worker_count())));
+  const auto m = static_cast<double>(nnz);
+  device::launch(ctx, blocks, [=](index_t b) {
+    const index_t r0 = b * n / blocks;
+    const index_t r1 = (b + 1) * n / blocks;
+    for (index_t r = r0; r < r1; ++r) {
+      dp[r] = 0;
+      sp[r] = -1;
+    }
+    index_t s = 0;
+    index_t span_end = nnz / spans;
+    for (index_t e = 0; e < nnz; ++e) {
+      while (e >= span_end) span_end = (++s + 1) * nnz / spans;
+      const index_t r = rows[e];
+      if (r < r0 || r >= r1) continue;
+      if (sp[r] != s) {
+        if (sp[r] >= 0) dp[r] += pp[r];
+        sp[r] = s;
+        pp[r] = 0;
+      }
+      pp[r] += val[e];
+    }
+    for (index_t r = r0; r < r1; ++r) {
+      if (sp[r] >= 0) dp[r] += pp[r];
+    }
+  }, device::tagged("graph.degree", m, m * (sizeof(real) + sizeof(index_t)),
+                    static_cast<double>(n) * sizeof(real)));
+  std::vector<real> degrees(un);
   deg.copy_to_host(std::span<real>(degrees));
   return degrees;
 }

@@ -63,15 +63,16 @@ namespace fastsc::graph {
     index_t chunk_edges, Precision value_precision = Precision::kFp64);
 
 /// Weighted degrees d_i = sum_j W_ij of a device similarity matrix, as a
-/// host vector: a sweep over W's entries in 64 fixed contiguous spans, each
-/// accumulating its own partial degree row, then a fold in ascending span
-/// order.  The span count is fixed, so every degree bit is independent of
-/// the worker count and of the device count, and it depends on W's entry
-/// order only, not on how W was built.  The fold order differs from CSR
-/// entry order, so these degrees are numerically (not bitwise) equal to
-/// Algorithm 2's row sums.  The pipeline runs it on narrow or fused
-/// precision rungs and hands the result to Algorithm 2
-/// (NormalizeOptions::degrees), which then skips its degree pass.
+/// host vector: W's entries fall into 64 fixed contiguous spans, and each
+/// row folds its per-span partial sums in ascending span order, in one
+/// pass with three scratch values per row.  The span count is fixed, so
+/// every degree bit is independent of the worker count and of the device
+/// count, and it depends on W's entry order only, not on how W was built.
+/// The fold order differs from CSR entry order, so these degrees are
+/// numerically (not bitwise) equal to Algorithm 2's row sums.  The
+/// pipeline runs it on narrow or fused precision rungs and hands the result
+/// to Algorithm 2 (NormalizeOptions::degrees), which then skips its degree
+/// pass.
 [[nodiscard]] std::vector<real> similarity_degrees(
     device::DeviceContext& ctx, const sparse::DeviceCoo& w);
 

@@ -195,9 +195,8 @@ void GroupSweep::assemble_distances(Shard& sh, index_t sweep,
     const real scale =
         std::abs(k * sum_vn) + std::abs(nl * sum_cn) + 2 * std::abs(dot) + 1;
     const double elems = static_cast<double>(nl) * (k + d) + d;
-    const real tol = config_.abft_tolerance_scale *
-                     std::numeric_limits<real>::epsilon() *
-                     (std::sqrt(elems) + 64) * scale;
+    const real tol =
+        std::numeric_limits<real>::epsilon() * (std::sqrt(elems) + 64) * scale;
     if (std::abs(sum_s - predicted) <= tol) return;
     ++result.abft_detected;
     obs::sdc_note_detected(

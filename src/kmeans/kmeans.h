@@ -72,8 +72,6 @@ struct KmeansConfig {
   /// the same device-resident arrays.  A mismatch recomputes the block once,
   /// then raises DataIntegrityError into the k-means ladder.
   bool abft = true;
-  /// Multiplies the derived checksum tolerance (SdcPolicy::tolerance_scale).
-  real abft_tolerance_scale = 1;
 };
 
 struct KmeansResult {

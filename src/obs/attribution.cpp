@@ -153,16 +153,6 @@ void AttributionRegistry::clear() {
   sites_.clear();
 }
 
-void AttributionRegistry::absorb(const AttributionRegistry& other) {
-  std::map<std::string, SiteStats, std::less<>> theirs;
-  {
-    std::lock_guard lock(other.mu_);
-    theirs = other.sites_;
-  }
-  std::lock_guard lock(mu_);
-  for (const auto& [name, stats] : theirs) sites_[name] += stats;
-}
-
 AttrSiteScope::AttrSiteScope(const char* site) : previous_(t_site) {
   t_site = site;
 }

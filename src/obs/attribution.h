@@ -186,9 +186,6 @@ class AttributionRegistry {
   [[nodiscard]] usize site_count() const;
   void clear();
 
-  /// Add every site of `other` into this registry.
-  void absorb(const AttributionRegistry& other);
-
  private:
   mutable std::mutex mu_;
   std::map<std::string, SiteStats, std::less<>> sites_;

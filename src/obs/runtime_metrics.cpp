@@ -36,7 +36,11 @@ void publish_thread_pool(const ThreadPool& pool, MetricsRegistry& registry,
 
 void publish_device_context(device::DeviceContext& ctx,
                             MetricsRegistry& registry) {
-  publish_device_counters(ctx.counters_snapshot(), registry);
+  device::DeviceCounters total;
+  for (const device::DeviceContext* d : ctx.devices()) {
+    device::accumulate_counters(total, d->counters_snapshot());
+  }
+  publish_device_counters(total, registry);
   publish_thread_pool(ctx.pool(), registry);
 }
 

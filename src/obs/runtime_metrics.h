@@ -24,8 +24,9 @@ void publish_device_counters(const device::DeviceCounters& c,
 void publish_thread_pool(const ThreadPool& pool, MetricsRegistry& registry,
                          const std::string& prefix = "thread_pool.");
 
-/// Everything a DeviceContext owns: counters + worker pool.  (Non-const:
-/// the pool accessor is non-const; nothing is mutated.)
+/// Everything a DeviceContext owns: the counter rollup of the context and
+/// its peers (DeviceContext::devices()) + the worker pool they share.
+/// (Non-const: the pool accessor is non-const; nothing is mutated.)
 void publish_device_context(device::DeviceContext& ctx,
                             MetricsRegistry& registry);
 

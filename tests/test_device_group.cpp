@@ -5,6 +5,7 @@
 
 #include <algorithm>
 #include <set>
+#include <string>
 #include <vector>
 
 #include "data/powerlaw.h"
@@ -17,18 +18,12 @@
 namespace fastsc {
 namespace {
 
+using device::DeviceContext;
 using device::DeviceCounters;
 using device::DeviceGroup;
-using device::DeviceGroupConfig;
 using sparse::Csr;
 using sparse::RowPartition;
 using sparse::make_row_partition;
-
-DeviceGroup make_group(usize n) {
-  DeviceGroupConfig gc;
-  gc.num_devices = n;
-  return DeviceGroup(gc);
-}
 
 /// A CSR with the given per-row nnz pattern (columns cycle over the width).
 Csr csr_from_row_nnz(const std::vector<index_t>& row_nnz, index_t cols) {
@@ -153,7 +148,8 @@ TEST(ShardCsr, HaloIsExactlyTheOutOfRangeColumns) {
   const data::PowerlawGraph g =
       data::make_powerlaw({.n = 600, .avg_degree = 8.0, .seed = 11});
   const Csr a = sparse::coo_to_csr(g.w);
-  DeviceGroup group = make_group(4);
+  DeviceContext root(1);
+  DeviceGroup group(root, 4);
   const sparse::ShardedCsr sp = sparse::shard_csr(group, a);
   ASSERT_EQ(sp.shards.size(), 4u);
   for (const sparse::DeviceCsrShard& sh : sp.shards) {
@@ -190,7 +186,8 @@ TEST(ShardCsr, HaloIsExactlyTheOutOfRangeColumns) {
 }
 
 TEST(DeviceGroup, CopyPeerMovesDataAndMetersDestination) {
-  DeviceGroup group = make_group(2);
+  DeviceContext root(1);
+  DeviceGroup group(root, 2);
   std::vector<real> host{1.5, -2.0, 3.25, 0.0, 7.0};
   device::DeviceBuffer<real> src(group.device(0),
                                  std::span<const real>(host));
@@ -213,12 +210,14 @@ TEST(DeviceGroup, CopyPeerMovesDataAndMetersDestination) {
 }
 
 TEST(DeviceGroup, BorrowedRootIsTheCallersContext) {
-  device::DeviceContext ctx(3);
+  DeviceContext ctx(3);
   DeviceGroup group(ctx);
   ASSERT_EQ(group.size(), 1u);
   EXPECT_EQ(&group.device(0), &ctx);
   EXPECT_EQ(&group.root(), &ctx);
-  EXPECT_EQ(group.config().workers_per_device, 3u);
+  EXPECT_EQ(group.device(0).pool().worker_count(), 3u);
+  // A group of one makes no peer.
+  EXPECT_EQ(ctx.devices().size(), 1u);
   // Work on the group lands on the caller's books, not on a fresh context.
   std::vector<real> host(64, 2.0);
   device::DeviceBuffer<real> buf(group.device(0),
@@ -228,22 +227,68 @@ TEST(DeviceGroup, BorrowedRootIsTheCallersContext) {
 }
 
 TEST(DeviceGroup, CostModelIsInstalledOnEveryDevice) {
-  DeviceGroupConfig gc;
-  gc.num_devices = 2;
-  gc.modeled_compute_bytes_per_sec = 1e9;
-  gc.modeled_launch_latency_seconds = 1e-6;
-  DeviceGroup group(gc);
+  DeviceContext root(1);
+  root.set_kernel_cost_model(1e9, 1e-6);
+  DeviceGroup group(root, 2);
   for (usize d = 0; d < group.size(); ++d) {
     EXPECT_DOUBLE_EQ(group.device(d).modeled_kernel_seconds(1000),
                      1e-6 + 1000 / 1e9);
   }
-  EXPECT_LT(make_group(1).device(0).modeled_kernel_seconds(1000), 0);
+  DeviceContext plain(1);
+  EXPECT_LT(DeviceGroup(plain).device(0).modeled_kernel_seconds(1000), 0);
+}
+
+// Device i >= 1 is the root's peer i: made once, then handed to every later
+// group on the root, and running on the root's pool at any worker count.
+TEST(DeviceGroup, GroupsOnOneRootShareItsPeersAndPool) {
+  for (const usize workers : {1u, 4u}) {
+    SCOPED_TRACE(std::to_string(workers) + " workers");
+    DeviceContext root(workers);
+    DeviceGroup first(root, 3);
+    DeviceGroup second(root, 2);
+    EXPECT_EQ(&first.device(0), &root);
+    EXPECT_EQ(&second.device(0), &root);
+    EXPECT_EQ(&first.device(1), &second.device(1));
+    EXPECT_EQ(&first.device(1), &root.peer(1));
+    EXPECT_EQ(&first.device(2), &root.peer(2));
+    for (usize d = 1; d < first.size(); ++d) {
+      EXPECT_EQ(&first.device(d).pool(), &root.pool());
+    }
+    const std::vector<const DeviceContext*> devices = root.devices();
+    ASSERT_EQ(devices.size(), 3u);
+    EXPECT_EQ(devices[0], &root);
+    EXPECT_EQ(devices[1], &root.peer(1));
+    EXPECT_EQ(devices[2], &root.peer(2));
+  }
+}
+
+// Every device of a root's group has the root's settings, whether the
+// setter ran before or after the peer was made.
+TEST(DeviceGroup, RootSettingsReachEveryPeer) {
+  DeviceContext root(1);
+  root.set_memory_limit(1 << 20);
+  DeviceGroup early(root, 2);  // peer 1 exists before the setters below
+  device::TransferModel model;
+  model.bandwidth_bytes_per_sec = 3e9;
+  root.set_transfer_model(model);
+  root.set_transfer_retry({.max_retries = 0, .backoff_seconds = 1e-3});
+  root.set_kernel_cost_model(2e9, 3e-6);
+  DeviceGroup late(root, 3);
+  for (usize d = 0; d < late.size(); ++d) {
+    const DeviceContext& dev = late.device(d);
+    EXPECT_EQ(dev.memory_limit(), usize{1} << 20);
+    EXPECT_DOUBLE_EQ(dev.transfer_model().bandwidth_bytes_per_sec, 3e9);
+    EXPECT_EQ(dev.transfer_retry().max_retries, 0);
+    EXPECT_DOUBLE_EQ(dev.transfer_retry().backoff_seconds, 1e-3);
+    EXPECT_DOUBLE_EQ(dev.modeled_kernel_seconds(1000), 3e-6 + 1000 / 2e9);
+  }
 }
 
 TEST(DeviceGroup, CopyPeerAbsorbsInjectedTransientFault) {
   fault::FaultPlan plan = fault::FaultPlan::parse("site=d2d.halo,nth=1");
   fault::ArmScope armed(plan);
-  DeviceGroup group = make_group(2);
+  DeviceContext root(1);
+  DeviceGroup group(root, 2);
   std::vector<real> host{4.0, 5.0, 6.0};
   device::DeviceBuffer<real> src(group.device(0),
                                  std::span<const real>(host));
@@ -256,7 +301,8 @@ TEST(DeviceGroup, CopyPeerAbsorbsInjectedTransientFault) {
 }
 
 TEST(DeviceGroup, ModelPeerTransferChargesWithoutData) {
-  DeviceGroup group = make_group(3);
+  DeviceContext root(1);
+  DeviceGroup group(root, 3);
   const double before = group.device(2).counters_snapshot().modeled_d2d_seconds;
   group.model_peer_transfer(0, 2, 1 << 20, "d2d.allreduce");
   const DeviceCounters c = group.device(2).counters_snapshot();
@@ -268,7 +314,8 @@ TEST(DeviceGroup, ModelPeerTransferChargesWithoutData) {
 TEST(DeviceGroup, D2dObservabilityCountersAccumulate) {
   const std::int64_t t0 = obs::metrics().counter("d2d.transfers").value();
   const std::int64_t b0 = obs::metrics().counter("d2d.bytes").value();
-  DeviceGroup group = make_group(2);
+  DeviceContext root(1);
+  DeviceGroup group(root, 2);
   group.model_peer_transfer(0, 1, 100, "d2d.allreduce");
   group.model_peer_transfer(1, 0, 50, "d2d.allreduce");
   EXPECT_EQ(obs::metrics().counter("d2d.transfers").value(), t0 + 2);
@@ -276,7 +323,8 @@ TEST(DeviceGroup, D2dObservabilityCountersAccumulate) {
 }
 
 TEST(DeviceGroup, RollupReconcilesWithPerDeviceCounters) {
-  DeviceGroup group = make_group(3);
+  DeviceContext root(1);
+  DeviceGroup group(root, 3);
   // Exercise every traffic class: H2D/D2H on each device, real peer copies,
   // modeled peer transfers, and a kernel launch per device.
   std::vector<real> host(1024, 1.0);
@@ -332,7 +380,8 @@ TEST(DeviceGroup, RollupReconcilesWithPerDeviceCounters) {
 }
 
 TEST(DeviceGroup, PerDeviceTraceTracksAreDistinct) {
-  DeviceGroup group = make_group(3);
+  DeviceContext root(1);
+  DeviceGroup group(root, 3);
   EXPECT_EQ(group.device(0).link_tid(), obs::kLinkTid);
   EXPECT_EQ(group.device(0).compute_tid(), obs::kComputeTid);
   std::set<std::uint32_t> tids;

@@ -235,13 +235,6 @@ std::vector<index_t> block_cuts(index_t n, index_t parts) {
   return cuts;
 }
 
-device::DeviceGroup make_group(usize devices, usize workers) {
-  device::DeviceGroupConfig gc;
-  gc.num_devices = devices;
-  gc.workers_per_device = workers;
-  return device::DeviceGroup(gc);
-}
-
 TEST(KmeansGroup, BitwiseAcrossDeviceAndWorkerCounts) {
   // Overlapping blobs: many near-ties, a dozen sweeps, and an empty cluster
   // to repair (k exceeds the planted count).
@@ -259,7 +252,8 @@ TEST(KmeansGroup, BitwiseAcrossDeviceAndWorkerCounts) {
         SCOPED_TRACE(std::string(precision_name(rung)) + " devices " +
                      std::to_string(devices) + " workers " +
                      std::to_string(workers));
-        device::DeviceGroup group = make_group(devices, workers);
+        device::DeviceContext root(workers);
+        device::DeviceGroup group(root, devices);
         const std::vector<index_t> cuts =
             block_cuts(b.n, static_cast<index_t>(devices));
         const KmeansResult r =
@@ -290,7 +284,8 @@ TEST(KmeansGroup, CentroidTrafficCrossesThePeerLinks) {
   KmeansConfig cfg;
   cfg.k = 4;
   const index_t devices = 3;
-  device::DeviceGroup group = make_group(devices, 1);
+  device::DeviceContext root(1);
+  device::DeviceGroup group(root, devices);
   const std::vector<index_t> cuts = block_cuts(b.n, devices);
   const KmeansResult r = kmeans_group(group, cuts, b.x.data(), b.n, b.d, cfg);
   ASSERT_TRUE(r.converged);
@@ -315,7 +310,8 @@ TEST(KmeansGroup, RejectsCutsOffTheBlockGrid) {
   const Blobs b = make_blobs(200, 4, 2, 0.3, 71);
   KmeansConfig cfg;
   cfg.k = 4;
-  device::DeviceGroup group = make_group(2, 1);
+  device::DeviceContext root(1);
+  device::DeviceGroup group(root, 2);
   const std::vector<index_t> off_grid{0, 300, b.n};
   EXPECT_THROW((void)kmeans_group(group, off_grid, b.x.data(), b.n, b.d, cfg),
                std::invalid_argument);

@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <cstring>
 #include <stdexcept>
 #include <vector>
 
@@ -224,6 +225,41 @@ TEST(Service, ShutdownDrainCompletesQueuedJobs) {
   // Submissions after shutdown are rejected, not queued forever.
   const auto late = svc.submit(make_job(make_fb(200, 3, 9), 3, 9));
   EXPECT_EQ(late.status, JobStatus::kOverloaded);
+}
+
+// num_devices > 1 jobs on a shared context: both executors run over the
+// context and its peers at once, on the context's one pool, and every job
+// still gets the bits of a solo run.
+TEST(Service, ConcurrentMultiDeviceJobsMatchSoloRuns) {
+  ServiceConfig scfg;
+  scfg.workers = 2;
+  scfg.enable_cache = false;
+  scfg.enable_warm_start = false;
+  device::DeviceContext ctx(2);
+  Service svc(scfg, &ctx);
+  std::vector<Job> jobs;
+  for (std::uint64_t seed = 1; seed <= 4; ++seed) {
+    Job job = make_job(make_fb(300, 4, seed), 4, seed);
+    job.config.num_devices = 2;
+    jobs.push_back(std::move(job));
+  }
+  std::vector<JobId> ids;
+  for (const Job& job : jobs) ids.push_back(svc.submit(job).id);
+  for (usize i = 0; i < jobs.size(); ++i) {
+    const JobResult r = svc.wait(ids[i]);
+    ASSERT_EQ(r.status, JobStatus::kCompleted) << r.error;
+    EXPECT_FALSE(r.spectral.degradation.degraded);
+    EXPECT_GT(r.spectral.device_counters.bytes_d2d, 0u);
+    device::DeviceContext solo_ctx(1);
+    const core::SpectralResult solo =
+        core::spectral_cluster_graph(jobs[i].graph, jobs[i].config, &solo_ctx);
+    ASSERT_EQ(r.spectral.labels.size(), solo.labels.size());
+    EXPECT_EQ(std::memcmp(r.spectral.labels.data(), solo.labels.data(),
+                          solo.labels.size() * sizeof(index_t)),
+              0)
+        << "job " << i;
+  }
+  EXPECT_EQ(ctx.devices().size(), 2u);
 }
 
 TEST(Service, WaitUnknownIdThrows) {

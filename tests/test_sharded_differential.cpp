@@ -11,6 +11,7 @@
 
 #include "common/precision.h"
 #include "common/rng.h"
+#include "core/report.h"
 #include "core/spectral.h"
 #include "data/dti.h"
 #include "data/powerlaw.h"
@@ -29,14 +30,7 @@ using core::Backend;
 using core::SpectralConfig;
 using core::SpectralResult;
 using device::DeviceGroup;
-using device::DeviceGroupConfig;
 using sparse::Csr;
-
-DeviceGroup make_group(usize n) {
-  DeviceGroupConfig gc;
-  gc.num_devices = n;
-  return DeviceGroup(gc);
-}
 
 std::vector<real> random_vector(usize n, std::uint64_t seed) {
   Rng rng(seed);
@@ -73,7 +67,8 @@ TEST_P(ShardedSpmv, BitwiseEqualOnPowerlaw) {
       random_vector(static_cast<usize>(a.cols), 123);
   const std::vector<real> want = reference_csrmv(a, x);
 
-  DeviceGroup group = make_group(GetParam());
+  device::DeviceContext root(1);
+  DeviceGroup group(root, GetParam());
   sparse::ShardedCsr sp = sparse::shard_csr(group, a);
   std::vector<real> y(static_cast<usize>(a.rows), -7.0);
   sparse::sharded_csrmv(sp, x.data(), y.data());
@@ -110,7 +105,8 @@ TEST_P(ShardedSpmv, BitwiseEqualWithHubAndEmptyRows) {
   const std::vector<real> x = random_vector(static_cast<usize>(n), 77);
   const std::vector<real> want = reference_csrmv(a, x);
 
-  DeviceGroup group = make_group(GetParam());
+  device::DeviceContext root(1);
+  DeviceGroup group(root, GetParam());
   sparse::ShardedCsr sp = sparse::shard_csr(group, a);
   std::vector<real> y(static_cast<usize>(n));
   sparse::sharded_csrmv(sp, x.data(), y.data());
@@ -127,7 +123,8 @@ TEST_P(ShardedSpmv, BitwiseEqualWithEmptyShards) {
       random_vector(static_cast<usize>(a.cols), 55);
   const std::vector<real> want = reference_csrmv(a, x);
 
-  DeviceGroup group = make_group(GetParam());
+  device::DeviceContext root(1);
+  DeviceGroup group(root, GetParam());
   sparse::ShardedCsr sp = sparse::shard_csr(group, a, /*align=*/256);
   std::vector<real> y(static_cast<usize>(a.rows));
   sparse::sharded_csrmv(sp, x.data(), y.data());
@@ -279,9 +276,9 @@ TEST(ShardedPipeline, EigenpairsBitwiseAcrossWorkerCounts) {
   }
 }
 
-// Points mode runs the same device pipeline: Algorithm 1 on the caller's
-// context, then the eigensolver and k-means over the group, so a small
-// DTI-like volume gives the same bits at every device count and rung.
+// Points mode runs the same device pipeline: Algorithm 1 on device 0, the
+// caller's context, then the eigensolver and k-means over the group, so a
+// small DTI-like volume gives the same bits at every device count and rung.
 TEST(ShardedPipeline, PointsModeBitwiseAcrossDeviceCounts) {
   data::DtiParams p;
   p.nx = 10;
@@ -316,9 +313,10 @@ TEST(ShardedPipeline, PointsModeBitwiseAcrossDeviceCounts) {
   }
 }
 
-// Caller-owned groups with several workers per device: each device's
-// csrmv hands its workers whole merge-path rows, so a hub-heavy powerlaw
-// graph gives the single-device bits at every devices x workers point.
+// Root contexts with several workers, which every peer runs on: each
+// device's csrmv hands its workers whole merge-path rows, so a hub-heavy
+// powerlaw graph gives the single-device bits at every devices x workers
+// point.
 TEST(ShardedPipeline, WorkersPerDeviceGridMatchesSingleDevice) {
   std::vector<index_t> old_of_new;
   const sparse::Coo w = graph::largest_component(
@@ -331,11 +329,9 @@ TEST(ShardedPipeline, WorkersPerDeviceGridMatchesSingleDevice) {
     for (const usize workers : {1u, 3u}) {
       SCOPED_TRACE(std::to_string(nd) + " devices x " +
                    std::to_string(workers) + " workers");
-      DeviceGroupConfig gc;
-      gc.num_devices = nd;
-      gc.workers_per_device = workers;
-      DeviceGroup group(gc);
-      const SpectralResult r = core::spectral_cluster_graph(w, cfg, group);
+      device::DeviceContext root(workers);
+      const SpectralResult r = core::spectral_cluster_graph(
+          w, pipeline_config(4, static_cast<index_t>(nd)), &root);
       expect_bitwise_equal(r.eigenvalues, base.eigenvalues, "eigenvalues");
       expect_bitwise_equal(r.embedding, base.embedding, "embedding");
       ASSERT_EQ(r.labels.size(), base.labels.size());
@@ -358,6 +354,87 @@ TEST(ShardedPipeline, LabelsInvariantUnderIterationCap) {
   cfg.num_devices = 1;
   const SpectralResult b = core::spectral_cluster_graph(g.w, cfg);
   EXPECT_EQ(a.labels, b.labels);
+}
+
+// ---------------------------------------------------------------------------
+// The caller's context is device 0 of a multi-device run and its peers are
+// the other devices, so the caller's settings bind every device and each
+// device's books stay where its work ran.
+
+/// The giant component of a small FB-like graph: big enough that one
+/// device's share of W overflows a 64 KiB budget.
+sparse::Coo small_graph() {
+  std::vector<index_t> old_of_new;
+  return graph::largest_component(
+      data::make_social_graph(data::fb_like_params(600, 4, 42)).w,
+      old_of_new);
+}
+
+bool has_action(const SpectralResult& r, const std::string& action) {
+  for (const core::DegradationEvent& e : r.degradation.events) {
+    if (e.action == action) return true;
+  }
+  return false;
+}
+
+TEST(ShardedPipeline, CallerMemoryLimitBindsEveryDevice) {
+  const sparse::Coo w = small_graph();
+  for (const usize workers : {1u, 4u}) {
+    SCOPED_TRACE(std::to_string(workers) + " workers");
+    device::DeviceContext ctx(workers);
+    ctx.set_memory_limit(64 << 10);
+    const SpectralResult r =
+        core::spectral_cluster_graph(w, pipeline_config(4, 2), &ctx);
+    EXPECT_TRUE(has_action(r, "single-device"));
+    EXPECT_TRUE(has_action(r, "host-eigensolver"));
+    EXPECT_EQ(r.labels.size(), static_cast<usize>(w.rows));
+    for (const device::DeviceContext* d : ctx.devices()) {
+      EXPECT_LE(d->counters_snapshot().peak_bytes, usize{64} << 10);
+    }
+  }
+}
+
+TEST(ShardedPipeline, CallerRetryPolicyBindsEveryDevice) {
+  const sparse::Coo w = small_graph();
+  for (const usize workers : {1u, 4u}) {
+    SCOPED_TRACE(std::to_string(workers) + " workers");
+    device::DeviceContext ctx(workers);
+    ctx.set_transfer_retry({.max_retries = 0, .backoff_seconds = 25e-6});
+    SpectralConfig cfg = pipeline_config(4, 2);
+    cfg.faults = fault::FaultPlan::parse("site=copy.h2d,nth=1");
+    const SpectralResult r = core::spectral_cluster_graph(w, cfg, &ctx);
+    EXPECT_TRUE(has_action(r, "single-device"));
+    EXPECT_EQ(r.device_counters.transfer_retries, 0u);
+    EXPECT_EQ(core::collect_attribution(ctx).device_totals.transfer_retries,
+              0u);
+  }
+}
+
+TEST(ShardedPipeline, CallerTimelineCoversItsOwnBooks) {
+  const sparse::Coo w = small_graph();
+  for (const usize workers : {1u, 4u}) {
+    SCOPED_TRACE(std::to_string(workers) + " workers");
+    device::DeviceContext ctx(workers);
+    const SpectralResult r =
+        core::spectral_cluster_graph(w, pipeline_config(4, 2), &ctx);
+    EXPECT_FALSE(r.degradation.degraded);
+    const double now = ctx.virtual_now();
+    EXPECT_GT(now, 0.0);
+    // Busy time never exceeds the timeline it was laid on (up to the
+    // rounding of two summation orders).
+    EXPECT_LE(ctx.counters_snapshot().modeled_pipeline_seconds(),
+              now * (1 + 1e-12));
+  }
+}
+
+TEST(ShardedPipeline, ReportOnCallerCoversItsPeers) {
+  const sparse::Coo w = small_graph();
+  device::DeviceContext ctx(1);
+  const SpectralResult r =
+      core::spectral_cluster_graph(w, pipeline_config(4, 2), &ctx);
+  ASSERT_GT(r.device_counters.bytes_d2d, 0u);
+  EXPECT_EQ(core::collect_attribution(ctx).device_totals.bytes_d2d,
+            r.device_counters.bytes_d2d);
 }
 
 }  // namespace
