@@ -12,7 +12,6 @@
 #include <string>
 
 #include "common/cli.h"
-#include "common/precision.h"
 #include "common/table.h"
 #include "core/bisection.h"
 #include "core/spectral.h"
@@ -46,10 +45,6 @@ int main(int argc, char** argv) {
       "measure", "expdecay", "similarity for points: cosine | crosscorr | "
                              "expdecay");
   const auto sigma = cli.get_double("sigma", 1.0, "RBF bandwidth (expdecay)");
-  const std::string precision = cli.get_string(
-      "precision", "fp64",
-      "storage precision ladder: fp64 | fp32 | bf16 | auto, with optional "
-      "per-stage overrides, e.g. 'fp32,kmeans=fp64' (kway method only)");
   const auto seed = cli.get_int("seed", 42, "random seed");
   const bool keep_largest = cli.get_bool(
       "largest-component", true,
@@ -118,8 +113,6 @@ int main(int argc, char** argv) {
                   : backend_name_flag == "python" ? core::Backend::kPythonLike
                                                   : core::Backend::kDevice;
     cfg.seed = static_cast<std::uint64_t>(seed);
-    FASTSC_CHECK(parse_precision_policy(precision, cfg.precision),
-                 "bad --precision spec: " + precision);
     core::SpectralResult result = core::spectral_cluster_graph(w, cfg);
     labels = std::move(result.labels);
     clock = result.clock;

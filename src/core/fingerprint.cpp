@@ -58,19 +58,6 @@ std::uint64_t config_fingerprint(const SpectralConfig& cfg) {
   h = mix(h, static_cast<int>(cfg.seeding));
   h = mix(h, cfg.row_normalize_embedding);
   h = mix(h, cfg.seed);
-  // Precision policy (appended after the original fields so pre-precision
-  // fingerprints only shift once): an fp32 run must never be served an
-  // fp64-cached result or warm-start donor, and vice versa — the labels and
-  // Ritz basis are rung-dependent.
-  h = mix(h, static_cast<int>(cfg.precision.base));
-  h = mix(h, cfg.precision.auto_ladder);
-  h = mix(h, cfg.precision.spmv);
-  h = mix(h, cfg.precision.basis);
-  h = mix(h, cfg.precision.kmeans);
-  h = mix(h, cfg.precision.similarity);
-  h = mix(h, static_cast<int>(cfg.precision.fuse));
-  h = mix(h, cfg.precision.refine_residual_limit);
-  h = mix(h, cfg.precision.refine_rounds);
   return h;
 }
 

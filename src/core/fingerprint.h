@@ -32,7 +32,7 @@ struct SpectralConfig;
 
 /// Fingerprint of the solver-relevant SpectralConfig fields — everything
 /// that changes the labels a solve produces (cluster count, backend,
-/// eigensolver knobs, SpMV format, k-means knobs, seed).  Observability,
+/// eigensolver knobs, k-means knobs, seed).  Observability,
 /// budget, fault-injection, and warm-start fields are deliberately excluded:
 /// they change how a run executes, not what it computes.
 [[nodiscard]] std::uint64_t config_fingerprint(const SpectralConfig& cfg);

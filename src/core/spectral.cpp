@@ -89,140 +89,6 @@ lanczos::LanczosConfig eig_config(const SpectralConfig& cfg, index_t n) {
   return ec;
 }
 
-/// fp64 Rayleigh-Ritz refinement of a narrow-precision solve (DESIGN.md
-/// §13): orthonormalize the Ritz vectors (CGS2 in fp64), project the exact
-/// operator S = D^-1/2 W D^-1/2 onto their span (W applied host-side in COO
-/// entry order, so single-device and sharded runs refine bit-for-bit
-/// identically), rediagonalize the small projection, and rotate.  `vectors`
-/// holds the eigenvectors row-major (one per eigenvalue, each of length
-/// inv_sqrt_degree.size()); both it and `eigenvalues` are updated in place,
-/// refined pairs reordered to match the incoming eigenvalue ordering.
-/// Returns the post-refinement residual max_i ||S v_i - lambda_i v_i||_2.
-real refine_eigenpairs_fp64(const sparse::Coo& w,
-                            const std::vector<real>& inv_sqrt_degree,
-                            index_t rounds, std::vector<real>& eigenvalues,
-                            std::vector<real>& vectors) {
-  const auto n = static_cast<index_t>(inv_sqrt_degree.size());
-  if (n <= 0 || vectors.empty() || rounds <= 0) return 0;
-  const auto un = static_cast<usize>(n);
-  const auto nv = static_cast<index_t>(vectors.size() / un);
-  if (nv <= 0) return 0;
-  if (eigenvalues.size() < static_cast<usize>(nv)) {
-    eigenvalues.resize(static_cast<usize>(nv), 0);
-  }
-  const real* isd = inv_sqrt_degree.data();
-
-  // y = S x with W applied entry-by-entry in COO storage order — the order
-  // every caller shares, which keeps refinement bitwise identical across
-  // device counts.
-  std::vector<real> scratch(un);
-  const auto apply = [&](const real* x, real* y) {
-    for (usize i = 0; i < un; ++i) scratch[i] = isd[i] * x[i];
-    std::fill(y, y + un, real{0});
-    const usize nnz = w.values.size();
-    for (usize e = 0; e < nnz; ++e) {
-      y[static_cast<usize>(w.row_idx[e])] +=
-          w.values[e] * scratch[static_cast<usize>(w.col_idx[e])];
-    }
-    for (usize i = 0; i < un; ++i) y[i] *= isd[i];
-  };
-
-  // dense_sym_eig ascends; emit refined pairs in the solver's order.
-  const bool ascending =
-      nv < 2 || eigenvalues.front() <= eigenvalues[static_cast<usize>(nv) - 1];
-  const auto unv = static_cast<usize>(nv);
-  std::vector<real> av(unv * un);
-  std::vector<real> h(unv * unv);
-  std::vector<real> rotated(unv * un);
-  real residual = 0;
-  for (index_t round = 0; round < rounds; ++round) {
-    // CGS2 orthonormalization of the Ritz vectors ("twice is enough").
-    for (index_t i = 0; i < nv; ++i) {
-      real* vi = vectors.data() + static_cast<usize>(i) * un;
-      for (int pass = 0; pass < 2; ++pass) {
-        for (index_t j = 0; j < i; ++j) {
-          const real* vj = vectors.data() + static_cast<usize>(j) * un;
-          real c = 0;
-          for (usize l = 0; l < un; ++l) c += vj[l] * vi[l];
-          for (usize l = 0; l < un; ++l) vi[l] -= c * vj[l];
-        }
-      }
-      real norm2 = 0;
-      for (usize l = 0; l < un; ++l) norm2 += vi[l] * vi[l];
-      if (norm2 > 0) {
-        const real inv = real{1} / std::sqrt(norm2);
-        for (usize l = 0; l < un; ++l) vi[l] *= inv;
-      }
-    }
-    // Project: H = V S V^T (symmetrized against fp64 roundoff).
-    for (index_t i = 0; i < nv; ++i) {
-      apply(vectors.data() + static_cast<usize>(i) * un,
-            av.data() + static_cast<usize>(i) * un);
-    }
-    for (index_t i = 0; i < nv; ++i) {
-      const real* vi = vectors.data() + static_cast<usize>(i) * un;
-      for (index_t j = 0; j < nv; ++j) {
-        const real* aj = av.data() + static_cast<usize>(j) * un;
-        real acc = 0;
-        for (usize l = 0; l < un; ++l) acc += vi[l] * aj[l];
-        h[static_cast<usize>(i) * unv + static_cast<usize>(j)] = acc;
-      }
-    }
-    for (index_t i = 0; i < nv; ++i) {
-      for (index_t j = i + 1; j < nv; ++j) {
-        const real s = (h[static_cast<usize>(i) * unv + static_cast<usize>(j)] +
-                        h[static_cast<usize>(j) * unv + static_cast<usize>(i)]) /
-                       2;
-        h[static_cast<usize>(i) * unv + static_cast<usize>(j)] = s;
-        h[static_cast<usize>(j) * unv + static_cast<usize>(i)] = s;
-      }
-    }
-    const lanczos::DenseEigResult small = lanczos::dense_sym_eig(h.data(), nv);
-    // Rotate V <- U^T V, pairing column `src` of U with refined value `src`.
-    for (index_t out = 0; out < nv; ++out) {
-      const index_t src = ascending ? out : nv - 1 - out;
-      eigenvalues[static_cast<usize>(out)] =
-          small.eigenvalues[static_cast<usize>(src)];
-      real* dst = rotated.data() + static_cast<usize>(out) * un;
-      std::fill(dst, dst + un, real{0});
-      for (index_t j = 0; j < nv; ++j) {
-        const real coef = small.eigenvectors[static_cast<usize>(j) * unv +
-                                             static_cast<usize>(src)];
-        const real* vj = vectors.data() + static_cast<usize>(j) * un;
-        for (usize l = 0; l < un; ++l) dst[l] += coef * vj[l];
-      }
-    }
-    vectors.swap(rotated);
-    residual = 0;
-    for (index_t i = 0; i < nv; ++i) {
-      const real* vi = vectors.data() + static_cast<usize>(i) * un;
-      apply(vi, av.data());
-      const real lambda = eigenvalues[static_cast<usize>(i)];
-      real r2 = 0;
-      for (usize l = 0; l < un; ++l) {
-        const real r = av[l] - lambda * vi[l];
-        r2 += r * r;
-      }
-      residual = std::max(residual, std::sqrt(r2));
-    }
-  }
-  return residual;
-}
-
-/// Unit roundoff of a precision rung's storage (0 for fp64): the slack the
-/// SDC tolerances add per quantized operand (DESIGN.md §14).
-double rung_eps(Precision p) noexcept {
-  return p == Precision::kFp64 ? 0.0 : p == Precision::kFp32 ? 0x1p-24 : 0x1p-8;
-}
-
-/// Whether a solve under `pp` ends with the fp64 Rayleigh-Ritz refinement
-/// (some eigensolver stage runs below fp64 or the fused epilogue is on).
-bool refines(const PrecisionPolicy& pp) noexcept {
-  return pp.refine_rounds > 0 &&
-         (pp.fused() || pp.resolve(PrecisionStage::kSpmv) != Precision::kFp64 ||
-          pp.resolve(PrecisionStage::kBasis) != Precision::kFp64);
-}
-
 /// Record one degradation decision: result report + degrade.* counters +
 /// trace counter + a WARN so unattended runs leave an audit trail.
 void note_degradation(SpectralResult& result, const char* stage,
@@ -245,33 +111,6 @@ void reset_eig_result(SpectralResult& result) {
   result.spmv_seconds = 0;
   result.checkpoint.reset();
   result.warm_started = false;
-  result.precision_used = {};
-  result.refine_residual = 0;
-}
-
-/// Auto-precision rung (DESIGN.md §13) around any eigensolve: run
-/// `solve(cfg)`; when the fp64 refinement residual of a narrow solve exceeds
-/// the policy's limit, drop its outputs and re-run `solve` with every stage
-/// forced to fp64 (degradation action "precision-fallback").
-template <class Solve>
-void solve_with_precision_fallback(const SpectralConfig& cfg,
-                                   SpectralResult& result, Solve&& solve) {
-  solve(cfg);
-  const PrecisionPolicy& pp = cfg.precision;
-  if (!pp.auto_ladder || result.refine_residual <= pp.refine_residual_limit) {
-    return;
-  }
-  note_degradation(result, kStageEigensolver, "precision-fallback",
-                   "fp64 refinement residual " +
-                       std::to_string(result.refine_residual) +
-                       " above limit " +
-                       std::to_string(pp.refine_residual_limit) +
-                       "; re-running the eigensolve at fp64");
-  SpectralConfig fb_cfg = cfg;
-  fb_cfg.precision = pp.fp64_fallback();
-  reset_eig_result(result);
-  obs::AttrSiteScope rung_site("fallback.precision_fp64");
-  solve(fb_cfg);
 }
 
 /// Run a stage whose partial result may not exist yet when a deadline
@@ -313,27 +152,12 @@ void run_stage(SpectralResult& result, const char* stage, const char* site,
 using EigWave = std::function<void(const real* x, real* y, index_t basis)>;
 
 /// The RCI driver behind every device eigensolve.  It owns the steps around
-/// the wave: the narrow-rung tolerance clamp and warm start, checkpoint
-/// resume and anytime abandon, the per-wave and Ritz-range sentinels,
-/// checkpoint export, Ritz extraction, the fp64 refinement against
-/// `refine_w` (read only when an eigensolver stage runs below fp64 or the
-/// fused epilogue is on) and the embedding through `inv_sqrt_degree`.
+/// the wave: warm start, checkpoint resume and anytime abandon, the
+/// per-wave and Ritz-range sentinels, checkpoint export, Ritz extraction
+/// and the embedding through `inv_sqrt_degree`.
 void run_rci(const SpectralConfig& cfg, index_t n, const EigWave& wave,
-             const sparse::Coo& refine_w,
              const std::vector<real>& inv_sqrt_degree, SpectralResult& result) {
-  const PrecisionPolicy& pp = cfg.precision;
-  const Precision spmv_p = pp.resolve(PrecisionStage::kSpmv);
-  const Precision basis_p = pp.resolve(PrecisionStage::kBasis);
-
   lanczos::LanczosConfig ec = eig_config(cfg, n);
-  if (spmv_p != Precision::kFp64 || basis_p != Precision::kFp64) {
-    // A narrow rung perturbs the operator at its unit roundoff; asking the
-    // solver for residuals below that only burns restarts.  The fp64
-    // refinement at solve end recovers the extra digits.
-    const bool any_bf16 =
-        spmv_p == Precision::kBf16 || basis_p == Precision::kBf16;
-    ec.tol = std::max(ec.tol, any_bf16 ? real{1e-3} : real{1e-6});
-  }
   const DegradationPolicy& pol = cfg.degradation;
   ec.capture_checkpoints =
       (pol.enabled && pol.resume_failed_solve) || cfg.capture_checkpoint;
@@ -356,13 +180,11 @@ void run_rci(const SpectralConfig& cfg, index_t n, const EigWave& wave,
   }
 
   // Invariant sentinels (DESIGN.md §14): ||S||_2 <= 1 for the normalized
-  // operator, so ||y|| <= ||x|| and |x^T y| <= ||x||^2 up to the rungs'
-  // roundoff.  No checksum storage — these catch corruption classes a
-  // wave's own checks can miss (a flipped structure index, a torn
-  // recurrence), on every device count.
+  // operator, so ||y|| <= ||x|| and |x^T y| <= ||x||^2 up to roundoff.  No
+  // checksum storage — these catch corruption classes a wave's own checks
+  // can miss (a flipped structure index, a torn recurrence), on every
+  // device count.
   const bool sentinels_on = cfg.sdc.enabled;
-  const double eps_q = rung_eps(basis_p);  // basis staging quantization
-  const double eps_m = rung_eps(spmv_p);   // matrix storage quantization
   const auto trip = [&](const std::string& why) {
     obs::sdc_note_detected("lanczos.sentinel", why);
     ++result.integrity.detected;
@@ -395,14 +217,14 @@ void run_rci(const SpectralConfig& cfg, index_t n, const EigWave& wave,
             y2 += y[i] * y[i];
             xy += x[i] * y[i];
           }
-          const double one = 1 + (1e-6 + 8 * (eps_q + eps_m));
+          const double one = 1 + 1e-6;
           if (!(y2 <= one * one * x2)) {
             trip("||y|| exceeds the operator norm bound");
           } else if (!(std::abs(xy) <= one * x2)) {
             trip("Rayleigh quotient outside the operator's numerical range");
           }
           const real drift = prob.Solver().orthogonality_drift();
-          if (!(drift <= 1e-8 + 64 * eps_q)) {
+          if (!(drift <= 1e-8)) {
             trip("CGS2 basis orthogonality drift " + std::to_string(drift));
           }
         }
@@ -444,13 +266,12 @@ void run_rci(const SpectralConfig& cfg, index_t n, const EigWave& wave,
   result.eig_stats = prob.Stats();
   if (sentinels_on && result.eig_converged) {
     // Spectral-range sanity: every Ritz value of D^-1/2 W D^-1/2 lies in
-    // [-1, 1] up to the rungs' operator perturbation; anything outside (or
-    // non-finite) means the tridiagonal recurrence itself was corrupted.
+    // [-1, 1] up to roundoff; anything outside (or non-finite) means the
+    // tridiagonal recurrence itself was corrupted.
     obs::sdc_note_check();
     ++result.integrity.checks;
-    const double slack = 1e-6 + 64 * (eps_q + eps_m);
     for (const real ev : result.eigenvalues) {
-      if (!(std::abs(ev) <= 1 + slack)) {
+      if (!(std::abs(ev) <= 1 + 1e-6)) {
         trip("Ritz value " + std::to_string(ev) + " outside [-1, 1]");
       }
     }
@@ -459,19 +280,8 @@ void run_rci(const SpectralConfig& cfg, index_t n, const EigWave& wave,
     result.checkpoint = std::make_shared<lanczos::LanczosCheckpoint>(
         prob.Solver().last_checkpoint());
   }
-  std::vector<real> vectors = prob.FindEigenvectors();
-  if (refines(pp) && !vectors.empty()) {
-    // fp64 rung of the ladder: Rayleigh-Ritz against the exact operator
-    // recovers the digits the narrow solve left on the table and yields the
-    // residual the auto ladder gates on.  It reads W in its original COO
-    // entry order, so the result is the same for every device count.
-    result.refine_residual = refine_eigenpairs_fp64(
-        refine_w, inv_sqrt_degree, pp.refine_rounds, result.eigenvalues,
-        vectors);
-  }
-  result.embedding =
-      to_embedding(vectors, inv_sqrt_degree, cfg.num_clusters, n);
-  result.precision_used = pp;
+  result.embedding = to_embedding(prob.FindEigenvectors(), inv_sqrt_degree,
+                                  cfg.num_clusters, n);
 }
 
 /// Meter one wave of row-sharded CGS2 reorthogonalization: each device runs
@@ -513,11 +323,10 @@ void meter_cgs2_wave(device::DeviceGroup& group,
 }
 
 /// The similarity matrix W as the eigensolver stage's input.  `host` is W
-/// — what the fp64 refinement, the N > 1 row bucketing and the host rung
-/// read — downloaded at most once; `dev` is the root device's copy, which a
-/// group of one normalizes directly.  Algorithm 2 only reads W, so both
-/// copies keep the build's entry order and every ladder rung rebuilds the
-/// same operator.
+/// — what the N > 1 row bucketing and the host rung read — downloaded at
+/// most once; `dev` is the root device's copy, which a group of one
+/// normalizes directly.  Algorithm 2 only reads W, so both copies keep the
+/// build's entry order and every ladder rung rebuilds the same operator.
 struct SimilaritySource {
   explicit SimilaritySource(device::DeviceContext& r,
                             const sparse::Coo* h = nullptr)
@@ -561,29 +370,21 @@ sparse::RowPartition eig_partition(device::DeviceGroup& group,
   // same way) against ~20 bytes per CSR entry for the SpMV, so a row weighs
   // roughly ncv entries.  Weighting the merge path accordingly balances
   // rows and entries together instead of entries alone.
-  const index_t ncv_eff =
-      cfg.ncv > 0 ? cfg.ncv
-                  : std::min(n, std::max<index_t>(2 * cfg.num_clusters + 1, 20));
-  return sparse::make_row_partition(row_ptr.data(), n,
-                                    static_cast<index_t>(group.size()),
-                                    kmeans::kBlockRows, ncv_eff);
+  return sparse::make_row_partition(
+      row_ptr.data(), n, static_cast<index_t>(group.size()),
+      kmeans::kBlockRows, lanczos::resolve_ncv(n, cfg.num_clusters, cfg.ncv));
 }
 
 /// Device eigensolve over `group` (paper Algorithm 3): Algorithm 2 over one
 /// COO chunk per device, then the RCI loop with one synchronous wave per
 /// step.  Each wave stages every device's x segment (sealed by the transfer
-/// CRC), exchanges halos, multiplies each row block with the fused D^-1/2
-/// epilogue when on, fetches y, and verifies one ABFT checksum over y.
+/// CRC), exchanges halos, multiplies each row block, fetches y, and
+/// verifies one ABFT checksum over y.
 void eigensolve_group(device::DeviceGroup& group, SimilaritySource& src,
                       const sparse::RowPartition& part,
-                      const SpectralConfig& cfg, SpectralResult& result,
-                      const std::vector<real>* degrees) {
+                      const SpectralConfig& cfg, SpectralResult& result) {
   const index_t n = part.rows;
   const usize P = group.size();
-  const PrecisionPolicy& pp = cfg.precision;
-  const Precision spmv_p = pp.resolve(PrecisionStage::kSpmv);
-  const Precision basis_p = pp.resolve(PrecisionStage::kBasis);
-  const bool fused = pp.fused();
 
   // A group of one normalizes the root's resident COO; a larger group
   // buckets the host copy by row block and uploads each chunk to its owner.
@@ -600,33 +401,18 @@ void eigensolve_group(device::DeviceGroup& group, SimilaritySource& src,
     }
     chunks = dev_chunks;
   }
-  graph::NormalizeOptions nopts;
-  nopts.fuse_scale = fused;
-  nopts.degrees = degrees;
   graph::GroupNormalized norm =
-      graph::sym_normalized_group(group, chunks, part, nopts);
+      graph::sym_normalized_group(group, chunks, part);
   dev_chunks.clear();
-  if (spmv_p != Precision::kFp64) {
-    for (usize d = 0; d < P; ++d) {
-      sparse::demote_csr_values(group.device(d), norm.blocks[d], spmv_p);
-    }
-  }
   sparse::ShardedCsr op = sparse::shard_device_locals(
-      group, part, std::move(norm.blocks), host_chunks, basis_p);
+      group, part, std::move(norm.blocks), host_chunks);
   host_chunks.clear();
-  if (fused) {
-    for (usize d = 0; d < P; ++d) {
-      op.shards[d].fused_scale = std::move(norm.isd[d]);
-    }
-  }
   norm.isd.clear();
 
   // ABFT checksum vector (DESIGN.md §14): Huang-Abraham column sums of the
-  // *effective* operator, taken from the same (possibly demoted) stored
-  // values the kernels read.  With the fused D^-1/2 epilogue the effective
-  // entry is s_r * w_rj * s_j, so c_j = s_j * sum_r s_r * w_rj.  Each device
-  // sums its own rows on the device; the partials fold on the host in
-  // device order.  Every wave then verifies sum(y) == <c, x> up to
+  // operator, taken from the same stored values the kernels read.  Each
+  // device sums its own rows on the device; the partials fold on the host
+  // in device order.  Every wave then verifies sum(y) == <c, x> up to
   // accumulation roundoff.
   const bool sdc_on = cfg.sdc.enabled;
   const auto un = static_cast<usize>(n);
@@ -639,22 +425,19 @@ void eigensolve_group(device::DeviceGroup& group, SimilaritySource& src,
       const sparse::DeviceCsrShard& sh = op.shards[d];
       device::DeviceContext& ctx = group.device(d);
       device::DeviceBuffer<real> dev_colsum(ctx, un);
-      const sparse::CsrValuesView vals = sh.local.values_view();
+      const real* vals = sh.local.values.data();
       const index_t* rp = sh.local.row_ptr.data();
       const index_t* ci = sh.local.col_idx.data();
-      const real* sd = fused ? sh.fused_scale.data() : nullptr;
       real* c = dev_colsum.data();
       const index_t rows = sh.rows();
-      const index_t rb = sh.row_begin;
       const auto nnz_d = static_cast<double>(sh.local.nnz());
       device::launch(
           ctx, 1,
           [=](index_t) {
             for (index_t j = 0; j < n; ++j) c[j] = 0;
             for (index_t r = 0; r < rows; ++r) {
-              const real sr = sd != nullptr ? sd[rb + r] : real{1};
               for (index_t e = rp[r]; e < rp[r + 1]; ++e) {
-                c[ci[e]] += sr * vals[e];
+                c[ci[e]] += vals[e];
               }
             }
           },
@@ -663,39 +446,15 @@ void eigensolve_group(device::DeviceGroup& group, SimilaritySource& src,
       dev_colsum.copy_to_host(std::span<real>(partial));  // D2H, metered
       for (usize j = 0; j < un; ++j) abft_colsum[j] += partial[j];
     }
-    if (fused) {
-      for (usize j = 0; j < un; ++j) {
-        abft_colsum[j] *= norm.inv_sqrt_degree[j];
-      }
-    }
   }
   // Corruption-at-rest injection point for the matrix payload: *after* the
   // checksum build, so the colsums describe the values as computed and a
   // flipped stored bit is a detectable divergence.
   for (sparse::DeviceCsrShard& sh : op.shards) {
-    const auto nnz_d = static_cast<usize>(sh.local.nnz());
-    switch (sh.local.value_precision) {
-      case Precision::kFp64:
-        fault::corrupt_scalars("bitflip.csr.values", sh.local.values.data(),
-                               nnz_d);
-        break;
-      case Precision::kFp32:
-        fault::corrupt_scalars_f32("bitflip.csr.values",
-                                   sh.local.values_f32.data(), nnz_d);
-        break;
-      case Precision::kBf16:
-        fault::corrupt_scalars_b16("bitflip.csr.values",
-                                   sh.local.values_b16.data(), nnz_d);
-        break;
-    }
+    fault::corrupt_scalars("bitflip.csr.values", sh.local.values.data(),
+                           static_cast<usize>(sh.local.nnz()));
   }
-
-  // The transfer CRC is an exact byte compare of the staged x at every
-  // rung; the ABFT checksum's only rung term is the basis quantization of
-  // the staged x/y (the colsums already hold the quantized matrix values).
   const double eps64 = std::numeric_limits<double>::epsilon() / 2;
-  const double eps_q = rung_eps(basis_p);
-  const usize bw = bytes_per_scalar(basis_p);
 
   // Seal on every device's staged x segment: the device-buffer bitflip
   // site, then (when enabled) a CRC frame — the device copy is re-hashed by
@@ -704,33 +463,18 @@ void eigensolve_group(device::DeviceGroup& group, SimilaritySource& src,
   // mismatch throws *transient* and the retry re-runs the idempotent upload.
   sparse::StageCheck seal;
   seal.site = sdc_on ? "sdc.h2d" : nullptr;
-  seal.check = [&](usize d, unsigned char* dev, const unsigned char* host,
-                   usize bytes) {
-    const usize count = bytes / bw;
-    switch (basis_p) {
-      case Precision::kFp64:
-        fault::corrupt_scalars("bitflip.device.buffer",
-                               reinterpret_cast<real*>(dev), count);
-        break;
-      case Precision::kFp32:
-        fault::corrupt_scalars_f32("bitflip.device.buffer",
-                                   reinterpret_cast<float*>(dev), count);
-        break;
-      case Precision::kBf16:
-        fault::corrupt_scalars_b16("bitflip.device.buffer",
-                                   reinterpret_cast<std::uint16_t*>(dev),
-                                   count);
-        break;
-    }
+  seal.check = [&](usize d, real* dev, const real* host, usize count) {
+    fault::corrupt_scalars("bitflip.device.buffer", dev, count);
     if (!sdc_on) return;
+    const usize bytes = count * sizeof(real);
     std::uint32_t dev_crc = 0;
     {
       obs::AttrSiteScope crc_site("sdc.crc");
       std::uint32_t* out = &dev_crc;
-      const unsigned char* src_bytes = dev;
+      const real* staged = dev;
       device::launch(
           group.device(d), 1,
-          [=](index_t) { *out = crc32c(src_bytes, bytes); },
+          [=](index_t) { *out = crc32c(staged, bytes); },
           device::tagged("sdc.crc", static_cast<double>(bytes) / 8.0,
                          static_cast<double>(bytes), 4.0));
     }
@@ -767,7 +511,7 @@ void eigensolve_group(device::DeviceGroup& group, SimilaritySource& src,
       double ysum = 0;
       double ynorm1 = 0;
       for (usize i = 0; i < un; ++i) {
-        cx += static_cast<double>(abft_colsum[i]) * quantize(x[i], basis_p);
+        cx += static_cast<double>(abft_colsum[i]) * x[i];
         ysum += y[i];
         ynorm1 += std::abs(static_cast<double>(y[i]));
       }
@@ -775,8 +519,9 @@ void eigensolve_group(device::DeviceGroup& group, SimilaritySource& src,
           eps64 * 64 *
               std::sqrt(static_cast<double>(nnz) + static_cast<double>(un)) *
               (std::abs(cx) + ynorm1) +
-          2 * eps_q * ynorm1 + 1e-300;
-      if (std::abs(ysum - cx) <= tol) break;
+          1e-300;
+      // A non-finite y fails outright: its tolerance would be infinite too.
+      if (std::isfinite(ynorm1) && std::abs(ysum - cx) <= tol) break;
       obs::sdc_note_detected(
           "spmv.wave", "|sum(y) - <c,x>| = " +
                            std::to_string(std::abs(ysum - cx)) + " > tol " +
@@ -793,9 +538,7 @@ void eigensolve_group(device::DeviceGroup& group, SimilaritySource& src,
     }
     meter_cgs2_wave(group, part, basis);
   };
-  static const sparse::Coo kNoRefinement;
-  run_rci(cfg, n, wave, refines(pp) ? src.host_w() : kNoRefinement,
-          norm.inv_sqrt_degree, result);
+  run_rci(cfg, n, wave, norm.inv_sqrt_degree, result);
 }
 
 void eigensolve_host(const sparse::Coo& w, const SpectralConfig& cfg,
@@ -819,46 +562,24 @@ void eigensolve_host(const sparse::Coo& w, const SpectralConfig& cfg,
 }
 
 /// Eigensolver degradation ladder, the same for every device count:
-/// device -> (integrity failures) fp64 re-solve and rebuilt device state ->
-/// host backend.  A larger group hands a failure its device rungs could
-/// not absorb to the caller's single-device rerun instead of the host rung.
+/// device -> (integrity failures) rebuilt device state -> host backend.  A
+/// larger group hands a failure its device rungs could not absorb to the
+/// caller's single-device rerun instead of the host rung.
 void eigensolve_ladder(device::DeviceGroup& group, SimilaritySource& src,
                        const sparse::RowPartition& part,
-                       const SpectralConfig& cfg, SpectralResult& result,
-                       const std::vector<real>* degrees) {
+                       const SpectralConfig& cfg, SpectralResult& result) {
   const DegradationPolicy& pol = cfg.degradation;
-  const auto solve = [&](const SpectralConfig& c) {
-    eigensolve_group(group, src, part, c, result, degrees);
-  };
   std::exception_ptr last_error;
   std::string reason;
   bool integrity = false;
   try {
-    solve_with_precision_fallback(cfg, result, solve);
+    eigensolve_group(group, src, part, cfg, result);
     return;
   } catch (const device::DeviceError& e) {
     if (!pol.enabled) throw;
     last_error = std::current_exception();
     reason = e.what();
     integrity = dynamic_cast<const device::DataIntegrityError*>(&e) != nullptr;
-  }
-  // SDC escalation rung (DESIGN.md §14): a detected-but-unrecovered
-  // corruption on a narrow-precision solve re-runs at full fp64 first — the
-  // extra mantissa headroom separates real upsets from rung roundoff, and
-  // the rebuilt device state leaves any poisoned payload behind.
-  if (integrity && cfg.sdc.enabled && !cfg.precision.all_fp64()) {
-    note_degradation(result, kStageEigensolver, "sdc-fp64-resolve", reason);
-    SpectralConfig fb_cfg = cfg;
-    fb_cfg.precision = cfg.precision.fp64_fallback();
-    reset_eig_result(result);
-    try {
-      obs::AttrSiteScope rung_site("fallback.sdc_fp64");
-      solve(fb_cfg);
-      return;
-    } catch (const device::DeviceError& e) {
-      last_error = std::current_exception();
-      reason = e.what();
-    }
   }
   // Recompute-from-source rung for integrity failures: it rebuilds every
   // device-resident payload (normalized CSR, checksums) from the unmodified
@@ -870,7 +591,7 @@ void eigensolve_ladder(device::DeviceGroup& group, SimilaritySource& src,
       // Ladder-rung site: the retried solve's device work lands in its own
       // bucket so a degraded run is visible in the attribution table.
       obs::AttrSiteScope rung_site("fallback.device_sync");
-      solve_with_precision_fallback(cfg, result, solve);
+      eigensolve_group(group, src, part, cfg, result);
       return;
     } catch (const device::DeviceError& e) {
       last_error = std::current_exception();
@@ -895,8 +616,7 @@ void eigensolve_ladder(device::DeviceGroup& group, SimilaritySource& src,
 sparse::RowPartition eigensolver_stage(device::DeviceGroup& group,
                                        SimilaritySource& src,
                                        const SpectralConfig& cfg,
-                                       SpectralResult& result,
-                                       const std::vector<real>* degrees) {
+                                       SpectralResult& result) {
   sparse::RowPartition part = sparse::whole_partition(result.n);
   run_stage(result, kStageEigensolver, "stage.eigensolver", [&] {
     if (cfg.backend != Backend::kDevice) {
@@ -906,7 +626,7 @@ sparse::RowPartition eigensolver_stage(device::DeviceGroup& group,
     part = eig_partition(group, src, result.n, cfg);
     run_to_completion([&] {
       reset_eig_result(result);
-      eigensolve_ladder(group, src, part, cfg, result, degrees);
+      eigensolve_ladder(group, src, part, cfg, result);
     });
   });
   return part;
@@ -933,7 +653,6 @@ void kmeans_stage_run(device::DeviceGroup& group,
       kc.max_iters = cfg.kmeans_max_iters;
       kc.seeding = cfg.seeding;
       kc.seed = cfg.seed;
-      kc.precision = cfg.precision.resolve(PrecisionStage::kKmeans);
       kc.record_inertia = cfg.record_kmeans_inertia;
       kc.abft = cfg.sdc.enabled && cfg.sdc.abft_kmeans;
       const auto run_device = [&] {
@@ -1113,7 +832,6 @@ SpectralResult cluster_points_on(device::DeviceGroup& group, const real* x,
   device::DeviceContext& ctx = group.root();
   const auto body = [&](SpectralResult& result) {
     SimilaritySource src(ctx);
-    std::vector<real> degrees;
     const auto build_on_host = [&] {
       src.host_storage =
           baseline::similarity_loop(x, n, d, sym, config.similarity);
@@ -1122,39 +840,30 @@ SpectralResult cluster_points_on(device::DeviceGroup& group, const real* x,
     run_stage(result, kStageSimilarity, "stage.similarity", [&] {
       if (config.backend != Backend::kDevice) return build_on_host();
       const DegradationPolicy& pol = config.degradation;
-      const Precision sim_p =
-          config.precision.resolve(PrecisionStage::kSimilarity);
       try {
         if (config.similarity_chunk_edges > 0) {
           // Out-of-core Algorithm 1: the edge list streams through the
           // device.
           src.host_storage = graph::build_similarity_device_chunked(
               ctx, x, n, d, sym, config.similarity,
-              config.similarity_chunk_edges, sim_p);
+              config.similarity_chunk_edges);
           src.host = &src.host_storage;
           src.dev.emplace(ctx, src.host_storage);
         } else {
           src.dev.emplace(graph::build_similarity_device(
-              ctx, x, n, d, sym, config.similarity, sim_p));
-        }
-        if (config.precision.fused() || sim_p != Precision::kFp64) {
-          // Narrow or fused rungs (DESIGN.md §13): the degrees come from a
-          // sweep over the quantized W, so Algorithm 2 skips its degree
-          // pass.
-          degrees = graph::similarity_degrees(ctx, *src.dev);
+              ctx, x, n, d, sym, config.similarity));
         }
       } catch (const device::DeviceError& e) {
         if (!pol.enabled || !pol.allow_host_fallback) throw;
         note_degradation(result, kStageSimilarity, "host-similarity",
                          e.what());
         src.dev.reset();
-        degrees.clear();
         obs::AttrSiteScope rung_site("fallback.host_similarity");
         build_on_host();
       }
     });
-    const sparse::RowPartition part = eigensolver_stage(
-        group, src, config, result, degrees.empty() ? nullptr : &degrees);
+    const sparse::RowPartition part =
+        eigensolver_stage(group, src, config, result);
     run_stage(result, kStageKmeans, "stage.kmeans",
               [&] { kmeans_stage(group, part.cuts, config, result); });
   };
@@ -1172,7 +881,7 @@ SpectralResult cluster_graph_on(device::DeviceGroup& group,
     // never touches the device skips it.
     SimilaritySource src(group.root(), &w);
     const sparse::RowPartition part =
-        eigensolver_stage(group, src, config, result, nullptr);
+        eigensolver_stage(group, src, config, result);
     run_stage(result, kStageKmeans, "stage.kmeans",
               [&] { kmeans_stage(group, part.cuts, config, result); });
   };

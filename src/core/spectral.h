@@ -25,7 +25,6 @@
 #include <vector>
 
 #include "common/cancel.h"
-#include "common/precision.h"
 #include "common/stage_clock.h"
 #include "device/device.h"
 #include "fault/fault.h"
@@ -139,19 +138,6 @@ struct SpectralConfig {
   /// "single-device").
   index_t num_devices = 1;
 
-  /// Mixed-precision ladder for the device hot path (DESIGN.md §13).  The
-  /// default (all-fp64, no forced fusion) is bitwise identical to the
-  /// pre-precision pipeline.  Below fp64 the eigensolver narrows the CSR
-  /// value array and/or the Lanczos-vector link staging (fp64 accumulation
-  /// throughout), clamps eig_tol to the rung's resolution, runs an fp64
-  /// Rayleigh-Ritz refinement round at solve end, and — when
-  /// precision.auto_ladder is armed — re-runs the solve at fp64 through the
-  /// degradation ladder (action "precision-fallback") if the refinement
-  /// residual exceeds precision.refine_residual_limit.  The kmeans rung
-  /// quantizes the embedding before seeding so labels stay deterministic
-  /// across device counts.  Every rung runs the same RCI wave.
-  PrecisionPolicy precision{};
-
   /// Out-of-core similarity construction (device backend, points mode):
   /// 0 builds the whole edge list on the device at once (Algorithm 1);
   /// > 0 streams the edge list through the device in chunks of this many
@@ -250,15 +236,6 @@ struct SpectralResult {
   /// Objective after each Lloyd sweep (empty unless
   /// SpectralConfig::record_kmeans_inertia or tracing was enabled).
   std::vector<real> kmeans_inertia_history;
-
-  /// The precision policy the eigensolver stage finally ran at — equal to
-  /// SpectralConfig::precision unless the auto ladder fell back to fp64
-  /// (then it is the fp64_fallback policy and degradation records why).
-  PrecisionPolicy precision_used{};
-  /// Max fp64 residual max_i ||S v_i - lambda_i v_i|| after the post-solve
-  /// Rayleigh-Ritz refinement (0 when no refinement ran, i.e. all-fp64 runs
-  /// or precision.refine_rounds == 0).
-  real refine_residual = 0;
 
   /// Fallbacks and resumes taken during this run (device backend).
   DegradationReport degradation;

@@ -1,9 +1,7 @@
 #include "data/io.h"
 
 #include <cmath>
-#include <cstring>
 #include <fstream>
-#include <optional>
 #include <sstream>
 #include <stdexcept>
 #include <unordered_map>
@@ -32,44 +30,9 @@ namespace {
   throw std::invalid_argument(os.str());
 }
 
-/// Significant digits for a bit-exact text round-trip at the given storage
-/// width (the max_digits10 of the rung: binary64 needs 17, binary32 needs 9,
-/// bf16 — a truncated binary32 — needs 5).
-int round_trip_digits(Precision p) {
-  switch (p) {
-    case Precision::kFp64: return 17;
-    case Precision::kFp32: return 9;
-    case Precision::kBf16: return 5;
-  }
-  return 17;
-}
-
-/// Storage-rung marker: narrow writers stamp a comment so readers can
-/// re-round parsed values onto the rung.  A decimal with the rung's
-/// max_digits10 uniquely identifies the narrow value, but the reader parses
-/// into binary64 and lands on the nearest *double* — one widening step away
-/// from the stored value — so the reader must know the rung to finish the
-/// round trip bit-for-bit.
-constexpr const char* kPrecisionTag = "fastsc-precision:";
-
-std::optional<Precision> precision_marker(const std::string& line) {
-  const auto pos = line.find(kPrecisionTag);
-  if (pos == std::string::npos) return std::nullopt;
-  std::istringstream ls(line.substr(pos + std::strlen(kPrecisionTag)));
-  std::string name;
-  ls >> name;
-  if (name == "fp64") return Precision::kFp64;
-  if (name == "fp32") return Precision::kFp32;
-  if (name == "bf16") return Precision::kBf16;
-  return std::nullopt;
-}
-
-void write_precision_marker(std::ostream& out, char comment_char,
-                            Precision storage) {
-  if (storage == Precision::kFp64) return;  // default: keep files unchanged
-  out << comment_char << ' ' << kPrecisionTag << ' '
-      << (storage == Precision::kFp32 ? "fp32" : "bf16") << '\n';
-}
+/// Significant digits for a bit-exact text round-trip of a binary64 value
+/// (its max_digits10); the stream's default of 6 would truncate.
+constexpr int kRoundTripDigits = 17;
 
 /// True when only whitespace remains on the stream.
 bool rest_is_blank(std::istream& is) {
@@ -100,13 +63,9 @@ sparse::Coo read_edge_list(const std::string& path, bool symmetrize) {
         compact.try_emplace(raw, static_cast<index_t>(compact.size())).first;
     return it->second;
   };
-  Precision storage = Precision::kFp64;
   while (std::getline(in, line)) {
     ++lineno;
-    if (is_comment_or_blank(line, '#')) {
-      if (const auto p = precision_marker(line)) storage = *p;
-      continue;
-    }
+    if (is_comment_or_blank(line, '#')) continue;
     std::istringstream ls(line);
     index_t u, v;
     if (!(ls >> u)) {
@@ -136,7 +95,7 @@ sparse::Coo read_edge_list(const std::string& path, bool symmetrize) {
     if (u == v) continue;
     us.push_back(id_of(u));
     vs.push_back(id_of(v));
-    ws.push_back(quantize(w, storage));
+    ws.push_back(w);
   }
   const auto n = static_cast<index_t>(compact.size());
   sparse::Coo coo(n, n);
@@ -148,17 +107,15 @@ sparse::Coo read_edge_list(const std::string& path, bool symmetrize) {
   return coo;
 }
 
-void write_edge_list(const std::string& path, const sparse::Coo& coo,
-                     Precision storage) {
+void write_edge_list(const std::string& path, const sparse::Coo& coo) {
   std::ofstream out(path);
   FASTSC_CHECK(out.good(), "cannot open file for writing: " + path);
   out << "# fastsc edge list: " << coo.rows << " nodes, " << coo.nnz()
       << " entries\n";
-  write_precision_marker(out, '#', storage);
-  out.precision(round_trip_digits(storage));
+  out.precision(kRoundTripDigits);
   for (usize e = 0; e < coo.values.size(); ++e) {
-    out << coo.row_idx[e] << ' ' << coo.col_idx[e] << ' '
-        << quantize(coo.values[e], storage) << '\n';
+    out << coo.row_idx[e] << ' ' << coo.col_idx[e] << ' ' << coo.values[e]
+        << '\n';
   }
 }
 
@@ -197,13 +154,9 @@ std::vector<real> read_points(const std::string& path, index_t& rows,
   cols = -1;
   std::string line;
   usize lineno = 0;
-  Precision storage = Precision::kFp64;
   while (std::getline(in, line)) {
     ++lineno;
-    if (is_comment_or_blank(line, '#')) {
-      if (const auto p = precision_marker(line)) storage = *p;
-      continue;
-    }
+    if (is_comment_or_blank(line, '#')) continue;
     std::istringstream ls(line);
     index_t count = 0;
     real v;
@@ -211,7 +164,7 @@ std::vector<real> read_points(const std::string& path, index_t& rows,
       if (!std::isfinite(v)) {
         throw_parse_error(path, lineno, "non-finite coordinate", line);
       }
-      data.push_back(quantize(v, storage));
+      data.push_back(v);
       ++count;
     }
     if (!ls.eof()) {
@@ -233,15 +186,14 @@ std::vector<real> read_points(const std::string& path, index_t& rows,
 }
 
 void write_points(const std::string& path, const real* data, index_t rows,
-                  index_t cols, Precision storage) {
+                  index_t cols) {
   std::ofstream out(path);
   FASTSC_CHECK(out.good(), "cannot open file for writing: " + path);
-  write_precision_marker(out, '#', storage);
-  out.precision(round_trip_digits(storage));
+  out.precision(kRoundTripDigits);
   for (index_t r = 0; r < rows; ++r) {
     for (index_t c = 0; c < cols; ++c) {
       if (c != 0) out << ' ';
-      out << quantize(data[r * cols + c], storage);
+      out << data[r * cols + c];
     }
     out << '\n';
   }
@@ -279,13 +231,9 @@ sparse::Coo read_matrix_market(const std::string& path) {
   // Skip comments, read the size line.
   index_t rows = 0, cols = 0, nnz = 0;
   bool have_size = false;
-  Precision storage = Precision::kFp64;
   while (std::getline(in, line)) {
     ++lineno;
-    if (is_comment_or_blank(line, '%')) {
-      if (const auto p = precision_marker(line)) storage = *p;
-      continue;
-    }
+    if (is_comment_or_blank(line, '%')) continue;
     std::istringstream ls(line);
     if (!(ls >> rows >> cols >> nnz) || !rest_is_blank(ls)) {
       throw_parse_error(path, lineno, "malformed MatrixMarket size line",
@@ -340,7 +288,6 @@ sparse::Coo read_matrix_market(const std::string& path) {
     if (r < 1 || r > rows || c < 1 || c > cols) {
       throw_parse_error(path, lineno, "MatrixMarket index out of range", line);
     }
-    v = quantize(v, storage);
     coo.push(r - 1, c - 1, v);
     if (symmetric && r != c) coo.push(c - 1, r - 1, v);
     ++seen;
@@ -349,18 +296,16 @@ sparse::Coo read_matrix_market(const std::string& path) {
   return coo;
 }
 
-void write_matrix_market(const std::string& path, const sparse::Coo& coo,
-                         Precision storage) {
+void write_matrix_market(const std::string& path, const sparse::Coo& coo) {
   std::ofstream out(path);
   FASTSC_CHECK(out.good(), "cannot open file for writing: " + path);
   out << "%%MatrixMarket matrix coordinate real general\n";
   out << "% written by fastsc\n";
-  write_precision_marker(out, '%', storage);
   out << coo.rows << ' ' << coo.cols << ' ' << coo.nnz() << '\n';
-  out.precision(round_trip_digits(storage));
+  out.precision(kRoundTripDigits);
   for (usize e = 0; e < coo.values.size(); ++e) {
     out << coo.row_idx[e] + 1 << ' ' << coo.col_idx[e] + 1 << ' '
-        << quantize(coo.values[e], storage) << '\n';
+        << coo.values[e] << '\n';
   }
 }
 

@@ -7,7 +7,6 @@
 
 #include <string>
 
-#include "common/precision.h"
 #include "common/types.h"
 #include "graph/grid_index.h"
 #include "sparse/coo.h"
@@ -20,19 +19,12 @@ namespace fastsc::data {
 [[nodiscard]] sparse::Coo read_edge_list(const std::string& path,
                                          bool symmetrize = true);
 
-// Scalar output width is explicit in every writer: values are quantized
-// through `storage` and printed with exactly enough significant digits for
-// that rung to round-trip bit-for-bit through the matching reader (fp64: 17,
-// fp32: 9, bf16: 5).  The former default of the stream's 6 digits silently
-// truncated fp64 values below read-back equality.  Narrow writers also stamp
-// a `fastsc-precision:` comment so the readers re-round parsed values onto
-// the rung (parsing lands on the nearest binary64, one widening step away
-// from the stored narrow value); files without the marker read back
-// unchanged.
+// Every writer prints values with 17 significant digits, so they round-trip
+// bit-for-bit through the matching reader (the stream's default of 6 digits
+// would truncate).
 
 /// Write a COO matrix as "u v w" lines.
-void write_edge_list(const std::string& path, const sparse::Coo& coo,
-                     Precision storage = Precision::kFp64);
+void write_edge_list(const std::string& path, const sparse::Coo& coo);
 
 /// Write one label per line.
 void write_labels(const std::string& path, const std::vector<index_t>& labels);
@@ -47,7 +39,7 @@ void write_labels(const std::string& path, const std::vector<index_t>& labels);
 
 /// Write a dense row-major matrix.
 void write_points(const std::string& path, const real* data, index_t rows,
-                  index_t cols, Precision storage = Precision::kFp64);
+                  index_t cols);
 
 /// Read a Matrix Market file (coordinate format; real/integer/pattern
 /// fields; general or symmetric storage — symmetric entries are mirrored).
@@ -55,7 +47,6 @@ void write_points(const std::string& path, const real* data, index_t rows,
 [[nodiscard]] sparse::Coo read_matrix_market(const std::string& path);
 
 /// Write a COO matrix in Matrix Market coordinate/real/general format.
-void write_matrix_market(const std::string& path, const sparse::Coo& coo,
-                         Precision storage = Precision::kFp64);
+void write_matrix_market(const std::string& path, const sparse::Coo& coo);
 
 }  // namespace fastsc::data

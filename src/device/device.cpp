@@ -211,11 +211,10 @@ void DeviceContext::attribute_kernel(const obs::KernelCost& cost,
   const double bytes_written = cost.bytes_written >= 0 ? cost.bytes_written
                                                        : 0.0;
   attribution_.record_kernel(resolved, duration, flops, bytes_read,
-                             bytes_written, cost.bytes_per_scalar);
+                             bytes_written);
   if (obs::AttributionRegistry* bound = obs::bound_attribution();
       bound != nullptr && bound != &attribution_) {
-    bound->record_kernel(resolved, duration, flops, bytes_read, bytes_written,
-                         cost.bytes_per_scalar);
+    bound->record_kernel(resolved, duration, flops, bytes_read, bytes_written);
   }
 }
 

@@ -553,11 +553,6 @@ struct LaunchConfig {
   double bytes_read = -1.0;
   double bytes_written = -1.0;
 
-  /// Storage width (bytes) of the scalar arrays the kernel streams; feeds
-  /// the attribution registry's per-site bytes-per-scalar accounting.
-  /// Negative (default) leaves the launch out of that accounting.
-  double bytes_per_scalar = -1.0;
-
   /// Blocks needed to cover n logical threads.
   [[nodiscard]] index_t grid_for(index_t n) const noexcept {
     return (n + block - 1) / block;
@@ -602,7 +597,6 @@ void launch(DeviceContext& ctx, index_t n, const Kernel& kernel,
   cost.flops = cfg.flops >= 0 ? cfg.flops : (work > 0 ? work : 1.0);
   cost.bytes_read = cfg.bytes_read >= 0 ? cfg.bytes_read : 8.0 * work;
   cost.bytes_written = cfg.bytes_written >= 0 ? cfg.bytes_written : 8.0 * work;
-  cost.bytes_per_scalar = cfg.bytes_per_scalar;
   if (n <= 0) {
     ctx.record_kernel(0.0, 0.0, cost);  // an empty launch is free
     return;

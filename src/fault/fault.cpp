@@ -1,5 +1,6 @@
 #include "fault/fault.h"
 
+#include <algorithm>
 #include <cmath>
 #include <cstdlib>
 #include <cstring>
@@ -306,33 +307,6 @@ std::uint64_t corruption_word(const Injector::FireInfo& info,
   return splitmix64(s);
 }
 
-/// Generic scalar flip: probe from h%count for the first element whose
-/// magnitude (as reported by `mag`) is at least 1/4 of the payload max, then
-/// flip bit `bit_lo + h_hi % bit_span` of its `Word`-wide representation.
-/// The bit window covers the top mantissa and exponent bits, so the chosen
-/// element changes by at least a factor of ~2 — large enough that the
-/// rung-aware ABFT tolerances downstream are guaranteed to see it.
-template <typename T, typename Word, typename MagFn>
-void flip_scalar(std::string_view site, T* data, usize count, int bit_lo,
-                 int bit_span, std::uint64_t h, MagFn mag) {
-  double maxabs = 0;
-  for (usize i = 0; i < count; ++i) {
-    const double m = mag(data[i]);
-    if (m > maxabs) maxabs = m;
-  }
-  usize idx = static_cast<usize>(h % count);
-  if (maxabs > 0) {
-    while (mag(data[idx]) < 0.25 * maxabs) idx = (idx + 1) % count;
-  }
-  const int bit = bit_lo + static_cast<int>((h >> 32) % bit_span);
-  Word w;
-  std::memcpy(&w, &data[idx], sizeof(Word));
-  w ^= Word{1} << bit;
-  std::memcpy(&data[idx], &w, sizeof(Word));
-  FASTSC_LOG_WARN("fault injection: bitflip at site '" << site
-                  << "' element " << idx << " bit " << bit);
-}
-
 }  // namespace
 
 bool corrupt_scalars(std::string_view site, real* data, usize count) {
@@ -340,36 +314,25 @@ bool corrupt_scalars(std::string_view site, real* data, usize count) {
   const Injector::FireInfo info = injector().on_site_info(site);
   if (!info.fired) return false;
   const std::uint64_t h = corruption_word(info, site);
-  flip_scalar<real, std::uint64_t>(site, data, count, 52, 11, h,
-                                   [](real v) { return std::abs(v); });
-  return true;
-}
-
-bool corrupt_scalars_f32(std::string_view site, float* data, usize count) {
-  if (count == 0 || !active()) return false;
-  const Injector::FireInfo info = injector().on_site_info(site);
-  if (!info.fired) return false;
-  const std::uint64_t h = corruption_word(info, site);
-  flip_scalar<float, std::uint32_t>(
-      site, data, count, 23, 8, h,
-      [](float v) { return std::abs(static_cast<double>(v)); });
-  return true;
-}
-
-bool corrupt_scalars_b16(std::string_view site, std::uint16_t* data,
-                         usize count) {
-  if (count == 0 || !active()) return false;
-  const Injector::FireInfo info = injector().on_site_info(site);
-  if (!info.fired) return false;
-  const std::uint64_t h = corruption_word(info, site);
-  const auto b16_mag = [](std::uint16_t v) {
-    const std::uint32_t bits = static_cast<std::uint32_t>(v) << 16;
-    float f;
-    std::memcpy(&f, &bits, sizeof(f));
-    return std::abs(static_cast<double>(f));
-  };
-  flip_scalar<std::uint16_t, std::uint16_t>(site, data, count, 7, 8, h,
-                                            b16_mag);
+  // Probe from h % count for the first element whose magnitude is at least
+  // 1/4 of the payload max, then flip one of its exponent bits (52..62), so
+  // the element changes by at least a factor of ~2 — large enough that the
+  // ABFT tolerances downstream are guaranteed to see it.
+  double maxabs = 0;
+  for (usize i = 0; i < count; ++i) {
+    maxabs = std::max(maxabs, std::abs(data[i]));
+  }
+  usize idx = static_cast<usize>(h % count);
+  if (maxabs > 0) {
+    while (std::abs(data[idx]) < 0.25 * maxabs) idx = (idx + 1) % count;
+  }
+  const int bit = 52 + static_cast<int>((h >> 32) % 11);
+  std::uint64_t w;
+  std::memcpy(&w, &data[idx], sizeof(w));
+  w ^= std::uint64_t{1} << bit;
+  std::memcpy(&data[idx], &w, sizeof(w));
+  FASTSC_LOG_WARN("fault injection: bitflip at site '" << site
+                  << "' element " << idx << " bit " << bit);
   return true;
 }
 

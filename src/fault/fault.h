@@ -185,19 +185,15 @@ extern std::atomic<bool> g_active;
 /// from (plan seed, site, occurrence).  Nothing throws — detection is the
 /// job of the ABFT checksums, invariant sentinels and CRC frames downstream.
 ///
-/// Scalar variants flip a high mantissa/exponent bit of a *significant*
-/// element (|v| >= 1/4 of the payload's max magnitude) so the perturbation
-/// is at least a factor-2 change of a representative element: a flip in a
+/// The scalar variant flips an exponent bit of a *significant* element
+/// (|v| >= 1/4 of the payload's max magnitude) so the perturbation is at
+/// least a factor-2 change of a representative element: a flip in a
 /// denormal tail would be both undetectable and harmless, which would make
 /// the nth=1 sweep tests vacuous.  The byte variant flips any bit anywhere
 /// and is meant for CRC-framed payloads where the compare is exact.
 ///
 /// All variants return true iff a rule fired (the payload was modified).
 bool corrupt_scalars(std::string_view site, real* data, usize count);
-bool corrupt_scalars_f32(std::string_view site, float* data, usize count);
-/// bfloat16 payload stored as raw uint16 words.
-bool corrupt_scalars_b16(std::string_view site, std::uint16_t* data,
-                         usize count);
 bool corrupt_bytes(std::string_view site, void* data, usize bytes);
 
 /// RAII arming for a per-run plan (SpectralConfig::faults); restores the

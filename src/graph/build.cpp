@@ -127,30 +127,24 @@ DevicePoints upload_points(device::DeviceContext& ctx, const real* x,
 }
 
 /// Algorithm 1, step 6: kernel compute_similarity — thread e turns edge
-/// (u[e], v[e]) into val[e], clamped to the similarity floor and quantized
-/// through `prec` on store (the identity at fp64).
+/// (u[e], v[e]) into val[e], clamped to the similarity floor.
 void compute_similarity(device::DeviceContext& ctx, const DevicePoints& pts,
                         index_t d, const SimilarityParams& params,
                         const index_t* up, const index_t* vp, real* val,
-                        index_t count, Precision prec) {
+                        index_t count) {
   const real* xp = pts.x.data();
   const real* nrm = pts.norm.data();
   const SimilarityParams p = params;
   const auto m = static_cast<double>(count);
-  const auto bps = static_cast<double>(bytes_per_scalar(prec));
   const double rbytes = m * (2.0 * d * sizeof(real) + 2.0 * sizeof(index_t));
-  const double wbytes = m * bps;
-  device::LaunchConfig cfg =
-      device::tagged("graph.similarity", 3.0 * m * d, rbytes, wbytes);
-  const double rscalar = m * 2.0 * d * sizeof(real);
-  cfg.bytes_per_scalar =
-      (rscalar * sizeof(real) + wbytes * bps) / (rscalar + wbytes);
+  const device::LaunchConfig cfg = device::tagged(
+      "graph.similarity", 3.0 * m * d, rbytes, m * sizeof(real));
   device::launch(ctx, count, [=](index_t e) {
     const index_t i = up[e];
     const index_t j = vp[e];
     const real s = similarity_precomputed(xp + i * d, xp + j * d, nrm[i],
                                           nrm[j], d, p);
-    val[e] = quantize(clamp_sim(s), prec);
+    val[e] = clamp_sim(s);
   }, cfg);
 }
 
@@ -159,8 +153,7 @@ void compute_similarity(device::DeviceContext& ctx, const DevicePoints& pts,
 sparse::DeviceCoo build_similarity_device(device::DeviceContext& ctx,
                                           const real* x, index_t n, index_t d,
                                           const EdgeList& edges,
-                                          const SimilarityParams& params,
-                                          Precision value_precision) {
+                                          const SimilarityParams& params) {
   const index_t nnz = edges.size();
   obs::AttrSiteScope attr_site("graph.similarity");
   const DevicePoints pts = upload_points(ctx, x, n, d, params);
@@ -175,76 +168,15 @@ sparse::DeviceCoo build_similarity_device(device::DeviceContext& ctx,
       ctx, std::span<const index_t>(edges.v));
   coo.values = device::DeviceBuffer<real>(ctx, static_cast<usize>(nnz));
   compute_similarity(ctx, pts, d, params, coo.row_idx.data(),
-                     coo.col_idx.data(), coo.values.data(), nnz,
-                     value_precision);
+                     coo.col_idx.data(), coo.values.data(), nnz);
   return coo;
-}
-
-std::vector<real> similarity_degrees(device::DeviceContext& ctx,
-                                     const sparse::DeviceCoo& w) {
-  const index_t n = w.rows;
-  const index_t nnz = w.nnz();
-  obs::AttrSiteScope attr_site("graph.similarity");
-  // A row's degree folds, in ascending span order, its partial sums over a
-  // fixed number of contiguous entry spans.  The span count is a constant,
-  // NOT the worker count, so every degree bit is machine- and
-  // device-count-independent.  Each row block scans the COO in entry order
-  // (as sparse::device_coo2csr does) with three values per row: the running
-  // degree, the current span's partial and that span's index.  A span with
-  // no entry of the row would only add an exact +0.0, so skipping it keeps
-  // the bits of a fold over every span.
-  constexpr index_t kDegreeSpans = 64;
-  const index_t spans =
-      std::min<index_t>(kDegreeSpans, std::max<index_t>(nnz, 1));
-  const auto un = static_cast<usize>(n);
-  device::DeviceBuffer<real> deg(ctx, un);
-  device::DeviceBuffer<real> partial(ctx, un);
-  device::DeviceBuffer<index_t> span_of(ctx, un);
-  real* dp = deg.data();
-  real* pp = partial.data();
-  index_t* sp = span_of.data();
-  const index_t* rows = w.row_idx.data();
-  const real* val = w.values.data();
-  const index_t blocks = std::max<index_t>(
-      1, std::min<index_t>(
-             n, static_cast<index_t>(ctx.pool().worker_count())));
-  const auto m = static_cast<double>(nnz);
-  device::launch(ctx, blocks, [=](index_t b) {
-    const index_t r0 = b * n / blocks;
-    const index_t r1 = (b + 1) * n / blocks;
-    for (index_t r = r0; r < r1; ++r) {
-      dp[r] = 0;
-      sp[r] = -1;
-    }
-    index_t s = 0;
-    index_t span_end = nnz / spans;
-    for (index_t e = 0; e < nnz; ++e) {
-      while (e >= span_end) span_end = (++s + 1) * nnz / spans;
-      const index_t r = rows[e];
-      if (r < r0 || r >= r1) continue;
-      if (sp[r] != s) {
-        if (sp[r] >= 0) dp[r] += pp[r];
-        sp[r] = s;
-        pp[r] = 0;
-      }
-      pp[r] += val[e];
-    }
-    for (index_t r = r0; r < r1; ++r) {
-      if (sp[r] >= 0) dp[r] += pp[r];
-    }
-  }, device::tagged("graph.degree", m, m * (sizeof(real) + sizeof(index_t)),
-                    static_cast<double>(n) * sizeof(real)));
-  std::vector<real> degrees(un);
-  deg.copy_to_host(std::span<real>(degrees));
-  return degrees;
 }
 
 sparse::Coo build_similarity_device_chunked(device::DeviceContext& ctx,
                                             const real* x, index_t n,
                                             index_t d, const EdgeList& edges,
                                             const SimilarityParams& params,
-                                            index_t chunk_edges,
-                                            Precision value_precision) {
+                                            index_t chunk_edges) {
   FASTSC_CHECK(chunk_edges >= 1, "chunk size must be positive");
   const index_t nnz = edges.size();
   obs::AttrSiteScope attr_site("graph.similarity");
@@ -269,7 +201,7 @@ sparse::Coo build_similarity_device_chunked(device::DeviceContext& ctx,
                                       static_cast<usize>(count)));
     device::DeviceBuffer<real> dev_val(ctx, static_cast<usize>(count));
     compute_similarity(ctx, pts, d, params, dev_u.data(), dev_v.data(),
-                       dev_val.data(), count, value_precision);
+                       dev_val.data(), count);
     dev_val.copy_to_host(
         std::span<real>(host_vals.data(), static_cast<usize>(count)));
     for (index_t e = 0; e < count; ++e) {

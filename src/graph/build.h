@@ -41,14 +41,10 @@ namespace fastsc::graph {
 /// Device implementation of Algorithm 1.  Transfers X and E, runs the three
 /// kernels, and returns the COO similarity matrix resident on the device,
 /// in the edge list's entry order.  Non-positive similarities are clamped
-/// to the host builder's floor.  `value_precision` below fp64 quantizes
-/// each similarity on store (RNE through the narrow width, held in fp64
-/// storage): the similarity rung of the mixed-precision ladder (DESIGN.md
-/// §13).  At fp64 the store is exact.
+/// to the host builder's floor.
 [[nodiscard]] sparse::DeviceCoo build_similarity_device(
     device::DeviceContext& ctx, const real* x, index_t n, index_t d,
-    const EdgeList& edges, const SimilarityParams& params,
-    Precision value_precision = Precision::kFp64);
+    const EdgeList& edges, const SimilarityParams& params);
 
 /// Out-of-core variant of Algorithm 1 for edge lists that exceed the device
 /// memory budget (the paper's K20c has 5 GB; the DTI edge list alone is
@@ -56,25 +52,11 @@ namespace fastsc::graph {
 /// per-point statistics stay resident; the edge list streams through the
 /// device in chunks of `chunk_edges` through the same kernel, and the
 /// finished COO accumulates on the host.  Results are bit-identical to
-/// build_similarity_device at the same `value_precision`.
+/// build_similarity_device.
 [[nodiscard]] sparse::Coo build_similarity_device_chunked(
     device::DeviceContext& ctx, const real* x, index_t n, index_t d,
     const EdgeList& edges, const SimilarityParams& params,
-    index_t chunk_edges, Precision value_precision = Precision::kFp64);
-
-/// Weighted degrees d_i = sum_j W_ij of a device similarity matrix, as a
-/// host vector: W's entries fall into 64 fixed contiguous spans, and each
-/// row folds its per-span partial sums in ascending span order, in one
-/// pass with three scratch values per row.  The span count is fixed, so
-/// every degree bit is independent of the worker count and of the device
-/// count, and it depends on W's entry order only, not on how W was built.
-/// The fold order differs from CSR entry order, so these degrees are
-/// numerically (not bitwise) equal to Algorithm 2's row sums.  The
-/// pipeline runs it on narrow or fused precision rungs and hands the result
-/// to Algorithm 2 (NormalizeOptions::degrees), which then skips its degree
-/// pass.
-[[nodiscard]] std::vector<real> similarity_degrees(
-    device::DeviceContext& ctx, const sparse::DeviceCoo& w);
+    index_t chunk_edges);
 
 /// k-nearest-neighbor graph (union rule: i~j if i in knn(j) OR j in knn(i)),
 /// brute-force O(n^2 d) with a bounded per-row heap; returns symmetric COO.

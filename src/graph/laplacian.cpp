@@ -178,16 +178,12 @@ void row_sums(device::DeviceContext& ctx, const sparse::DeviceCsr& a,
 
 GroupNormalized sym_normalized_group(device::DeviceGroup& group,
                                      std::span<const sparse::DeviceCoo> chunks,
-                                     const sparse::RowPartition& part,
-                                     const NormalizeOptions& opts) {
+                                     const sparse::RowPartition& part) {
   const usize P = group.size();
   FASTSC_CHECK(chunks.size() == P && part.parts == static_cast<index_t>(P),
                "Algorithm 2 needs one COO chunk per device");
   obs::AttrSiteScope attr_site("laplacian.normalize");
   const index_t n = part.rows;
-  FASTSC_CHECK(opts.degrees == nullptr ||
-                   static_cast<index_t>(opts.degrees->size()) == n,
-               "precomputed degree vector must have length rows");
 
   GroupNormalized out;
   out.blocks.resize(P);
@@ -204,13 +200,6 @@ GroupNormalized sym_normalized_group(device::DeviceGroup& group,
     sparse::device_coo2csr(ctx, chunk, out.blocks[d]);
     if (nl == 0) continue;
     const std::span<real> seg(deg.data() + rb, static_cast<usize>(nl));
-    if (opts.degrees != nullptr) {
-      // Precomputed degrees (graph::similarity_degrees): one metered upload
-      // replaces the degree pass.
-      std::copy_n(opts.degrees->data() + rb, seg.size(), seg.data());
-      y[d] = device::DeviceBuffer<real>(ctx, std::span<const real>(seg));
-      continue;
-    }
     y[d] = device::DeviceBuffer<real>(ctx, seg.size());
     row_sums(ctx, out.blocks[d], y[d].data());
     y[d].copy_to_host(seg);
@@ -246,8 +235,6 @@ GroupNormalized sym_normalized_group(device::DeviceGroup& group,
                       nl, "d2d.isd_allgather");
     }
   }
-  if (opts.fuse_scale) return out;  // raw values; the epilogue scales
-
   // ScaleElements: row r's entries are scaled by isd[row] * isd[col].
   for (usize d = 0; d < P; ++d) {
     device::DeviceContext& ctx = group.device(d);
@@ -276,18 +263,11 @@ GroupNormalized sym_normalized_group(device::DeviceGroup& group,
 sparse::DeviceCsr sym_normalized_device(
     device::DeviceContext& ctx, const sparse::DeviceCoo& w,
     device::DeviceBuffer<real>& inv_sqrt_degree) {
-  return sym_normalized_device(ctx, w, inv_sqrt_degree, NormalizeOptions{});
-}
-
-sparse::DeviceCsr sym_normalized_device(
-    device::DeviceContext& ctx, const sparse::DeviceCoo& w,
-    device::DeviceBuffer<real>& inv_sqrt_degree,
-    const NormalizeOptions& opts) {
   FASTSC_CHECK(w.rows == w.cols, "similarity matrix must be square");
   device::DeviceGroup group(ctx);
   GroupNormalized g = sym_normalized_group(
       group, std::span<const sparse::DeviceCoo>(&w, 1),
-      sparse::whole_partition(w.rows), opts);
+      sparse::whole_partition(w.rows));
   inv_sqrt_degree = std::move(g.isd[0]);
   return std::move(g.blocks[0]);
 }

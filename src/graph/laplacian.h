@@ -53,29 +53,13 @@ namespace fastsc::graph {
 [[nodiscard]] sparse::Csr sym_normalized_host(
     const sparse::Coo& w, std::vector<real>& inv_sqrt_degree);
 
-/// Options for the device Algorithm 2 (mixed-precision ladder, DESIGN.md
-/// §13).
-struct NormalizeOptions {
-  /// Skip the ScaleElements pass: the returned CSR holds the RAW similarity
-  /// values and the caller applies D^-1/2 inside the SpMV epilogue
-  /// (device_csrmv_mp's fused_scale).  The fused operator is numerically
-  /// (not bitwise) equal to pre-scaled values: the epilogue computes
-  /// isd_r * (sum w * (isd_c * x_c)) — bitwise identical to the 3-launch
-  /// scale/spmv/scale sequence, associated differently from scaling w.
-  bool fuse_scale = false;
-  /// Precomputed weighted degrees (length rows; e.g. from
-  /// graph::similarity_degrees).  Skips the on-device degree pass.  Must be
-  /// the row sums of the operator's own values.
-  const std::vector<real>* degrees = nullptr;
-};
-
 /// Output of Algorithm 2 over a DeviceGroup (sym_normalized_group).
 struct GroupNormalized {
   /// Device d's normalized row block (rows = part.size(d), global column
-  /// indices), values resident on device d — raw values under
-  /// NormalizeOptions::fuse_scale.
+  /// indices), values resident on device d.
   std::vector<sparse::DeviceCsr> blocks;
-  /// Full-length 1/sqrt(d) on every device (the fused epilogue's scale).
+  /// Full-length 1/sqrt(d) on every device (ScaleElements reads it at
+  /// global columns).
   std::vector<device::DeviceBuffer<real>> isd;
   /// Host 1/sqrt(d_i), globally indexed (the embedding back-map needs it).
   std::vector<real> inv_sqrt_degree;
@@ -96,7 +80,7 @@ struct GroupNormalized {
 /// every device.
 [[nodiscard]] GroupNormalized sym_normalized_group(
     device::DeviceGroup& group, std::span<const sparse::DeviceCoo> chunks,
-    const sparse::RowPartition& part, const NormalizeOptions& opts = {});
+    const sparse::RowPartition& part);
 
 /// Algorithm 2 on one device: sym_normalized_group over a group of one,
 /// with `w` (any entry order; only read) as the whole chunk.  Fills
@@ -104,11 +88,5 @@ struct GroupNormalized {
 [[nodiscard]] sparse::DeviceCsr sym_normalized_device(
     device::DeviceContext& ctx, const sparse::DeviceCoo& w,
     device::DeviceBuffer<real>& inv_sqrt_degree);
-
-/// As above with NormalizeOptions (fused epilogue / precomputed degrees).
-[[nodiscard]] sparse::DeviceCsr sym_normalized_device(
-    device::DeviceContext& ctx, const sparse::DeviceCoo& w,
-    device::DeviceBuffer<real>& inv_sqrt_degree,
-    const NormalizeOptions& opts);
 
 }  // namespace fastsc::graph

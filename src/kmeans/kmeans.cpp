@@ -41,33 +41,6 @@ struct Shard {
   device::DeviceBuffer<real> prod;      ///< ABFT: colsum(v) .* colsum(C)
 };
 
-/// Algorithm 4 step 1 for one device.  Below fp64 the block crosses the
-/// link packed at the rung's width and widens into the fp64 working copy on
-/// the device (the values are already quantized, so widening is exact).
-device::DeviceBuffer<real> upload_points(device::DeviceContext& ctx,
-                                         const real* v, usize count,
-                                         Precision prec) {
-  if (prec == Precision::kFp64) {
-    return device::DeviceBuffer<real>(ctx, std::span<const real>(v, count));
-  }
-  const usize w = bytes_per_scalar(prec);
-  std::vector<unsigned char> packed(count * w);
-  pack_scalars(v, count, prec, packed.data());
-  const device::DeviceBuffer<unsigned char> staged(
-      ctx, std::span<const unsigned char>(packed));
-  device::DeviceBuffer<real> out(ctx, count);
-  const ConstVecView pv(staged.data(), prec);
-  real* op = out.data();
-  const auto c = static_cast<double>(count);
-  device::LaunchConfig cfg = device::tagged(
-      "precision.stage", c, c * static_cast<double>(w), c * sizeof(real));
-  cfg.bytes_per_scalar = static_cast<double>(w);
-  device::launch(ctx, static_cast<index_t>(count),
-                 [=](index_t i) { op[i] = pv.load(static_cast<usize>(i)); },
-                 cfg);
-  return out;
-}
-
 /// Lloyd iterations over a device group.  Construction uploads every
 /// device's point block once; run() clusters from one seed and can repeat
 /// for restarts.
@@ -89,8 +62,9 @@ class GroupSweep {
       sh.rows = cuts[dev + 1] - cuts[dev];
       sh.blocks = (sh.rows + kBlockRows - 1) / kBlockRows;
       const auto nl = static_cast<usize>(sh.rows);
-      sh.v = upload_points(ctx, v + sh.row_begin * d,
-                           nl * static_cast<usize>(d), config.precision);
+      sh.v = device::DeviceBuffer<real>(
+          ctx, std::span<const real>(v + sh.row_begin * d,
+                                     nl * static_cast<usize>(d)));
       sh.vnorm = device::DeviceBuffer<real>(ctx, nl);
       sh.cent = device::DeviceBuffer<real>(
           ctx, static_cast<usize>(k_) * static_cast<usize>(d));
@@ -134,7 +108,7 @@ class GroupSweep {
   void assign_and_reduce(Shard& sh);
 
   device::DeviceGroup& group_;
-  const real* v_;  ///< host points (quantized at a narrow rung)
+  const real* v_;  ///< host points
   index_t n_;
   index_t d_;
   index_t k_;
@@ -443,15 +417,6 @@ KmeansResult kmeans_group(device::DeviceGroup& group,
   // reductions, buffer transfers) attribute here; the hot launches carry
   // their own finer-grained sites.
   obs::AttrSiteScope attr_site("kmeans.lloyd");
-
-  // Mixed-precision rung: quantize the input up front so seeding, repair,
-  // and the device data all see the same values (see KmeansConfig).
-  std::vector<real> vquant;
-  if (config.precision != Precision::kFp64) {
-    vquant.resize(nd);
-    for (usize i = 0; i < nd; ++i) vquant[i] = quantize(v[i], config.precision);
-    v = vquant.data();
-  }
 
   GroupSweep sweep(group, cuts, v, n, d, config);
   KmeansResult best;

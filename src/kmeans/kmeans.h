@@ -29,7 +29,6 @@
 #include <span>
 #include <vector>
 
-#include "common/precision.h"
 #include "common/types.h"
 #include "device/device.h"
 #include "device/device_group.h"
@@ -56,12 +55,6 @@ struct KmeansConfig {
   /// so existing callers compile.
   bool async_pipeline = false;
   std::uint64_t seed = 42;
-  /// Storage rung for the embedding (DESIGN.md §13).  Below fp64 the input
-  /// rows are quantized through this width up front (seeding, the device
-  /// upload and empty-cluster repair all see the same quantized values),
-  /// the V upload moves packed scalars, and each device widens its block
-  /// back to fp64 before the sweep, which then runs exactly as at fp64.
-  Precision precision = Precision::kFp64;
   /// Record the clustering objective after every label update into
   /// KmeansResult::inertia_history.  Per-sweep telemetry is also recorded
   /// whenever tracing is enabled.

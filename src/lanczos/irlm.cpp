@@ -139,15 +139,16 @@ LanczosCheckpoint LanczosCheckpoint::load(std::istream& is) {
   return cp;
 }
 
+index_t resolve_ncv(index_t n, index_t nev, index_t ncv) {
+  if (ncv == 0) ncv = std::max<index_t>(2 * nev + 1, 20);
+  return std::max(std::min(ncv, n), std::min(n, nev + 2));
+}
+
 SymLanczos::SymLanczos(LanczosConfig config) : config_(config), rng_(config.seed) {
   FASTSC_CHECK(config_.n >= 1, "problem size must be positive");
   FASTSC_CHECK(config_.nev >= 1 && config_.nev <= config_.n,
                "nev must be in [1, n]");
-  if (config_.ncv == 0) {
-    config_.ncv = std::max<index_t>(2 * config_.nev + 1, 20);
-  }
-  config_.ncv = std::min(config_.ncv, config_.n);
-  config_.ncv = std::max(config_.ncv, std::min(config_.n, config_.nev + 2));
+  config_.ncv = resolve_ncv(config_.n, config_.nev, config_.ncv);
   FASTSC_CHECK(config_.ncv > config_.nev || config_.ncv == config_.n,
                "ncv must exceed nev (or equal n)");
   if (config_.tol <= 0) config_.tol = 1e-10;

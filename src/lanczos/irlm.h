@@ -89,6 +89,11 @@ struct LanczosConfig {
   bool capture_checkpoints = false;
 };
 
+/// The Lanczos basis size of a solve for `nev` pairs of an order-n
+/// problem: `ncv` (0 selects max(2*nev + 1, 20)), capped at n and raised to
+/// at least min(n, nev + 2).  SymLanczos runs with exactly this size.
+[[nodiscard]] index_t resolve_ncv(index_t n, index_t nev, index_t ncv);
+
 /// Serializable restart-boundary state of a SymLanczos solve.  Restoring it
 /// into a solver with an identical (n, nev, ncv, which) configuration
 /// continues the iteration exactly where the checkpoint was taken.

@@ -75,8 +75,7 @@ RooflineModel AttributionRegistry::roofline() const {
 
 void AttributionRegistry::record_kernel(std::string_view site, double seconds,
                                         double flops, double bytes_read,
-                                        double bytes_written,
-                                        double bytes_per_scalar) {
+                                        double bytes_written) {
   std::lock_guard lock(mu_);
   auto it = sites_.find(site);
   if (it == sites_.end()) {
@@ -88,11 +87,6 @@ void AttributionRegistry::record_kernel(std::string_view site, double seconds,
   s.flops += flops;
   s.bytes_read += bytes_read;
   s.bytes_written += bytes_written;
-  if (bytes_per_scalar >= 0) {
-    const double bytes = bytes_read + bytes_written;
-    s.scalar_bytes += bytes;
-    s.scalar_weighted += bytes_per_scalar * bytes;
-  }
 }
 
 void AttributionRegistry::record_transfer(std::string_view site, usize bytes,
@@ -213,7 +207,6 @@ void write_attribution_sites(JsonWriter& w,
     w.field("bytes_written", s.bytes_written);
     w.field("kernel_seconds", s.kernel_seconds);
     w.field("transfer_seconds", s.transfer_seconds);
-    w.field("bytes_per_scalar", s.bytes_per_scalar());
     w.field("arithmetic_intensity", row.arithmetic_intensity);
     w.field("roofline_utilization", row.roofline_utilization);
     w.end_object();

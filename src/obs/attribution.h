@@ -79,10 +79,6 @@ struct KernelCost {
   double flops = -1.0;
   double bytes_read = -1.0;
   double bytes_written = -1.0;
-  /// Storage width (bytes) of the scalar arrays this launch streams, for
-  /// the mixed-precision ladder's per-site accounting.  Negative (default)
-  /// means "unspecified" — the site's reported width ignores the launch.
-  double bytes_per_scalar = -1.0;
 };
 
 /// Per-site accumulators.  Byte/count fields are exact; seconds are the
@@ -101,17 +97,6 @@ struct SiteStats {
   double bytes_written = 0;
   double kernel_seconds = 0;    ///< virtual-timeline kernel durations
   double transfer_seconds = 0;  ///< modeled link seconds (PCIe + peer)
-
-  /// Scalar-width accounting (mixed-precision ladder): launches that declare
-  /// a KernelCost::bytes_per_scalar contribute their modeled bytes here, so
-  /// bytes_per_scalar() reports the byte-weighted storage width the site
-  /// actually streamed (8 = pure fp64, 4 = pure fp32, between = mixed).
-  double scalar_bytes = 0;     ///< modeled bytes with a declared width
-  double scalar_weighted = 0;  ///< sum of width * bytes over those launches
-
-  [[nodiscard]] double bytes_per_scalar() const noexcept {
-    return scalar_bytes > 0 ? scalar_weighted / scalar_bytes : 0.0;
-  }
 
   /// All bytes the site touched: modeled kernel traffic plus link staging.
   [[nodiscard]] double total_bytes() const noexcept {
@@ -135,8 +120,6 @@ struct SiteStats {
     bytes_written += o.bytes_written;
     kernel_seconds += o.kernel_seconds;
     transfer_seconds += o.transfer_seconds;
-    scalar_bytes += o.scalar_bytes;
-    scalar_weighted += o.scalar_weighted;
     return *this;
   }
 };
@@ -161,11 +144,8 @@ class AttributionRegistry {
 
   /// Accumulate one kernel launch.  `seconds` must be the exact duration
   /// the metering layer added to DeviceCounters::kernel_seconds.
-  /// `bytes_per_scalar` < 0 leaves the site's scalar-width accounting
-  /// untouched (legacy launches with no declared storage width).
   void record_kernel(std::string_view site, double seconds, double flops,
-                     double bytes_read, double bytes_written,
-                     double bytes_per_scalar = -1.0);
+                     double bytes_read, double bytes_written);
 
   /// Accumulate one transfer.  `modeled_seconds` must be the TransferModel
   /// duration added to DeviceCounters::modeled_transfer_seconds.

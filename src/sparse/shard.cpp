@@ -101,20 +101,17 @@ namespace {
 
 /// Assemble the sharded operator from resident row blocks: halo
 /// bookkeeping from each block's global column indices `cols[d]`, the
-/// swapped request lists, and the wave buffers at width `stage`.  A group
-/// of one has no peers, so it skips the halo entirely.
+/// swapped request lists, and the wave buffers.  A group of one has no
+/// peers, so it skips the halo entirely.
 ShardedCsr build_sharded(device::DeviceGroup& group, RowPartition part,
                          std::vector<DeviceCsr> locals,
-                         const std::vector<std::span<const index_t>>& cols,
-                         Precision stage) {
+                         const std::vector<std::span<const index_t>>& cols) {
   ShardedCsr out;
   out.group = &group;
   out.rows = part.rows;
   out.cols = part.rows;  // square: x and y share the row partition
   out.part = std::move(part);
-  out.stage_precision = stage;
   const usize P = group.size();
-  const usize w = bytes_per_scalar(stage);
 
   out.shards.reserve(P);
   for (usize d = 0; d < P; ++d) {
@@ -145,13 +142,10 @@ ShardedCsr build_sharded(device::DeviceGroup& group, RowPartition part,
     if (!sh.halo.empty()) {
       sh.halo_idx = device::DeviceBuffer<index_t>(
           ctx, std::span<const index_t>(sh.halo));
-      sh.halo_vals =
-          device::DeviceBuffer<unsigned char>(ctx, sh.halo.size() * w);
+      sh.halo_vals = device::DeviceBuffer<real>(ctx, sh.halo.size());
     }
-    sh.x = device::DeviceBuffer<unsigned char>(
-        ctx, static_cast<usize>(out.cols) * w);
-    sh.y = device::DeviceBuffer<unsigned char>(
-        ctx, static_cast<usize>(sh.rows()) * w);
+    sh.x = device::DeviceBuffer<real>(ctx, static_cast<usize>(out.cols));
+    sh.y = device::DeviceBuffer<real>(ctx, static_cast<usize>(sh.rows()));
     out.shards.push_back(std::move(sh));
   }
   for (usize e = 0; e < P; ++e) {
@@ -173,36 +167,29 @@ ShardedCsr build_sharded(device::DeviceGroup& group, RowPartition part,
       device::DeviceContext& ctx = group.device(e);
       se.send_idx = device::DeviceBuffer<index_t>(
           ctx, std::span<const index_t>(requests));
-      se.send_buf =
-          device::DeviceBuffer<unsigned char>(ctx, requests.size() * w);
+      se.send_buf = device::DeviceBuffer<real>(ctx, requests.size());
     }
   }
   return out;
 }
 
-/// One launch moving `n` scalars of `width` bytes between a dense vector
-/// and a packed list: gather dst[i] = src[idx[i]], or scatter
-/// dst[idx[i]] = src[i].  Byte copies, so every rung moves exactly the
-/// staged bits.
+/// One launch moving `n` scalars between a dense vector and a packed list:
+/// gather dst[i] = src[idx[i]], or scatter dst[idx[i]] = src[i].
 void move_scalars(device::DeviceContext& ctx, const char* site, bool gather,
-                  const index_t* idx, const unsigned char* src,
-                  unsigned char* dst, usize n, usize width) {
+                  const index_t* idx, const real* src, real* dst, usize n) {
   if (n == 0) return;
   const double c = static_cast<double>(n);
-  const double wd = static_cast<double>(width);
+  const double wd = sizeof(real);
   device::LaunchConfig cfg =
       device::tagged(site, c, c * (wd + sizeof(index_t)), c * wd);
-  cfg.bytes_per_scalar = wd;
   cfg.modeled_seconds = ctx.modeled_kernel_seconds(2.0 * c * wd);
   device::launch(
       ctx, static_cast<index_t>(n),
       [=](index_t i) {
-        const usize slot = static_cast<usize>(idx[i]) * width;
-        const usize k = static_cast<usize>(i) * width;
         if (gather) {
-          std::memcpy(dst + k, src + slot, width);
+          dst[i] = src[idx[i]];
         } else {
-          std::memcpy(dst + slot, src + k, width);
+          dst[idx[i]] = src[i];
         }
       },
       cfg);
@@ -239,15 +226,13 @@ ShardedCsr shard_csr(device::DeviceGroup& group, const Csr& a, index_t align,
     locals.emplace_back(group.device(static_cast<usize>(d)), b);
     cols.emplace_back(b.col_idx);
   }
-  return build_sharded(group, std::move(part), std::move(locals), cols,
-                       Precision::kFp64);
+  return build_sharded(group, std::move(part), std::move(locals), cols);
 }
 
 ShardedCsr shard_device_locals(device::DeviceGroup& group,
                                const RowPartition& part,
                                std::vector<DeviceCsr> locals,
-                               const std::vector<Coo>& chunks,
-                               Precision stage) {
+                               const std::vector<Coo>& chunks) {
   const usize P = group.size();
   FASTSC_CHECK(part.parts == static_cast<index_t>(P) && locals.size() == P &&
                    (chunks.size() == P || (P == 1 && chunks.empty())),
@@ -258,7 +243,7 @@ ShardedCsr shard_device_locals(device::DeviceGroup& group,
                  "local block shape disagrees with the partition");
     if (!chunks.empty()) cols[d] = chunks[d].col_idx;
   }
-  return build_sharded(group, part, std::move(locals), cols, stage);
+  return build_sharded(group, part, std::move(locals), cols);
 }
 
 void sharded_csrmv(ShardedCsr& a, const real* x, real* y,
@@ -266,28 +251,18 @@ void sharded_csrmv(ShardedCsr& a, const real* x, real* y,
   FASTSC_CHECK(a.group != nullptr, "sharded_csrmv on an empty ShardedCsr");
   device::DeviceGroup& group = *a.group;
   const usize P = a.shards.size();
-  const Precision prec = a.stage_precision;
-  const usize w = bytes_per_scalar(prec);
-  const bool narrow = prec != Precision::kFp64;
-  const auto rows = static_cast<usize>(a.rows);
 
-  // 1. Every device stages its own x segment at the stage width.
-  const unsigned char* xh = reinterpret_cast<const unsigned char*>(x);
-  if (narrow) {
-    a.host_stage.resize(rows * w);
-    pack_scalars(x, rows, prec, a.host_stage.data());
-    xh = a.host_stage.data();
-  }
+  // 1. Every device stages its own x segment.
   for (usize d = 0; d < P; ++d) {
     DeviceCsrShard& sh = a.shards[d];
-    const usize bytes = static_cast<usize>(sh.rows()) * w;
-    if (bytes == 0) continue;
+    const auto count = static_cast<usize>(sh.rows());
+    if (count == 0) continue;
     device::DeviceContext& ctx = group.device(d);
-    unsigned char* dev = sh.x.data() + static_cast<usize>(sh.row_begin) * w;
-    const unsigned char* host = xh + static_cast<usize>(sh.row_begin) * w;
+    real* dev = sh.x.data() + sh.row_begin;
+    const real* host = x + sh.row_begin;
     const auto upload = [&] {
-      device::copy_h2d(ctx, dev, host, bytes);
-      if (check != nullptr) check->check(d, dev, host, bytes);
+      device::copy_h2d(ctx, dev, host, count);
+      if (check != nullptr) check->check(d, dev, host, count);
     };
     if (check != nullptr) {
       device::run_transfer_with_retry(ctx, check->site, upload);
@@ -304,7 +279,7 @@ void sharded_csrmv(ShardedCsr& a, const real* x, real* y,
       DeviceCsrShard& se = a.shards[e];
       move_scalars(group.device(e), "spmv.halo_gather", /*gather=*/true,
                    se.send_idx.data(), se.x.data(), se.send_buf.data(),
-                   se.send_idx.size(), w);
+                   se.send_idx.size());
     }
     for (usize d = 0; d < P; ++d) {
       DeviceCsrShard& sh = a.shards[d];
@@ -313,12 +288,12 @@ void sharded_csrmv(ShardedCsr& a, const real* x, real* y,
         const usize cnt = sh.halo_peer_begin[e + 1] - o0;
         if (e == d || cnt == 0) continue;
         const DeviceCsrShard& pe = a.shards[e];
-        group.copy_peer(e, d, pe.send_buf.data() + w * pe.send_begin[d],
-                        sh.halo_vals.data() + w * o0, cnt * w, "d2d.halo");
+        group.copy_peer(e, d, pe.send_buf.data() + pe.send_begin[d],
+                        sh.halo_vals.data() + o0, cnt, "d2d.halo");
       }
       move_scalars(group.device(d), "spmv.halo_scatter", /*gather=*/false,
                    sh.halo_idx.data(), sh.halo_vals.data(), sh.x.data(),
-                   sh.halo.size(), w);
+                   sh.halo.size());
     }
   }
 
@@ -326,21 +301,10 @@ void sharded_csrmv(ShardedCsr& a, const real* x, real* y,
   for (usize d = 0; d < P; ++d) {
     DeviceCsrShard& sh = a.shards[d];
     device::DeviceContext& ctx = group.device(d);
-    const real* sc =
-        sh.fused_scale.size() != 0 ? sh.fused_scale.data() : nullptr;
-    device_csrmv_mp(ctx, sh.local, ConstVecView(sh.x.data(), prec),
-                    VecView(sh.y.data(), prec), 1.0, 0.0, sc, sh.row_begin);
+    device_csrmv(ctx, sh.local, sh.x.data(), sh.y.data());
     const auto lrows = static_cast<usize>(sh.rows());
     if (lrows == 0) continue;
-    if (narrow) {
-      unsigned char* seg =
-          a.host_stage.data() + static_cast<usize>(sh.row_begin) * w;
-      device::copy_d2h(ctx, seg, sh.y.data(), lrows * w);
-      unpack_scalars(seg, lrows, prec, y + sh.row_begin);
-    } else {
-      device::copy_d2h(ctx, reinterpret_cast<unsigned char*>(y + sh.row_begin),
-                       sh.y.data(), lrows * w);
-    }
+    device::copy_d2h(ctx, y + sh.row_begin, sh.y.data(), lrows);
   }
 }
 

@@ -6,14 +6,13 @@
 // (sharded_csrmv) runs synchronously on the calling thread, device by
 // device:
 //
-//   1. each device stages its *own* x segment over its PCIe link, packed at
-//      the staging width (fp64, fp32 or bf16 — one byte-buffer path),
+//   1. each device stages its *own* x segment over its PCIe link,
 //   2. each device receives its halo: every peer gathers the x values the
 //      device references from the peer's row range (request lists are
 //      exchanged once at shard-build time), ships them over the modeled D2D
 //      link ("d2d.halo"), and the device scatters them into its replica,
-//   3. each device multiplies its row block with device_csrmv_mp
-//      (whole-row merge-path spans, optional fused D^-1/2 epilogue),
+//   3. each device multiplies its row block with device_csrmv
+//      (whole-row merge-path spans),
 //   4. each device's y segment comes back over its link.
 //
 // A group of one is the single-device wave: its segment is the whole
@@ -21,7 +20,7 @@
 //
 // Determinism contract (tests/test_sharded_differential.cpp): every row
 // accumulates serially in entry order in one kernel, and the replica holds
-// bitwise the same staged bytes regardless of which link delivered them, so
+// bitwise the same values regardless of which link delivered them, so
 // a sharded multiply is bitwise equal to the single-device kernel for every
 // device count and worker count.  Row cuts can be aligned to a block size so
 // blocked cross-device reductions (k-means) keep a fixed fold order too.
@@ -30,7 +29,6 @@
 #include <functional>
 #include <vector>
 
-#include "common/precision.h"
 #include "common/types.h"
 #include "device/device_group.h"
 #include "sparse/balance.h"
@@ -115,17 +113,13 @@ struct DeviceCsrShard {
   device::DeviceBuffer<index_t> send_idx;
   std::vector<usize> send_begin;  ///< size parts + 1
 
-  /// Full-length D^-1/2 replica for the fused SpMV epilogue (empty =
-  /// unfused; see device_csrmv_mp).
-  device::DeviceBuffer<real> fused_scale;
-
-  /// Wave buffers, scalars packed at the operator's stage precision: the
-  /// full-column x replica (own segment + halo slots are written each
-  /// wave), the local y segment, and the halo receive / send staging.
-  device::DeviceBuffer<unsigned char> x;
-  device::DeviceBuffer<unsigned char> y;
-  device::DeviceBuffer<unsigned char> halo_vals;
-  device::DeviceBuffer<unsigned char> send_buf;
+  /// Wave buffers: the full-column x replica (own segment + halo slots are
+  /// written each wave), the local y segment, and the halo receive / send
+  /// staging.
+  device::DeviceBuffer<real> x;
+  device::DeviceBuffer<real> y;
+  device::DeviceBuffer<real> halo_vals;
+  device::DeviceBuffer<real> send_buf;
 
   [[nodiscard]] index_t rows() const noexcept { return row_end - row_begin; }
 };
@@ -137,11 +131,7 @@ struct ShardedCsr {
   index_t cols = 0;
   index_t nnz = 0;
   RowPartition part;
-  /// Width at which x and y cross the links and sit in the wave buffers.
-  Precision stage_precision = Precision::kFp64;
   std::vector<DeviceCsrShard> shards;
-  /// Host-side packed staging for narrow rungs (reused every wave).
-  std::vector<unsigned char> host_stage;
 };
 
 /// Shard the square host CSR `a` across all devices of `group` using the
@@ -155,29 +145,27 @@ struct ShardedCsr {
 /// block (rows = part.size(d), global column indices); `chunks[d]` is the
 /// host COO it was built from — only its column indices are read, to find
 /// the halo, and a group of one needs none (`chunks` may be empty).
-/// Scalars stage at width `stage`.
 [[nodiscard]] ShardedCsr shard_device_locals(device::DeviceGroup& group,
                                              const RowPartition& part,
                                              std::vector<DeviceCsr> locals,
-                                             const std::vector<Coo>& chunks,
-                                             Precision stage);
+                                             const std::vector<Coo>& chunks);
 
 /// Check run on each device's staged x segment right after its upload,
-/// before any kernel reads it: `dev` is the segment on the device, `host`
-/// the bytes it was copied from.  A transient DeviceError thrown here
-/// re-runs the upload inside run_transfer_with_retry(`site`).
+/// before any kernel reads it: `dev` is the segment of `count` scalars on
+/// the device, `host` the values it was copied from.  A transient
+/// DeviceError thrown here re-runs the upload inside
+/// run_transfer_with_retry(`site`).
 struct StageCheck {
   const char* site = nullptr;
-  std::function<void(usize device, unsigned char* dev,
-                     const unsigned char* host, usize bytes)>
+  std::function<void(usize device, real* dev, const real* host, usize count)>
       check;
 };
 
 /// One synchronous SpMV wave, y = A x, with host-resident x and y (length
 /// rows): stage, halo exchange, multiply, fetch.  Bitwise equal to
-/// device_csrmv_mp of the unsharded matrix at the same staging width for
-/// any device and worker count.  The halo copies ride the "d2d.halo" fault
-/// site; the staging copies ride copy.h2d / copy.d2h.
+/// device_csrmv of the unsharded matrix for any device and worker count.
+/// The halo copies ride the "d2d.halo" fault site; the staging copies ride
+/// copy.h2d / copy.d2h.
 void sharded_csrmv(ShardedCsr& a, const real* x, real* y,
                    const StageCheck* check = nullptr);
 

@@ -24,30 +24,6 @@ inline void host_beta_prologue(index_t rows, real beta, real* y) {
   }
 }
 
-/// Cost model of one csrmv-shaped launch over `nnz` entries and `rows`
-/// rows, accounting each scalar array at its storage width.  The fused
-/// scale vector is modeled cache-resident: one read of rows * 8 bytes, not
-/// nnz * 8 — matching what an n-length vector costs a real GPU's DRAM.
-device::LaunchConfig csrmv_cost(const char* site, double nnz, double rows,
-                                Precision w, Precision x, Precision y,
-                                bool fused) {
-  const double bw = static_cast<double>(bytes_per_scalar(w));
-  const double bx = static_cast<double>(bytes_per_scalar(x));
-  const double by = static_cast<double>(bytes_per_scalar(y));
-  const double scale_bytes = fused ? 2.0 * rows * sizeof(real) : 0.0;
-  device::LaunchConfig cfg = device::tagged(
-      site, (fused ? 3.0 : 2.0) * nnz + (fused ? rows : 0.0),
-      nnz * (bw + bx + sizeof(index_t)) + (rows + 1.0) * sizeof(index_t) +
-          scale_bytes,
-      rows * by);
-  // Byte-weighted storage width over the scalar arrays only (structure
-  // indices excluded): 8 for pure fp64, smaller as storage narrows.
-  const double scalar_elems = 2.0 * nnz + rows + (fused ? 2.0 * rows : 0.0);
-  const double scalar_bytes = nnz * (bw + bx) + rows * by + scale_bytes;
-  cfg.bytes_per_scalar = scalar_elems > 0 ? scalar_bytes / scalar_elems : 8.0;
-  return cfg;
-}
-
 }  // namespace
 
 void csr_mv(const Csr& a, const real* x, real* y, real alpha, real beta) {
@@ -84,59 +60,8 @@ Csr DeviceCsr::to_host() const {
   out.cols = cols;
   out.row_ptr = row_ptr.to_host();
   out.col_idx = col_idx.to_host();
-  switch (value_precision) {
-    case Precision::kFp64:
-      out.values = values.to_host();
-      break;
-    case Precision::kFp32: {
-      const std::vector<float> v = values_f32.to_host();
-      out.values.resize(v.size());
-      for (usize i = 0; i < v.size(); ++i) {
-        out.values[i] = static_cast<real>(v[i]);
-      }
-      break;
-    }
-    case Precision::kBf16: {
-      const std::vector<std::uint16_t> v = values_b16.to_host();
-      out.values.resize(v.size());
-      for (usize i = 0; i < v.size(); ++i) {
-        out.values[i] = static_cast<real>(float_from_bf16(v[i]));
-      }
-      break;
-    }
-  }
+  out.values = values.to_host();
   return out;
-}
-
-void demote_csr_values(device::DeviceContext& ctx, DeviceCsr& a, Precision p) {
-  if (p == a.value_precision) return;
-  FASTSC_CHECK(a.value_precision == Precision::kFp64,
-               "demote_csr_values: only fp64 values can be demoted");
-  const index_t nnz = a.nnz();
-  const real* src = a.values.data();
-  device::LaunchConfig cfg = device::tagged(
-      "precision.demote", static_cast<double>(nnz),
-      nnz * static_cast<double>(sizeof(real)),
-      nnz * static_cast<double>(bytes_per_scalar(p)));
-  cfg.bytes_per_scalar = static_cast<double>(bytes_per_scalar(p));
-  if (p == Precision::kFp32) {
-    a.values_f32 = device::DeviceBuffer<float>(ctx, static_cast<usize>(nnz));
-    float* dst = a.values_f32.data();
-    device::launch(ctx, nnz,
-                   [=](index_t i) { dst[i] = float_from_real(src[i]); }, cfg);
-  } else {
-    a.values_b16 =
-        device::DeviceBuffer<std::uint16_t>(ctx, static_cast<usize>(nnz));
-    std::uint16_t* dst = a.values_b16.data();
-    device::launch(
-        ctx, nnz,
-        [=](index_t i) { dst[i] = bf16_from_float(float_from_real(src[i])); },
-        cfg);
-  }
-  a.value_precision = p;
-  // Release the fp64 copy — halving (or quartering) the matrix's device
-  // footprint is the point of the demotion.
-  a.values = device::DeviceBuffer<real>();
 }
 
 DeviceCoo::DeviceCoo(device::DeviceContext& ctx, const Coo& host)
@@ -156,16 +81,9 @@ Coo DeviceCoo::to_host() const {
 
 void device_csrmv(device::DeviceContext& ctx, const DeviceCsr& a, const real* x,
                   real* y, real alpha, real beta) {
-  device_csrmv_mp(ctx, a, ConstVecView(x), VecView(y), alpha, beta, nullptr);
-}
-
-void device_csrmv_mp(device::DeviceContext& ctx, const DeviceCsr& a,
-                     ConstVecView x, VecView y, real alpha, real beta,
-                     const real* fused_scale, index_t row_offset) {
   const index_t* row_ptr = a.row_ptr.data();
   const index_t* col_idx = a.col_idx.data();
-  const CsrValuesView w = a.values_view();
-  const real* sc = fused_scale;
+  const real* w = a.values.data();
   const index_t rows = a.rows;
   const double nnz = static_cast<double>(a.nnz());
   if (rows <= 0) return;
@@ -201,22 +119,16 @@ void device_csrmv_mp(device::DeviceContext& ctx, const DeviceCsr& a,
         for (index_t r = cut[s]; r < cut[s + 1]; ++r) {
           real acc = 0;
           for (index_t p = row_ptr[r]; p < row_ptr[r + 1]; ++p) {
-            const index_t c = col_idx[p];
-            const real xv = sc != nullptr
-                                ? sc[c] * x.load(static_cast<usize>(c))
-                                : x.load(static_cast<usize>(c));
-            acc += w[p] * xv;
+            acc += w[p] * x[col_idx[p]];
           }
-          const real t =
-              alpha * acc +
-              (beta == 0 ? 0 : beta * y.load(static_cast<usize>(r)));
-          y.store(static_cast<usize>(r),
-                  sc != nullptr ? sc[row_offset + r] * t : t);
+          // beta == 0 writes outright, so y may be uninitialized storage.
+          y[r] = alpha * acc + (beta == 0 ? 0 : beta * y[r]);
         }
       },
-      csrmv_cost(sc != nullptr ? "spmv.fused_scale" : "spmv.csr", nnz,
-                 static_cast<double>(rows), a.value_precision, x.prec,
-                 y.prec, sc != nullptr));
+      device::tagged("spmv.csr", 2.0 * nnz,
+                     nnz * (2.0 * sizeof(real) + sizeof(index_t)) +
+                         (rows + 1.0) * sizeof(index_t),
+                     static_cast<double>(rows) * sizeof(real)));
 }
 
 void device_csrmv_balanced(device::DeviceContext& ctx, const DeviceCsr& a,
@@ -231,7 +143,7 @@ void device_csrmm(device::DeviceContext& ctx, const DeviceCsr& a,
   if (nvec == 0) return;
   const index_t* row_ptr = a.row_ptr.data();
   const index_t* col_idx = a.col_idx.data();
-  const CsrValuesView values = a.values_view();
+  const real* values = a.values.data();
   const index_t rows = a.rows;
   const index_t cols = a.cols;
   // One sweep of A serves all nvec vectors: for each row the entry list is
@@ -239,15 +151,11 @@ void device_csrmm(device::DeviceContext& ctx, const DeviceCsr& a,
   // accumulation order matches device_csrmv exactly, so Y's row j is
   // bitwise identical to csrmv on X's row j.
   const double nnz = static_cast<double>(a.nnz());
-  const double bw = static_cast<double>(bytes_per_scalar(a.value_precision));
-  device::LaunchConfig mm_cfg = device::tagged(
+  const device::LaunchConfig mm_cfg = device::tagged(
       "spmv.csrmm", 2.0 * nnz * nvec,
-      nnz * (bw + sizeof(index_t)) +
+      nnz * (static_cast<double>(sizeof(real)) + sizeof(index_t)) +
           nnz * nvec * static_cast<double>(sizeof(real)),
       static_cast<double>(rows) * nvec * sizeof(real));
-  mm_cfg.bytes_per_scalar =
-      (nnz * bw + (nnz + rows) * nvec * sizeof(real)) /
-      std::max(nnz + (nnz + rows) * nvec, 1.0);
   device::launch(
       ctx, rows,
       [=](index_t r) {
@@ -268,9 +176,6 @@ void device_coo2csr(device::DeviceContext& ctx, const DeviceCoo& coo,
                     DeviceCsr& out) {
   out.rows = coo.rows;
   out.cols = coo.cols;
-  out.value_precision = Precision::kFp64;
-  out.values_f32 = device::DeviceBuffer<float>();
-  out.values_b16 = device::DeviceBuffer<std::uint16_t>();
   const index_t nnz = coo.nnz();
   const index_t rows = coo.rows;
   out.row_ptr =

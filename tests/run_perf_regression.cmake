@@ -12,13 +12,12 @@
 #      cannot fail protects nothing).
 #
 # Expected -D definitions: SPMV_BENCH (bench_spmv_balance), SERVICE_BENCH
-# (bench_service), SCALING_BENCH (bench_scaling_devices), PRECISION_BENCH
-# (bench_ablation_precision), PYTHON (python3), CHECKER
-# (check_bench_regression.py), TOLERANCES (bench_tolerances.json),
+# (bench_service), SCALING_BENCH (bench_scaling_devices), PYTHON (python3),
+# CHECKER (check_bench_regression.py), TOLERANCES (bench_tolerances.json),
 # BASELINES (bench/baselines dir), WORKDIR (scratch directory).
 
-foreach(var SPMV_BENCH SERVICE_BENCH SCALING_BENCH PRECISION_BENCH PYTHON
-            CHECKER TOLERANCES BASELINES WORKDIR)
+foreach(var SPMV_BENCH SERVICE_BENCH SCALING_BENCH PYTHON CHECKER TOLERANCES
+            BASELINES WORKDIR)
   if(NOT DEFINED ${var})
     message(FATAL_ERROR "run_perf_regression.cmake: missing -D${var}=...")
   endif()
@@ -28,7 +27,6 @@ file(MAKE_DIRECTORY "${WORKDIR}")
 set(spmv_fresh "${WORKDIR}/fresh_spmv_balance.json")
 set(service_fresh "${WORKDIR}/fresh_service.json")
 set(scaling_fresh "${WORKDIR}/fresh_scaling_devices.json")
-set(precision_fresh "${WORKDIR}/fresh_precision.json")
 
 # Flags here MUST match the "pinned flags" comment in the tolerances file;
 # the gated metrics are deterministic only for these exact inputs.
@@ -57,20 +55,10 @@ if(NOT rc EQUAL 0)
           "bench_scaling_devices failed (rc=${rc})\n${out}\n${err}")
 endif()
 
-execute_process(
-  COMMAND "${PRECISION_BENCH}" --n=6000 --devices=4 --workers=8
-          --metrics-out=${precision_fresh}
-  RESULT_VARIABLE rc OUTPUT_VARIABLE out ERROR_VARIABLE err)
-if(NOT rc EQUAL 0)
-  message(FATAL_ERROR
-          "bench_ablation_precision failed (rc=${rc})\n${out}\n${err}")
-endif()
-
 foreach(suite_pair
         "spmv_balance|${spmv_fresh}|BENCH_spmv_balance.json"
         "service|${service_fresh}|BENCH_service.json"
-        "scaling_devices|${scaling_fresh}|BENCH_scaling_devices.json"
-        "precision|${precision_fresh}|BENCH_precision.json")
+        "scaling_devices|${scaling_fresh}|BENCH_scaling_devices.json")
   string(REPLACE "|" ";" parts "${suite_pair}")
   list(GET parts 0 suite)
   list(GET parts 1 fresh)

@@ -2,11 +2,6 @@
 
 #include <gtest/gtest.h>
 
-#include <algorithm>
-#include <cmath>
-#include <cstring>
-#include <string>
-#include <utility>
 #include <vector>
 
 #include "common/rng.h"
@@ -125,71 +120,6 @@ TEST(DeviceSimilarityMeters, TransfersInputData) {
   EXPECT_GE(ctx.counters().bytes_h2d,
             static_cast<usize>(ps.n * ps.d) * sizeof(real));
   EXPECT_GE(ctx.counters().kernel_launches, 3u);  // the three kernels
-}
-
-/// Host reference of the degree sweep's contract: partial degree rows over
-/// 64 fixed contiguous entry spans (fewer when nnz < 64), folded in
-/// ascending span order.
-std::vector<real> span_fold_degrees(const sparse::Coo& w) {
-  const index_t n = w.rows;
-  const auto nnz = static_cast<index_t>(w.values.size());
-  const index_t spans = std::min<index_t>(64, std::max<index_t>(nnz, 1));
-  std::vector<real> partial(static_cast<usize>(spans * n), 0);
-  for (index_t s = 0; s < spans; ++s) {
-    for (index_t e = s * nnz / spans; e < (s + 1) * nnz / spans; ++e) {
-      partial[static_cast<usize>(s * n + w.row_idx[static_cast<usize>(e)])] +=
-          w.values[static_cast<usize>(e)];
-    }
-  }
-  std::vector<real> deg(static_cast<usize>(n));
-  for (index_t i = 0; i < n; ++i) {
-    real acc = 0;
-    for (index_t s = 0; s < spans; ++s) {
-      acc += partial[static_cast<usize>(s * n + i)];
-    }
-    deg[static_cast<usize>(i)] = acc;
-  }
-  return deg;
-}
-
-// The degree sweep keeps the 64-span fold's bits on shuffled COOs, at any
-// worker count, with O(n) scratch instead of a 64 x n partial buffer.
-TEST(GraphBuild, SimilarityDegreesKeepSpanFoldBitsInLinearScratch) {
-  Rng rng(2024);
-  for (const index_t n : {1, 5, 63, 700, 4097}) {
-    sparse::Coo w(n, n);
-    for (index_t r = 0; r < n; ++r) {
-      const auto per_row = static_cast<index_t>(1 + rng.uniform_index(17));
-      for (index_t j = 0; j < per_row; ++j) {
-        const auto c = static_cast<index_t>(
-            rng.uniform_index(static_cast<std::uint64_t>(n)));
-        w.push(r, c, rng.uniform() * std::exp(rng.uniform(-8, 8)));
-      }
-    }
-    // Shuffle the entries so each row's terms scatter across the spans.
-    const usize nnz = w.values.size();
-    for (usize e = nnz; e > 1; --e) {
-      const usize f = rng.uniform_index(e);
-      std::swap(w.row_idx[e - 1], w.row_idx[f]);
-      std::swap(w.col_idx[e - 1], w.col_idx[f]);
-      std::swap(w.values[e - 1], w.values[f]);
-    }
-    const std::vector<real> want = span_fold_degrees(w);
-    for (const usize workers : {1u, 3u}) {
-      SCOPED_TRACE("n " + std::to_string(n) + ", " +
-                   std::to_string(workers) + " workers");
-      device::DeviceContext ctx(workers);
-      const sparse::DeviceCoo dw(ctx, w);
-      const usize peak_before = ctx.counters_snapshot().peak_bytes;
-      const std::vector<real> got = similarity_degrees(ctx, dw);
-      ASSERT_EQ(got.size(), want.size());
-      EXPECT_EQ(std::memcmp(got.data(), want.data(),
-                            want.size() * sizeof(real)),
-                0);
-      EXPECT_LE(ctx.counters_snapshot().peak_bytes - peak_before,
-                4 * static_cast<usize>(n) * sizeof(real));
-    }
-  }
 }
 
 TEST(ChunkedSimilarity, MatchesUnchunkedBitForBit) {

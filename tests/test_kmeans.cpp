@@ -239,42 +239,37 @@ TEST(KmeansGroup, BitwiseAcrossDeviceAndWorkerCounts) {
   // Overlapping blobs: many near-ties, a dozen sweeps, and an empty cluster
   // to repair (k exceeds the planted count).
   const Blobs b = make_blobs(260, 5, 6, 3.0, 61);
-  for (const Precision rung : {Precision::kFp64, Precision::kFp32}) {
-    KmeansConfig cfg;
-    cfg.k = 8;
-    cfg.seed = 5;
-    cfg.precision = rung;
-    device::DeviceContext ctx1(1);
-    const KmeansResult base = kmeans_device(ctx1, b.x.data(), b.n, b.d, cfg);
-    ASSERT_GT(base.iterations, 2);
-    for (const usize devices : {1u, 2u, 4u, 8u}) {
-      for (const usize workers : {1u, 3u, 4u, 8u}) {
-        SCOPED_TRACE(std::string(precision_name(rung)) + " devices " +
-                     std::to_string(devices) + " workers " +
-                     std::to_string(workers));
-        device::DeviceContext root(workers);
-        device::DeviceGroup group(root, devices);
-        const std::vector<index_t> cuts =
-            block_cuts(b.n, static_cast<index_t>(devices));
-        const KmeansResult r =
-            kmeans_group(group, cuts, b.x.data(), b.n, b.d, cfg);
-        ASSERT_EQ(r.labels.size(), base.labels.size());
-        EXPECT_EQ(std::memcmp(r.labels.data(), base.labels.data(),
-                              base.labels.size() * sizeof(index_t)),
-                  0);
-        ASSERT_EQ(r.centroids.size(), base.centroids.size());
-        EXPECT_EQ(std::memcmp(r.centroids.data(), base.centroids.data(),
-                              base.centroids.size() * sizeof(real)),
-                  0);
-        EXPECT_EQ(std::memcmp(&r.objective, &base.objective, sizeof(real)),
-                  0);
-        EXPECT_EQ(r.iterations, base.iterations);
-        // One distance-block checksum per sweep on every non-empty device.
-        index_t busy = 0;
-        for (usize p = 0; p < devices; ++p) busy += cuts[p + 1] > cuts[p];
-        EXPECT_EQ(r.abft_checks,
-                  static_cast<std::uint64_t>(r.iterations * busy));
-      }
+  KmeansConfig cfg;
+  cfg.k = 8;
+  cfg.seed = 5;
+  device::DeviceContext ctx1(1);
+  const KmeansResult base = kmeans_device(ctx1, b.x.data(), b.n, b.d, cfg);
+  ASSERT_GT(base.iterations, 2);
+  for (const usize devices : {1u, 2u, 4u, 8u}) {
+    for (const usize workers : {1u, 3u, 4u, 8u}) {
+      SCOPED_TRACE("devices " + std::to_string(devices) + " workers " +
+                   std::to_string(workers));
+      device::DeviceContext root(workers);
+      device::DeviceGroup group(root, devices);
+      const std::vector<index_t> cuts =
+          block_cuts(b.n, static_cast<index_t>(devices));
+      const KmeansResult r =
+          kmeans_group(group, cuts, b.x.data(), b.n, b.d, cfg);
+      ASSERT_EQ(r.labels.size(), base.labels.size());
+      EXPECT_EQ(std::memcmp(r.labels.data(), base.labels.data(),
+                            base.labels.size() * sizeof(index_t)),
+                0);
+      ASSERT_EQ(r.centroids.size(), base.centroids.size());
+      EXPECT_EQ(std::memcmp(r.centroids.data(), base.centroids.data(),
+                            base.centroids.size() * sizeof(real)),
+                0);
+      EXPECT_EQ(std::memcmp(&r.objective, &base.objective, sizeof(real)), 0);
+      EXPECT_EQ(r.iterations, base.iterations);
+      // One distance-block checksum per sweep on every non-empty device.
+      index_t busy = 0;
+      for (usize p = 0; p < devices; ++p) busy += cuts[p + 1] > cuts[p];
+      EXPECT_EQ(r.abft_checks,
+                static_cast<std::uint64_t>(r.iterations * busy));
     }
   }
 }

@@ -6,10 +6,7 @@
 #include <memory>
 #include <vector>
 
-#include "common/precision.h"
 #include "common/thread_pool.h"
-#include "core/fingerprint.h"
-#include "core/spectral.h"
 
 namespace fastsc::service {
 namespace {
@@ -182,47 +179,6 @@ TEST(ResultCache, ConcurrentStressKeepsInvariants) {
   }
   EXPECT_EQ(found, cache.entries());
   EXPECT_EQ(walked, cache.bytes());
-}
-
-// Regression: a cached fp64 solve must not satisfy an fp32 request (and vice
-// versa).  The precision policy changes the labels a solve produces, so it
-// belongs in the config fingerprint — before the fix, two configs differing
-// only in `precision` collided on the same cache key and warm-donor pool.
-TEST(ResultCache, PrecisionPolicyChangesConfigFingerprint) {
-  core::SpectralConfig fp64_cfg;
-  fp64_cfg.num_clusters = 4;
-
-  core::SpectralConfig fp32_cfg = fp64_cfg;
-  ASSERT_TRUE(parse_precision_policy("fp32", fp32_cfg.precision));
-  core::SpectralConfig bf16_cfg = fp64_cfg;
-  ASSERT_TRUE(parse_precision_policy("bf16", bf16_cfg.precision));
-  core::SpectralConfig staged_cfg = fp64_cfg;
-  ASSERT_TRUE(parse_precision_policy("fp64,spmv=fp32", staged_cfg.precision));
-  core::SpectralConfig auto_cfg = fp64_cfg;
-  ASSERT_TRUE(parse_precision_policy("auto", auto_cfg.precision));
-
-  const std::uint64_t fp64_fp = core::config_fingerprint(fp64_cfg);
-  const std::uint64_t fp32_fp = core::config_fingerprint(fp32_cfg);
-  EXPECT_NE(fp64_fp, fp32_fp);
-  EXPECT_NE(fp64_fp, core::config_fingerprint(bf16_cfg));
-  EXPECT_NE(fp64_fp, core::config_fingerprint(staged_cfg));
-  EXPECT_NE(fp32_fp, core::config_fingerprint(auto_cfg));
-  EXPECT_NE(fp32_fp, core::config_fingerprint(bf16_cfg));
-  // Same policy still fingerprints the same (determinism).
-  core::SpectralConfig fp32_again = fp64_cfg;
-  ASSERT_TRUE(parse_precision_policy("fp32", fp32_again.precision));
-  EXPECT_EQ(fp32_fp, core::config_fingerprint(fp32_again));
-
-  // End-to-end through the cache: the fp64 entry neither hits nor donates
-  // a warm start for the fp32 key.
-  ResultCache cache(1 << 20);
-  CacheEntry e = make_entry(/*graph_fp=*/7, /*config_fp=*/fp64_fp);
-  e.checkpoint = make_checkpoint();
-  cache.insert(std::move(e));
-  EXPECT_TRUE(cache.lookup(CacheKey{7, fp64_fp}).has_value());
-  EXPECT_FALSE(cache.lookup(CacheKey{7, fp32_fp}).has_value());
-  EXPECT_NE(cache.lookup_warm(fp64_fp, 16, 7), nullptr);
-  EXPECT_EQ(cache.lookup_warm(fp32_fp, 16, 7), nullptr);
 }
 
 }  // namespace

@@ -3,8 +3,8 @@
 // pipeline touches must be detected (sdc.detected advances) and recovered
 // to the fault-free labels; checkpoint blobs and cached results are
 // CRC32C-framed and rejected/evicted on a flip; and — the false-positive
-// guard — clean runs report zero detections at every precision rung and
-// device count, so the checksums' tolerances hold with margin.
+// guard — clean runs report zero detections at every device count, so the
+// checksums' tolerances hold with margin.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -15,7 +15,6 @@
 #include <string>
 #include <vector>
 
-#include "common/precision.h"
 #include "core/spectral.h"
 #include "data/sbm.h"
 #include "device/device.h"
@@ -313,26 +312,21 @@ TEST_F(SdcTest, WarmDonorCorruptHintColdStartsDespiteIntactEntry) {
 
 // ---------------------------------------------------------------------------
 // False-positive guard: with no faults armed, no detector may trip at any
-// precision rung or device count — the tolerances must absorb legitimate
-// quantization and accumulation roundoff.
+// device count — the tolerances must absorb legitimate accumulation
+// roundoff.
 // ---------------------------------------------------------------------------
 
 TEST_F(SdcTest, CleanRunsReportZeroDetectionsAcrossRungsAndDevices) {
   const data::SbmGraph g = sdc_graph();
-  for (const Precision rung :
-       {Precision::kFp64, Precision::kFp32, Precision::kBf16}) {
-    for (const index_t nd : {1, 2, 4}) {
-      SCOPED_TRACE("rung " + std::string(precision_name(rung)) + " devices " +
-                   std::to_string(nd));
-      core::SpectralConfig cfg = sdc_config();
-      cfg.precision.base = rung;
-      cfg.num_devices = nd;
-      const std::uint64_t before = detected();
-      const core::SpectralResult r = core::spectral_cluster_graph(g.w, cfg);
-      EXPECT_EQ(detected(), before) << "false positive on a clean run";
-      EXPECT_EQ(r.integrity.detected, 0u);
-      EXPECT_EQ(r.labels.size(), 600u);
-    }
+  for (const index_t nd : {1, 2, 4}) {
+    SCOPED_TRACE("devices " + std::to_string(nd));
+    core::SpectralConfig cfg = sdc_config();
+    cfg.num_devices = nd;
+    const std::uint64_t before = detected();
+    const core::SpectralResult r = core::spectral_cluster_graph(g.w, cfg);
+    EXPECT_EQ(detected(), before) << "false positive on a clean run";
+    EXPECT_EQ(r.integrity.detected, 0u);
+    EXPECT_EQ(r.labels.size(), 600u);
   }
 }
 

@@ -9,7 +9,6 @@
 #include <string>
 #include <vector>
 
-#include "common/precision.h"
 #include "common/rng.h"
 #include "core/report.h"
 #include "core/spectral.h"
@@ -245,7 +244,7 @@ TEST(ShardedPipeline, NjwEmbeddingAndLabelsBitwiseAcrossDeviceCounts) {
 
 // The single-device SpMV gives every worker whole rows and the k-means sweep
 // folds fixed point blocks, so neither the eigenpairs nor the labels depend
-// on the device context's worker count, at fp64 or fp32.
+// on the device context's worker count.
 TEST(ShardedPipeline, EigenpairsBitwiseAcrossWorkerCounts) {
   data::SbmParams p;
   p.block_sizes = data::equal_blocks(1500, 10);
@@ -255,30 +254,26 @@ TEST(ShardedPipeline, EigenpairsBitwiseAcrossWorkerCounts) {
   std::vector<index_t> old_of_new;
   const sparse::Coo w = graph::largest_component(data::make_sbm(p).w,
                                                  old_of_new);
-  for (const Precision rung : {Precision::kFp64, Precision::kFp32}) {
-    SpectralConfig cfg = pipeline_config(10, 1);
-    cfg.precision.base = rung;
-    device::DeviceContext ctx1(1);
-    const SpectralResult base = core::spectral_cluster_graph(w, cfg, &ctx1);
-    ASSERT_TRUE(base.eig_converged);
-    for (const usize workers : {3u, 4u, 8u}) {
-      SCOPED_TRACE(std::string(precision_name(rung)) + " " +
-                   std::to_string(workers) + " workers");
-      device::DeviceContext ctx(workers);
-      const SpectralResult r = core::spectral_cluster_graph(w, cfg, &ctx);
-      expect_bitwise_equal(r.eigenvalues, base.eigenvalues, "eigenvalues");
-      expect_bitwise_equal(r.embedding, base.embedding, "embedding");
-      ASSERT_EQ(r.labels.size(), base.labels.size());
-      EXPECT_EQ(std::memcmp(r.labels.data(), base.labels.data(),
-                            base.labels.size() * sizeof(index_t)),
-                0);
-    }
+  const SpectralConfig cfg = pipeline_config(10, 1);
+  device::DeviceContext ctx1(1);
+  const SpectralResult base = core::spectral_cluster_graph(w, cfg, &ctx1);
+  ASSERT_TRUE(base.eig_converged);
+  for (const usize workers : {3u, 4u, 8u}) {
+    SCOPED_TRACE(std::to_string(workers) + " workers");
+    device::DeviceContext ctx(workers);
+    const SpectralResult r = core::spectral_cluster_graph(w, cfg, &ctx);
+    expect_bitwise_equal(r.eigenvalues, base.eigenvalues, "eigenvalues");
+    expect_bitwise_equal(r.embedding, base.embedding, "embedding");
+    ASSERT_EQ(r.labels.size(), base.labels.size());
+    EXPECT_EQ(std::memcmp(r.labels.data(), base.labels.data(),
+                          base.labels.size() * sizeof(index_t)),
+              0);
   }
 }
 
 // Points mode runs the same device pipeline: Algorithm 1 on device 0, the
 // caller's context, then the eigensolver and k-means over the group, so a
-// small DTI-like volume gives the same bits at every device count and rung.
+// small DTI-like volume gives the same bits at every device count.
 TEST(ShardedPipeline, PointsModeBitwiseAcrossDeviceCounts) {
   data::DtiParams p;
   p.nx = 10;
@@ -288,28 +283,24 @@ TEST(ShardedPipeline, PointsModeBitwiseAcrossDeviceCounts) {
   p.num_parcels = 6;
   p.seed = 5;
   const data::DtiVolume vol = data::make_dti_like(p);
-  for (const Precision rung : {Precision::kFp64, Precision::kFp32}) {
-    SpectralConfig cfg = pipeline_config(6, 1);
-    cfg.precision.base = rung;
-    const SpectralResult base = core::spectral_cluster_points(
+  SpectralConfig cfg = pipeline_config(6, 1);
+  const SpectralResult base = core::spectral_cluster_points(
+      vol.profiles.data(), vol.n, vol.d, vol.edges, cfg);
+  ASSERT_EQ(base.labels.size(), static_cast<usize>(vol.n));
+  EXPECT_EQ(base.device_counters.bytes_d2d, 0u);
+  for (const index_t nd : {2, 4}) {
+    SCOPED_TRACE("num_devices=" + std::to_string(nd));
+    cfg.num_devices = nd;
+    const SpectralResult r = core::spectral_cluster_points(
         vol.profiles.data(), vol.n, vol.d, vol.edges, cfg);
-    ASSERT_EQ(base.labels.size(), static_cast<usize>(vol.n));
-    EXPECT_EQ(base.device_counters.bytes_d2d, 0u);
-    for (const index_t nd : {2, 4}) {
-      SCOPED_TRACE(std::string(precision_name(rung)) + " num_devices=" +
-                   std::to_string(nd));
-      cfg.num_devices = nd;
-      const SpectralResult r = core::spectral_cluster_points(
-          vol.profiles.data(), vol.n, vol.d, vol.edges, cfg);
-      EXPECT_FALSE(r.degradation.degraded);
-      expect_bitwise_equal(r.eigenvalues, base.eigenvalues, "eigenvalues");
-      expect_bitwise_equal(r.embedding, base.embedding, "embedding");
-      ASSERT_EQ(r.labels.size(), base.labels.size());
-      EXPECT_EQ(std::memcmp(r.labels.data(), base.labels.data(),
-                            base.labels.size() * sizeof(index_t)),
-                0);
-      EXPECT_GT(r.device_counters.bytes_d2d, 0u);
-    }
+    EXPECT_FALSE(r.degradation.degraded);
+    expect_bitwise_equal(r.eigenvalues, base.eigenvalues, "eigenvalues");
+    expect_bitwise_equal(r.embedding, base.embedding, "embedding");
+    ASSERT_EQ(r.labels.size(), base.labels.size());
+    EXPECT_EQ(std::memcmp(r.labels.data(), base.labels.data(),
+                          base.labels.size() * sizeof(index_t)),
+              0);
+    EXPECT_GT(r.device_counters.bytes_d2d, 0u);
   }
 }
 

@@ -211,30 +211,6 @@ TEST(Pipeline, ChunkedSimilarityGivesSameClustering) {
   }
 }
 
-TEST(Pipeline, ChunkedBuildMatchesResidentAtNarrowRungs) {
-  // The fp32 rung quantizes W on store and takes its degrees from the sweep
-  // over W, whether the edge list streams through the device or not.
-  data::DtiParams dp;
-  dp.nx = dp.ny = dp.nz = 6;
-  dp.profile_dim = 16;
-  dp.num_parcels = 4;
-  dp.epsilon = 1.0;
-  const data::DtiVolume vol = data::make_dti_like(dp);
-  device::DeviceContext ctx(2);
-
-  SpectralConfig cfg;
-  cfg.num_clusters = 4;
-  cfg.seed = 3;
-  ASSERT_TRUE(parse_precision_policy("fp32", cfg.precision));
-  const SpectralResult full = spectral_cluster_points(
-      vol.profiles.data(), vol.n, vol.d, vol.edges, cfg, &ctx);
-  cfg.similarity_chunk_edges = 97;  // awkward chunk size on purpose
-  const SpectralResult chunked = spectral_cluster_points(
-      vol.profiles.data(), vol.n, vol.d, vol.edges, cfg, &ctx);
-  EXPECT_EQ(full.labels, chunked.labels);
-  EXPECT_EQ(full.eigenvalues, chunked.eigenvalues);
-}
-
 TEST(Pipeline, RejectsNonFiniteInputs) {
   // Failure injection: NaN in points and Inf in weights must be rejected
   // up front, not surface as mysterious non-convergence.

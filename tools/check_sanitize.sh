@@ -55,7 +55,6 @@ TESTS=(
   test_result_cache
   test_device_group
   test_sharded_differential
-  test_precision
   test_sdc
   test_hblas
   test_balance

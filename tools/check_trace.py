@@ -28,12 +28,7 @@ Checks, in order:
      "NAME<=MAX", repeatable, requires --metrics): fail unless the gauge
      exists in the metrics snapshot and satisfies the bound.  service_smoke
      uses this for service.warm_vs_cold_ari >= 1.
-  8. Optional byte-ratio ceiling (--expect-bytes-ratio "NUM/DEN<=MAX",
-     repeatable, requires --metrics): fail unless both gauges exist and
-     NUM / DEN <= MAX.  precision_smoke uses this to assert the narrow
-     SpMV rung actually moves fewer staging bytes than the fp64 baseline:
-     precision.fp32.spmv_stage_bytes/precision.fp64.spmv_stage_bytes<=0.55.
-  9. Optional run-report attribution check (--report report.json): the
+  8. Optional run-report attribution check (--report report.json): the
      report's "attribution" section must use disciplined site names
      (dotted lowercase identifiers, no "unattributed" bucket), carry only
      non-negative counters, have nonzero flops on every site that launched
@@ -49,7 +44,6 @@ Usage:
                  [--expect-counter fault.transfer_retry]
                  [--expect-gauge-ratio "a.max/b.max>=2"]
                  [--expect-gauge "service.warm_vs_cold_ari>=1"]
-                 [--expect-bytes-ratio "a.bytes/b.bytes<=0.55"]
                  [--report report.json] [--seconds-tolerance 1e-6]
 """
 
@@ -266,37 +260,6 @@ def check_gauge_ratios(metrics_path, specs):
               f"{ratio:.3f} >= {want:g}")
 
 
-def check_bytes_ratios(metrics_path, specs):
-    """Assert NUM/DEN <= MAX over gauges in the metrics snapshot — the
-    ceiling-shaped sibling of check_gauge_ratios, used to prove a narrow
-    precision rung really shrinks the bytes a site moves."""
-    if not specs:
-        return
-    if not metrics_path:
-        fail("--expect-bytes-ratio requires --metrics")
-    with open(metrics_path, "r", encoding="utf-8") as f:
-        gauges = json.load(f).get("gauges", {})
-    for spec in specs:
-        m = re.fullmatch(r"\s*([^/\s]+)\s*/\s*([^<\s]+)\s*<=\s*(\S+)\s*", spec)
-        if m is None:
-            fail(f"malformed --expect-bytes-ratio '{spec}' "
-                 f"(want NUM/DEN<=MAX)")
-        num_name, den_name, want = m.group(1), m.group(2), float(m.group(3))
-        for name in (num_name, den_name):
-            if name not in gauges:
-                fail(f"gauge '{name}' absent from {metrics_path} "
-                     f"(present: {sorted(gauges) or ['<none>']})")
-        den = float(gauges[den_name])
-        if den == 0:
-            fail(f"gauge '{den_name}' is 0; ratio '{spec}' undefined")
-        ratio = float(gauges[num_name]) / den
-        if ratio > want:
-            fail(f"bytes ratio {num_name}/{den_name} = {ratio:.3f} "
-                 f"above allowed {want:g}")
-        print(f"check_trace: bytes ratio OK — {num_name}/{den_name} = "
-              f"{ratio:.3f} <= {want:g}")
-
-
 def check_gauges(metrics_path, specs):
     """Assert NAME >= MIN (or NAME <= MAX) over gauges in the snapshot."""
     if not specs:
@@ -408,7 +371,7 @@ def main():
                          "when only --report is being validated)")
     ap.add_argument("--metrics",
                     help="metrics JSON written with --metrics-out, for the "
-                         "--expect-gauge* and --expect-bytes-ratio checks")
+                         "--expect-gauge* checks")
     ap.add_argument("--expect-counter", action="append", default=[],
                     metavar="NAME[>=MIN]",
                     help="fail unless a counter series with this name is "
@@ -423,10 +386,6 @@ def main():
                     help="fail unless the metrics gauge exists and satisfies "
                          "the bound; NAME>=MIN or NAME<=MAX (repeatable; "
                          "requires --metrics)")
-    ap.add_argument("--expect-bytes-ratio", action="append", default=[],
-                    metavar="NUM/DEN<=MAX",
-                    help="fail unless metrics gauges NUM and DEN exist and "
-                         "NUM/DEN <= MAX (repeatable; requires --metrics)")
     ap.add_argument("--report", metavar="REPORT.json",
                     help="run-report JSON (--report-out); validate its "
                          "attribution section against the device counters")
@@ -453,7 +412,6 @@ def main():
     check_expected_counters(series, args.expect_counter)
     check_gauge_ratios(args.metrics, args.expect_gauge_ratio)
     check_gauges(args.metrics, args.expect_gauge)
-    check_bytes_ratios(args.metrics, args.expect_bytes_ratio)
     n_spans = sum(len(s) for s in tracks.values())
     print(f"check_trace: OK — {len(events)} events "
           f"({phases.get('X', 0)} spans on {len(tracks)} tracks, "
