@@ -32,8 +32,6 @@ struct CommonFlags {
   std::string report_out;   // RunReport JSON path ("" = off)
   std::string faults;       // fault plan spec ("" = none); see src/fault/
   double budget_ms = 0;     // total wall budget in ms (0 = none)
-  std::string stage_budget;  // RunBudget spec, e.g. "eigensolver=500;anytime=1"
-  std::string watchdog;      // WatchdogConfig spec, e.g. "heartbeat_ms=100"
 
   static CommonFlags parse(CliParser& cli, index_t default_k,
                            index_t default_devices = 1) {
@@ -66,14 +64,6 @@ struct CommonFlags {
         "budget-ms", 0,
         "total wall-clock budget per run in ms (0 = none; expiry yields an "
         "anytime partial result)");
-    f.stage_budget = cli.get_string(
-        "stage-budget", "",
-        "run-budget spec, e.g. eigensolver=500;total.virtual=0.2;anytime=1 "
-        "(see src/common/cancel.h; combined with --budget-ms)");
-    f.watchdog = cli.get_string(
-        "watchdog", "",
-        "hang-watchdog spec, e.g. heartbeat_ms=100,stall_restarts=5 "
-        "(see src/common/cancel.h)");
     // Tracing must be on before the DeviceContext records its first event so
     // the trace's virtual timeline is complete from time zero.
     if (!f.trace_out.empty()) obs::trace().set_enabled(true);
@@ -100,17 +90,10 @@ inline void prune_isolated(sparse::Coo& w, std::vector<index_t>* truth) {
   w = std::move(pruned);
 }
 
-/// Fold the budget/watchdog flags into a SpectralConfig.  --budget-ms is
-/// shorthand for a total wall clause on top of --stage-budget.
+/// Fold --budget-ms into a SpectralConfig's wall deadline.
 inline void apply_budget_flags(core::SpectralConfig& cfg,
                                const CommonFlags& flags) {
-  if (!flags.stage_budget.empty()) {
-    cfg.budget = cancel::RunBudget::parse(flags.stage_budget);
-  }
-  if (flags.budget_ms > 0) cfg.budget.total.wall_ms = flags.budget_ms;
-  if (!flags.watchdog.empty()) {
-    cfg.watchdog = cancel::WatchdogConfig::parse(flags.watchdog);
-  }
+  if (flags.budget_ms > 0) cfg.budget.wall_ms = flags.budget_ms;
 }
 
 inline std::vector<core::Backend> selected_backends(bool baselines) {

@@ -41,9 +41,10 @@ struct Job {
   JobPriority priority = JobPriority::kNormal;
 
   /// Per-job deadline in wall milliseconds; 0 = no deadline.  Folded into
-  /// the job's RunBudget (config.budget.total.wall_ms, when that is unset)
-  /// and enforced by the job's own governor, independently of every other
-  /// job in flight.
+  /// the job's RunBudget (config.budget.wall_ms, when that is unset) and
+  /// checked at the poll sites of the job's own governor, independently of
+  /// every other job in flight.  config.budget.anytime picks between a
+  /// partial completed result (never cached) and kCancelled.
   double deadline_ms = 0;
 
   /// Warm-start hint: the graph fingerprint of a previously solved nearby

@@ -219,28 +219,11 @@ void write_run(obs::JsonWriter& w, Backend backend,
   w.begin_object();
   w.field("enabled", r.budget.enabled);
   w.field("expired", r.budget.expired);
-  w.field("watchdog_fired", r.budget.watchdog_fired);
   w.field("anytime", r.budget.anytime);
   w.field("reason", r.budget.reason);
   w.field("cancel_site", r.budget.cancel_site);
-  w.field("expired_stage", r.budget.expired_stage);
   w.field("total_wall_ms_limit", r.budget.total_wall_ms_limit);
   w.field("total_wall_ms_spent", r.budget.total_wall_ms_spent);
-  w.field("total_virtual_limit_seconds", r.budget.total_virtual_limit_seconds);
-  w.field("total_virtual_spent_seconds", r.budget.total_virtual_spent_seconds);
-  w.key("stages");
-  w.begin_array();
-  for (const cancel::StageSpend& s : r.budget.stages) {
-    w.begin_object();
-    w.field("stage", s.stage);
-    w.field("wall_ms_limit", s.wall_ms_limit);
-    w.field("wall_ms_spent", s.wall_ms_spent);
-    w.field("virtual_limit_seconds", s.virtual_limit_seconds);
-    w.field("virtual_spent_seconds", s.virtual_spent_seconds);
-    w.field("expired_here", s.expired_here);
-    w.end_object();
-  }
-  w.end_array();
   w.end_object();
 
   w.key("integrity");

@@ -130,15 +130,14 @@ void run_to_completion(Stage&& stage) {
   }
 }
 
-/// One pipeline stage: wall clock, trace span, budget scope and the
-/// attribution site its device work lands under.
+/// One pipeline stage: wall clock, trace span and the attribution site its
+/// device work lands under.
 template <class Fn>
 void run_stage(SpectralResult& result, const char* stage, const char* site,
                Fn&& fn) {
   result.clock.start(stage);
   {
     obs::ScopedSpan span(stage, "stage");
-    cancel::StageScope budget_scope(stage);
     obs::AttrSiteScope stage_site(site);
     fn();
   }
@@ -199,8 +198,7 @@ void run_rci(const SpectralConfig& cfg, index_t n, const EigWave& wave,
     try {
       while (!prob.converge()) {
         // One poll per reverse-communication wave; a deadline or cancellation
-        // fired anywhere (including a hung launch inside the wave) unwinds
-        // to the anytime handler below.
+        // fired anywhere unwinds to the anytime handler below.
         cancel::poll("lanczos.matvec");
         WallTimer t;
         const real* x = prob.GetVector();
@@ -756,9 +754,7 @@ void kmeans_stage(device::DeviceGroup& group, std::span<const index_t> cuts,
 }
 
 /// The run skeleton both entry points share: trace and fault scopes, the
-/// cancellation governor (armed only when a budget, watchdog or token is
-/// configured; virtual-now is the devices' transfer timeline), the device
-/// counter delta and the budget report around `body`.  A non-empty
+/// device counter delta and the budget report around `body`.  A non-empty
 /// `single_device_reason` records the multi-device failure this run
 /// replaces.
 template <class Body>
@@ -772,19 +768,6 @@ SpectralResult run_pipeline(const SpectralConfig& config, index_t n,
   const obs::TraceEnableScope trace_scope(config.trace);
   std::optional<fault::ArmScope> fault_scope;
   if (!config.faults.empty()) fault_scope.emplace(config.faults);
-  // Plain runs never arm the governor, so every poll site stays on its
-  // single-relaxed-load fast path.  The config's budget wins over
-  // FASTSC_BUDGET.
-  std::optional<cancel::RunScope> cancel_scope;
-  const cancel::RunBudget& budget =
-      config.budget.enabled() ? config.budget : cancel::env_budget();
-  if (budget.enabled() || config.watchdog.enabled() ||
-      config.cancel_token.valid()) {
-    cancel_scope.emplace(budget, config.watchdog, config.cancel_token,
-                         [&group] {
-                           return group.modeled_transfer_seconds_now();
-                         });
-  }
 
   SpectralResult result;
   result.n = n;
@@ -805,10 +788,18 @@ SpectralResult run_pipeline(const SpectralConfig& config, index_t n,
 /// Run `run(group, reason)` over config.num_devices devices: the caller's
 /// context and its peers.  A permanent device error on more than one
 /// device reruns the whole pipeline on the caller's context alone
-/// (degradation action "single-device").
+/// (degradation action "single-device").  The cancellation governor is
+/// armed once around both attempts, so the rerun keeps the deadline's
+/// elapsed time and a deadline that already fired.  Plain runs (no
+/// deadline, no token) never arm it, so every poll site stays on its
+/// single-relaxed-load fast path.
 template <class Run>
 SpectralResult on_devices(const SpectralConfig& config,
                           device::DeviceContext& ctx, Run&& run) {
+  std::optional<cancel::RunScope> cancel_scope;
+  if (config.budget.enabled() || config.cancel_token.valid()) {
+    cancel_scope.emplace(config.budget, config.cancel_token);
+  }
   std::string reason;
   if (config.backend == Backend::kDevice && config.num_devices > 1) {
     device::DeviceGroup group(ctx, static_cast<usize>(config.num_devices));

@@ -177,18 +177,12 @@ struct SpectralConfig {
   /// FASTSC_FAULTS.
   fault::FaultPlan faults{};
 
-  /// Run budget: total and per-stage wall/virtual-clock limits (empty = no
-  /// deadline).  Virtual limits charge against the deterministic device
-  /// transfer timeline, so expiry is exactly reproducible.  With
-  /// budget.anytime (default), expiry mid-eigensolve snapshots the best
-  /// partial Ritz pairs and still clusters (SpectralResult::budget.anytime).
-  /// Also settable process-wide through FASTSC_BUDGET.
+  /// Wall-clock deadline for the whole call (budget.wall_ms, 0 = none),
+  /// checked at every poll site.  With budget.anytime (default), expiry
+  /// mid-eigensolve snapshots the best partial Ritz pairs and still clusters
+  /// (SpectralResult::budget.anytime); without it, expiry throws
+  /// cancel::CancelledError.
   cancel::RunBudget budget{};
-
-  /// Hang watchdog: stalled-restart / kernel-launch heartbeat /
-  /// transfer-overrun detection that fires the run's cancel token (off by
-  /// default).
-  cancel::WatchdogConfig watchdog{};
 
   /// External cancellation: pass CancelSource::token() and call
   /// request_cancel() from any thread; the run unwinds with a site-annotated
@@ -243,8 +237,8 @@ struct SpectralResult {
   /// SDC checks run / detections / block recomputes during this run.
   IntegrityReport integrity;
 
-  /// Budget/watchdog accounting: limits vs. spend per stage, where the
-  /// deadline hit, and whether the result is an anytime (partial) answer.
+  /// Deadline accounting: limit vs. spend, why and where the run was cut,
+  /// and whether the result is an anytime (partial) answer.
   cancel::BudgetReport budget;
 
   /// Last restart-boundary eigensolver checkpoint (only when

@@ -1,56 +1,13 @@
 #include "device/device.h"
 
 #include <algorithm>
-#include <chrono>
 #include <sstream>
-#include <thread>
 
-#include "common/cancel.h"
 #include "common/log.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
 
 namespace fastsc::device {
-
-namespace {
-
-/// The `device.hang` fault: a wedged launch spins until the watchdog (or any
-/// other cancellation) fires and then surfaces as a site-annotated
-/// CancelledError.  A wall cap bounds the spin so an unwatched hang still
-/// fails loudly instead of wedging the caller.
-void simulate_hang() {
-  constexpr double kMaxHangSeconds = 5.0;
-  const WallTimer t;
-  for (;;) {
-    if (cancel::pending("device.hang")) {
-      throw cancel::CancelledError("injected device hang cancelled",
-                                   "device.hang");
-    }
-    if (t.seconds() > kMaxHangSeconds) {
-      throw DeviceError(
-          "injected device hang exceeded its 5 s cap with no watchdog "
-          "cancellation");
-    }
-    std::this_thread::sleep_for(std::chrono::milliseconds(1));
-  }
-}
-
-}  // namespace
-
-LaunchLiveness::LaunchLiveness() {
-  cancel::device_busy(true);
-  try {
-    if (fault::triggered("device.hang")) simulate_hang();
-  } catch (...) {
-    cancel::device_busy(false);
-    throw;
-  }
-}
-
-LaunchLiveness::~LaunchLiveness() {
-  cancel::device_busy(false);
-  cancel::heartbeat();
-}
 
 // --- DeviceContext: configuration and peers ---------------------------------
 
@@ -220,26 +177,18 @@ void DeviceContext::attribute_kernel(const obs::KernelCost& cost,
 
 void DeviceContext::record_h2d(usize bytes, double measured_seconds,
                                const char* site) {
-  // Watchdog overrun check before metering, with no locks held (the
-  // governor's lock orders strictly before meter_mu_).
-  cancel::note_transfer("transfer.h2d", measured_seconds,
-                        model_.seconds_for(bytes));
   meter_transfer(bytes, measured_seconds, CopyDir::kH2d);
   attribute_transfer(site, bytes, CopyDir::kH2d);
 }
 
 void DeviceContext::record_d2h(usize bytes, double measured_seconds,
                                const char* site) {
-  cancel::note_transfer("transfer.d2h", measured_seconds,
-                        model_.seconds_for(bytes));
   meter_transfer(bytes, measured_seconds, CopyDir::kD2h);
   attribute_transfer(site, bytes, CopyDir::kD2h);
 }
 
 void DeviceContext::record_d2d(usize bytes, double measured_seconds,
                                const char* site) {
-  cancel::note_transfer("transfer.d2d", measured_seconds,
-                        model_.d2d_seconds_for(bytes));
   meter_transfer(bytes, measured_seconds, CopyDir::kD2d);
   attribute_transfer(site, bytes, CopyDir::kD2d);
 }
@@ -315,8 +264,8 @@ void accumulate_counters(DeviceCounters& a, const DeviceCounters& b) {
   a.total_allocations += b.total_allocations;
 }
 
-void DeviceContext::note_transfer_retry(std::string_view site,
-                                        double backoff_seconds) {
+void DeviceContext::record_transfer_retry(std::string_view site,
+                                          double backoff_seconds) {
   {
     std::lock_guard lock(meter_mu_);
     counters_.transfer_retries += 1;

@@ -256,7 +256,7 @@ class DeviceContext {
   /// Meter one absorbed transient transfer fault: bump
   /// DeviceCounters::transfer_retries, charge the backoff to the virtual
   /// timeline, and publish fault.transfer_retry counters.
-  void note_transfer_retry(std::string_view site, double backoff_seconds);
+  void record_transfer_retry(std::string_view site, double backoff_seconds);
 
   /// Direct counter access: safe while no other thread meters on this
   /// context.  Prefer counters_snapshot() when threads share it.
@@ -267,14 +267,6 @@ class DeviceContext {
 
   /// Consistent copy of the counters under the metering lock.
   [[nodiscard]] DeviceCounters counters_snapshot() const;
-
-  /// Position on the deterministic transfer timeline: cumulative modeled
-  /// transfer seconds (a pure function of the bytes moved so far).  This is
-  /// the virtual-now source for cancel::RunBudget virtual limits — identical
-  /// across runs, thread counts, and sanitizers.
-  [[nodiscard]] double modeled_transfer_seconds_now() const {
-    return counters_snapshot().modeled_transfer_seconds;
-  }
 
   /// End of the virtual timeline, in modeled seconds since context
   /// creation: every copy, kernel and retry backoff so far, end to end.
@@ -392,7 +384,7 @@ auto run_transfer_with_retry(DeviceContext& ctx, const char* site, Fn&& body) {
     } catch (DeviceError& e) {
       e.annotate_site(site);
       if (!e.transient() || attempt >= policy.max_retries) throw;
-      ctx.note_transfer_retry(site, backoff);
+      ctx.record_transfer_retry(site, backoff);
       backoff *= 2;
     }
   }
@@ -572,19 +564,6 @@ inline LaunchConfig tagged(const char* site, double flops = -1.0,
   return cfg;
 }
 
-/// Liveness of one kernel launch for the heartbeat watchdog (DESIGN.md §9):
-/// the device counts as busy while the launch runs, and its retirement beats
-/// the heartbeat of the launching thread's governor.  Also the `device.hang`
-/// fault site: an injected hang wedges the launch until a cancellation fires
-/// (bounded by a 5 s failsafe).
-class LaunchLiveness {
- public:
-  LaunchLiveness();
-  ~LaunchLiveness();
-  LaunchLiveness(const LaunchLiveness&) = delete;
-  LaunchLiveness& operator=(const LaunchLiveness&) = delete;
-};
-
 /// Launch `kernel(i)` for every global thread id i in [0, n), blocking until
 /// completion (default-stream semantics).  Kernel time is appended to the
 /// context's virtual timeline.
@@ -601,7 +580,6 @@ void launch(DeviceContext& ctx, index_t n, const Kernel& kernel,
     ctx.record_kernel(0.0, 0.0, cost);  // an empty launch is free
     return;
   }
-  const LaunchLiveness live;
   WallTimer t;
   const auto workers = static_cast<index_t>(ctx.pool().worker_count());
   if (workers == 1) {

@@ -64,14 +64,6 @@ obs::SiteStats DeviceGroup::rollup_attribution() const {
   return total;
 }
 
-double DeviceGroup::modeled_transfer_seconds_now() const {
-  double total = 0;
-  for (const auto& ctx : contexts_) {
-    total += ctx->counters_snapshot().modeled_transfer_seconds;
-  }
-  return total;
-}
-
 double DeviceGroup::max_modeled_pipeline_seconds() const {
   double worst = 0;
   for (const auto& ctx : contexts_) {

@@ -95,10 +95,6 @@ class DeviceGroup {
   /// Sum of every device's attribution totals.
   [[nodiscard]] obs::SiteStats rollup_attribution() const;
 
-  /// Group position on the deterministic transfer timeline (sum over
-  /// devices) — the virtual-now source for budget limits on sharded runs.
-  [[nodiscard]] double modeled_transfer_seconds_now() const;
-
   /// Slowest device's modeled pipeline time — the quantity a speedup curve
   /// divides, since the group finishes when its last device does.
   [[nodiscard]] double max_modeled_pipeline_seconds() const;

@@ -12,8 +12,6 @@
 //
 //   device.alloc        DeviceContext::record_alloc  -> DeviceOutOfMemory
 //   device.h2d/d2h      DeviceBuffer synchronous copies
-//   device.hang         device::launch wedged-kernel simulation (spins until
-//                       the cancel watchdog fires; see common/cancel.h)
 //   copy.h2d/d2h        copy_h2d/copy_d2h (SpMV wave x/y segment staging)
 //   d2d.*               DeviceGroup peer copies (d2d.halo, d2d.allreduce,
 //                       d2d.isd_allgather, d2d.centroid_bcast/reduce)

@@ -9,7 +9,6 @@
 #include <ostream>
 
 #include "blas/hblas.h"
-#include "common/cancel.h"
 #include "common/crc32c.h"
 #include "common/error.h"
 #include "common/timer.h"
@@ -554,10 +553,6 @@ SymLanczos::Action SymLanczos::restart_or_finish() {
   stats_.converged_count = converged;
   stats_.restart_history.push_back(
       LanczosRestartSample{stats_.restart_count, converged, worst_res});
-  // Stall-watchdog feed: N restarts without relative residual improvement
-  // fire the run's cancel token (deterministic under the stall fault above,
-  // whose plateaued residuals never count as progress).
-  cancel::note_progress(worst_res);
   if (obs::trace_enabled()) {
     const double now = obs::wall_now_us();
     obs::trace().counter("lanczos.worst_residual", worst_res, now);

@@ -6,7 +6,7 @@
 // and solve unlocked.  Each running job owns a stack-local
 // cancel::Governor bound to the executing thread (GovernorBindScope), so
 // the pipeline's internal RunScope/poll sites govern exactly that job —
-// deadlines, watchdogs, and cancel() never cross jobs.
+// deadlines and cancel() never cross jobs.
 
 #include "fastsc/service.h"
 
@@ -204,8 +204,9 @@ struct Service::Impl {
     const Clock::time_point t0 = Clock::now();
     JobStatus end_status = JobStatus::kCompleted;
 
-    // Per-job governor: every poll site, budget check, and watchdog inside
-    // this solve resolves to this instance for the duration of the job.
+    // Per-job governor: every poll site and deadline check inside this
+    // solve resolves to this instance for the duration of the job.  The
+    // job's token always arms it; the deadline only when one is set.
     cancel::Governor governor;
     cancel::GovernorBindScope bind(&governor);
 
@@ -230,8 +231,8 @@ struct Service::Impl {
     const double deadline = s.job.deadline_ms > 0
                                 ? s.job.deadline_ms
                                 : config.default_deadline_ms;
-    if (deadline > 0 && cfg.budget.total.wall_ms <= 0) {
-      cfg.budget.total.wall_ms = deadline;
+    if (deadline > 0 && cfg.budget.wall_ms <= 0) {
+      cfg.budget.wall_ms = deadline;
     }
 
     s.result.graph_fingerprint = core::graph_fingerprint(s.job.graph);
@@ -273,7 +274,11 @@ struct Service::Impl {
         core::SpectralResult solved =
             core::spectral_cluster_graph(s.job.graph, cfg, ctx);
         s.result.warm_started = solved.warm_started;
-        if (config.enable_cache || config.enable_warm_start) {
+        // An anytime answer is partial: the config fingerprint ignores the
+        // deadline, so caching it would hand its labels to a later full
+        // solve and its checkpoint to warm starts.
+        if ((config.enable_cache || config.enable_warm_start) &&
+            !solved.budget.anytime) {
           service::CacheEntry entry;
           entry.labels = solved.labels;
           entry.eigenvalues = solved.eigenvalues;

@@ -87,13 +87,7 @@ TEST_F(DegradationTest, SingleFaultAtEverySiteLeavesClusteringUnchanged) {
   std::vector<std::string> device_sites;
   for (const auto& [site, stats] : sites) {
     if (stats.occurrences == 0) continue;
-    // device.hang is a watchdog scenario, not a transient fault: with no
-    // watchdog armed it deliberately wedges until its failsafe cap and then
-    // degrades.  The cancel suite (watchdog_smoke, test_budget_anytime)
-    // owns that path.
-    if (site == "device.hang") continue;
-    if (site.starts_with("device.") || site.starts_with("copy.") ||
-        site.starts_with("stream.")) {
+    if (site.starts_with("device.") || site.starts_with("copy.")) {
       device_sites.push_back(site);
     }
   }

@@ -12,6 +12,7 @@
 #include <string>
 #include <vector>
 
+#include "common/cancel.h"
 #include "core/spectral.h"
 #include "data/sbm.h"
 #include "device/device.h"
@@ -363,6 +364,31 @@ TEST_F(FaultTest, ShardedPermanentD2dFaultDegradesToSingleDevice) {
   EXPECT_EQ(r.labels, single.labels);
   EXPECT_DOUBLE_EQ(metrics::adjusted_rand_index(r.labels, single.labels),
                    1.0);
+}
+
+// The deadline window spans both attempts of one call: a deadline that
+// fired in the multi-device attempt is still fired (and its wrap-up still
+// active) when the single-device rerun takes over.
+TEST_F(FaultTest, ShardedPermanentD2dFaultKeepsAFiredDeadline) {
+  const data::SbmGraph g = sharded_graph();
+  const core::SpectralResult single =
+      core::spectral_cluster_graph(g.w, sharded_config(1));
+
+  core::SpectralConfig cfg = sharded_config(4);
+  cfg.faults = FaultPlan::parse("site=d2d.halo,nth=1,count=0");
+  cfg.budget.wall_ms = 1e9;  // armed; the trip below is the deadline
+  cancel::governor().set_trip("lanczos.matvec", 1);
+  const core::SpectralResult r = core::spectral_cluster_graph(g.w, cfg);
+  cancel::governor().clear_trip();
+  cancel::governor().reset_for_test();
+  bool saw_fallback = false;
+  for (const core::DegradationEvent& e : r.degradation.events) {
+    if (e.action == "single-device") saw_fallback = true;
+  }
+  EXPECT_TRUE(saw_fallback);
+  EXPECT_TRUE(r.budget.expired);
+  EXPECT_TRUE(r.budget.anytime);
+  EXPECT_EQ(r.labels, single.labels);
 }
 
 TEST_F(FaultTest, ShardedPermanentFaultWithDegradationDisabledThrows) {

@@ -127,6 +127,29 @@ TEST(Service, InterleavedDeadlinesArePerJob) {
   EXPECT_EQ(svc.stats().cancelled, 1u);
 }
 
+// A job cut short by its deadline completes with an anytime (partial)
+// answer.  The config fingerprint ignores the deadline, so caching that
+// answer would serve its labels to a later full solve of the same graph:
+// anytime results are never cached.
+TEST(Service, AnytimeResultIsNeverCached) {
+  ServiceConfig scfg;
+  scfg.workers = 1;
+  Service svc(scfg);
+  const sparse::Coo graph = make_fb(3000, 8, 3);
+
+  Job cut = make_job(graph, 8, 3);
+  cut.deadline_ms = 1;  // expires long before the solve can finish
+  const JobResult partial = svc.wait(svc.submit(std::move(cut)).id);
+  ASSERT_EQ(partial.status, JobStatus::kCompleted);
+  EXPECT_TRUE(partial.spectral.budget.anytime);
+
+  const JobResult full = svc.wait(svc.submit(make_job(graph, 8, 3)).id);
+  ASSERT_EQ(full.status, JobStatus::kCompleted);
+  EXPECT_FALSE(full.cache_hit);
+  EXPECT_FALSE(full.spectral.budget.anytime);
+  EXPECT_EQ(full.config_fingerprint, partial.config_fingerprint);
+}
+
 TEST(Service, CancelQueuedAndRunningJobs) {
   ServiceConfig scfg;
   scfg.workers = 1;

@@ -1,9 +1,9 @@
 #!/usr/bin/env bash
 # Sanitizer pass over the concurrency-heavy parts of the tree: the device
-# worker pools every kernel launch fans out to, the heartbeat watchdog's
-# monitor thread and the liveness feeds launches send it, the service
-# executors with their per-job governors, the observability layer, and the
-# full pipelines that drive them at several device and worker counts.
+# worker pools every kernel launch fans out to, the service executors with
+# their per-job cancellation governors (bound per thread and propagated into
+# pool workers), the observability layer, and the full pipelines that drive
+# them at several device and worker counts.
 # `address` builds ASan + UBSan.  Usage:
 #
 #   tools/check_sanitize.sh [thread|address] [build-dir]

@@ -179,11 +179,11 @@ def counter_series(events):
 
 
 CUMULATIVE_PREFIXES = ("fault.", "degrade.", "budget.", "cancel.",
-                       "watchdog.", "service.", "cache.", "d2d.", "sdc.")
+                       "service.", "cache.", "d2d.", "sdc.")
 
 
 def check_counter_series(series):
-    """fault./degrade./budget./cancel./watchdog./service./cache. counters
+    """fault./degrade./budget./cancel./service./cache./d2d./sdc. counters
     mirror cumulative registry values, so each series must be non-negative
     and non-decreasing in time."""
     checked = 0
