@@ -35,30 +35,26 @@ EigRun run_eig(device::DeviceContext& ctx, const sparse::DeviceCsr& p,
   cfg.tol = 1e-8;
   cfg.which = lanczos::EigWhich::kLargestAlgebraic;
   cfg.seed = seed;
-  lanczos::SymEigProb prob(cfg);
+  lanczos::SymLanczos solver(cfg);
 
   device::DeviceBuffer<real> dx(ctx, static_cast<usize>(n));
   device::DeviceBuffer<real> dy(ctx, static_cast<usize>(n));
-  std::vector<real> host_y(static_cast<usize>(n));
 
   EigRun out;
   WallTimer total;
-  while (!prob.converge()) {
-    WallTimer t;
-    dx.copy_from_host(std::span<const real>(prob.GetVector(),
-                                            static_cast<usize>(n)));
-    sparse::device_csrmv(ctx, p, dx.data(), dy.data());
-    dy.copy_to_host(std::span<real>(host_y));
-    std::copy(host_y.begin(), host_y.end(), prob.PutVector());
-    out.spmv += t.seconds();
-    prob.TakeStep();
-  }
-  (void)prob.FindEigenvectors();
+  const lanczos::RciRun run =
+      lanczos::rci_loop(solver, [&](const real* x, real* y) {
+        dx.copy_from_host(std::span<const real>(x, static_cast<usize>(n)));
+        sparse::device_csrmv(ctx, p, dx.data(), dy.data());
+        dy.copy_to_host(std::span<real>(y, static_cast<usize>(n)));
+      });
+  (void)solver.extract_eigenvectors();
   out.total = total.seconds();
-  out.rci = prob.Stats().rci_seconds;
-  out.matvecs = prob.Stats().matvec_count;
-  out.restarts = prob.Stats().restart_count;
-  out.converged = !prob.Failed();
+  out.spmv = run.matvec_seconds;
+  out.rci = solver.stats().rci_seconds;
+  out.matvecs = solver.stats().matvec_count;
+  out.restarts = solver.stats().restart_count;
+  out.converged = run.action == lanczos::SymLanczos::Action::kConverged;
   return out;
 }
 

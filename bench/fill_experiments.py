@@ -85,8 +85,6 @@ def main():
         ('bench_ablation_spectrum_side', None),
         ('bench_ablation_seeding', None),
         ('bench_ablation_kmeans_dist', None),
-        ('bench_ablation_eigensolvers', None),
-        ('bench_ablation_reorth', None),
         ('bench_ablation_embedding_norm', None),
         ('bench_ablation_bisection', None),
         ('bench_ablation_pcie', None),

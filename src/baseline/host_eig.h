@@ -1,7 +1,9 @@
 // Shared host-side eigensolver driver for the scripting-environment
-// baselines: the same reverse-communication IRLM as the device pipeline, but
-// with the SpMV executed by the serial CPU csr_mv — exactly how Matlab's
-// eigs() and SciPy's eigsh() run ARPACK against their built-in SpMV.
+// baselines: the same reverse-communication IRLM and the same loop
+// (lanczos::rci_loop, deadline and cancel token included) as the device
+// pipeline, but with the SpMV executed by the serial CPU csr_mv — exactly
+// how Matlab's eigs() and SciPy's eigsh() run ARPACK against their built-in
+// SpMV.
 #pragma once
 
 #include "lanczos/rci.h"

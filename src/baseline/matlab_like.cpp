@@ -1,7 +1,6 @@
 #include "baseline/matlab_like.h"
 
 #include "common/cancel.h"
-#include "common/timer.h"
 #include "sparse/spmv.h"
 
 namespace fastsc::baseline {
@@ -51,18 +50,15 @@ HostEigResult host_eigensolve(const sparse::Csr& a, index_t nev,
   cfg.seed = seed;
   cfg.dense_tier = tier;
 
-  lanczos::SymEigProb prob(cfg);
+  lanczos::SymLanczos solver(cfg);
+  const lanczos::RciRun run = lanczos::rci_loop(
+      solver, [&](const real* x, real* y) { sparse::csr_mv(a, x, y); });
   HostEigResult out;
-  while (!prob.converge()) {
-    WallTimer t;
-    sparse::csr_mv(a, prob.GetVector(), prob.PutVector());
-    out.spmv_seconds += t.seconds();
-    prob.TakeStep();
-  }
-  out.eigenvalues = prob.Eigenvalues();
-  out.eigenvectors = prob.FindEigenvectors();
-  out.converged = !prob.Failed();
-  out.stats = prob.Stats();
+  out.eigenvalues = solver.eigenvalues();
+  out.eigenvectors = solver.extract_eigenvectors();
+  out.converged = run.action == lanczos::SymLanczos::Action::kConverged;
+  out.stats = solver.stats();
+  out.spmv_seconds = run.matvec_seconds;
   return out;
 }
 

@@ -1,8 +1,8 @@
 // Cooperative cancellation and one wall-clock deadline.
 //
-// Long-running stages (IRLM waves, CG iterations, Lloyd sweeps, thread-pool
-// chunks, similarity construction) poll the calling thread's governor at
-// bounded intervals.  When nothing is armed — no deadline, no external token,
+// Long-running stages (IRLM waves, Lloyd sweeps, thread-pool chunks,
+// similarity construction) poll the calling thread's governor at bounded
+// intervals.  When nothing is armed — no deadline, no external token,
 // no test instrumentation — every poll site reduces to a single relaxed
 // atomic load, the same discipline as `fault::triggered` (see
 // src/fault/fault.h).

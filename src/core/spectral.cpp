@@ -114,10 +114,11 @@ void reset_eig_result(SpectralResult& result) {
 }
 
 /// Run a stage whose partial result may not exist yet when a deadline
-/// fires (the eigensolver before its basis holds nev vectors, k-means
-/// before its first full assignment).  With anytime enabled the cut enters
-/// wrap-up — enforcement stops — and reruns the stage to completion, so the
-/// caller still gets a full result; other causes unwind.
+/// fires (Algorithm 1 before W is whole, the eigensolver before its basis
+/// holds nev vectors, k-means before its first full assignment).  With
+/// anytime enabled the cut enters wrap-up — enforcement stops — and reruns
+/// the stage to completion, so the caller still gets a full result; other
+/// causes unwind.
 template <class Stage>
 void run_to_completion(Stage&& stage) {
   try {
@@ -150,27 +151,27 @@ void run_stage(SpectralResult& result, const char* stage, const char* site,
 /// by throwing device::DataIntegrityError.
 using EigWave = std::function<void(const real* x, real* y, index_t basis)>;
 
-/// The RCI driver behind every device eigensolve.  It owns the steps around
-/// the wave: warm start, checkpoint resume and anytime abandon, the
-/// per-wave and Ritz-range sentinels, checkpoint export, Ritz extraction
-/// and the embedding through `inv_sqrt_degree`.
+/// The device eigensolve around lanczos::rci_loop.  It owns the steps
+/// around the wave: warm start, checkpoint resume, the per-wave and
+/// Ritz-range sentinels, checkpoint export, Ritz extraction and the
+/// embedding through `inv_sqrt_degree`.
 void run_rci(const SpectralConfig& cfg, index_t n, const EigWave& wave,
              const std::vector<real>& inv_sqrt_degree, SpectralResult& result) {
   lanczos::LanczosConfig ec = eig_config(cfg, n);
   const DegradationPolicy& pol = cfg.degradation;
   ec.capture_checkpoints =
       (pol.enabled && pol.resume_failed_solve) || cfg.capture_checkpoint;
-  lanczos::SymEigProb prob(ec);
+  lanczos::SymLanczos solver(ec);
   if (cfg.warm_start != nullptr) {
     // Warm-start re-solve (service delta-edge path): reuse the donor's kept
     // Ritz basis when it matches this run's solver shape; otherwise fall
     // back to a cold start rather than failing the run.
     const lanczos::LanczosCheckpoint& cp = *cfg.warm_start;
-    const lanczos::LanczosConfig& sc = prob.Solver().config();
+    const lanczos::LanczosConfig& sc = solver.config();
     if (cp.valid() && cp.n == sc.n && cp.nev == sc.nev && cp.ncv == sc.ncv &&
         cp.which == static_cast<int>(sc.which) && cp.j == cp.nkept &&
         cp.nkept >= 1) {
-      prob.RestoreWarm(cp);
+      solver.restore_warm(cp);
       result.warm_started = true;
     } else {
       FASTSC_LOG_WARN("warm-start checkpoint incompatible with this solve "
@@ -191,77 +192,54 @@ void run_rci(const SpectralConfig& cfg, index_t n, const EigWave& wave,
     throw device::DataIntegrityError("RCI sentinel tripped: " + why);
   };
   const auto un = static_cast<usize>(n);
+  const lanczos::Matvec checked_wave = [&](const real* x, real* y) {
+    wave(x, y, solver.basis_size());
+    if (!sentinels_on) return;
+    obs::sdc_note_check();
+    ++result.integrity.checks;
+    double x2 = 0;
+    double y2 = 0;
+    double xy = 0;
+    for (usize i = 0; i < un; ++i) {
+      x2 += x[i] * x[i];
+      y2 += y[i] * y[i];
+      xy += x[i] * y[i];
+    }
+    const double one = 1 + 1e-6;
+    if (!(y2 <= one * one * x2)) {
+      trip("||y|| exceeds the operator norm bound");
+    } else if (!(std::abs(xy) <= one * x2)) {
+      trip("Rayleigh quotient outside the operator's numerical range");
+    }
+    const real drift = solver.orthogonality_drift();
+    if (!(drift <= 1e-8)) {
+      trip("CGS2 basis orthogonality drift " + std::to_string(drift));
+    }
+  };
 
   index_t resumes = 0;
-  bool abandoned = false;
   for (;;) {
-    try {
-      while (!prob.converge()) {
-        // One poll per reverse-communication wave; a deadline or cancellation
-        // fired anywhere unwinds to the anytime handler below.
-        cancel::poll("lanczos.matvec");
-        WallTimer t;
-        const real* x = prob.GetVector();
-        real* y = prob.PutVector();
-        wave(x, y, prob.Solver().basis_size());
-        if (sentinels_on) {
-          obs::sdc_note_check();
-          ++result.integrity.checks;
-          double x2 = 0;
-          double y2 = 0;
-          double xy = 0;
-          for (usize i = 0; i < un; ++i) {
-            x2 += x[i] * x[i];
-            y2 += y[i] * y[i];
-            xy += x[i] * y[i];
-          }
-          const double one = 1 + 1e-6;
-          if (!(y2 <= one * one * x2)) {
-            trip("||y|| exceeds the operator norm bound");
-          } else if (!(std::abs(xy) <= one * x2)) {
-            trip("Rayleigh quotient outside the operator's numerical range");
-          }
-          const real drift = prob.Solver().orthogonality_drift();
-          if (!(drift <= 1e-8)) {
-            trip("CGS2 basis orthogonality drift " + std::to_string(drift));
-          }
-        }
-        result.spmv_seconds += t.seconds();
-        prob.TakeStep();
-      }
-    } catch (const cancel::CancelledError& e) {
-      cancel::Governor& gov = cancel::current_governor();
-      // Too early for partial Ritz pairs: run_to_completion reruns the
-      // stage under wrap-up.
-      if (!gov.anytime_allowed() || !prob.CanAbandon()) throw;
-      // Anytime cut: freeze the iteration, keep the best partial Ritz pairs,
-      // and stop enforcement so the rest of the pipeline (k-means on the
-      // partial embedding) completes unimpeded.
-      prob.Abandon();
-      gov.begin_wrapup(e.site().empty() ? e.what() : e.site());
-      abandoned = true;
-    }
-    if (abandoned || !prob.Failed() || !ec.capture_checkpoints ||
-        resumes >= pol.max_solver_resumes ||
-        !prob.Solver().has_checkpoint()) {
+    const lanczos::RciRun run = lanczos::rci_loop(solver, checked_wave);
+    result.spmv_seconds += run.matvec_seconds;
+    result.eig_converged =
+        run.action == lanczos::SymLanczos::Action::kConverged;
+    if (run.abandoned || result.eig_converged || !ec.capture_checkpoints ||
+        resumes >= pol.max_solver_resumes || !solver.has_checkpoint()) {
       break;
     }
     // Rewind to the last restart boundary and continue with an extended
     // budget instead of restarting the whole Krylov buildup from scratch.
     ++resumes;
+    const lanczos::LanczosCheckpoint& cp = solver.last_checkpoint();
     note_degradation(result, kStageEigensolver, "solver-resume",
                      "restart budget exhausted; resuming from checkpoint at "
-                     "restart " +
-                         std::to_string(
-                             prob.Solver().last_checkpoint().restart_count));
-    const index_t extended =
-        prob.Solver().config().max_restarts + ec.max_restarts;
-    prob.Restore(prob.Solver().last_checkpoint());
-    prob.Solver().set_max_restarts(extended);
+                     "restart " + std::to_string(cp.restart_count));
+    const index_t extended = solver.config().max_restarts + ec.max_restarts;
+    solver.restore(cp);
+    solver.set_max_restarts(extended);
   }
-  result.eigenvalues = prob.Eigenvalues();
-  result.eig_converged = !prob.Failed();
-  result.eig_stats = prob.Stats();
+  result.eigenvalues = solver.eigenvalues();
+  result.eig_stats = solver.stats();
   if (sentinels_on && result.eig_converged) {
     // Spectral-range sanity: every Ritz value of D^-1/2 W D^-1/2 lies in
     // [-1, 1] up to roundoff; anything outside (or non-finite) means the
@@ -274,12 +252,12 @@ void run_rci(const SpectralConfig& cfg, index_t n, const EigWave& wave,
       }
     }
   }
-  if (cfg.capture_checkpoint && prob.Solver().has_checkpoint()) {
+  if (cfg.capture_checkpoint && solver.has_checkpoint()) {
     result.checkpoint = std::make_shared<lanczos::LanczosCheckpoint>(
-        prob.Solver().last_checkpoint());
+        solver.last_checkpoint());
   }
-  result.embedding = to_embedding(prob.FindEigenvectors(), inv_sqrt_degree,
-                                  cfg.num_clusters, n);
+  result.embedding = to_embedding(solver.extract_eigenvectors(),
+                                  inv_sqrt_degree, cfg.num_clusters, n);
 }
 
 /// Meter one wave of row-sharded CGS2 reorthogonalization: each device runs
@@ -608,23 +586,25 @@ void eigensolve_ladder(device::DeviceGroup& group, SimilaritySource& src,
 }
 
 /// Step 3, the eigensolver stage over `group`: the host backends solve on
-/// the host; the device backend walks its ladder, rerun to completion under
-/// wrap-up when a deadline fires before partial Ritz pairs exist.  Returns
-/// the row cuts the k-means stage shards its points by.
+/// the host; the device backend walks its ladder.  Either reruns to
+/// completion under wrap-up when a deadline fires before partial Ritz pairs
+/// exist.  Returns the row cuts the k-means stage shards its points by.
 sparse::RowPartition eigensolver_stage(device::DeviceGroup& group,
                                        SimilaritySource& src,
                                        const SpectralConfig& cfg,
                                        SpectralResult& result) {
   sparse::RowPartition part = sparse::whole_partition(result.n);
   run_stage(result, kStageEigensolver, "stage.eigensolver", [&] {
-    if (cfg.backend != Backend::kDevice) {
-      eigensolve_host(src.host_w(), cfg, result);
-      return;
+    if (cfg.backend == Backend::kDevice) {
+      part = eig_partition(group, src, result.n, cfg);
     }
-    part = eig_partition(group, src, result.n, cfg);
     run_to_completion([&] {
       reset_eig_result(result);
-      eigensolve_ladder(group, src, part, cfg, result);
+      if (cfg.backend != Backend::kDevice) {
+        eigensolve_host(src.host_w(), cfg, result);
+      } else {
+        eigensolve_ladder(group, src, part, cfg, result);
+      }
     });
   });
   return part;
@@ -828,7 +808,11 @@ SpectralResult cluster_points_on(device::DeviceGroup& group, const real* x,
           baseline::similarity_loop(x, n, d, sym, config.similarity);
       src.host = &src.host_storage;
     };
-    run_stage(result, kStageSimilarity, "stage.similarity", [&] {
+    const auto build = [&] {
+      // A rerun under wrap-up starts from an empty source.
+      src.host = nullptr;
+      src.host_storage = sparse::Coo{};
+      src.dev.reset();
       if (config.backend != Backend::kDevice) return build_on_host();
       const DegradationPolicy& pol = config.degradation;
       try {
@@ -852,7 +836,9 @@ SpectralResult cluster_points_on(device::DeviceGroup& group, const real* x,
         obs::AttrSiteScope rung_site("fallback.host_similarity");
         build_on_host();
       }
-    });
+    };
+    run_stage(result, kStageSimilarity, "stage.similarity",
+              [&] { run_to_completion(build); });
     const sparse::RowPartition part =
         eigensolver_stage(group, src, config, result);
     run_stage(result, kStageKmeans, "stage.kmeans",

@@ -318,64 +318,16 @@ SymLanczos::Action SymLanczos::step() {
 }
 
 void SymLanczos::reorthogonalize(real* w, index_t upto, real* alpha_correction) {
-  // Two Gram-Schmidt passes.  kFull sweeps basis rows 0..upto; kLocal
-  // touches only the kept Ritz vectors (0..nkept_) and the previous two
-  // Lanczos vectors — O(nkept + 2) instead of O(j) vectors per step.
+  // Blocked CGS2 ("twice is enough", Giraud et al. 2005): each pass
+  // projects w against basis rows 0..upto with two level-2 calls, c = V w
+  // and then w -= V^T c.
   WallTimer timer;
   const index_t n = config_.n;
-  const index_t local_floor =
-      config_.reorth == ReorthMode::kLocal
-          ? std::max<index_t>(nkept_ + 1, upto - 1)
-          : 0;
-  if (config_.ortho_kernel == OrthoKernel::kMgs) {
-    // Legacy per-vector modified Gram-Schmidt (the reorth ablation's
-    // reference kernel).
-    for (int pass = 0; pass < 2; ++pass) {
-      for (index_t i = 0; i <= upto; ++i) {
-        if (config_.reorth == ReorthMode::kLocal && i > nkept_ &&
-            i < local_floor) {
-          continue;
-        }
-        const real c = hblas::dot(n, v_row(i), w);
-        if (c != 0.0) {
-          hblas::axpy(n, -c, v_row(i), w);
-          if (alpha_correction != nullptr && i == upto) *alpha_correction += c;
-        }
-      }
-    }
-    stats_.ortho_seconds += timer.seconds();
-    return;
-  }
-  // Blocked CGS2: each pass projects w against the packed basis with two
-  // level-2 calls per contiguous row block — c = V w, then w -= V^T c.
-  // The rows to sweep form at most two contiguous blocks: all of
-  // [0, upto] for kFull; [0, nkept_] plus [local_floor, upto] for kLocal
-  // (local_floor > nkept_ by construction, so the blocks are disjoint).
-  struct Block {
-    index_t lo;
-    index_t cnt;
-  };
-  Block blocks[2];
-  int nblocks = 0;
-  if (config_.reorth == ReorthMode::kLocal) {
-    const index_t kept_hi = std::min(nkept_, upto);
-    blocks[nblocks++] = Block{0, kept_hi + 1};
-    const index_t lo = std::max(local_floor, nkept_ + 1);
-    if (lo <= upto) blocks[nblocks++] = Block{lo, upto - lo + 1};
-  } else {
-    blocks[nblocks++] = Block{0, upto + 1};
-  }
+  real* c = c_.data();
   for (int pass = 0; pass < 2; ++pass) {
-    for (int b = 0; b < nblocks; ++b) {
-      const Block blk = blocks[b];
-      real* c = c_.data();
-      hblas::gemv_par(blk.cnt, n, 1.0, v_row(blk.lo), n, w, 0.0, c);
-      hblas::gemv_t_par(blk.cnt, n, -1.0, v_row(blk.lo), n, c, 1.0, w);
-      if (alpha_correction != nullptr && blk.lo <= upto &&
-          upto < blk.lo + blk.cnt) {
-        *alpha_correction += c[upto - blk.lo];
-      }
-    }
+    hblas::gemv_par(upto + 1, n, 1.0, v_row(0), n, w, 0.0, c);
+    hblas::gemv_t_par(upto + 1, n, -1.0, v_row(0), n, c, 1.0, w);
+    if (alpha_correction != nullptr) *alpha_correction += c[upto];
   }
   stats_.ortho_seconds += timer.seconds();
 }

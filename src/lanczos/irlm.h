@@ -18,9 +18,9 @@
 //     which is algebraically equivalent to ARPACK's implicit QR restart
 //     with exact shifts for symmetric matrices, and numerically more robust.
 //
-// Full (two-pass) reorthogonalization is applied at every expansion step,
-// matching ARPACK's practical behaviour on the clustered spectra produced
-// by graph Laplacians.
+// Every expansion step reorthogonalizes against the whole basis with blocked
+// classical Gram-Schmidt, twice (CGS2), matching ARPACK's practical
+// behaviour on the clustered spectra produced by graph Laplacians.
 #pragma once
 
 #include <iosfwd>
@@ -46,26 +46,6 @@ enum class EigWhich {
 /// On finite input both give the same bits.
 enum class DenseTier { kBlocked, kNaive };
 
-/// Reorthogonalization policy for the Lanczos expansion.
-///
-/// kFull is ARPACK-grade: two Gram-Schmidt passes against the whole basis
-/// per step, O(n*j) per step.  kLocal orthogonalizes only against the kept
-/// thick-restart Ritz vectors plus the previous two Lanczos vectors —
-/// cheaper per step but susceptible to ghost eigenvalues on clustered
-/// spectra (bench_ablation_reorth quantifies the tradeoff).
-enum class ReorthMode { kFull, kLocal };
-
-/// How the reorthogonalization passes are computed.
-///
-/// kBlockedCgs2 expresses each pass as classical Gram-Schmidt against the
-/// packed basis — c = V w (gemv), w -= V^T c (gemv_t) — two level-2 calls
-/// per pass through the threaded hblas path instead of up-to-ncv level-1
-/// dot/axpy pairs.  Two CGS passes ("twice is enough", Giraud et al. 2005)
-/// match two-pass MGS to the same working-precision orthogonality, so the
-/// Ritz values agree with the kMgs path to existing tolerances; kMgs keeps
-/// the legacy per-vector loop for the reorth ablation bench.
-enum class OrthoKernel { kBlockedCgs2, kMgs };
-
 struct LanczosConfig {
   index_t n = 0;    ///< problem size
   index_t nev = 1;  ///< number of eigenpairs wanted (paper's k)
@@ -78,8 +58,6 @@ struct LanczosConfig {
   EigWhich which = EigWhich::kLargestAlgebraic;
   std::uint64_t seed = 42;
   DenseTier dense_tier = DenseTier::kBlocked;
-  ReorthMode reorth = ReorthMode::kFull;
-  OrthoKernel ortho_kernel = OrthoKernel::kBlockedCgs2;
   /// Optional starting vector (length n); empty selects a seeded random
   /// vector.  A good warm start (e.g. the previous solution when the matrix
   /// changed slightly) reduces restarts — ARPACK's `resid/info=1` option.
@@ -163,6 +141,14 @@ class SymLanczos {
   /// Advance the state machine.  The first call begins the iteration.
   Action step();
 
+  /// True while the solver waits for multiply_output() = A *
+  /// multiply_input() before its next step(): after a step() that returned
+  /// kMultiply, after restore() and after restore_warm().  Asking does not
+  /// advance the iteration.
+  [[nodiscard]] bool awaits_product() const noexcept {
+    return phase_ == Phase::kAwaitMatvec || phase_ == Phase::kWarmRefresh;
+  }
+
   /// Vector x the solver wants multiplied (valid after step() == kMultiply).
   [[nodiscard]] std::span<const real> multiply_input() const;
 
@@ -183,9 +169,6 @@ class SymLanczos {
 
   [[nodiscard]] const LanczosStats& stats() const noexcept { return stats_; }
   [[nodiscard]] const LanczosConfig& config() const noexcept { return config_; }
-  [[nodiscard]] bool done() const noexcept {
-    return phase_ == Phase::kConverged || phase_ == Phase::kFailed;
-  }
 
   /// True once a checkpoint was captured (config_.capture_checkpoints).
   [[nodiscard]] bool has_checkpoint() const noexcept {

@@ -1,6 +1,4 @@
-// ARPACK++-style problem wrapper over SymLanczos.
-//
-// The paper's Algorithm 3 is written against ARPACK++'s interface:
+// The reverse-communication loop of the paper's Algorithm 3:
 //
 //   while (!Prob.converge()) {
 //     Prob.TakeStep();
@@ -8,9 +6,11 @@
 //   }
 //   Prob.FindEigenvectors();
 //
-// SymEigProb reproduces those method names and that calling convention so
-// the pipeline code reads like the paper.  A convenience free function
-// `solve_symmetric` runs the loop with a caller-supplied matvec.
+// rci_loop is the only such loop in the tree: every eigensolve (the device
+// pipeline, the Matlab-like and Python-like baselines, bisection, the
+// benches) drives its SymLanczos through it, so every backend polls the
+// same cancellation site once per wave.  `solve_symmetric` wraps it for
+// callers that only have a matvec.
 #pragma once
 
 #include <functional>
@@ -19,86 +19,23 @@
 
 namespace fastsc::lanczos {
 
-class SymEigProb {
- public:
-  explicit SymEigProb(LanczosConfig config) : solver_(config) {}
+/// One reverse-communication wave: y = A x (both length n).
+using Matvec = std::function<void(const real* x, real* y)>;
 
-  /// True once the requested eigenpairs have converged (or the solver gave
-  /// up; check Failed()).
-  [[nodiscard]] bool converge() {
-    if (!started_) {
-      // Prime the state machine so GetVector() is valid.
-      last_action_ = solver_.step();
-      started_ = true;
-    }
-    return last_action_ != SymLanczos::Action::kMultiply;
-  }
-
-  /// Advance one reverse-communication step.  Call after writing the matvec
-  /// result to PutVector().  (The first TakeStep happens inside converge().)
-  void TakeStep() { last_action_ = solver_.step(); }
-
-  /// Pointer to the vector the solver wants multiplied (length n).
-  [[nodiscard]] const real* GetVector() const {
-    return solver_.multiply_input().data();
-  }
-
-  /// Pointer to the destination for the product (length n).
-  [[nodiscard]] real* PutVector() { return solver_.multiply_output().data(); }
-
-  /// Compute the Ritz vectors (row-major count x n).
-  [[nodiscard]] std::vector<real> FindEigenvectors() const {
-    return solver_.extract_eigenvectors();
-  }
-
-  [[nodiscard]] const std::vector<real>& Eigenvalues() const {
-    return solver_.eigenvalues();
-  }
-  [[nodiscard]] const std::vector<real>& Residuals() const {
-    return solver_.residuals();
-  }
-  [[nodiscard]] bool Failed() const {
-    return last_action_ == SymLanczos::Action::kFailed;
-  }
-  [[nodiscard]] const LanczosStats& Stats() const { return solver_.stats(); }
-  [[nodiscard]] SymLanczos& Solver() { return solver_; }
-
-  /// Rewind to a checkpoint (degradation resume after Failed()): the loop
-  /// continues as if the intervening work never happened.  Extend the
-  /// solver's restart budget via Solver().set_max_restarts first if the
-  /// failure was budget exhaustion.
-  void Restore(const LanczosCheckpoint& cp) {
-    solver_.restore(cp);
-    started_ = true;
-    last_action_ = SymLanczos::Action::kMultiply;
-  }
-
-  /// Warm-start from a nearby matrix's restart-boundary checkpoint (see
-  /// SymLanczos::restore_warm): the loop's next products feed the kept-basis
-  /// refresh pass, then the iteration continues normally against the new
-  /// operator.
-  void RestoreWarm(const LanczosCheckpoint& cp) {
-    solver_.restore_warm(cp);
-    started_ = true;
-    last_action_ = SymLanczos::Action::kMultiply;
-  }
-
-  /// Anytime cut on budget expiry: freeze the iteration and surface the best
-  /// partial Ritz pairs through the normal Failed()/FindEigenvectors() path.
-  /// Only valid when CanAbandon().
-  [[nodiscard]] bool CanAbandon() const noexcept {
-    return started_ && solver_.can_abandon();
-  }
-  void Abandon() {
-    last_action_ = solver_.abandon();
-    started_ = true;
-  }
-
- private:
-  SymLanczos solver_;
-  SymLanczos::Action last_action_ = SymLanczos::Action::kMultiply;
-  bool started_ = false;
+/// How a run of rci_loop ended.
+struct RciRun {
+  SymLanczos::Action action = SymLanczos::Action::kFailed;  ///< never kMultiply
+  bool abandoned = false;     ///< an anytime cut froze the iteration
+  double matvec_seconds = 0;  ///< wall time inside the matvec callback
 };
+
+/// Drive `solver` until it converges or fails, from whatever state it is
+/// in: fresh, after restore() or after restore_warm().  Each wave polls
+/// "lanczos.matvec" once and calls `matvec` once.  A deadline or
+/// cancellation that fires in a wave abandons with the best partial Ritz
+/// pairs when the run allows anytime results and the solver can_abandon()
+/// (the governor then enters wrap-up); otherwise the CancelledError unwinds.
+RciRun rci_loop(SymLanczos& solver, const Matvec& matvec);
 
 /// Result bundle for the convenience driver.
 struct SymEigResult {
@@ -109,10 +46,7 @@ struct SymEigResult {
   LanczosStats stats;
 };
 
-/// Run the full reverse-communication loop with `matvec(x, y)` computing
-/// y = A x (both length n).
-SymEigResult solve_symmetric(
-    const LanczosConfig& config,
-    const std::function<void(const real* x, real* y)>& matvec);
+/// rci_loop over a fresh solver with `matvec(x, y)` computing y = A x.
+SymEigResult solve_symmetric(const LanczosConfig& config, const Matvec& matvec);
 
 }  // namespace fastsc::lanczos

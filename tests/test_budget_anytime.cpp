@@ -2,9 +2,9 @@
 // wall deadline give exactly reproducible anytime results, un-hit deadlines
 // leave runs untouched, early and k-means-stage cuts rerun under wrap-up,
 // external tokens and anytime=0 deadlines unwind, input validation gates,
-// and two trip sweeps over every discovered poll site: hard cancellations
-// do bounded work and leak no device bytes, anytime cuts still label every
-// vertex.
+// and trip sweeps over every discovered poll site of every backend: hard
+// cancellations do bounded work and leak no device bytes, anytime cuts
+// still label every vertex, in graph and points mode.
 #include "core/spectral.h"
 
 #include <gtest/gtest.h>
@@ -16,6 +16,7 @@
 #include <vector>
 
 #include "common/cancel.h"
+#include "data/dti.h"
 #include "data/sbm.h"
 #include "device/device.h"
 #include "fault/fault.h"
@@ -232,13 +233,16 @@ TEST_F(BudgetAnytimeTest, ExternalTokenCancelsRun) {
   EXPECT_EQ(ctx.counters().live_bytes, 0u);
 }
 
-/// Every poll site the armed single-device graph pipeline visits.
-std::vector<std::string> discover_poll_sites(const sparse::Coo& w,
-                                             const SpectralConfig& cfg) {
+constexpr Backend kBackends[] = {Backend::kDevice, Backend::kMatlabLike,
+                                 Backend::kPythonLike};
+
+/// Every poll site `run(ctx)` visits on a fresh single-device context.
+template <class Run>
+std::vector<std::string> discover_poll_sites(const Run& run) {
   cancel::governor().set_recording(true);
   {
     device::DeviceContext ctx(1);
-    (void)spectral_cluster_graph(w, cfg, &ctx);
+    run(ctx);
   }
   std::vector<std::string> sites = cancel::governor().sites_seen();
   cancel::governor().set_recording(false);
@@ -246,64 +250,133 @@ std::vector<std::string> discover_poll_sites(const sparse::Coo& w,
   return sites;
 }
 
-// Arm a cancellation trip at every poll site the device pipeline actually
-// visits (nth=1, mirroring the fault-site sweep) on a run that forbids
-// anytime results.  Each trip must surface as CancelledError, leak zero
-// device bytes, and do bounded work after the cancellation fired.
+bool contains(const std::vector<std::string>& sites, const char* site) {
+  return std::find(sites.begin(), sites.end(), site) != sites.end();
+}
+
+// Arm a cancellation trip at every poll site the pipeline actually visits
+// (nth=1, mirroring the fault-site sweep) on a run that forbids anytime
+// results, for every backend.  Each trip must surface as CancelledError,
+// leak zero device bytes, and do bounded work after the cancellation fired.
 TEST_F(BudgetAnytimeTest, TripSweepAtEveryPollSiteCancelsCleanly) {
   const data::SbmGraph g = easy_graph();
-  const SpectralConfig cfg = armed_config(/*anytime=*/false);
-  const std::vector<std::string> sites = discover_poll_sites(g.w, cfg);
-  // The single-device graph pipeline must expose the eigensolver wave, the
-  // k-means++ seeding and the k-means sweep sites.  (par.chunk only appears
-  // once hblas loops cross their fork/join threshold; test_cancel covers it
-  // directly.)
-  EXPECT_GE(sites.size(), 3u) << "poll coverage shrank";
-  auto has = [&](const char* s) {
-    return std::find(sites.begin(), sites.end(), s) != sites.end();
-  };
-  ASSERT_TRUE(has("lanczos.matvec"));
-  ASSERT_TRUE(has("kmeans.seeding"));
-  ASSERT_TRUE(has("kmeans.sweep"));
-
-  for (const std::string& site : sites) {
-    SCOPED_TRACE("trip at " + site);
-    cancel::governor().set_trip(site, 1);
-    device::DeviceContext ctx(1);
-    bool cancelled = false;
-    try {
+  for (const Backend backend : kBackends) {
+    SCOPED_TRACE(backend_name(backend));
+    SpectralConfig cfg = armed_config(/*anytime=*/false);
+    cfg.backend = backend;
+    const auto run = [&](device::DeviceContext& ctx) {
       (void)spectral_cluster_graph(g.w, cfg, &ctx);
-    } catch (const cancel::CancelledError&) {
-      cancelled = true;
+    };
+    const std::vector<std::string> sites = discover_poll_sites(run);
+    // Every backend polls the eigensolver wave and the k-means sweep; the
+    // k-means++ seeding (device and Python-like) polls too.  (par.chunk
+    // only appears once hblas loops cross their fork/join threshold;
+    // test_cancel covers it directly.)
+    ASSERT_TRUE(contains(sites, "lanczos.matvec")) << "poll coverage shrank";
+    ASSERT_TRUE(contains(sites, "kmeans.sweep")) << "poll coverage shrank";
+    if (backend != Backend::kMatlabLike) {
+      ASSERT_TRUE(contains(sites, "kmeans.seeding")) << "poll coverage shrank";
     }
-    EXPECT_TRUE(cancelled) << "trip at " << site << " did not cancel";
-    EXPECT_EQ(ctx.counters().live_bytes, 0u)
-        << "device bytes leaked unwinding from " << site;
-    // Bounded work after the fire: a few polls per worker, not another
-    // stage's worth.
-    EXPECT_LE(cancel::governor().polls_after_fire(), 256u)
-        << "unbounded work after cancellation at " << site;
-    cancel::governor().clear_trip();
-    cancel::governor().reset_for_test();
+
+    for (const std::string& site : sites) {
+      SCOPED_TRACE("trip at " + site);
+      cancel::governor().set_trip(site, 1);
+      device::DeviceContext ctx(1);
+      bool cancelled = false;
+      try {
+        run(ctx);
+      } catch (const cancel::CancelledError&) {
+        cancelled = true;
+      }
+      EXPECT_TRUE(cancelled) << "trip at " << site << " did not cancel";
+      EXPECT_EQ(ctx.counters().live_bytes, 0u)
+          << "device bytes leaked unwinding from " << site;
+      // Bounded work after the fire: a few polls per worker, not another
+      // stage's worth.
+      EXPECT_LE(cancel::governor().polls_after_fire(), 256u)
+          << "unbounded work after cancellation at " << site;
+      cancel::governor().clear_trip();
+      cancel::governor().reset_for_test();
+    }
   }
 }
 
 // The same sweep with anytime results allowed: wherever the deadline fires,
-// the run completes with a label for every vertex and leaks no device bytes.
+// on every backend, the run completes with a label for every vertex and
+// leaks no device bytes.
 TEST_F(BudgetAnytimeTest, AnytimeTripSweepAtEveryPollSiteLabelsEveryVertex) {
   const data::SbmGraph g = easy_graph();
-  const SpectralConfig cfg = armed_config();
-  const std::vector<std::string> sites = discover_poll_sites(g.w, cfg);
-  ASSERT_GE(sites.size(), 3u) << "poll coverage shrank";
+  for (const Backend backend : kBackends) {
+    SCOPED_TRACE(backend_name(backend));
+    SpectralConfig cfg = armed_config();
+    cfg.backend = backend;
+    const std::vector<std::string> sites =
+        discover_poll_sites([&](device::DeviceContext& ctx) {
+          (void)spectral_cluster_graph(g.w, cfg, &ctx);
+        });
+    ASSERT_TRUE(contains(sites, "lanczos.matvec")) << "poll coverage shrank";
+    ASSERT_TRUE(contains(sites, "kmeans.sweep")) << "poll coverage shrank";
+    if (backend != Backend::kMatlabLike) {
+      ASSERT_TRUE(contains(sites, "kmeans.seeding")) << "poll coverage shrank";
+    }
 
-  for (const std::string& site : sites) {
-    SCOPED_TRACE("trip at " + site);
-    device::DeviceContext ctx(1);
-    const SpectralResult r = run_tripped(g.w, cfg, &ctx, site.c_str(), 1);
-    EXPECT_TRUE(r.budget.expired);
-    EXPECT_EQ(r.labels.size(), static_cast<usize>(g.w.rows));
-    EXPECT_EQ(ctx.counters().live_bytes, 0u)
-        << "device bytes leaked under an anytime cut at " << site;
+    for (const std::string& site : sites) {
+      SCOPED_TRACE("trip at " + site);
+      device::DeviceContext ctx(1);
+      const SpectralResult r = run_tripped(g.w, cfg, &ctx, site.c_str(), 1);
+      EXPECT_TRUE(r.budget.expired);
+      EXPECT_EQ(r.labels.size(), static_cast<usize>(g.w.rows));
+      EXPECT_EQ(ctx.counters().live_bytes, 0u)
+          << "device bytes leaked under an anytime cut at " << site;
+    }
+  }
+}
+
+// The anytime sweep over a points-mode input, so Algorithm 1's poll sites
+// are cut too: the device backend streams the edge list through the device
+// in chunks, the Matlab-like backend runs its per-edge loop.  Wherever the
+// deadline fires, every point gets a label.
+TEST_F(BudgetAnytimeTest, AnytimeTripSweepOverPointsLabelsEveryPoint) {
+  data::DtiParams dp;
+  dp.nx = 10;
+  dp.ny = 10;
+  dp.nz = 6;
+  dp.profile_dim = 20;
+  dp.num_parcels = 4;
+  dp.epsilon = 1.0;
+  dp.noise = 0.1;
+  const data::DtiVolume vol = data::make_dti_like(dp);
+  ASSERT_EQ(vol.n, 600);
+
+  for (const Backend backend : {Backend::kDevice, Backend::kMatlabLike}) {
+    SCOPED_TRACE(backend_name(backend));
+    SpectralConfig cfg = armed_config();
+    cfg.backend = backend;
+    cfg.similarity.measure = graph::SimilarityMeasure::kCrossCorrelation;
+    cfg.similarity_chunk_edges = 2000;
+    const auto run = [&](device::DeviceContext& ctx) {
+      return spectral_cluster_points(vol.profiles.data(), vol.n, vol.d,
+                                     vol.edges, cfg, &ctx);
+    };
+    const std::vector<std::string> sites = discover_poll_sites(run);
+    ASSERT_TRUE(contains(sites, backend == Backend::kDevice
+                                    ? "similarity.chunk"
+                                    : "similarity.row"));
+    ASSERT_TRUE(contains(sites, "lanczos.matvec"));
+
+    for (const std::string& site : sites) {
+      SCOPED_TRACE("trip at " + site);
+      device::DeviceContext ctx(1);
+      cancel::governor().set_trip(site, 1);
+      const SpectralResult r = run(ctx);
+      cancel::governor().clear_trip();
+      cancel::governor().reset_for_test();
+      EXPECT_TRUE(r.budget.expired);
+      EXPECT_TRUE(r.budget.anytime);
+      EXPECT_EQ(r.labels.size(), static_cast<usize>(vol.n));
+      EXPECT_EQ(ctx.counters().live_bytes, 0u)
+          << "device bytes leaked under an anytime cut at " << site;
+    }
   }
 }
 

@@ -64,10 +64,10 @@ TEST_F(CancelTest, SourcePropagatesToAllTokenCopies) {
 TEST_F(CancelTest, CancelledErrorSiteAnnotationIsFirstWins) {
   CancelledError e("run cancelled: test");
   EXPECT_TRUE(e.site().empty());
-  e.annotate_site("cg.iteration");
+  e.annotate_site("similarity.chunk");
   e.annotate_site("kmeans.sweep");  // ignored: first annotation wins
-  EXPECT_EQ(e.site(), "cg.iteration");
-  EXPECT_NE(std::string(e.what()).find("[site: cg.iteration]"),
+  EXPECT_EQ(e.site(), "similarity.chunk");
+  EXPECT_NE(std::string(e.what()).find("[site: similarity.chunk]"),
             std::string::npos);
 }
 
@@ -181,21 +181,21 @@ TEST_F(CancelTest, RecordingDiscoversPollSites) {
 }
 
 TEST_F(CancelTest, TripFiresAtExactNthVisit) {
-  governor().set_trip("cg.iteration", 3);
-  EXPECT_NO_THROW(poll("cg.iteration"));
-  EXPECT_NO_THROW(poll("cg.iteration"));
+  governor().set_trip("similarity.chunk", 3);
+  EXPECT_NO_THROW(poll("similarity.chunk"));
+  EXPECT_NO_THROW(poll("similarity.chunk"));
   EXPECT_NO_THROW(poll("other.site"));
-  EXPECT_THROW(poll("cg.iteration"), CancelledError);
+  EXPECT_THROW(poll("similarity.chunk"), CancelledError);
   // A trip on a disarmed governor is a hard cancellation: later polls keep
   // throwing and the after-fire counter measures work done past the
   // cancellation point.
   EXPECT_TRUE(interrupted("par.chunk"));
-  EXPECT_THROW(poll("cg.iteration"), CancelledError);
+  EXPECT_THROW(poll("similarity.chunk"), CancelledError);
   EXPECT_GE(governor().polls_after_fire(), 2u);
   governor().clear_trip();
   governor().reset_for_test();
   EXPECT_EQ(governor().polls_after_fire(), 0u);
-  EXPECT_NO_THROW(poll("cg.iteration"));
+  EXPECT_NO_THROW(poll("similarity.chunk"));
 }
 
 // --- parallel primitives: all-or-throw chunk cancellation --------------------

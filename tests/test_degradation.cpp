@@ -1,8 +1,9 @@
 // Graceful-degradation tests for the device pipeline: per-site fault sweep
 // (every injectable allocation/transfer site, nth=1, must leave the
-// clustering unchanged), total-outage host fallback, policy gating, the
-// kFailed partial-results path, golden determinism of repeated runs, and
-// the degradation section of the run report JSON.
+// clustering unchanged), total-outage host fallback (which still obeys the
+// run's deadline), policy gating, the kFailed partial-results path, golden
+// determinism of repeated runs, and the degradation section of the run
+// report JSON.
 #include "core/spectral.h"
 
 #include <gtest/gtest.h>
@@ -12,6 +13,7 @@
 #include <string>
 #include <vector>
 
+#include "common/cancel.h"
 #include "common/rng.h"
 #include "core/report.h"
 #include "data/sbm.h"
@@ -50,6 +52,8 @@ class DegradationTest : public ::testing::Test {
   void TearDown() override {
     fault::injector().disarm();
     fault::injector().set_recording(false);
+    cancel::governor().clear_trip();
+    cancel::governor().reset_for_test();
   }
 };
 
@@ -139,6 +143,23 @@ TEST_F(DegradationTest, TotalAllocationOutageFallsBackToHost) {
   EXPECT_TRUE(host_kmeans);
   EXPECT_TRUE(r.eig_converged);
   EXPECT_DOUBLE_EQ(metrics::adjusted_rand_index(r.labels, clean.labels), 1.0);
+
+  // The host-eigensolver rung obeys the run's deadline: a deadline that
+  // fires at its first wave, with anytime results forbidden, unwinds from
+  // there.
+  cfg.budget.wall_ms = 1e9;
+  cfg.budget.anytime = false;
+  device::DeviceContext cut_ctx(1);
+  cancel::governor().set_trip("lanczos.matvec", 1);
+  try {
+    (void)spectral_cluster_graph(g.w, cfg, &cut_ctx);
+    ADD_FAILURE() << "expected CancelledError";
+  } catch (const cancel::CancelledError& e) {
+    EXPECT_EQ(e.site(), "lanczos.matvec") << e.what();
+  }
+  cancel::governor().clear_trip();
+  cancel::governor().reset_for_test();
+  EXPECT_EQ(cut_ctx.counters().live_bytes, 0u);
 }
 
 TEST_F(DegradationTest, DisabledPolicyRethrows) {

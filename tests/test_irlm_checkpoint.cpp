@@ -39,19 +39,12 @@ sparse::Csr random_symmetric(index_t n, std::uint64_t seed) {
   return sparse::coo_to_csr(coo);
 }
 
-/// Drive the reverse-communication loop to completion.  After restore() the
-/// solver is mid-iteration awaiting a matvec, so the caller must supply the
-/// product *before* the next step() (pass resumed = true).
-SymLanczos::Action run_to_done(SymLanczos& solver, const sparse::Csr& a,
-                               bool resumed = false) {
-  SymLanczos::Action action =
-      resumed ? SymLanczos::Action::kMultiply : solver.step();
-  while (action == SymLanczos::Action::kMultiply) {
-    sparse::csr_mv(a, solver.multiply_input().data(),
-                   solver.multiply_output().data());
-    action = solver.step();
-  }
-  return action;
+/// Drive `solver` through the RCI loop to the end of its iteration, from
+/// whatever state it is in: fresh, or restored from a checkpoint.
+SymLanczos::Action run_to_done(SymLanczos& solver, const sparse::Csr& a) {
+  return rci_loop(solver, [&](const real* x, real* y) {
+    sparse::csr_mv(a, x, y);
+  }).action;
 }
 
 TEST(RngState, RoundTripReproducesStream) {
@@ -181,8 +174,7 @@ TEST(Checkpoint, ResumeAfterFailureMatchesUninterruptedSolve) {
   const LanczosCheckpoint cp = solver.last_checkpoint();
   solver.restore(cp);
   solver.set_max_restarts(300);
-  ASSERT_EQ(run_to_done(solver, a, /*resumed=*/true),
-            SymLanczos::Action::kConverged);
+  ASSERT_EQ(run_to_done(solver, a), SymLanczos::Action::kConverged);
   ASSERT_EQ(solver.eigenvalues().size(), reference.eigenvalues().size());
   for (usize i = 0; i < reference.eigenvalues().size(); ++i) {
     EXPECT_NEAR(solver.eigenvalues()[i], reference.eigenvalues()[i], 1e-8);
@@ -211,8 +203,7 @@ TEST(Checkpoint, ResumeIntoFreshSolverViaSerialization) {
   resumed_cfg.max_restarts = 300;
   SymLanczos second(resumed_cfg);
   second.restore(LanczosCheckpoint::load(ss));
-  ASSERT_EQ(run_to_done(second, a, /*resumed=*/true),
-            SymLanczos::Action::kConverged);
+  ASSERT_EQ(run_to_done(second, a), SymLanczos::Action::kConverged);
 
   LanczosConfig full = cfg;
   full.max_restarts = 300;

@@ -31,8 +31,9 @@ esac
 # test_balance and test_hblas exercise the merge-path balanced SpMV / SpMM
 # kernels and the threaded level-2 hblas paths across worker counts;
 # test_powerlaw feeds them.  test_laplacian runs Algorithm 2's merge-path
-# degree pass, test_rci the reverse-communication loop and test_lanczos
-# the thick restart whose basis products fan out over the pool.  test_kmeans
+# degree pass, test_rci lanczos::rci_loop (the one loop every eigensolve
+# runs, polling an armed governor) and test_lanczos the CGS2 sweeps and
+# thick restart whose basis products fan out over the pool.  test_kmeans
 # and test_seeding drive the k-means group sweep across device and worker
 # counts.  test_spmv runs the counting-sort coo2csr launch (each worker
 # scans the whole COO and writes only its own rows) and test_graph_build
